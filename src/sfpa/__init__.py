@@ -4,8 +4,8 @@ from .auction import (Allocation, Outcome, PriorityRule, RandomizedRule, allocat
                       optimal_welfare, outcome)
 from .closedform import (AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                          and_support_sum_check, andor_equilibrium_welfare,
-                         andor_utility_and, andor_utility_or, cdf_eval, quantile,
-                         singleminded_utility, triangle_utility)
+                         andor_utility_and, andor_utility_or, singleminded_utility,
+                         triangle_utility)
 from .equilibrium import (BidGrid, FiniteSupportStrategy, WalrasianEquilibrium,
                           best_response_gap, limit_equilibrium_check,
                           pure_nash_search, walrasian_check, walrasian_search)

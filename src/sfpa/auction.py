@@ -114,6 +114,63 @@ def check_bids(bids) -> np.ndarray:
     return b
 
 
+# ---------------------------------------------------------------------------
+# First-price kernel: the single vectorised home of the rule "each item goes
+# to its highest bidder, a tie within TIE_TOL to the best priority rank".
+# Bid arrays are (..., n, m) profiles or (..., m) rows; leading axes batch
+# trials or rounds. `allocate` below stays as the scalar reference.
+
+_NO_RANK = np.iinfo(np.int64).max
+
+
+def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
+    """(m, n) tie ranks: on item j the tied player of lowest rank wins."""
+    rule.validate(n, m)
+    if rule.order is None:
+        return np.tile(np.arange(n), (m, 1))
+    return np.argsort(np.asarray(rule.order), axis=1)
+
+
+def winners(bids: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """(..., m) winner of every item in (..., n, m) bid profiles."""
+    at_max = bids >= bids.max(axis=-2, keepdims=True) - TIE_TOL
+    return np.where(at_max, ranks.T, _NO_RANK).argmin(axis=-2)
+
+
+def price_to_beat(bids: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(beat, favored), each (..., n, m): every player's highest rival bid on
+    every item (-inf without rivals), and whether the player wins a tie at
+    that price. A player's own row does not enter its own pair."""
+    n = bids.shape[-2]
+    if n == 1:
+        return np.full(bids.shape, -np.inf), np.ones(bids.shape, dtype=bool)
+    top = bids.max(axis=-2, keepdims=True)
+    second = np.sort(bids, axis=-2)[..., n - 2:n - 1, :]
+    beat = np.where(bids == top, second, top)  # exactly the max over the others
+    rank = ranks.T
+    ahead = rank[None, :, :] < rank[:, None, :]  # (i, k, m): k outranks i
+    attain = bids[..., None, :, :] >= beat[..., :, None, :] - TIE_TOL
+    return beat, ~(attain & ahead).any(axis=-2)
+
+
+def wins(rows: np.ndarray, beat: np.ndarray, favored: np.ndarray) -> np.ndarray:
+    """Which bids in `rows` win their item against (beat, favored)."""
+    return (rows > beat + TIE_TOL) | ((np.abs(rows - beat) <= TIE_TOL) & favored)
+
+
+def bundle_masks(won: np.ndarray) -> np.ndarray:
+    """Bitmask of the won items along the last axis."""
+    return won @ (1 << np.arange(won.shape[-1]))
+
+
+def bid_utilities(table: np.ndarray, rows: np.ndarray, beat: np.ndarray,
+                  favored: np.ndarray) -> np.ndarray:
+    """Utility of each bid row against (beat, favored): the value of the won
+    bundle minus the winning bids."""
+    win = wins(rows, beat, favored)
+    return table[bundle_masks(win)] - (win * rows).sum(axis=-1)
+
+
 def allocate(bids, rule=PriorityRule()):
     """Allocation under the rule; a randomized rule yields [(prob, Allocation)]."""
     b = check_bids(bids)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import PriorityRule, optimal_welfare
-from .equilibrium import deviation_payoffs
-from .valuations import Valuation, valuation_from_json
+from .auction import (Allocation, PriorityRule, RandomizedRule, bid_utilities,
+                      check_bids, optimal_welfare, price_to_beat, priority_ranks,
+                      rule_from_json, winners)
+from .valuations import valuation_from_json
 
 PROB_TOL = 1e-12
 
@@ -39,7 +40,7 @@ class FiniteBayesianGame:
             raise ValueError(f"prior shape {self.prior.shape} != type counts {shape}")
         if abs(self.prior.sum() - 1.0) > PROB_TOL or (self.prior < -PROB_TOL).any():
             raise ValueError("prior must be a probability table")
-        self.actions = [np.asarray(a, dtype=np.float64) for a in self.actions]
+        self.actions = [check_bids(a) for a in self.actions]
         m = self.m
         for vs in self.type_vals:
             if any(v.m != m for v in vs):
@@ -89,18 +90,50 @@ def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
     return out
 
 
-def _opponent_play(bg: FiniteBayesianGame, strategies: list, player: int,
-                   opp_types: tuple):
-    """Joint opponent action distribution given their types: iterator of
-    (probability, (n-1, m) bid matrix)."""
-    opp = [k for k in range(bg.n) if k != player]
-    supports = []
-    for slot, k in enumerate(opp):
-        probs = strategies[k][opp_types[slot]]
-        supports.append([(p, bg.actions[k][a]) for a, p in enumerate(probs) if p > 0])
+def _type_profiles(bg: FiniteBayesianGame):
+    """Iterator of (prior probability, type profile) over positive-mass profiles."""
+    for types in itertools.product(*(range(len(ts)) for ts in bg.type_vals)):
+        q = float(bg.prior[types])
+        if q > PROB_TOL:
+            yield q, types
+
+
+def _joint_play(bg: FiniteBayesianGame, strategies: list, types: dict):
+    """Joint action distribution of the players in `types` (player -> type):
+    iterator of (probability, (n, m) bid profile). Other players' rows are
+    zero; a player's own row does not enter its price to beat."""
+    supports = [[(p, bg.actions[k][a]) for a, p in enumerate(strategies[k][t]) if p > 0]
+                for k, t in types.items()]
+    bids = np.zeros((bg.n, bg.m))
     for combo in itertools.product(*supports):
-        prob = math.prod(p for p, _ in combo)
-        yield prob, np.array([b for _, b in combo])
+        for k, (_, b) in zip(types, combo):
+            bids[k] = b
+        yield math.prod(p for p, _ in combo), bids
+
+
+def _conditional_utilities(bg: FiniteBayesianGame, strategies: list, players):
+    """Iterator of (player i, type t, E[u_i(a) | type t] for every action a)
+    over the positive-mass types of `players`. The expectation runs over the
+    conditional prior on the opponents' types and their mixed actions, as
+    `strategies` stand when (i, t) is reached."""
+    ranks = priority_ranks(bg.rule, bg.n, bg.m)
+    for i in players:
+        opp = [k for k in range(bg.n) if k != i]
+        marg = bg.type_marginal(i)
+        for t in range(len(bg.type_vals[i])):
+            if marg[t] <= PROB_TOL:
+                continue
+            table = bg.type_vals[i][t].as_table()
+            cond = np.moveaxis(bg.prior, i, 0)[t] / marg[t]
+            eu = np.zeros(bg.actions[i].shape[0])
+            for opp_types in itertools.product(*(range(len(bg.type_vals[k])) for k in opp)):
+                q = float(cond[opp_types] if opp_types else cond)
+                if q <= PROB_TOL:
+                    continue
+                for prob, bids in _joint_play(bg, strategies, dict(zip(opp, opp_types))):
+                    beat, favored = price_to_beat(bids, ranks)
+                    eu += q * prob * bid_utilities(table, bg.actions[i], beat[i], favored[i])
+            yield i, t, eu
 
 
 def bayes_deviation_gap(bg: FiniteBayesianGame, strategies: list) -> list:
@@ -112,26 +145,9 @@ def bayes_deviation_gap(bg: FiniteBayesianGame, strategies: list) -> list:
     eps-equilibrium.
     """
     strategies = check_strategies(bg, strategies)
-    gaps = []
-    for i in range(bg.n):
-        opp = [k for k in range(bg.n) if k != i]
-        opp_index = np.array(opp)
-        marg = bg.type_marginal(i)
-        player_gaps = np.zeros(len(bg.type_vals[i]))
-        for t in range(len(bg.type_vals[i])):
-            if marg[t] <= PROB_TOL:
-                continue
-            cond = np.moveaxis(bg.prior, i, 0)[t] / marg[t]
-            eu = np.zeros(bg.actions[i].shape[0])
-            for opp_types in itertools.product(*(range(len(bg.type_vals[k])) for k in opp)):
-                q = float(cond[opp_types] if opp_types else cond)
-                if q <= PROB_TOL:
-                    continue
-                for prob, opp_bids in _opponent_play(bg, strategies, i, opp_types):
-                    eu += q * prob * deviation_payoffs(bg.type_vals[i][t], bg.actions[i],
-                                                       i, opp_bids, opp_index, bg.rule)
-            player_gaps[t] = float(eu.max() - eu @ strategies[i][t])
-        gaps.append(player_gaps)
+    gaps = [np.zeros(len(ts)) for ts in bg.type_vals]
+    for i, t, eu in _conditional_utilities(bg, strategies, range(bg.n)):
+        gaps[i][t] = float(eu.max() - eu @ strategies[i][t])
     return gaps
 
 
@@ -178,25 +194,14 @@ class BayesWelfareReport:
 def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
     """E over types and mixed actions of the realized social welfare."""
     strategies = check_strategies(bg, strategies)
+    ranks = priority_ranks(bg.rule, bg.n, bg.m)
     total = 0.0
-    for types in itertools.product(*(range(len(ts)) for ts in bg.type_vals)):
-        q = float(bg.prior[types])
-        if q <= PROB_TOL:
-            continue
-        vals = [bg.type_vals[i][types[i]] for i in range(bg.n)]
-        supports = [[(p, bg.actions[i][a]) for a, p in enumerate(strategies[i][types[i]])
-                     if p > 0] for i in range(bg.n)]
-        for combo in itertools.product(*supports):
-            prob = math.prod(p for p, _ in combo)
-            bids = np.array([b for _, b in combo])
-            total += q * prob * _welfare_of(vals, bids, bg.rule)
+    for q, types in _type_profiles(bg):
+        vals = [bg.type_vals[i][t] for i, t in enumerate(types)]
+        for prob, bids in _joint_play(bg, strategies, dict(enumerate(types))):
+            alloc = Allocation(tuple(winners(bids, ranks).tolist()))
+            total += q * prob * sum(v.value(alloc.bundle(i)) for i, v in enumerate(vals))
     return total
-
-
-def _welfare_of(vals, bids, rule) -> float:
-    from .auction import allocate
-    alloc = allocate(bids, rule)
-    return sum(v.value(alloc.bundle(i)) for i, v in enumerate(vals))
 
 
 def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
@@ -208,12 +213,8 @@ def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
     the report's gap precondition."""
     strategies = check_strategies(bg, strategies)
     e_opt = 0.0
-    for types in itertools.product(*(range(len(ts)) for ts in bg.type_vals)):
-        q = float(bg.prior[types])
-        if q <= PROB_TOL:
-            continue
-        vals = [bg.type_vals[i][types[i]] for i in range(bg.n)]
-        e_opt += q * optimal_welfare(vals)[0]
+    for q, types in _type_profiles(bg):
+        e_opt += q * optimal_welfare([bg.type_vals[i][t] for i, t in enumerate(types)])[0]
     e_sw = expected_welfare(bg, strategies)
     gaps = bayes_deviation_gap(bg, strategies)
     avg_gaps = tuple(float(np.dot(bg.type_marginal(i), np.maximum(gaps[i], 0.0)))
@@ -258,8 +259,10 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
             table = np.multiply.outer(table, np.asarray(marg, dtype=np.float64))
     else:
         table = np.asarray(prior, dtype=np.float64)
-    rule = PriorityRule(tuple(tuple(p) for p in d["tie_rule"]["order"])) \
-        if "tie_rule" in d and d["tie_rule"].get("kind") == "priority" else PriorityRule()
+    rule = rule_from_json(d.get("tie_rule", {"kind": "index"}))
+    if isinstance(rule, RandomizedRule):
+        raise ValueError("tie_rule: Bayesian games support only deterministic "
+                         "(index or priority) tie rules, got 'randomized'")
     bg = FiniteBayesianGame(type_vals, table, [np.asarray(a) for a in d["actions"]], rule)
     strategies = [np.asarray(s, dtype=np.float64) for s in d["strategies"]]
     return bg, strategies
@@ -279,29 +282,13 @@ def best_response_strategies(bg: FiniteBayesianGame, strategies: list,
     updating = range(bg.n) if players is None else players
     for _ in range(sweeps):
         changed = False
-        for i in updating:
-            opp = [k for k in range(bg.n) if k != i]
-            opp_index = np.array(opp)
-            marg = bg.type_marginal(i)
-            for t in range(len(bg.type_vals[i])):
-                if marg[t] <= PROB_TOL:
-                    continue
-                cond = np.moveaxis(bg.prior, i, 0)[t] / marg[t]
-                eu = np.zeros(bg.actions[i].shape[0])
-                for opp_types in itertools.product(
-                        *(range(len(bg.type_vals[k])) for k in opp)):
-                    q = float(cond[opp_types] if opp_types else cond)
-                    if q <= PROB_TOL:
-                        continue
-                    for prob, opp_bids in _opponent_play(bg, strategies, i, opp_types):
-                        eu += q * prob * deviation_payoffs(bg.type_vals[i][t], bg.actions[i],
-                                                           i, opp_bids, opp_index, bg.rule)
-                best = int(np.argmax(eu))
-                row = np.zeros(bg.actions[i].shape[0])
-                row[best] = 1.0
-                if eu[best] > eu @ strategies[i][t] + 1e-12:
-                    strategies[i][t] = row
-                    changed = True
+        for i, t, eu in _conditional_utilities(bg, strategies, updating):
+            best = int(np.argmax(eu))
+            row = np.zeros(bg.actions[i].shape[0])
+            row[best] = 1.0
+            if eu[best] > eu @ strategies[i][t] + 1e-12:
+                strategies[i][t] = row
+                changed = True
         if not changed:
             return strategies, True
     return strategies, False

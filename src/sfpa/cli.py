@@ -44,6 +44,16 @@ def _add_common(p: _Parser) -> None:
                    help="JSON settings file; overrides flags, which override defaults")
 
 
+def _add_builtin_game(p: _Parser, side: bool = False) -> None:
+    """Sizes of the builtin games (and the grid game's side length)."""
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--v", type=float, default=1.0)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--d", type=int, default=2)
+    if side:
+        p.add_argument("--l", type=int, default=3, dest="side")
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="sfpa", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -53,31 +63,20 @@ def build_parser() -> _Parser:
                    choices=("andor", "triangle", "single_minded"))
     p.add_argument("--strategy", default=None,
                    help="defaults to the game's closed form")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
+    _add_builtin_game(p)
     p.add_argument("--grid-step", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("walrasian", help="search for a Walrasian equilibrium")
     p.add_argument("--game", required=True, help="builtin name or game JSON file")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--l", type=int, default=3, dest="side")
+    _add_builtin_game(p, side=True)
     p.add_argument("--cap", type=int, default=11_000_000)
     _add_common(p)
 
     p = sub.add_parser("pure-nash", help="grid search for epsilon-equilibria")
     p.add_argument("--game", required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--l", type=int, default=3, dest="side")
+    _add_builtin_game(p, side=True)
     p.add_argument("--grid-step", type=float, default=0.1)
     p.add_argument("--max", type=float, default=2.0, dest="upper")
     p.add_argument("--epsilon", type=float, default=0.0)
@@ -117,10 +116,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw bids from a closed-form strategy")
     p.add_argument("--strategy", required=True,
                    choices=("andor", "triangle", "single_minded"))
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
+    _add_builtin_game(p)
     p.add_argument("--count", type=int, default=1000)
     _add_common(p)
     return top

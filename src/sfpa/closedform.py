@@ -118,14 +118,6 @@ class AtomicCDF:
         return self.quantile(rng.random(size))
 
 
-def cdf_eval(c: AtomicCDF, x):
-    return c.cdf(x)
-
-
-def quantile(c: AtomicCDF, u):
-    return c.quantile(u)
-
-
 def _point_mass(at: float) -> AtomicCDF:
     return AtomicCDF(at, at, ((at, 1.0),),
                      lambda x: np.zeros(np.shape(x)),

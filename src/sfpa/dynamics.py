@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auction import PriorityRule, TIE_TOL, optimal_welfare
+from .auction import (PriorityRule, bid_utilities, bundle_masks, optimal_welfare,
+                      price_to_beat, priority_ranks, winners, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
 from .valuations import AdditiveValuation, Valuation
@@ -120,20 +121,18 @@ class LearningTrace:
                                 self.utilities.ravel(), self.regret.ravel()])
 
 
-def _rank_matrix(rule: PriorityRule, n: int, m: int) -> np.ndarray:
-    ranks = np.empty((m, n), dtype=np.int64)
-    for j in range(m):
-        order = range(n) if rule.order is None else rule.order[j]
-        for r, i in enumerate(order):
-            ranks[j, i] = r
-    return ranks
+def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Categorical draw along the last axis of `probs` from pre-drawn uniforms
+    `u`, clamped to each row's `last` valid level: rounding can leave the
+    cumulative sum below 1 - 2**-53, the largest uniform a generator draws."""
+    return np.minimum((u[..., None] > probs.cumsum(axis=-1)).sum(axis=-1), last)
 
 
-def _sample_level_indices(rng, probs: np.ndarray) -> np.ndarray:
-    """Categorical draw along the last axis of a (m, L) probability array."""
-    cum = probs.cumsum(axis=-1)
-    u = rng.random(probs.shape[0])
-    return (u[:, None] > cum).sum(axis=-1)
+def _level_gains(levels, valid, weights, beat, favored) -> np.ndarray:
+    """Utility of every bid level (..., L) of an additive bidder on each
+    item, against the item's (beat, favored) (...); padded levels gain 0."""
+    win = wins(levels, beat[..., None], favored[..., None])
+    return np.where(valid, win * (np.asarray(weights)[..., None] - levels), 0.0)
 
 
 def run_no_regret(game: FiniteGame, rounds: int, seed: int,
@@ -145,7 +144,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
         return _run_separable(game, rounds, seed, snapshot_every)
     n, m = len(game.vals), game.vals[0].m
     rng = rng_for(seed, "no-regret")
-    ranks = _rank_matrix(game.rule, n, m)
+    ranks = priority_ranks(game.rule, n, m)
     tables = [v.as_table() for v in game.vals]
     vmax = max(v.value_max() for v in game.vals)
     if vmax <= 0:
@@ -165,7 +164,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
         else:
             cum.append(np.zeros(sp.count))
 
-    weights_item = 1 << np.arange(m)
+    players = np.arange(n)
     bids_out = np.empty((rounds, n, m))
     index_out = np.empty((rounds, n), dtype=np.int64)
     util_out = np.empty((rounds, n))
@@ -187,7 +186,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
             if isinstance(sp, SeparableGrid):
                 w[~sp.valid] = 0.0
                 probs = w / w.sum(axis=-1, keepdims=True)
-                levels = _sample_level_indices(rng, probs)
+                levels = _level_index(rng.random(m), probs, sp.valid.sum(axis=1) - 1)
                 bids[i] = sp.levels[np.arange(m), levels]
                 index_out[t - 1, i] = int(np.dot(levels, sp.levels.shape[1] ** np.arange(m)))
             else:
@@ -199,38 +198,23 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
         if t == 1 or t % snapshot_every == 0 or t == rounds:
             snapshots[t] = [p.copy() for p in probs_now]
 
-        # allocation: per item, best-ranked player among those at the max bid
-        at_max = bids >= bids.max(axis=0) - TIE_TOL  # (n, m)
-        rank_masked = np.where(at_max.T, ranks, np.iinfo(np.int64).max)
-        winner = np.argmin(rank_masked, axis=1)  # (m,)
-        won_mask = ((winner[None, :] == np.arange(n)[:, None]) * weights_item).sum(axis=1)
-        paid = np.where(winner[None, :] == np.arange(n)[:, None], bids, 0.0).sum(axis=1)
-        values = np.array([tables[i][won_mask[i]] for i in range(n)])
+        won = winners(bids, ranks)[None, :] == players[:, None]  # (n, m)
+        paid = np.where(won, bids, 0.0).sum(axis=1)
+        values = np.array([tables[i][mask] for i, mask in enumerate(bundle_masks(won))])
         util_out[t - 1] = values - paid
         welfare_out[t - 1] = values.sum()
         bids_out[t - 1] = bids
 
         # counterfactual payoffs and regret
-        top = bids.max(axis=0)
-        second = np.sort(bids, axis=0)[-2] if n > 1 else np.full(m, -np.inf)
-        unique_top = at_max.sum(axis=0) == 1
+        beat, favored = price_to_beat(bids, ranks)
         for i in range(n):
-            beat = np.where(at_max[i] & unique_top, second, top) if n > 1 else np.full(m, -np.inf)
-            rival = np.where((bids >= beat - TIE_TOL).T & (np.arange(n) != i), ranks,
-                             np.iinfo(np.int64).max).min(axis=1)
-            favored = ranks[:, i] < rival
             sp = game.spaces[i]
             if isinstance(sp, SeparableGrid):
-                win = (sp.levels > beat[:, None] + TIE_TOL) | (
-                    (np.abs(sp.levels - beat[:, None]) <= TIE_TOL) & favored[:, None])
-                gain = win * (np.array(game.vals[i].weights)[:, None] - sp.levels)
-                cum[i] += np.where(sp.valid, gain, 0.0)
+                cum[i] += _level_gains(sp.levels, sp.valid, game.vals[i].weights,
+                                       beat[i], favored[i])
                 best_total = cum[i].max(axis=-1).sum()
             else:
-                win = (sp.vectors > beat[None, :] + TIE_TOL) | (
-                    (np.abs(sp.vectors - beat[None, :]) <= TIE_TOL) & favored[None, :])
-                masks = (win * weights_item[None, :]).sum(axis=1)
-                cum[i] += tables[i][masks] - (win * sp.vectors).sum(axis=1)
+                cum[i] += bid_utilities(tables[i], sp.vectors, beat[i], favored[i])
                 best_total = cum[i].max()
             realized_cum[i] += util_out[t - 1, i]
             regret_out[t - 1, i] = best_total - realized_cum[i]
@@ -245,8 +229,7 @@ def _run_separable(game: FiniteGame, rounds: int, seed: int,
     quantity is one fused array op over (n, m, L)."""
     n, m = len(game.vals), game.vals[0].m
     rng = rng_for(seed, "no-regret")
-    ranks = _rank_matrix(game.rule, n, m)  # (m, n)
-    rank_self = ranks.T  # (n, m)
+    ranks = priority_ranks(game.rule, n, m)
     width = max(sp.levels.shape[1] for sp in game.spaces)
     levels = np.zeros((n, m, width))
     valid = np.zeros((n, m, width), dtype=bool)
@@ -273,36 +256,26 @@ def _run_separable(game: FiniteGame, rounds: int, seed: int,
     snapshots = {}
     if snapshot_every is None:
         snapshot_every = max(1, rounds // 16)
-    intmax = np.iinfo(np.int64).max
     players = np.arange(n)
+    last = valid.sum(axis=2) - 1
 
     for t in range(1, rounds + 1):
         w = np.exp((eta_base / math.sqrt(t)) * (cum - cum.max(axis=2, keepdims=True)) / vmax)
         probs = w / w.sum(axis=2, keepdims=True)
-        idx = (rng.random((n, m))[:, :, None] > probs.cumsum(axis=2)).sum(axis=2)
+        idx = _level_index(rng.random((n, m)), probs, last)
         bids = np.take_along_axis(levels, idx[:, :, None], axis=2)[:, :, 0]
         index_out[t - 1] = idx @ (width ** np.arange(m))
         if t == 1 or t % snapshot_every == 0 or t == rounds:
             snapshots[t] = [probs[i].copy() for i in range(n)]
 
-        top = bids.max(axis=0)
-        at_max = bids >= top - TIE_TOL
-        winner = np.argmin(np.where(at_max.T, ranks, intmax), axis=1)  # (m,)
+        winner = winners(bids, ranks)  # (m,)
         is_winner = winner[None, :] == players[:, None]  # (n, m)
         util_out[t - 1] = (is_winner * (weights_vec - bids)).sum(axis=1)
         welfare_out[t - 1] = weights_vec[winner, np.arange(m)].sum()
         bids_out[t - 1] = bids
 
-        second = np.sort(bids, axis=0)[-2]
-        unique_top = at_max.sum(axis=0) == 1
-        beat = np.where(at_max & unique_top[None, :], second[None, :], top[None, :])
-        attain = bids[None, :, :] >= beat[:, None, :] - TIE_TOL  # (i, k, j)
-        attain &= players[None, :, None] != players[:, None, None]
-        rival = np.where(attain, rank_self[None, :, :], intmax).min(axis=1)
-        favored = rank_self < rival  # (n, m)
-        win = (levels > beat[:, :, None] + TIE_TOL) | (
-            (np.abs(levels - beat[:, :, None]) <= TIE_TOL) & favored[:, :, None])
-        cum += np.where(valid, win * (weights_vec[:, :, None] - levels), 0.0)
+        beat, favored = price_to_beat(bids, ranks)
+        cum += _level_gains(levels, valid, weights_vec, beat, favored)
         realized_cum += util_out[t - 1]
         regret_out[t - 1] = cum.max(axis=2).sum(axis=1) - realized_cum
 
@@ -318,39 +291,22 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
 
     Returns the largest recomputation discrepancy (should be float dust).
     """
-    game, bids = trace.game, trace.bids
+    game = trace.game
     n, m = len(game.vals), game.vals[0].m
-    ranks = _rank_matrix(game.rule, n, m)
+    beats, favoreds = price_to_beat(trace.bids, priority_ranks(game.rule, n, m))
     worst = 0.0
     for i in range(n):
         sp = game.spaces[i]
-        others = np.delete(bids, i, axis=1)  # (T, n-1, m)
-        beat = others.max(axis=1) if n > 1 else np.full((trace.rounds, m), -np.inf)
-        opp_idx = np.array([k for k in range(n) if k != i])
-        if n > 1:
-            at = others >= beat[:, None, :] - TIE_TOL
-            rival = np.where(at, ranks[:, opp_idx].T[None], np.iinfo(np.int64).max).min(axis=1)
-            favored = ranks[:, i][None, :] < rival
-        else:
-            favored = np.ones((trace.rounds, m), dtype=bool)
-        if isinstance(sp, SeparableGrid):
-            recomputed = np.zeros(sp.levels.shape)
-            for j in range(m):
-                lv = sp.levels[j]
-                win = (lv[None, :] > beat[:, [j]] + TIE_TOL) | (
-                    (np.abs(lv[None, :] - beat[:, [j]]) <= TIE_TOL) & favored[:, [j]])
-                recomputed[j] = (win * (game.vals[i].weights[j] - lv[None, :])).sum(axis=0)
+        beat, favored = beats[:, i], favoreds[:, i]  # (T, m)
+        if isinstance(sp, SeparableGrid):  # item by item keeps temporaries at (T, L)
+            recomputed = np.array([
+                _level_gains(sp.levels[j], sp.valid[j], w, beat[:, j], favored[:, j]).sum(axis=0)
+                for j, w in enumerate(game.vals[i].weights)])
             stored = np.where(sp.valid, trace.cum_counterfactual[i], 0.0)
-            recomputed[~sp.valid] = 0.0
         else:
             table = game.vals[i].as_table()
-            recomputed = np.zeros(sp.count)
-            for a in range(sp.count):
-                vec = sp.vectors[a]
-                win = (vec[None, :] > beat + TIE_TOL) | (
-                    (np.abs(vec[None, :] - beat) <= TIE_TOL) & favored)
-                masks = (win * (1 << np.arange(m))[None, :]).sum(axis=1)
-                recomputed[a] = (table[masks] - (win * vec[None, :]).sum(axis=1)).sum()
+            recomputed = np.array([bid_utilities(table, vec, beat, favored).sum()
+                                   for vec in sp.vectors])
             stored = trace.cum_counterfactual[i]
         gap = float(np.abs(recomputed - stored).max())
         worst = max(worst, gap)
@@ -365,11 +321,8 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     over the items the optimum hands to i, and expected item prices f_j."""
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
-    ranks = _rank_matrix(game.rule, n, m)
     bids = trace.bids
-    at_max = bids >= bids.max(axis=1, keepdims=True) - TIE_TOL  # (T, n, m)
-    rank_masked = np.where(at_max.transpose(0, 2, 1), ranks[None], np.iinfo(np.int64).max)
-    winner = rank_masked.argmin(axis=2)  # (T, m)
+    winner = winners(bids, priority_ranks(game.rule, n, m))  # (T, m)
     prices = np.take_along_axis(bids, winner[:, None, :], axis=1)[:, 0, :]
     f_item = prices.mean(axis=0)
     u_exp = trace.utilities.mean(axis=0)

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform as cf
-from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL,
-                      optimal_allocations)
+from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, bid_utilities,
+                      optimal_allocations, price_to_beat, priority_ranks)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
-from .valuations import MONEY_TOL, Valuation
+from .valuations import MONEY_TOL, Valuation, bit_matrix
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,30 @@ class WalrasianEquilibrium:
         return {"prices": list(self.prices), "allocation": self.allocation.to_json(n)}
 
 
-def _demand_profile(v: Valuation, prices: np.ndarray) -> np.ndarray:
-    """Utility of every bundle at the given prices (2^m scan)."""
-    table = v.as_table()
-    cost = np.zeros(table.size)
-    for j in range(v.m):
-        cost[np.arange(table.size) & (1 << j) > 0] += prices[j]
-    return table - cost
+def bundle_costs(prices: np.ndarray) -> np.ndarray:
+    """Cost of every bundle (index = bitmask) at per-item prices: (m, ...)
+    prices give (2^m, ...) costs. Items are added one at a time in ascending
+    order; recorded payloads depend on that summation order."""
+    bits = bit_matrix(len(prices))
+    cost = np.zeros((len(bits),) + np.shape(prices)[1:])
+    for j, p in enumerate(prices):
+        cost = cost + np.multiply.outer(bits[:, j], p)
+    return cost
+
+
+def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
+    """Demand constraints p(mine) - p(t) <= v(mine) - v(t) as (rows over the m
+    prices, right-hand side): per player, bundles t ascending, own skipped."""
+    m = vals[0].m
+    bits = bit_matrix(m)
+    bundles = np.arange(1 << m)
+    rows, rhs = [], []
+    for i, v in enumerate(vals):
+        mine = alloc.bundle(i)
+        others = bundles[bundles != mine]
+        rows.append(bits[mine] - bits[others])
+        rhs.append(v.value(mine) - np.array([v.value(int(t)) for t in others]))
+    return np.vstack(rows), np.concatenate(rhs)
 
 
 def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
@@ -56,8 +73,9 @@ def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
     prices = np.asarray(we.prices, dtype=np.float64)
     if (prices < -tol).any() or not np.isfinite(prices).all():
         raise ValueError("prices must be finite and nonnegative")
+    costs = bundle_costs(prices)
     for i, v in enumerate(vals):
-        util = _demand_profile(v, prices)
+        util = v.as_table() - costs
         mine = we.allocation.bundle(i)
         best = int(np.argmax(util))
         if util[best] > util[mine] + tol:
@@ -71,38 +89,24 @@ def _support_prices(vals: list[Valuation], alloc: Allocation):
     Canonicalized by minimizing max price, then total price, so e.g. the
     single-item two-bidder market returns the low end of its price range.
     """
-    n, m = len(vals), vals[0].m
-    rows, rhs = [], []
-    for i, v in enumerate(vals):
-        mine = alloc.bundle(i)
-        v_mine = v.value(mine)
-        for t in range(1 << m):
-            if t == mine:
-                continue
-            row = np.zeros(m + 1)
-            for j in members(mine):
-                row[j] += 1.0
-            for j in members(t):
-                row[j] -= 1.0
-            rows.append(row)
-            rhs.append(v_mine - v.value(t))
-    for j in range(m):  # p_j <= t
-        row = np.zeros(m + 1)
-        row[j], row[m] = 1.0, -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    a_ub, b_ub = np.array(rows), np.array(rhs)
+    m = vals[0].m
+    demand, rhs = _demand_rows(vals, alloc)
+    eye = np.eye(m)
+    a_ub = np.vstack([np.column_stack([demand, np.zeros(len(demand))]),
+                      np.column_stack([eye, np.full(m, -1.0)])])  # p_j <= t
+    b_ub = np.concatenate([rhs, np.zeros(m)])
     obj = np.zeros(m + 1)
     obj[m] = 1.0
-    x = feasible_point(a_ub, b_ub, m + 1, minimize=obj)
-    if x is None:
+    first = feasible_point(a_ub, b_ub, m + 1, minimize=obj)
+    if first is None:
         return None
-    cap = x[m] + 1e-10  # headroom at solver accuracy, well below MONEY_TOL
-    rows2 = np.zeros((m, m + 1))
-    rows2[np.arange(m), np.arange(m)] = 1.0
-    x = feasible_point(np.vstack([a_ub, rows2]), np.concatenate([b_ub, np.full(m, cap)]),
+    cap = first[m] + 1e-10  # headroom at solver accuracy, well below MONEY_TOL
+    x = feasible_point(np.vstack([a_ub, np.column_stack([eye, np.zeros(m)])]),
+                       np.concatenate([b_ub, np.full(m, cap)]),
                        m + 1, minimize=np.concatenate([np.ones(m), [0.0]]))
-    return None if x is None else x[:m]
+    # HiGHS can call the capped LP infeasible although the first LP's prices
+    # satisfy it; they meet every demand row, so fall back to them.
+    return first[:m] if x is None else x[:m]
 
 
 def walrasian_search(vals: list[Valuation], cap: int = 10_000_000,
@@ -168,28 +172,10 @@ class BidGrid:
         return {"step": self.step, "max": self.upper, "family": self.family}
 
 
-def _tie_favored(rule: PriorityRule, player: int, item: int, rivals: np.ndarray) -> bool:
-    """Does `player` win item `item` when tied with every rival in `rivals`?"""
-    return rule.pick(item, np.append(rivals, player)) == player
-
-
-def deviation_payoffs(v: Valuation, actions: np.ndarray, player: int,
-                      opp_bids: np.ndarray, opp_index: np.ndarray,
-                      rule: PriorityRule) -> np.ndarray:
-    """Utility of each candidate action against fixed opponent bids."""
-    k, m = actions.shape
-    if opp_bids.shape[0] == 0:  # no rivals: every item is won at the own bid
-        beat = np.full(m, -np.inf)
-        favored = np.ones(m, dtype=bool)
-    else:
-        beat = opp_bids.max(axis=0)
-        favored = np.empty(m, dtype=bool)
-        for j in range(m):
-            rivals = opp_index[opp_bids[:, j] >= beat[j] - TIE_TOL]
-            favored[j] = _tie_favored(rule, player, j, rivals)
-    win = (actions > beat + TIE_TOL) | ((np.abs(actions - beat) <= TIE_TOL) & favored)
-    masks = (win.astype(np.int64) * (1 << np.arange(m))).sum(axis=1)
-    return v.as_table()[masks] - (actions * win).sum(axis=1)
+def _ranked_rules(rule, n: int, m: int) -> list:
+    """(probability, priority ranks) for each deterministic rule in `rule`."""
+    rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
+    return [(prob, priority_ranks(det, n, m)) for prob, det in rules]
 
 
 @dataclass(frozen=True)
@@ -208,20 +194,19 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     total = math.prod(a.shape[0] for a in actions)
     if total > cap:
         raise CapExceeded(f"{total} grid profiles exceed cap {cap}")
-    rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
+    ranked = _ranked_rules(rule, n, m)
     tables = [v.as_table() for v in vals]
     found = []
-    opp_index = [np.array([k for k in range(n) if k != i]) for i in range(n)]
     for combo in itertools.product(*(range(a.shape[0]) for a in actions)):
         bids = np.stack([actions[i][combo[i]] for i in range(n)])
+        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
         worst = 0.0
         for i in range(n):
             dev = np.zeros(actions[i].shape[0])
             cur = 0.0
-            for prob, det in rules:
-                dev += prob * deviation_payoffs(vals[i], actions[i], i,
-                                                bids[opp_index[i]], opp_index[i], det)
-                cur += prob * dev_current(tables[i], bids, i, det)
+            for prob, beat, favored in against:
+                dev += prob * bid_utilities(tables[i], actions[i], beat[i], favored[i])
+                cur += prob * float(bid_utilities(tables[i], bids[i], beat[i], favored[i]))
             worst = max(worst, float(dev.max()) - cur)
             if worst > eps + TIE_TOL:
                 break
@@ -231,34 +216,16 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     return found
 
 
-def dev_current(table: np.ndarray, bids: np.ndarray, player: int,
-                rule: PriorityRule) -> float:
-    """Player's realized utility in the profile under a deterministic rule."""
-    n, m = bids.shape
-    mask, paid = 0, 0.0
-    for j in range(m):
-        col = bids[:, j]
-        tied = np.flatnonzero(col >= col.max() - TIE_TOL)
-        if rule.pick(j, tied) == player:
-            mask |= 1 << j
-            paid += bids[player, j]
-    return float(table[mask]) - paid
+def sup_deviation_utility(v: Valuation, beat: np.ndarray) -> float:
+    """Supremum over all real bid vectors of the player's deviation utility,
+    given the highest rival bid `beat` on each item.
 
-
-def sup_deviation_utility(v: Valuation, opp_bids: np.ndarray) -> float:
-    """Supremum over all real bid vectors of the player's deviation utility.
-
-    Winning item j costs at least the opponents' max bid there and that
-    cost is approachable (or attained under a favoring tie), so the sup is
-    max over bundles T of v(T) - beat(T). A profile is an eps-equilibrium
-    in the continuum iff every player's sup gain is <= eps.
+    Winning item j costs at least max(beat_j, 0) and that cost is
+    approachable (or attained under a favoring tie), so the sup is max over
+    bundles T of v(T) - beat(T). A profile is an eps-equilibrium in the
+    continuum iff every player's sup gain is <= eps.
     """
-    beat = opp_bids.max(axis=0)
-    table = v.as_table()
-    cost = np.zeros(table.size)
-    for j in range(v.m):
-        cost[np.arange(table.size) & (1 << j) > 0] += beat[j]
-    return float((table - cost).max())
+    return float((v.as_table() - bundle_costs(np.maximum(beat, 0.0))).max())
 
 
 @dataclass(frozen=True)
@@ -282,6 +249,7 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
     n, m = cand.shape
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
+    tables = [v.as_table() for v in vals]
     results = []
     for eps in eps_list:
         step = eps / m
@@ -290,16 +258,17 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
         if total > cap:
             results.append(LimitCheckResult(eps, "inconclusive"))
             continue
-        rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
+        ranked = _ranked_rules(rule, n, m)
         hit = None
         for combo in itertools.product(range(2 * m + 1), repeat=n * m):
             bids = np.maximum(cand + offsets[list(combo)].reshape(n, m), 0.0)
+            against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+            top_rival = against[0][1]  # the highest rival bid does not depend on the rule
             ok = True
             for i in range(n):
-                opp = np.delete(bids, i, axis=0)
-                cur = sum(prob * dev_current(vals[i].as_table(), bids, i, det)
-                          for prob, det in rules)
-                if sup_deviation_utility(vals[i], opp) > cur + eps + TIE_TOL:
+                cur = sum(prob * float(bid_utilities(tables[i], bids[i], beat[i], favored[i]))
+                          for prob, beat, favored in against)
+                if sup_deviation_utility(vals[i], top_rival[i]) > cur + eps + TIE_TOL:
                     ok = False
                     break
             if ok:
@@ -429,74 +398,50 @@ def _singleminded_gap_analytic(role: SingleMindedRole, grid: BidGrid) -> BestRes
 def _exact_gap(vals, strategies, player, grid: BidGrid, rule: PriorityRule,
                bundle) -> BestResponseGap:
     n, m = len(vals), vals[0].m
-    opp_index = np.array([k for k in range(n) if k != player])
+    ranks = priority_ranks(rule, n, m)
+    opp_index = [k for k in range(n) if k != player]
     combos = list(itertools.product(*(range(len(strategies[k].atoms)) for k in opp_index)))
     actions = grid.actions_for(m, bundle)
+    table = vals[player].as_table()
     dev = np.zeros(actions.shape[0])
     base = 0.0
     own = strategies[player]
+    bids = np.zeros((n, m))  # the player's own row does not enter its price to beat
     for combo in combos:
         prob = math.prod(strategies[opp_index[t]].atoms[c][0] for t, c in enumerate(combo))
-        opp = np.array([strategies[opp_index[t]].atoms[c][1] for t, c in enumerate(combo)])
-        dev += prob * deviation_payoffs(vals[player], actions, player, opp, opp_index, rule)
-        own_vecs = own.support_vectors()
-        payoff = deviation_payoffs(vals[player], own_vecs, player, opp, opp_index, rule)
+        for t, c in enumerate(combo):
+            bids[opp_index[t]] = strategies[opp_index[t]].atoms[c][1]
+        beat, favored = price_to_beat(bids, ranks)
+        dev += prob * bid_utilities(table, actions, beat[player], favored[player])
+        payoff = bid_utilities(table, own.support_vectors(), beat[player], favored[player])
         base += prob * float(np.dot([p for p, _ in own.atoms], payoff))
     k = int(np.argmax(dev))
     return BestResponseGap(float(dev[k]) - base, 0.0, "exact", base, tuple(actions[k]))
 
 
-def _rule_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
-    """(m, n) priority ranks; lower rank wins a tie."""
-    ranks = np.empty((m, n), dtype=np.int64)
-    for j in range(m):
-        order = range(n) if rule.order is None else rule.order[j]
-        for r, i in enumerate(order):
-            ranks[j, i] = r
-    return ranks
-
-
-def _favored_matrix(rule: PriorityRule, player: int, n: int, opp_bids: np.ndarray,
-                    opp_index: np.ndarray, beat: np.ndarray) -> np.ndarray:
-    """(trials, m) flags: does `player` win a tie at the opponents' max bid?"""
-    m = opp_bids.shape[2]
-    ranks = _rule_ranks(rule, n, m)
-    opp_rank = ranks[:, opp_index].T  # (n-1, m)
-    at_max = opp_bids >= beat[:, None, :] - TIE_TOL  # (trials, n-1, m)
-    rival_rank = np.where(at_max, opp_rank[None, :, :], np.iinfo(np.int64).max)
-    return ranks[:, player][None, :] < rival_rank.min(axis=1)
-
-
 def _mc_gap(vals, strategies, player, grid: BidGrid, rule: PriorityRule,
             bundle, trials: int, seed: int) -> BestResponseGap:
     n, m = len(vals), vals[0].m
-    opp_index = np.array([k for k in range(n) if k != player])
     rng = rng_for(seed, "brgap", player)
-    opp = np.stack([strategies[k].sample(rng, trials) for k in opp_index], axis=1)
+    draws = [strategies[k].sample(rng, trials) for k in range(n) if k != player]
     own = strategies[player].sample(rng, trials)
+    draws.insert(player, own)
+    beat, favored = price_to_beat(np.stack(draws, axis=1), priority_ranks(rule, n, m))
+    beat, favored = beat[:, player], favored[:, player]  # (trials, m)
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
-    beat = opp.max(axis=1)  # (trials, m)
-    favored = _favored_matrix(rule, player, n, opp, opp_index, beat)
     dev_mean = np.empty(actions.shape[0])
     dev_var = np.empty(actions.shape[0])
     for a in range(actions.shape[0]):
-        u = _utilities_vs(table, actions[a][None, :], beat, favored)
+        u = bid_utilities(table, actions[a], beat, favored)
         dev_mean[a] = u.mean()
         dev_var[a] = u.var(ddof=1)
-    base_u = _utilities_vs(table, own, beat, favored)
+    base_u = bid_utilities(table, own, beat, favored)
     base = float(base_u.mean())
     k = int(np.argmax(dev_mean))
     var = dev_var[k] / trials + base_u.var(ddof=1) / trials
     return BestResponseGap(float(dev_mean[k]) - base, cf.Z99 * math.sqrt(var),
                            "monte_carlo", base, tuple(actions[k]))
-
-
-def _utilities_vs(table, rows, beat, favored):
-    """Utilities of bid rows (broadcast against (trials, m) beat prices)."""
-    win = (rows > beat + TIE_TOL) | ((np.abs(rows - beat) <= TIE_TOL) & favored)
-    masks = (win.astype(np.int64) * (1 << np.arange(beat.shape[1]))).sum(axis=1)
-    return table[masks] - (win * rows).sum(axis=1)
 
 
 def best_response_gap(vals: list[Valuation], strategies: list, player: int,
@@ -550,29 +495,16 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     if pts.size ** m > 500_000:
         raise CapExceeded(f"common-price mesh {pts.size}^{m} is too large")
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
-    flat = [g.ravel() for g in mesh]  # per item price arrays, length L^m
-    subset_sum = {}
-    for t in range(1 << m):
-        s = np.zeros(flat[0].size)
-        for j in members(t):
-            s = s + flat[j]
-        subset_sum[t] = s
+    prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
+    costs = bundle_costs(prices)
     tables = [v.as_table() for v in vals]
     found = []
     for assign in itertools.product(range(n), repeat=m):
         alloc = Allocation(assign)
-        worst = np.zeros(flat[0].size)
-        for i in range(n):
-            mine = alloc.bundle(i)
-            current = tables[i][mine] - subset_sum[mine]
-            best_dev = np.full(flat[0].size, -np.inf)
-            for t in range(1 << m):
-                extra = grid.step * len(members(t & ~mine))
-                np.maximum(best_dev, tables[i][t] - subset_sum[t] - extra, out=best_dev)
-            worst = np.maximum(worst, best_dev - current)
+        worst = _common_price_gains(tables, costs, alloc, grid.step)
         for k in np.flatnonzero(worst <= eps + TIE_TOL):
-            prices = tuple(float(f[k]) for f in flat)
-            found.append(CommonPriceEquilibrium(prices, alloc, float(worst[k])))
+            found.append(CommonPriceEquilibrium(tuple(float(p) for p in prices[:, k]), alloc,
+                                                float(worst[k])))
             if stop_at_first:
                 return found
     return found
@@ -582,16 +514,23 @@ def common_price_gap(vals: list[Valuation], prices, alloc: Allocation,
                      step: float) -> float:
     """Best deviation gain in the common-price profile (everyone bids
     `prices`, ties to the allocated winner, deviations on the step grid)."""
-    m = vals[0].m
-    p = np.asarray(prices, dtype=np.float64)
-    worst = -math.inf
-    for i, v in enumerate(vals):
+    costs = bundle_costs(np.asarray(prices, dtype=np.float64))
+    return float(_common_price_gains([v.as_table() for v in vals], costs, alloc, step))
+
+
+def _common_price_gains(tables: list, costs: np.ndarray, alloc: Allocation,
+                        step: float) -> np.ndarray:
+    """Largest deviation gain over the players for common-price profiles
+    with bundle costs (2^m, ...): outbidding the shared price on an item
+    outside one's own bundle costs one more grid step."""
+    bits = bit_matrix(len(alloc.winners))
+    worst = -np.inf
+    for i, table in enumerate(tables):
         mine = alloc.bundle(i)
-        table = v.as_table()
-        cur = float(table[mine]) - float(p[members(mine)].sum())
-        for t in range(1 << m):
-            cost = float(p[members(t)].sum()) + step * len(members(t & ~mine))
-            worst = max(worst, float(table[t]) - cost - cur)
+        extra = step * (bits @ (1.0 - bits[mine]))
+        current = table[mine] - costs[mine]
+        for t, value in enumerate(table):
+            worst = np.maximum(worst, value - (costs[t] + extra[t]) - current)
     return worst
 
 
@@ -601,22 +540,7 @@ def walrasian_near(vals: list[Valuation], alloc: Allocation, prices,
     (per item, sup-norm) of the given prices? LP feasibility check."""
     m = vals[0].m
     p0 = np.asarray(prices, dtype=np.float64)
-    rows, rhs = [], []
-    for i, v in enumerate(vals):
-        mine = alloc.bundle(i)
-        for t in range(1 << m):
-            if t == mine:
-                continue
-            row = np.zeros(m)
-            for j in members(mine):
-                row[j] += 1.0
-            for j in members(t):
-                row[j] -= 1.0
-            rows.append(row)
-            rhs.append(v.value(mine) - v.value(t))
+    demand, rhs = _demand_rows(vals, alloc)
     eye = np.eye(m)
-    rows.extend(eye)
-    rhs.extend(p0 + slack)
-    rows.extend(-eye)
-    rhs.extend(-(p0 - slack))
-    return feasible_point(np.array(rows), np.array(rhs), m) is not None
+    return feasible_point(np.vstack([demand, eye, -eye]),
+                          np.concatenate([rhs, p0 + slack, -(p0 - slack)]), m) is not None

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import closedform as cf
+from . import __version__, closedform as cf
 from .auction import PriorityRule, optimal_welfare, rule_from_json
 from .bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
                     check_strategies)
@@ -26,8 +26,6 @@ from .sets import full_set, members
 from .valuations import (AdditiveValuation, AndValuation, OrValuation,
                          SingleMindedValuation, TableValuation, Valuation,
                          valuation_from_json)
-
-VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,7 @@ def emit_plot_data(report: dict) -> str:
 def report_body(command: str, spec: dict, result: dict, seed=None) -> dict:
     """Self-describing deterministic payload; wall-clock is added by the CLI
     outside this body so identical runs stay byte-identical."""
-    body = {"version": VERSION, "command": command, "spec": spec, "result": result}
+    body = {"version": __version__, "command": command, "spec": spec, "result": result}
     if seed is not None:
         body["seed"] = seed
     return body

@@ -11,10 +11,6 @@ def full_set(m: int) -> int:
     return (1 << m) - 1
 
 
-def popcount(s: int) -> int:
-    return s.bit_count()
-
-
 def members(s: int) -> list[int]:
     """Item indices in s, ascending."""
     out = []

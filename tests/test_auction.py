@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfpa.auction import (CapExceeded, PriorityRule, RandomizedRule,
-                          allocate, optimal_allocations, optimal_welfare,
-                          optimal_welfare_dp, outcome, rule_from_json)
+                          allocate, bid_utilities, optimal_allocations,
+                          optimal_welfare, optimal_welfare_dp, outcome,
+                          price_to_beat, priority_ranks, rule_from_json, winners)
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation)
 
@@ -86,6 +87,44 @@ def test_outcome_invariants(n, m, seed):
     assert o.welfare <= opt + 1e-9
 
 
+def _monotone_table(rng, m):
+    raw = rng.uniform(0, 1, 1 << m)
+    table = np.zeros(1 << m)
+    for s in range(1, 1 << m):
+        table[s] = max(raw[s], max(table[s & ~(1 << j)] for j in range(m) if s >> j & 1))
+    return TableValuation(m, tuple(table))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_first_price_kernel_matches_reference(n, m, priority, seed):
+    """The batched kernel against the scalar allocate/outcome reference:
+    winners of every profile, and every player's utility for unilateral
+    deviations. Half the bids come from a coarse grid to force exact ties."""
+    rng = np.random.default_rng(seed)
+    order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
+    rule = PriorityRule(order) if priority else PriorityRule()
+    ranks = priority_ranks(rule, n, m)
+
+    def draw(shape):
+        coarse = rng.choice([0.0, 0.25, 0.5, 1.0], shape)
+        return np.where(rng.random(shape) < 0.5, coarse, rng.uniform(0, 1, shape))
+
+    vals = [_monotone_table(rng, m) for _ in range(n)]
+    profiles = draw((5, n, m))
+    deviations = draw((6, m))
+    won = winners(profiles, ranks)
+    beat, favored = price_to_beat(profiles, ranks)
+    for p, bids in enumerate(profiles):
+        assert tuple(won[p]) == allocate(bids, rule).winners
+        for i in range(n):
+            got = bid_utilities(vals[i].as_table(), deviations, beat[p, i], favored[p, i])
+            for x, u in zip(deviations, got):
+                deviated = bids.copy()
+                deviated[i] = x
+                assert u == outcome(vals, deviated, rule).utilities[i]
+
+
 def test_optimal_welfare_examples():
     v = 1 / np.sqrt(2)
     opt, alloc = optimal_welfare([AndValuation(2, 1.0), OrValuation(2, float(v))])
@@ -110,14 +149,7 @@ def test_optimal_welfare_grid_game():
 @settings(max_examples=30, deadline=None)
 def test_optimal_welfare_matches_dp(n, m, seed):
     rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(n):
-        raw = rng.uniform(0, 1, 1 << m)
-        table = np.zeros(1 << m)
-        for s in range(1, 1 << m):
-            table[s] = max(raw[s], max(table[s & ~(1 << j)]
-                                       for j in range(m) if s >> j & 1))
-        vals.append(TableValuation(m, tuple(table)))
+    vals = [_monotone_table(rng, m) for _ in range(n)]
     enum, _ = optimal_welfare(vals)
     assert enum == pytest.approx(optimal_welfare_dp(vals), abs=1e-9)
 

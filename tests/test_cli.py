@@ -167,6 +167,36 @@ def test_bayes_cli_builtin_and_file(tmp_path, capsys):
     assert res["welfare"]["bound_general_ok"]
 
 
+def test_bayes_file_tie_rules(tmp_path, capsys):
+    doc = {
+        "types": [[{"kind": "additive", "m": 1, "weights": [1.0]}],
+                  [{"kind": "additive", "m": 1, "weights": [1.0]}]],
+        "prior": [[1.0]],
+        "actions": [[[0.0], [0.5]], [[0.0], [0.5]]],
+        "strategies": [[[0.0, 1.0]], [[1.0, 0.0]]],
+        "tie_rule": {"kind": "randomized",
+                     "mixture": [{"prob": 0.5, "rule": {"kind": "index"}},
+                                 {"prob": 0.5, "rule": {"kind": "priority",
+                                                        "order": [[1, 0]]}}]},
+    }
+    path = tmp_path / "bayes.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["bayes", "--file", str(path)], capsys)
+    assert code == 2
+    assert "tie_rule" in json.loads(err)["error"]["message"]
+    # ties favor player 1 under this priority rule and player 0 by default,
+    # which decides who gains by matching the other's bid
+    doc["tie_rule"] = {"kind": "priority", "order": [[1, 0]]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["bayes", "--file", str(path)], capsys)
+    assert code == 0
+    assert body_of(out)["result"]["gaps"] == [[0.0], [0.5]]
+    del doc["tie_rule"]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["bayes", "--file", str(path)], capsys)
+    assert body_of(out)["result"]["gaps"] == [[0.5], [0.0]]
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "sfpa.cli", "walrasian",
                            "--game", "triangle"], capture_output=True, text=True)

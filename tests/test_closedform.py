@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from sfpa.closedform import (AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              and_bid_cdf, and_support_sum_check,
                              andor_equilibrium_welfare, andor_utility_and,
-                             andor_utility_mc, andor_utility_or, cdf_eval, or_bid_cdf,
-                             quantile, singleminded_utility, singleminded_utility_grid,
+                             andor_utility_mc, andor_utility_or, or_bid_cdf,
+                             singleminded_utility, singleminded_utility_grid,
                              triangle_cdf, triangle_utility,
                              validate_symmetric_instance)
 from sfpa.rng import rng_for
@@ -15,25 +15,25 @@ from sfpa.rng import rng_for
 
 def test_atom_mass_and_endpoints():
     pair = AndOrStrategyPair(2, 1.0)
-    assert cdf_eval(pair.F, 0.0) == pytest.approx(0.5)  # 1 - 1/(2v)
-    assert cdf_eval(pair.F, 0.5) == pytest.approx(1.0)
-    assert cdf_eval(pair.G, 0.5) == pytest.approx(1.0)
-    assert cdf_eval(pair.G, 0.0) == 0.0
+    assert pair.F.cdf(0.0) == pytest.approx(0.5)  # 1 - 1/(2v)
+    assert pair.F.cdf(0.5) == pytest.approx(1.0)
+    assert pair.G.cdf(0.5) == pytest.approx(1.0)
+    assert pair.G.cdf(0.0) == 0.0
 
 
 def test_triangle_quantile():
     c = triangle_cdf()
-    assert quantile(c, 0.5) == pytest.approx(0.25)
-    assert quantile(c, 0.0) == 0.0
-    assert quantile(c, 1.0) == pytest.approx(0.5)
+    assert c.quantile(0.5) == pytest.approx(0.25)
+    assert c.quantile(0.0) == 0.0
+    assert c.quantile(1.0) == pytest.approx(0.5)
 
 
 def test_quantile_honors_atoms():
     f = and_bid_cdf(2, 1.0)  # atom of mass 1/2 at 0
-    assert quantile(f, 0.25) == 0.0
-    assert quantile(f, 0.5) == 0.0
-    assert quantile(f, 0.75) == pytest.approx(1.0 - 0.5 / 0.75)
-    assert quantile(f, 1.0) == pytest.approx(0.5)
+    assert f.quantile(0.25) == 0.0
+    assert f.quantile(0.5) == 0.0
+    assert f.quantile(0.75) == pytest.approx(1.0 - 0.5 / 0.75)
+    assert f.quantile(1.0) == pytest.approx(0.5)
 
 
 def test_degenerate_point_mass():
@@ -41,14 +41,14 @@ def test_degenerate_point_mass():
     assert f.cdf(0.2) == 0.0
     assert f.cdf(0.25) == 1.0
     assert f.prob_lt(0.25) == 0.0
-    assert quantile(f, 0.3) == 0.25
+    assert f.quantile(0.3) == 0.25
 
 
 @given(st.floats(0.0, 1.0), st.integers(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_quantile_is_generalized_inverse(u, m):
     f = and_bid_cdf(m, 1.0)
-    x = quantile(f, u)
+    x = f.quantile(u)
     assert f.cdf(x) >= u - 1e-12
     if x > f.lo:
         assert f.prob_lt(x) <= u + 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfpa import dynamics
 from sfpa.closedform import triangle_cdf
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, ks_distance, run_no_regret,
@@ -87,6 +88,26 @@ def test_separable_equals_additive_semantics():
             got = sum((winner[j] == i) * (v.weights[j] - bids[i, j])
                       for j in range(2))
             assert trace.utilities[t, i] == pytest.approx(got, abs=1e-12)
+
+
+class _TopUniform:
+    """Generator stand-in whose every uniform is 1 - 2**-53, the largest
+    value Generator.random returns."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("n", [1, 2])  # generic path, all-separable path
+def test_level_draw_clamped_to_last_valid_level(monkeypatch, n):
+    # uniform weights over 13 (or 7) levels sum to 0.9999999999999998 < u,
+    # and the second item's levels are padded up to the first item's width
+    monkeypatch.setattr(dynamics, "rng_for", lambda *path: _TopUniform())
+    levels = [np.arange(13) * 0.05, np.arange(7) * 0.1]
+    game = FiniteGame([AdditiveValuation((1.0, 1.0))] * n,
+                      [SeparableGrid(levels) for _ in range(n)])
+    trace = run_no_regret(game, 1, seed=0)
+    assert (trace.bids[0] == [levels[0][-1], levels[1][-1]]).all()
 
 
 def test_separable_grid_requires_additive():

@@ -12,7 +12,7 @@ from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
 from sfpa.experiments import (andor_game, correspondence_case, grid_game,
                               triangle_game, _random_lattice_valuation)
 from sfpa.rng import rng_for
-from sfpa.valuations import AdditiveValuation
+from sfpa.valuations import AdditiveValuation, TableValuation
 
 
 def single_item(values=(1.0, 2.0)):
@@ -51,6 +51,16 @@ def test_walrasian_search_andor_threshold(v, exists):
     assert (we is not None) == exists
     if we is not None:
         assert walrasian_check(andor_game(2, v), we) is None
+
+
+def test_walrasian_search_survives_infeasible_canonical_lp():
+    # HiGHS reports the price-sum-minimising LP infeasible here although the
+    # max-price LP found supporting prices (0, 0.25, 0.25)
+    vals = [TableValuation(3, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5)),
+            TableValuation(3, (0.0, 1.25, 1.0, 1.25, 0.75, 1.5, 1.75, 1.75))]
+    we = walrasian_search(vals)
+    assert we is not None
+    assert walrasian_check(vals, we) is None
 
 
 def test_walrasian_search_grid_side2_all_prices_one():

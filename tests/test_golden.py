@@ -1,0 +1,146 @@
+"""Golden digests: SHA-256 of canonical payloads from every consumer of the
+first-price kernel, the bundle costs and the demand-constraint LP rows
+(learning, grid Nash search, best-response gaps, limits of equilibria, the
+Walrasian/common-price correspondence and the Bayesian harness).
+
+A refactor of those shared pieces must leave every byte unchanged; a digest
+may change only with a CHANGES.md entry saying why. The digests hold for
+one floating-point environment (recorded with Python 3.11, numpy 2.4 and
+scipy 1.17's HiGHS).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sfpa import experiments as xp
+from sfpa.auction import PriorityRule
+from sfpa.bayes import (bayes_deviation_gap, bayes_welfare_bounds,
+                        best_response_strategies)
+from sfpa.closedform import AndOrStrategyPair, SingleMindedSymmetric
+from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
+                           ccqe_welfare_ratio, run_no_regret, verify_cce)
+from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
+                              SingleMindedRole, best_response_gap,
+                              limit_equilibrium_check, pure_nash_search)
+from sfpa.sets import full_set
+from sfpa.valuations import AdditiveValuation, AndValuation
+
+SEED = 20260809
+
+
+def mixed_game_payload():
+    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
+    uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2, full_set(2)))
+    trace = run_no_regret(FiniteGame(vals, [sep, uni], grid_step=0.1), 2000, SEED)
+    cum = [np.where(np.isfinite(c), c, 0.0) for c in trace.cum_counterfactual]
+    return {"bids": trace.bids, "index": trace.action_index,
+            "utilities": trace.utilities, "regret": trace.regret, "cum": cum,
+            "drift": verify_cce(trace), "welfare": ccqe_welfare_ratio(trace).to_json()}
+
+
+def separable_priority_payload():
+    rule = PriorityRule(((2, 0, 1), (1, 2, 0)))
+    vals = [AdditiveValuation((0.6, 0.4)), AdditiveValuation((0.5, 0.5)),
+            AdditiveValuation((0.4, 0.6))]
+    spaces = [SeparableGrid([np.arange(0, w + 1e-12, 0.1) for w in v.weights])
+              for v in vals]
+    trace = run_no_regret(FiniteGame(vals, spaces, rule, grid_step=0.1), 1500, SEED)
+    return {"bids": trace.bids, "utilities": trace.utilities, "regret": trace.regret,
+            "drift": verify_cce(trace), "welfare": ccqe_welfare_ratio(trace, 1.0).to_json()}
+
+
+def pure_nash_payload():
+    out = {}
+    for name, rule, step in (("index", PriorityRule(), 0.1),
+                             ("priority", PriorityRule(((1, 0), (0, 1))), 0.2)):
+        eqs = pure_nash_search(xp.andor_game(2, 0.4), BidGrid(step, 1.0), rule)
+        out[name] = [{"bids": e.bids, "gap": e.gap} for e in eqs]
+    return out
+
+
+def best_response_payload():
+    pair = AndOrStrategyPair(2, 1.0)
+    vals = xp.andor_game(2, 1.0)
+    rule = PriorityRule(((1, 0), (0, 1)))
+    exact = best_response_gap(
+        vals, [FiniteSupportStrategy(((0.5, (0.0, 0.0)), (0.5, (0.3, 0.3)))),
+               FiniteSupportStrategy(((0.25, (0.2, 0.0)), (0.75, (0.0, 0.4))))],
+        1, BidGrid(0.1, 0.6), rule)
+    mc_or = best_response_gap(
+        vals, [AndOrRole(pair, "and"), FiniteSupportStrategy(((1.0, (0.0, 0.2)),))],
+        1, BidGrid(0.05, 0.6, "single_item"), rule, trials=20_000, seed=SEED)
+    mc_and = best_response_gap(
+        vals, [FiniteSupportStrategy(((1.0, (0.3, 0.3)),)), AndOrRole(pair, "or")],
+        0, BidGrid(0.1, 0.5), rule, trials=20_000, seed=SEED)
+    vals3, bundles = xp.triangle_game()
+    sm = SingleMindedSymmetric(2, 2)
+    roles = [FiniteSupportStrategy(((1.0, (0.25, 0.25, 0.0)),))]
+    roles += [SingleMindedRole(sm, b, 3) for b in bundles[1:]]
+    mc_tri = best_response_gap(vals3, roles, 0, BidGrid(0.05, 0.5, "uniform_on_bundle"),
+                               PriorityRule(((1, 0, 2), (2, 1, 0), (0, 2, 1))),
+                               trials=20_000, seed=SEED, bundle=bundles[0])
+    return {k: g.to_json() for k, g in
+            (("exact", exact), ("mc_or", mc_or), ("mc_and", mc_and), ("mc_tri", mc_tri))}
+
+
+def limit_payload():
+    vals = [AdditiveValuation((1.0,)), AdditiveValuation((2.0,))]
+    out = []
+    for rule in (PriorityRule(), PriorityRule(((1, 0),))):
+        for cand in ([[1.0], [1.0]], [[0.0], [0.0]]):
+            res = limit_equilibrium_check(vals, cand, rule, eps_list=(0.1, 0.01))
+            out.append([[r.eps, r.status, r.witness] for r in res])
+    andor = limit_equilibrium_check(xp.andor_game(2, 0.4), [[0.4, 0.4], [0.4, 0.4]],
+                                    PriorityRule(((1, 0), (1, 0))), eps_list=(0.2,))
+    out.append([[r.eps, r.status, r.witness] for r in andor])
+    return out
+
+
+def bayes_priority_payload():
+    bg, acts = xp.two_type_bne_game(0.1)
+    bg.rule = PriorityRule(((1, 0),))
+    k = acts.shape[0]
+    start = [np.full((2, k), 1.0 / k), np.full((2, k), 1.0 / k)]
+    strategies, fixed = best_response_strategies(bg, start, sweeps=5)
+    return {"fixed": fixed, "strategies": strategies,
+            "gaps": bayes_deviation_gap(bg, strategies),
+            "welfare": bayes_welfare_bounds(bg, strategies, beta=1.0).to_json()}
+
+
+PAYLOADS = {
+    "additive_dynamics": lambda: xp.additive_dynamics_report(3, 3, 2000, SEED),
+    "andor_dynamics": lambda: xp.andor_dynamics_report(2, 1.0, 300, SEED, levels=11),
+    "mixed_game": mixed_game_payload,
+    "separable_priority": separable_priority_payload,
+    "correspondence": lambda: xp.correspondence_suite(60, 0),
+    "bayes_report": lambda: xp.bayes_report(0.05),
+    "bayes_priority": bayes_priority_payload,
+    "pure_nash": pure_nash_payload,
+    "best_response": best_response_payload,
+    "limit_check": limit_payload,
+}
+
+GOLDEN = {
+    "additive_dynamics": "640bd5bde1903bb7267049762db2029bae68ec818b23ebee71c0eb4dafc31d9c",
+    "andor_dynamics": "387424322a1d897e59059b56c5bb9415d0922da928f7262b1c5df97a4dea1374",
+    "bayes_priority": "97f1a92fbef246bd0584afef75dd11b2c9f4ee5089fe7dd71fe6d6a1b1c3de66",
+    "bayes_report": "4877cccdb5e6fb17bfbec1defcf0e2ae73c84943882d8b170a473910983cc724",
+    "best_response": "a954537b9eba5fd0bb1ac3c0e04ca59c39749eef91076f79b7eb62ef1b4ceb85",
+    "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
+    "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
+    "mixed_game": "08b2f64aaffee78960a8ac12df4fde92345a93a691c603af05633d1b56e2832c",
+    "pure_nash": "2557b48fe09f883a5666f601cb5cb920e4daa393b651185b53bad74a05fc544d",
+    "separable_priority": "9cdb1928fc79084c2e25b1fa80f9bbea026facd90696c051152c2ba1267c53ee",
+}
+
+
+def digest(name):
+    return hashlib.sha256(xp.dumps_canonical(PAYLOADS[name]()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_golden_digest(name):
+    assert digest(name) == GOLDEN[name]
