@@ -7,7 +7,9 @@ equal to the winning bid. Utilities are quasi-linear.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +20,7 @@ TIE_TOL = 1e-12  # bids this close count as tied
 
 
 class CapExceeded(ValueError):
-    """Raised when a brute-force enumeration would exceed its size cap."""
+    """Raised when an enumeration or the welfare DP would exceed its size cap."""
 
 
 @dataclass(frozen=True)
@@ -240,81 +242,76 @@ def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
     return Outcome(alloc, tuple(utilities), tuple(prices), welfare, float(sum(prices)))
 
 
-def _assignment_digits(idx: np.ndarray, n: int, m: int) -> list[np.ndarray]:
-    """Item -> player digits; item 0 most significant so ascending idx is
-    ascending lexicographic order of assignment tuples."""
-    return [(idx // n ** (m - 1 - j)) % n for j in range(m)]
+@lru_cache(maxsize=None)
+def _subset_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair sub <= S over m items, grouped by S ascending, as
+    (S ^ sub, sub, index of each S's first pair); 3^m pairs in all."""
+    s = sub = np.zeros(1, dtype=np.intp)
+    for j in range(m):  # item j is outside S, in S but not in sub, or in sub
+        s = np.concatenate([s, s | 1 << j, s | 1 << j])
+        sub = np.concatenate([sub, sub, sub | 1 << j])
+    order = np.argsort(s, kind="stable")
+    return s[order] ^ sub[order], sub[order], np.flatnonzero(np.diff(s[order], prepend=-1))
 
 
-def _welfare_of_assignments(idx: np.ndarray, tables: list[np.ndarray], n: int, m: int) -> np.ndarray:
-    digits = _assignment_digits(idx, n, m)
-    welfare = np.zeros(idx.shape, dtype=np.float64)
-    for i, table in enumerate(tables):
-        mask = np.zeros(idx.shape, dtype=np.int64)
-        for j, d in enumerate(digits):
-            mask |= (d == i).astype(np.int64) << j
-        welfare += table[mask]
-    return welfare
+def _welfare_dp(tables: np.ndarray) -> np.ndarray:
+    """Max-plus subset DP over bidders in order, batched over leading axes:
+    (..., n, 2^m) tables give the (...) optimum over all splits of the items.
+    A split's welfare is the sequential sum t_0[S_0] + t_1[S_1] + ..., as
+    the enumeration adds it, and rounding is monotone, so each stage's max
+    is exactly the enumeration's."""
+    n, size = tables.shape[-2:]
+    f = tables[..., 0, :] + 0.0  # f[S]: best split of S among the bidders so far
+    for k in range(1, n - 1):  # the 3^m pair table is built only when some stage needs it
+        rest, sub, starts = _subset_pairs(size.bit_length() - 1)
+        f = np.maximum.reduceat(f[..., rest] + tables[..., k, sub], starts, axis=-1)
+    if n == 1:
+        return f[..., -1]
+    subs = np.arange(size)
+    return (f[..., (size - 1) ^ subs] + tables[..., n - 1, subs]).max(axis=-1)
+
+
+def _maximizers(vals: list[Valuation], cap: int, tol: float):
+    """The optimum, and a generator of the assignments (item -> player)
+    whose welfare is within tol of it, in lexicographic order.
+
+    Items are fixed in order, each to every player with which the DP over
+    the items still free reaches the optimum within tol. That DP value is
+    exactly the best welfare among the completions, so every branch taken
+    ends in at least one assignment."""
+    n, m = len(vals), vals[0].m
+    pairs = max(n - 2, 0) * 3 ** m + (1 << m)
+    if pairs > cap:
+        raise CapExceeded(f"welfare DP over {n} bidders, {m} items: (n-2)*3^m + 2^m = {pairs} "
+                          f"subset pairs exceed cap {cap}; raise cap= (sfpa walrasian --cap)")
+    tables = np.stack([v.as_table() for v in vals])
+    best = float(_welfare_dp(tables))
+
+    def search(j: int, fixed: np.ndarray, prefix: tuple):
+        if j == m:
+            yield prefix
+            return
+        free = np.arange(1 << (m - j - 1)) << (j + 1)
+        masks = fixed | np.eye(n, dtype=np.intp) << j  # row p: item j to player p
+        reach = _welfare_dp(tables[np.arange(n)[:, None], masks[:, :, None] | free])
+        for p in np.flatnonzero(reach >= best - tol):
+            yield from search(j + 1, masks[p], prefix + (int(p),))
+
+    return best, search(0, np.zeros(n, dtype=np.intp), ())
 
 
 def optimal_welfare(vals: list[Valuation], cap: int = 10_000_000) -> tuple[float, Allocation]:
-    """Exact welfare maximum by enumerating every item->player assignment.
-
-    Deterministic: among ties, the lexicographically first assignment wins.
-    """
-    n, m = len(vals), vals[0].m
-    total = n ** m
-    if total > cap:
-        raise CapExceeded(f"n^m = {total} exceeds cap {cap}")
-    tables = [v.as_table() for v in vals]
-    best, best_idx = -np.inf, 0
-    for start in range(0, total, 1 << 19):
-        idx = np.arange(start, min(start + (1 << 19), total), dtype=np.int64)
-        welfare = _welfare_of_assignments(idx, tables, n, m)
-        k = int(np.argmax(welfare))
-        if welfare[k] > best:
-            best, best_idx = float(welfare[k]), int(idx[k])
-    digits = _assignment_digits(np.array([best_idx]), n, m)
-    return best, Allocation(tuple(int(d[0]) for d in digits))
+    """Exact welfare maximum by subset DP over bidders. Among ties, the
+    lexicographically first assignment (item 0 most significant) wins."""
+    best, found = _maximizers(vals, cap, 0.0)
+    return best, Allocation(next(found))
 
 
 def optimal_allocations(vals: list[Valuation], cap: int = 10_000_000,
                         tol: float = 1e-9, limit: int = 65536) -> tuple[float, list[Allocation]]:
     """All welfare maximizers (within tol), in lexicographic order."""
-    n, m = len(vals), vals[0].m
-    total = n ** m
-    if total > cap:
-        raise CapExceeded(f"n^m = {total} exceeds cap {cap}")
-    tables = [v.as_table() for v in vals]
-    best, _ = optimal_welfare(vals, cap)
-    out = []
-    for start in range(0, total, 1 << 19):
-        idx = np.arange(start, min(start + (1 << 19), total), dtype=np.int64)
-        welfare = _welfare_of_assignments(idx, tables, n, m)
-        for k in np.flatnonzero(welfare >= best - tol):
-            digits = _assignment_digits(np.array([idx[k]]), n, m)
-            out.append(Allocation(tuple(int(d[0]) for d in digits)))
-            if len(out) > limit:
-                raise CapExceeded(f"more than {limit} optimal allocations")
+    best, found = _maximizers(vals, cap, tol)
+    out = [Allocation(a) for a in itertools.islice(found, limit + 1)]
+    if len(out) > limit:
+        raise CapExceeded(f"more than limit={limit} allocations within tol={tol} of the optimum")
     return best, out
-
-
-def optimal_welfare_dp(vals: list[Valuation]) -> float:
-    """Independent welfare maximum via subset DP (n * 3^m); oracle cross-check."""
-    m = vals[0].m
-    size = 1 << m
-    best = vals[0].as_table().copy()
-    for v in vals[1:]:
-        table = v.as_table()
-        nxt = np.full(size, -np.inf)
-        for s in range(size):
-            sub = s
-            while True:
-                cand = best[s ^ sub] + table[sub]
-                if cand > nxt[s]:
-                    nxt[s] = cand
-                if sub == 0:
-                    break
-                sub = (sub - 1) & s
-        best = nxt
-    return float(best[size - 1])

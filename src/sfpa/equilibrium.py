@@ -164,7 +164,8 @@ class BidGrid:
                 out[j * pts.size:(j + 1) * pts.size, j] = pts
             return out
         if pts.size ** m > 2_000_000:
-            raise CapExceeded(f"full product grid {pts.size}^{m} is too large")
+            raise CapExceeded(f"full product grid {pts.size}^{m} exceeds 2000000 bid vectors; "
+                              "coarsen sfpa pure-nash --grid-step, lower --max or change --family")
         grids = np.meshgrid(*([pts] * m), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -176,6 +177,13 @@ def _ranked_rules(rule, n: int, m: int) -> list:
     """(probability, priority ranks) for each deterministic rule in `rule`."""
     rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
     return [(prob, priority_ranks(det, n, m)) for prob, det in rules]
+
+
+def _expected_utilities(table: np.ndarray, rows: np.ndarray, against: list, player: int):
+    """Utility of `player`'s bid rows in expectation over the branches
+    (probability, beat, favored) of a tie rule."""
+    return sum(prob * bid_utilities(table, rows, beat[..., player, :], favored[..., player, :])
+               for prob, beat, favored in against)
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,8 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
     total = math.prod(a.shape[0] for a in actions)
     if total > cap:
-        raise CapExceeded(f"{total} grid profiles exceed cap {cap}")
+        raise CapExceeded(f"{total} grid profiles exceed cap {cap}; raise cap= to {total} "
+                          f"or coarsen the grid (sfpa pure-nash --grid-step)")
     ranked = _ranked_rules(rule, n, m)
     tables = [v.as_table() for v in vals]
     found = []
@@ -202,11 +211,8 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
         against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
         worst = 0.0
         for i in range(n):
-            dev = np.zeros(actions[i].shape[0])
-            cur = 0.0
-            for prob, beat, favored in against:
-                dev += prob * bid_utilities(tables[i], actions[i], beat[i], favored[i])
-                cur += prob * float(bid_utilities(tables[i], bids[i], beat[i], favored[i]))
+            dev = _expected_utilities(tables[i], actions[i], against, i)
+            cur = float(_expected_utilities(tables[i], bids[i], against, i))
             worst = max(worst, float(dev.max()) - cur)
             if worst > eps + TIE_TOL:
                 break
@@ -266,8 +272,7 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
             top_rival = against[0][1]  # the highest rival bid does not depend on the rule
             ok = True
             for i in range(n):
-                cur = sum(prob * float(bid_utilities(tables[i], bids[i], beat[i], favored[i]))
-                          for prob, beat, favored in against)
+                cur = float(_expected_utilities(tables[i], bids[i], against, i))
                 if sup_deviation_utility(vals[i], top_rival[i]) > cur + eps + TIE_TOL:
                     ok = False
                     break
@@ -395,48 +400,47 @@ def _singleminded_gap_analytic(role: SingleMindedRole, grid: BidGrid) -> BestRes
                            tuple(dev))
 
 
-def _exact_gap(vals, strategies, player, grid: BidGrid, rule: PriorityRule,
+def _exact_gap(vals, strategies, player, grid: BidGrid, rule,
                bundle) -> BestResponseGap:
     n, m = len(vals), vals[0].m
-    ranks = priority_ranks(rule, n, m)
+    ranked = _ranked_rules(rule, n, m)
     opp_index = [k for k in range(n) if k != player]
-    combos = list(itertools.product(*(range(len(strategies[k].atoms)) for k in opp_index)))
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
     dev = np.zeros(actions.shape[0])
     base = 0.0
     own = strategies[player]
     bids = np.zeros((n, m))  # the player's own row does not enter its price to beat
-    for combo in combos:
+    for combo in itertools.product(*(range(len(strategies[k].atoms)) for k in opp_index)):
         prob = math.prod(strategies[opp_index[t]].atoms[c][0] for t, c in enumerate(combo))
         for t, c in enumerate(combo):
             bids[opp_index[t]] = strategies[opp_index[t]].atoms[c][1]
-        beat, favored = price_to_beat(bids, ranks)
-        dev += prob * bid_utilities(table, actions, beat[player], favored[player])
-        payoff = bid_utilities(table, own.support_vectors(), beat[player], favored[player])
+        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+        dev += prob * _expected_utilities(table, actions, against, player)
+        payoff = _expected_utilities(table, own.support_vectors(), against, player)
         base += prob * float(np.dot([p for p, _ in own.atoms], payoff))
     k = int(np.argmax(dev))
     return BestResponseGap(float(dev[k]) - base, 0.0, "exact", base, tuple(actions[k]))
 
 
-def _mc_gap(vals, strategies, player, grid: BidGrid, rule: PriorityRule,
+def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
             bundle, trials: int, seed: int) -> BestResponseGap:
     n, m = len(vals), vals[0].m
     rng = rng_for(seed, "brgap", player)
     draws = [strategies[k].sample(rng, trials) for k in range(n) if k != player]
     own = strategies[player].sample(rng, trials)
     draws.insert(player, own)
-    beat, favored = price_to_beat(np.stack(draws, axis=1), priority_ranks(rule, n, m))
-    beat, favored = beat[:, player], favored[:, player]  # (trials, m)
+    bids = np.stack(draws, axis=1)
+    against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in _ranked_rules(rule, n, m)]
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
     dev_mean = np.empty(actions.shape[0])
     dev_var = np.empty(actions.shape[0])
     for a in range(actions.shape[0]):
-        u = bid_utilities(table, actions[a], beat, favored)
+        u = _expected_utilities(table, actions[a], against, player)
         dev_mean[a] = u.mean()
         dev_var[a] = u.var(ddof=1)
-    base_u = bid_utilities(table, own, beat, favored)
+    base_u = _expected_utilities(table, own, against, player)
     base = float(base_u.mean())
     k = int(np.argmax(dev_mean))
     var = dev_var[k] / trials + base_u.var(ddof=1) / trials
@@ -493,7 +497,7 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     n, m = len(vals), vals[0].m
     pts = grid.points()
     if pts.size ** m > 500_000:
-        raise CapExceeded(f"common-price mesh {pts.size}^{m} is too large")
+        raise CapExceeded(f"common-price mesh {pts.size}^{m} exceeds 500000; coarsen grid_step=")
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)

@@ -198,8 +198,8 @@ def grid_game_report(side: int, trials: int, seed: int) -> dict:
     satisfied-player count under the symmetric mixed equilibrium."""
     vals, bundles = grid_game(side)
     m = side * side
-    we = walrasian_search(vals, cap=11_000_000)
-    opt, _ = optimal_welfare(vals, cap=11_000_000)
+    we = walrasian_search(vals)
+    opt, _ = optimal_welfare(vals)
     sm = cf.SingleMindedSymmetric(side, 2, value=float(side))
     rng = rng_for(seed, "grid-game", side)
     draws = sm.cdf.sample(rng, (2 * side) * trials).reshape(trials, 2 * side)
@@ -262,18 +262,18 @@ def correspondence_case(vals: list[Valuation], grid_step: float = 0.05) -> dict:
     first direction, and at epsilon of even one grid step spurious
     equilibria appear in games with no Walrasian equilibrium.
     """
-    m = vals[0].m
-    grid = BidGrid(grid_step, 2.0)
-    we = walrasian_search(vals)
-    slack = 2.0 * m * grid_step
+    return _correspondence_case(vals, walrasian_search(vals), grid_step)
+
+
+def _correspondence_case(vals: list[Valuation], we, grid_step: float) -> dict:
     if we is not None:
         prices = _grid_roundup(np.array(we.prices), grid_step)
         gap = common_price_gap(vals, prices, we.allocation, grid_step)
-        found = gap <= slack + 1e-12
+        found = gap <= 2.0 * vals[0].m * grid_step + 1e-12
         near = found and walrasian_near(vals, we.allocation, prices, grid_step + 1e-9)
         return {"walrasian": True, "grid_equilibrium": found, "grid_gap": float(gap),
                 "prices_agree": bool(near), "agree": bool(found and near)}
-    scan = common_price_scan(vals, grid, eps=0.0, stop_at_first=True)
+    scan = common_price_scan(vals, BidGrid(grid_step, 2.0), eps=0.0, stop_at_first=True)
     return {"walrasian": False, "grid_equilibrium": bool(scan),
             "prices_agree": None, "agree": not scan}
 
@@ -291,13 +291,11 @@ def correspondence_suite(instances: int = 200, seed: int = 0,
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
-        case = correspondence_case(vals, grid_step)
         we = walrasian_search(vals)
+        case = _correspondence_case(vals, we, grid_step)
         if we is not None:
-            opt, _ = optimal_welfare(vals)
             got = sum(v.value(we.allocation.bundle(j)) for j, v in enumerate(vals))
-            if got != opt:
-                welfare_optimal = False
+            welfare_optimal &= got == optimal_welfare(vals)[0]
         agree += case["agree"]
         details.append({"n": n, "m": m, **case})
     return {"instances": instances, "seed": seed, "grid_step": grid_step,

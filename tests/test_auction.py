@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sfpa.auction import (CapExceeded, PriorityRule, RandomizedRule,
                           allocate, bid_utilities, optimal_allocations,
-                          optimal_welfare, optimal_welfare_dp, outcome,
-                          price_to_beat, priority_ranks, rule_from_json, winners)
+                          optimal_welfare, outcome, price_to_beat,
+                          priority_ranks, rule_from_json, winners)
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation)
 
@@ -87,8 +87,8 @@ def test_outcome_invariants(n, m, seed):
     assert o.welfare <= opt + 1e-9
 
 
-def _monotone_table(rng, m):
-    raw = rng.uniform(0, 1, 1 << m)
+def _monotone_table(rng, m, lattice=False):
+    raw = rng.choice(np.arange(9) / 4, 1 << m) if lattice else rng.uniform(0, 1, 1 << m)
     table = np.zeros(1 << m)
     for s in range(1, 1 << m):
         table[s] = max(raw[s], max(table[s & ~(1 << j)] for j in range(m) if s >> j & 1))
@@ -125,6 +125,26 @@ def test_first_price_kernel_matches_reference(n, m, priority, seed):
                 assert u == outcome(vals, deviated, rule).utilities[i]
 
 
+def _enumerated_optimum(vals, tol=1e-9, limit=65536):
+    """Reference welfare oracle: every item->player assignment, welfare
+    summed in bidder order. Returns the maximum, the lexicographically
+    first maximizer (item 0 most significant) and every assignment within
+    tol of the maximum, in lexicographic order."""
+    n, m = len(vals), vals[0].m
+    idx = np.arange(n ** m)
+    digits = [(idx // n ** (m - 1 - j)) % n for j in range(m)]
+    welfare = np.zeros(idx.shape)
+    for i, v in enumerate(vals):
+        welfare += v.as_table()[sum((d == i).astype(np.int64) << j for j, d in enumerate(digits))]
+    best = float(welfare.max())
+    hits = np.flatnonzero(welfare >= best - tol)
+    if len(hits) > limit:
+        raise CapExceeded(f"more than {limit} optimal allocations")
+    first = int(np.argmax(welfare))
+    return (best, tuple(int(d[first]) for d in digits),
+            [tuple(int(d[h]) for d in digits) for h in hits])
+
+
 def test_optimal_welfare_examples():
     v = 1 / np.sqrt(2)
     opt, alloc = optimal_welfare([AndValuation(2, 1.0), OrValuation(2, float(v))])
@@ -132,7 +152,7 @@ def test_optimal_welfare_examples():
     tri = [SingleMindedValuation(3, b, 1.0) for b in (0b011, 0b110, 0b101)]
     opt_tri, _ = optimal_welfare(tri)
     assert opt_tri == 1.0
-    assert optimal_welfare_dp(tri) == 1.0
+    assert _enumerated_optimum(tri)[0] == 1.0
 
 
 def test_optimal_welfare_grid_game():
@@ -142,16 +162,43 @@ def test_optimal_welfare_grid_game():
     vals = [SingleMindedValuation(m, b, float(side)) for b in bundles]
     opt, alloc = optimal_welfare(vals)
     assert opt == 4.0
-    assert optimal_welfare_dp(vals) == 4.0
+    assert _enumerated_optimum(vals)[0] == 4.0
 
 
-@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=30, deadline=None)
-def test_optimal_welfare_matches_dp(n, m, seed):
+@given(st.integers(1, 4), st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_optimal_welfare_matches_dp(n, m, lattice, seed):
+    """The subset DP against the enumeration, exactly: the value, the
+    lexicographically first maximizer, and the ordered list of maximizers
+    within the default tol. Lattice tables force exact ties."""
     rng = np.random.default_rng(seed)
-    vals = [_monotone_table(rng, m) for _ in range(n)]
-    enum, _ = optimal_welfare(vals)
-    assert enum == pytest.approx(optimal_welfare_dp(vals), abs=1e-9)
+    vals = [_monotone_table(rng, m, lattice) for _ in range(n)]
+    best, first, within = _enumerated_optimum(vals)
+    opt, alloc = optimal_welfare(vals)
+    assert opt == best and alloc.winners == first
+    opt, allocs = optimal_allocations(vals)
+    assert opt == best and [a.winners for a in allocs] == within
+
+
+def test_optimal_welfare_near_tie():
+    # Within tol of each other, but only the second bidder's value is optimal.
+    vals = [AdditiveValuation((1.0,)), AdditiveValuation((1.0 + 5e-10,))]
+    best, first, within = _enumerated_optimum(vals)
+    opt, alloc = optimal_welfare(vals)
+    assert opt == best == 1.0 + 5e-10 and alloc.winners == first == (1,)
+    assert [a.winners for a in optimal_allocations(vals)[1]] == within == [(0,), (1,)]
+
+
+def test_optimal_welfare_all_zero_bidders():
+    # All 4^9 assignments tie, so the enumeration's first maximizer is all
+    # zeros; it refuses to list them, and so must the DP.
+    vals = [AdditiveValuation((0.0,) * 9)] * 4
+    opt, alloc = optimal_welfare(vals)
+    assert opt == 0.0 and alloc.winners == (0,) * 9
+    with pytest.raises(CapExceeded):
+        _enumerated_optimum(vals)
+    with pytest.raises(CapExceeded, match="limit=65536"):
+        optimal_allocations(vals)
 
 
 def test_optimal_welfare_lexicographic_tie():
@@ -168,7 +215,7 @@ def test_optimal_allocations_lists_all():
 
 def test_cap_enforced():
     vals = [AdditiveValuation(tuple([1.0] * 10))] * 6
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"= 237220 subset pairs exceed cap 1000"):
         optimal_welfare(vals, cap=1000)
 
 

@@ -64,6 +64,14 @@ def test_cap_exit_code(capsys):
                             "--grid-step", "0.0001"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "precondition"
+    assert "--grid-step" in json.loads(err)["error"]["message"]
+
+
+def test_welfare_cap_names_its_knob(capsys):
+    code, _, err = run_cli(["walrasian", "--game", "grid", "--l", "3", "--cap", "1000"], capsys)
+    assert code == 2
+    message = json.loads(err)["error"]["message"]
+    assert "79244 subset pairs" in message and "--cap" in message
 
 
 def test_missing_file_exit_code(capsys):

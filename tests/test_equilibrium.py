@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfpa.auction import Allocation, CapExceeded, PriorityRule
+from sfpa.auction import Allocation, CapExceeded, PriorityRule, RandomizedRule, outcome
 from sfpa.closedform import AndOrStrategyPair, SingleMindedSymmetric
 from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
                               SingleMindedRole, WalrasianEquilibrium,
@@ -174,6 +174,32 @@ def test_best_response_gap_mc_matches_exact():
     assert res.method == "monte_carlo"
     assert res.baseline == pytest.approx(0.5, abs=res.ci99 + 0.01)
     assert res.gap <= res.ci99 + 0.01  # the closed form leaves (almost) no gap
+
+
+class _Sampled:
+    """A strategy known only through its sampler: forces the Monte Carlo path."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+
+    def sample(self, rng, size):
+        return self.strategy.sample(rng, size)
+
+
+def test_best_response_gap_randomized_rule():
+    vals = single_item((2.0, 1.0))
+    rule = RandomizedRule(((0.5, PriorityRule(((0, 1),))), (0.5, PriorityRule(((1, 0),)))))
+    half = FiniteSupportStrategy(((1.0, (0.5,)),))
+    grid = BidGrid(0.25, 1.0)
+    expected = {float(x): outcome(vals, [[x], [0.5]], rule).utilities[0] for x in grid.points()}
+    base = expected[0.5]  # the tie at 0.5 is won half the time
+    res = best_response_gap(vals, [half, half], 0, grid, rule)
+    assert res.method == "exact" and res.best_deviation == (0.75,)
+    assert res.baseline == pytest.approx(base, abs=1e-12)
+    assert res.gap == pytest.approx(max(expected.values()) - base, abs=1e-12)
+    mc = best_response_gap(vals, [_Sampled(half), half], 0, grid, rule, trials=1000)
+    assert mc.method == "monte_carlo" and mc.best_deviation == (0.75,)
+    assert mc.gap == pytest.approx(res.gap, abs=1e-12) and mc.ci99 == pytest.approx(0.0)
 
 
 def test_common_price_scan_matches_gap():
