@@ -17,6 +17,7 @@ from .sets import members
 from .valuations import Valuation
 
 TIE_TOL = 1e-12  # bids this close count as tied
+MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
 
 
 class CapExceeded(ValueError):
@@ -271,7 +272,7 @@ def _welfare_dp(tables: np.ndarray) -> np.ndarray:
     return (f[..., (size - 1) ^ subs] + tables[..., n - 1, subs]).max(axis=-1)
 
 
-def _maximizers(vals: list[Valuation], cap: int, tol: float):
+def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     """The optimum, and a generator of the assignments (item -> player)
     whose welfare is within tol of it, in lexicographic order.
 
@@ -303,14 +304,14 @@ def _maximizers(vals: list[Valuation], cap: int, tol: float):
 def optimal_welfare(vals: list[Valuation], cap: int = 10_000_000) -> tuple[float, Allocation]:
     """Exact welfare maximum by subset DP over bidders. Among ties, the
     lexicographically first assignment (item 0 most significant) wins."""
-    best, found = _maximizers(vals, cap, 0.0)
+    best, found = welfare_maximizers(vals, cap, 0.0)
     return best, Allocation(next(found))
 
 
-def optimal_allocations(vals: list[Valuation], cap: int = 10_000_000,
-                        tol: float = 1e-9, limit: int = 65536) -> tuple[float, list[Allocation]]:
+def optimal_allocations(vals: list[Valuation], cap: int = 10_000_000, tol: float = 1e-9,
+                        limit: int = MAXIMIZER_LIMIT) -> tuple[float, list[Allocation]]:
     """All welfare maximizers (within tol), in lexicographic order."""
-    best, found = _maximizers(vals, cap, tol)
+    best, found = welfare_maximizers(vals, cap, tol)
     out = [Allocation(a) for a in itertools.islice(found, limit + 1)]
     if len(out) > limit:
         raise CapExceeded(f"more than limit={limit} allocations within tol={tol} of the optimum")

@@ -18,7 +18,7 @@ import numpy as np
 from .auction import (Allocation, PriorityRule, RandomizedRule, bid_utilities,
                       check_bids, optimal_welfare, price_to_beat, priority_ranks,
                       rule_from_json, winners)
-from .valuations import valuation_from_json
+from .valuations import valuations_from_json
 
 PROB_TOL = 1e-12
 
@@ -41,10 +41,9 @@ class FiniteBayesianGame:
         if abs(self.prior.sum() - 1.0) > PROB_TOL or (self.prior < -PROB_TOL).any():
             raise ValueError("prior must be a probability table")
         self.actions = [check_bids(a) for a in self.actions]
-        m = self.m
-        for vs in self.type_vals:
-            if any(v.m != m for v in vs):
-                raise ValueError("all type valuations must share m")
+        for i, vs in enumerate(self.type_vals):
+            if any(v.m != self.m for v in vs):
+                raise ValueError(f"types[{i}]: every type must cover m={self.m} items")
 
     @property
     def n(self) -> int:
@@ -251,7 +250,7 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
     [...]}); actions = per-player list of bid vectors; strategies =
     per-player list (one row per type) of action probabilities.
     """
-    type_vals = [[valuation_from_json(v) for v in ts] for ts in d["types"]]
+    type_vals = [valuations_from_json(ts, f"types[{i}]") for i, ts in enumerate(d["types"])]
     prior = d["prior"]
     if isinstance(prior, dict) and prior.get("kind") == "product":
         table = np.ones(())

@@ -33,11 +33,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--tie-rule", default="index",
-                   help="'index' or a JSON file with a tie rule object")
+def _add_common(p: _Parser, seed: bool = False) -> None:
+    """The output flags every subcommand takes, and --seed where it is read."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--config", default=None,
@@ -61,17 +60,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="best-response gaps of a closed-form profile")
     p.add_argument("--game", required=True,
                    choices=("andor", "triangle", "single_minded"))
-    p.add_argument("--strategy", default=None,
-                   help="defaults to the game's closed form")
     _add_builtin_game(p)
     p.add_argument("--grid-step", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=0)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("walrasian", help="search for a Walrasian equilibrium")
     p.add_argument("--game", required=True, help="builtin name or game JSON file")
     _add_builtin_game(p, side=True)
     p.add_argument("--cap", type=int, default=11_000_000)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     _add_common(p)
 
     p = sub.add_parser("pure-nash", help="grid search for epsilon-equilibria")
@@ -83,6 +81,8 @@ def build_parser() -> _Parser:
     p.add_argument("--family", default="full",
                    choices=("full", "uniform_on_bundle", "single_item"))
     p.add_argument("--limit", type=int, default=50, help="max equilibria reported")
+    p.add_argument("--tie-rule", default="index",
+                   help="'index' (the game file's rule) or a JSON file with a tie rule object")
     _add_common(p)
 
     p = sub.add_parser("poa", help="closed-form equilibrium welfare vs optimum")
@@ -93,7 +93,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sweep", default=None,
                    help="comma-separated item counts; overrides --m/--v with "
                         "the v = 1/sqrt(m) welfare sweep")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("dynamics", help="multiplicative-weights learning run")
     p.add_argument("--mode", default="additive",
@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
                    help="single-item mode: comma-separated player values")
     p.add_argument("--rounds", type=int, default=100_000)
     p.add_argument("--grid-step", type=float, default=0.05)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("bayes", help="finite-type Bayesian verification")
     p.add_argument("--file", default=None,
@@ -118,25 +118,42 @@ def build_parser() -> _Parser:
                    choices=("andor", "triangle", "single_minded"))
     _add_builtin_game(p)
     p.add_argument("--count", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, seed=True)
+    top.commands = sub.choices
     return top
 
 
 def _load_game(args) -> tuple[list[Valuation], PriorityRule, list | None]:
-    rule = PriorityRule()
-    if args.tie_rule != "index":
-        with open(args.tie_rule) as fh:
-            rule = rule_from_json(json.load(fh))
-    name = args.game
-    if name.endswith(".json"):
-        with open(name) as fh:
-            vals, file_rule = xp.game_from_json(json.load(fh))
-        if args.tie_rule == "index":
-            rule = file_rule
+    """Valuations, the game's own tie rule and, for builtins, the bundles."""
+    if args.game.endswith(".json"):
+        with open(args.game) as fh:
+            vals, rule = xp.game_from_json(json.load(fh))
         return vals, rule, None
-    vals, bundles = xp.build_game(name, m=args.m, v=args.v, k=args.k, d=args.d,
-                                  side=getattr(args, "side", 3))
-    return vals, rule, bundles
+    vals, bundles = xp.build_game(args.game, m=args.m, v=args.v, k=args.k, d=args.d,
+                                  side=args.side)
+    return vals, PriorityRule(), bundles
+
+
+def _apply_config(args, parser: _Parser) -> None:
+    """Settings from --config override the flags. Each key names one of the subcommand's
+    flags (by dest or option name); null restores its default."""
+    flags = {name.replace("-", "_"): a for a in parser._actions if a.dest not in ("help", "config")
+             for name in (a.dest, *(o.lstrip("-") for o in a.option_strings))}
+    with open(args.config) as fh:
+        settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise ValueError("config: need a JSON object of flag settings")
+    for key, value in settings.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r}: {args.command} has no such flag")
+        if value is not None:
+            try:  # argparse's own conversion and choices check for the flag
+                value = parser._get_values(action, [value if isinstance(value, str)
+                                                    else json.dumps(value)])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
+        setattr(args, action.dest, action.default if value is None else value)
 
 
 def _spec_echo(args) -> dict:
@@ -158,6 +175,9 @@ def _run_command(args) -> dict:
         return out
     if cmd == "pure-nash":
         vals, rule, bundles = _load_game(args)
+        if args.tie_rule != "index":
+            with open(args.tie_rule) as fh:
+                rule = rule_from_json(json.load(fh))
         grid = BidGrid(args.grid_step, args.upper, args.family)
         eqs = pure_nash_search(vals, grid, rule, args.epsilon, bundles=bundles)
         return {"count": len(eqs),
@@ -203,11 +223,10 @@ def _emit(args, body: dict, wall_clock: float) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
-                for key, value in json.load(fh).items():
-                    setattr(args, key.replace("-", "_"), value)
+            _apply_config(args, parser.commands[args.command])
         started = time.perf_counter()
         result = _run_command(args)
         body = xp.report_body(args.command, _spec_echo(args), result,

@@ -7,14 +7,14 @@ is scored against the opponents' realized bids (full-information
 counterfactuals), which makes external regret exact and the empirical play
 distribution a measurable approximate coarse correlated equilibrium.
 
-Action families:
+Action families are products of factors, each a categorical choice among
+bid rows; a player's bid is the sum of its factors' chosen rows:
 
-- `ExplicitActions`: an explicit (K, m) list of bid vectors; weights live
-  on the K actions.
+- `ExplicitActions`: an explicit (K, m) list of bid vectors; one factor.
 - `SeparableGrid`: per-item bid levels, valid only for additive valuations,
   whose utility splits across items. Joint multiplicative weights over the
-  level product then factorize exactly into independent per-item updates,
-  so K = prod(levels) costs nothing to learn over.
+  level product then factorize exactly into one factor per item, so
+  K = prod(levels) costs nothing to learn over.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .auction import (PriorityRule, bid_utilities, bundle_masks, optimal_welfare
                       price_to_beat, priority_ranks, winners, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
-from .valuations import AdditiveValuation, Valuation
+from .valuations import AdditiveValuation
 
 
 class ExplicitActions:
@@ -43,6 +43,14 @@ class ExplicitActions:
 
     def max_spend(self) -> float:
         return float(self.vectors.sum(axis=1).max())
+
+    def factors(self, m: int) -> list:
+        """One factor: the K bid vectors, bidding on every item."""
+        return [(self.vectors, np.ones(m, dtype=bool))]
+
+    def unpack(self, block: np.ndarray) -> np.ndarray:
+        """This family's (K,) view of a padded (factor, level) block."""
+        return block[0, :self.count]
 
 
 class SeparableGrid:
@@ -61,10 +69,20 @@ class SeparableGrid:
 
     @property
     def count(self) -> int:
-        return int(np.prod(self.valid.sum(axis=1)))
+        return math.prod(self.valid.sum(axis=1).tolist())  # exact past int64
 
     def max_spend(self) -> float:
         return float(np.where(self.valid, self.levels, 0.0).max(axis=1).sum())
+
+    def factors(self, m: int) -> list:
+        """One factor per item: that item's levels, bidding on it alone."""
+        eye = np.eye(m, dtype=bool)
+        return [(lv[ok, None] * eye[j], eye[j])
+                for j, (lv, ok) in enumerate(zip(self.levels, self.valid))]
+
+    def unpack(self, block: np.ndarray) -> np.ndarray:
+        """This family's (m, L) view of a padded (factor, level) block."""
+        return block[:, :self.levels.shape[1]]
 
 
 @dataclass
@@ -137,116 +155,48 @@ def _level_gains(levels, valid, weights, beat, favored) -> np.ndarray:
 
 def run_no_regret(game: FiniteGame, rounds: int, seed: int,
                   snapshot_every: int | None = None) -> LearningTrace:
-    """Run multiplicative weights for `rounds` rounds; T = 0 is rejected."""
+    """Run multiplicative weights for `rounds` rounds; T = 0 is rejected.
+    All players' factors share one padded (factor, level) block; gains are
+    scored on the real levels only, entry e being one level of a factor of
+    player[e], with bid row rows[e] on the items support[e]."""
     if rounds < 1:
         raise ValueError("need at least one round")
-    if len(game.vals) > 1 and all(isinstance(sp, SeparableGrid) for sp in game.spaces):
-        return _run_separable(game, rounds, seed, snapshot_every)
     n, m = len(game.vals), game.vals[0].m
     rng = rng_for(seed, "no-regret")
     ranks = priority_ranks(game.rule, n, m)
-    tables = [v.as_table() for v in game.vals]
-    vmax = max(v.value_max() for v in game.vals)
-    if vmax <= 0:
-        raise ValueError("normalization needs a player with positive full-bundle value")
-    lo = np.array([-sp.max_spend() for sp in game.spaces])
-    hi = np.array([v.value_max() for v in game.vals])
-    payoff_range = hi - lo
-    span = payoff_range / vmax  # eta scale, 1 for value-capped additive grids
-
-    cum, ln_k = [], np.empty(n)
-    for i, sp in enumerate(game.spaces):
-        ln_k[i] = math.log(sp.count)
-        if isinstance(sp, SeparableGrid):
-            c = np.zeros(sp.levels.shape)
-            c[~sp.valid] = -np.inf
-            cum.append(c)
-        else:
-            cum.append(np.zeros(sp.count))
-
-    players = np.arange(n)
-    bids_out = np.empty((rounds, n, m))
-    index_out = np.empty((rounds, n), dtype=np.int64)
-    util_out = np.empty((rounds, n))
-    welfare_out = np.empty(rounds)
-    regret_out = np.empty((rounds, n))
-    realized_cum = np.zeros(n)
-    snapshots = {}
-    if snapshot_every is None:
-        snapshot_every = max(1, rounds // 16)
-
-    for t in range(1, rounds + 1):
-        bids = np.empty((n, m))
-        probs_now = []
-        for i, sp in enumerate(game.spaces):
-            eta = math.sqrt(ln_k[i] / t) / span[i]
-            shifted = cum[i] - (cum[i].max(axis=-1, keepdims=True)
-                                if isinstance(sp, SeparableGrid) else cum[i].max())
-            w = np.exp(eta * shifted / vmax)
-            if isinstance(sp, SeparableGrid):
-                w[~sp.valid] = 0.0
-                probs = w / w.sum(axis=-1, keepdims=True)
-                levels = _level_index(rng.random(m), probs, sp.valid.sum(axis=1) - 1)
-                bids[i] = sp.levels[np.arange(m), levels]
-                index_out[t - 1, i] = int(np.dot(levels, sp.levels.shape[1] ** np.arange(m)))
-            else:
-                probs = w / w.sum()
-                a = int(rng.choice(sp.count, p=probs))
-                bids[i] = sp.vectors[a]
-                index_out[t - 1, i] = a
-            probs_now.append(probs)
-        if t == 1 or t % snapshot_every == 0 or t == rounds:
-            snapshots[t] = [p.copy() for p in probs_now]
-
-        won = winners(bids, ranks)[None, :] == players[:, None]  # (n, m)
-        paid = np.where(won, bids, 0.0).sum(axis=1)
-        values = np.array([tables[i][mask] for i, mask in enumerate(bundle_masks(won))])
-        util_out[t - 1] = values - paid
-        welfare_out[t - 1] = values.sum()
-        bids_out[t - 1] = bids
-
-        # counterfactual payoffs and regret
-        beat, favored = price_to_beat(bids, ranks)
-        for i in range(n):
-            sp = game.spaces[i]
-            if isinstance(sp, SeparableGrid):
-                cum[i] += _level_gains(sp.levels, sp.valid, game.vals[i].weights,
-                                       beat[i], favored[i])
-                best_total = cum[i].max(axis=-1).sum()
-            else:
-                cum[i] += bid_utilities(tables[i], sp.vectors, beat[i], favored[i])
-                best_total = cum[i].max()
-            realized_cum[i] += util_out[t - 1, i]
-            regret_out[t - 1, i] = best_total - realized_cum[i]
-
-    return LearningTrace(game, seed, rounds, bids_out, index_out, util_out,
-                         welfare_out, regret_out, cum, snapshots, ln_k, payoff_range)
-
-
-def _run_separable(game: FiniteGame, rounds: int, seed: int,
-                   snapshot_every: int | None) -> LearningTrace:
-    """run_no_regret specialized to all-separable grids: every per-round
-    quantity is one fused array op over (n, m, L)."""
-    n, m = len(game.vals), game.vals[0].m
-    rng = rng_for(seed, "no-regret")
-    ranks = priority_ranks(game.rule, n, m)
-    width = max(sp.levels.shape[1] for sp in game.spaces)
-    levels = np.zeros((n, m, width))
-    valid = np.zeros((n, m, width), dtype=bool)
-    for i, sp in enumerate(game.spaces):
-        levels[i, :, :sp.levels.shape[1]] = sp.levels
-        valid[i, :, :sp.levels.shape[1]] = sp.valid
-    weights_vec = np.array([v.weights for v in game.vals])  # (n, m)
     vmax = max(v.value_max() for v in game.vals)
     if vmax <= 0:
         raise ValueError("normalization needs a player with positive full-bundle value")
     payoff_range = np.array([v.value_max() + sp.max_spend()
                              for v, sp in zip(game.vals, game.spaces)])
-    span = payoff_range / vmax
-    ln_k = np.log([sp.count for sp in game.spaces])
-    eta_base = (np.sqrt(ln_k) / span)[:, None, None]
+    ln_k = np.array([math.log(sp.count) for sp in game.spaces])
+    # a one-action player's play is forced: any step keeps 0 * -inf out of it
+    eta_base = np.where(ln_k > 0, np.sqrt(ln_k) / (payoff_range / vmax), 1.0)[:, None, None]
+
+    factors = [sp.factors(m) for sp in game.spaces]
+    nf = np.array([len(fs) for fs in factors])
+    F = int(nf.max())
+    # players with fewer factors get one-level, zero-bid, zero-gain fillers
+    filler = (np.zeros((1, m)), np.zeros(m, dtype=bool))
+    flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + [filler] * (F - len(fs))]
+    W = max(len(r) for _, r, _ in flat)
+    rows = np.concatenate([r for _, r, _ in flat])  # (N, m)
+    support = np.concatenate([np.broadcast_to(s, r.shape) for _, r, s in flat])
+    player = np.concatenate([np.full(len(r), i) for i, r, _ in flat])
+    table_at = player << m  # every player's 2^m value table, end to end
+    table = np.concatenate([v.as_table() for v in game.vals])
+    slot = np.concatenate([k * W + np.arange(len(r)) for k, (_, r, _) in enumerate(flat)])
+    entry = np.full(n * F * W, -1)
+    entry[slot] = np.arange(slot.size)  # (player, factor, level) -> entry
+    valid = (entry >= 0).reshape(n, F, W)
+    last = valid.sum(axis=2) - 1
+    real = np.arange(F) < nf[:, None]  # (n, F): not a filler
+    base = np.arange(n * F).reshape(n, F) * W
+    # action index: mixed radix over the factors, in each player's own level count
+    radix = np.where(real, (last.max(axis=1, keepdims=True) + 1) ** np.arange(F), 0)
 
     cum = np.where(valid, 0.0, -np.inf)
+    cum_flat = cum.reshape(-1)
     bids_out = np.empty((rounds, n, m))
     index_out = np.empty((rounds, n), dtype=np.int64)
     util_out = np.empty((rounds, n))
@@ -256,33 +206,35 @@ def _run_separable(game: FiniteGame, rounds: int, seed: int,
     snapshots = {}
     if snapshot_every is None:
         snapshot_every = max(1, rounds // 16)
-    players = np.arange(n)
-    last = valid.sum(axis=2) - 1
+    u, draws = np.zeros((n, F)), int(nf.sum())
+    top = cum.max(axis=2, keepdims=True)
 
     for t in range(1, rounds + 1):
-        w = np.exp((eta_base / math.sqrt(t)) * (cum - cum.max(axis=2, keepdims=True)) / vmax)
+        w = np.exp((eta_base / math.sqrt(t)) * (cum - top) / vmax)
         probs = w / w.sum(axis=2, keepdims=True)
-        idx = _level_index(rng.random((n, m)), probs, last)
-        bids = np.take_along_axis(levels, idx[:, :, None], axis=2)[:, :, 0]
-        index_out[t - 1] = idx @ (width ** np.arange(m))
-        if t == 1 or t % snapshot_every == 0 or t == rounds:
-            snapshots[t] = [probs[i].copy() for i in range(n)]
-
-        winner = winners(bids, ranks)  # (m,)
-        is_winner = winner[None, :] == players[:, None]  # (n, m)
-        util_out[t - 1] = (is_winner * (weights_vec - bids)).sum(axis=1)
-        welfare_out[t - 1] = weights_vec[winner, np.arange(m)].sum()
+        u[real] = rng.random(draws)  # one uniform per factor, in player order
+        level = _level_index(u, probs, last)
+        chosen = entry.take(base + level)  # (n, F) entry of every sampled level
+        bids = rows.take(chosen, axis=0).sum(axis=1)
+        index_out[t - 1] = (level * radix).sum(axis=1)
         bids_out[t - 1] = bids
+        if t == 1 or t % snapshot_every == 0 or t == rounds:
+            snapshots[t] = [sp.unpack(probs[i]) for i, sp in enumerate(game.spaces)]
 
         beat, favored = price_to_beat(bids, ranks)
-        cum += _level_gains(levels, valid, weights_vec, beat, favored)
+        won = wins(rows, beat.take(player, axis=0), favored.take(player, axis=0)) & support
+        value = table.take(table_at | bundle_masks(won))
+        gain = value - (won * rows).sum(axis=1)
+        cum_flat[slot] += gain
+        util_out[t - 1] = gain.take(chosen).sum(axis=1)
+        welfare_out[t - 1] = value.take(chosen).sum(axis=0).sum()
         realized_cum += util_out[t - 1]
-        regret_out[t - 1] = cum.max(axis=2).sum(axis=1) - realized_cum
+        top = cum.max(axis=2, keepdims=True)
+        regret_out[t - 1] = top[:, :, 0].sum(axis=1) - realized_cum
 
-    cum_list = [np.where(sp.valid, cum[i, :, :sp.levels.shape[1]], -np.inf)
-                for i, sp in enumerate(game.spaces)]
+    cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
     return LearningTrace(game, seed, rounds, bids_out, index_out, util_out,
-                         welfare_out, regret_out, cum_list, snapshots, ln_k, payoff_range)
+                         welfare_out, regret_out, cum_out, snapshots, ln_k, payoff_range)
 
 
 def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:

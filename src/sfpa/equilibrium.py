@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform as cf
-from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, bid_utilities,
-                      optimal_allocations, price_to_beat, priority_ranks)
+from .auction import (MAXIMIZER_LIMIT, Allocation, CapExceeded, PriorityRule, TIE_TOL,
+                      bid_utilities, price_to_beat, priority_ranks, welfare_maximizers)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
@@ -111,9 +111,13 @@ def _support_prices(vals: list[Valuation], alloc: Allocation):
 
 def walrasian_search(vals: list[Valuation], cap: int = 10_000_000,
                      tol: float = MONEY_TOL) -> WalrasianEquilibrium | None:
-    """First Walrasian equilibrium over welfare-optimal allocations, or None."""
-    _, allocs = optimal_allocations(vals, cap=cap)
-    for alloc in allocs:
+    """First Walrasian equilibrium over welfare-optimal allocations (tried
+    lazily in lexicographic order), or None."""
+    _, found = welfare_maximizers(vals, cap, 1e-9)
+    for k, winners in enumerate(found):
+        if k == MAXIMIZER_LIMIT:
+            raise CapExceeded(f"no supporting prices for the first {MAXIMIZER_LIMIT} maximizers")
+        alloc = Allocation(winners)
         prices = _support_prices(vals, alloc)
         if prices is None:
             continue

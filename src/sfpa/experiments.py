@@ -25,7 +25,7 @@ from .rng import rng_for
 from .sets import full_set, members
 from .valuations import (AdditiveValuation, AndValuation, OrValuation,
                          SingleMindedValuation, TableValuation, Valuation,
-                         valuation_from_json)
+                         valuations_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,8 @@ def grid_game(side: int) -> tuple[list[Valuation], list[int]]:
 
 
 def game_from_json(d: dict) -> tuple[list[Valuation], PriorityRule]:
-    vals = [valuation_from_json(v) for v in d["valuations"]]
-    rule = rule_from_json(d.get("tie_rule", {"kind": "index"}))
-    return vals, rule
+    return (valuations_from_json(d.get("valuations"), "valuations"),
+            rule_from_json(d.get("tie_rule", {"kind": "index"})))
 
 
 def build_game(name: str, m: int = 2, v: float = 1.0, k: int = 2, d: int = 2,

@@ -238,6 +238,31 @@ def valuation_from_json(d: dict) -> Valuation:
     raise ValueError(f"unknown valuation kind {kind!r}")
 
 
+def valuations_from_json(items: list, field: str) -> list[Valuation]:
+    """Valuation objects where they enter a game. A ValueError naming
+    `field[k]` refuses an entry that is malformed, covers other than the
+    first entry's m items, has a non-finite value or fails `check_valid`."""
+    if not isinstance(items, list) or not items:
+        raise ValueError(f"{field}: need a nonempty list of valuation objects")
+    vals = []
+    for k, d in enumerate(items):
+        try:
+            v = valuation_from_json(d)
+            table = v.as_table()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{field}[{k}]: malformed valuation ({exc!r})") from exc
+        if vals and v.m != vals[0].m:
+            raise ValueError(f"{field}[{k}]: covers m={v.m} items, {field}[0] has m={vals[0].m}")
+        if not np.isfinite(table).all():
+            raise ValueError(f"{field}[{k}]: values must be finite")
+        bad = check_valid(v)
+        if bad is not None:
+            raise ValueError(f"{field}[{k}]: {bad.kind} violation at "
+                             f"v({members(bad.set_small)}), v({members(bad.set_large)})")
+        vals.append(v)
+    return vals
+
+
 @dataclass(frozen=True)
 class Violation:
     """First witness of a failed normalization/monotonicity scan."""

@@ -210,3 +210,123 @@ def test_console_entry_point():
                            "--game", "triangle"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == {"exists": False}
+
+
+def write_game(tmp_path, valuations) -> str:
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"valuations": valuations}))
+    return str(path)
+
+
+def test_walrasian_many_welfare_ties_file(tmp_path, capsys):
+    # 4^9 assignments tie at welfare 0; the first already has supporting prices
+    path = write_game(tmp_path, [{"kind": "additive", "m": 9, "weights": [0.0] * 9}] * 4)
+    code, out, _ = run_cli(["walrasian", "--game", path], capsys)
+    assert code == 0
+    res = body_of(out)["result"]
+    assert res["exists"] and res["prices"] == [0.0] * 9
+
+
+def precondition_message(code, err) -> str:
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "precondition"
+    return error["message"]
+
+
+def test_game_file_mixed_item_counts(tmp_path, capsys):
+    path = write_game(tmp_path, [{"kind": "additive", "m": 1, "weights": [1.0]},
+                                 {"kind": "additive", "m": 2, "weights": [1.0, 1.0]}])
+    message = precondition_message(*run_cli(["walrasian", "--game", path], capsys)[::2])
+    assert message.startswith("valuations[1]:") and "m=2" in message
+
+
+def test_game_file_non_finite_value(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text('{"valuations": [{"kind": "additive", "m": 1, "weights": [1.0]},'
+                    ' {"kind": "additive", "m": 1, "weights": [NaN]}]}')
+    message = precondition_message(*run_cli(["walrasian", "--game", str(path)], capsys)[::2])
+    assert message.startswith("valuations[1]:") and "finite" in message
+
+
+def test_game_file_invalid_valuation(tmp_path, capsys):
+    path = write_game(tmp_path, [{"kind": "additive", "m": 2, "weights": [1.0, 1.0]},
+                                 {"kind": "table", "m": 2, "values": [0.0, 0.5, 0.5, -1.0]}])
+    for command in ("walrasian", "pure-nash"):
+        message = precondition_message(*run_cli([command, "--game", path], capsys)[::2])
+        assert message.startswith("valuations[1]: negative")
+
+
+def test_bayes_file_types_validated(tmp_path, capsys):
+    doc = {"types": [[{"kind": "additive", "m": 1, "weights": [1.0]}],
+                     [{"kind": "additive", "m": 1, "weights": [0.5]},
+                      {"kind": "table", "m": 1, "values": [0.0, -0.5]}]],
+           "prior": [[0.5, 0.5]], "actions": [[[0.0]], [[0.0]]],
+           "strategies": [[[1.0]], [[1.0], [1.0]]]}
+    path = tmp_path / "bayes.json"
+    path.write_text(json.dumps(doc))
+    message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+    assert message.startswith("types[1][1]: negative")
+    doc["types"][1][1] = {"kind": "additive", "m": 2, "weights": [0.5, 0.5]}
+    path.write_text(json.dumps(doc))
+    message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+    assert message.startswith("types[1][1]:") and "m=2" in message
+    doc["types"][1] = [{"kind": "additive", "m": 2, "weights": [0.5, 0.5]}] * 2
+    path.write_text(json.dumps(doc))
+    message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+    assert message.startswith("types[1]:") and "m=1" in message
+
+
+def test_unread_flags_are_usage_errors(capsys):
+    for args in (["verify", "--game", "andor", "--strategy", "x"],
+                 ["poa", "--tolerance", "0.1"], ["dynamics", "--tie-rule", "index"],
+                 ["walrasian", "--game", "triangle", "--tie-rule", "index"],
+                 ["walrasian", "--game", "triangle", "--seed", "1"],
+                 ["pure-nash", "--game", "andor", "--seed", "1"],
+                 ["bayes", "--seed", "1"], ["sample", "--strategy", "andor", "--tolerance", "1"]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 1, args
+        assert json.loads(err)["error"]["kind"] == "usage"
+
+
+def test_deterministic_commands_echo_no_seed(capsys):
+    code, out, _ = run_cli(["walrasian", "--game", "triangle"], capsys)
+    body = body_of(out)
+    assert code == 0 and "seed" not in body
+    assert set(body["spec"]) == {"cap", "command", "d", "game", "k", "m", "side",
+                                 "tolerance", "v"}
+
+
+def run_with_config(tmp_path, capsys, settings, args=("poa", "--m", "4", "--trials", "1000")):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    return run_cli([*args, "--config", str(cfg)], capsys)
+
+
+def test_config_unknown_key(tmp_path, capsys):
+    code, _, err = run_with_config(tmp_path, capsys, {"bogus_key": 1})
+    assert "'bogus_key'" in precondition_message(code, err)
+    # a flag of another subcommand is unknown here too
+    code, _, err = run_with_config(tmp_path, capsys, {"tolerance": 0.1})
+    assert "'tolerance'" in precondition_message(code, err)
+
+
+def test_config_value_of_wrong_type(tmp_path, capsys):
+    code, _, err = run_with_config(tmp_path, capsys, {"trials": "many"})
+    assert "'trials'" in precondition_message(code, err)
+    code, _, err = run_with_config(tmp_path, capsys, {"trials": 2.5})
+    assert "'trials'" in precondition_message(code, err)
+
+
+def test_config_value_outside_choices(tmp_path, capsys):
+    code, _, err = run_with_config(tmp_path, capsys, {"game": "triangle"})
+    assert "'game'" in precondition_message(code, err)
+
+
+def test_config_keys_by_option_name(tmp_path, capsys):
+    code, out, _ = run_with_config(
+        tmp_path, capsys, {"grid-step": 0.2, "max": 1.0, "v": 0.4},
+        ("pure-nash", "--game", "andor", "--m", "2"))
+    assert code == 0
+    spec = body_of(out)["spec"]
+    assert (spec["grid_step"], spec["upper"], spec["v"]) == (0.2, 1.0, 0.4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfpa import dynamics
 from sfpa.closedform import triangle_cdf
@@ -9,9 +10,10 @@ from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
 from sfpa.equilibrium import BidGrid, pure_nash_search
 from sfpa.experiments import (additive_dynamics_report, andor_dynamics_report,
                               andor_game, single_item_dynamics_report)
-from sfpa.auction import PriorityRule
+from sfpa.auction import PriorityRule, outcome
 from sfpa.rng import rng_for
-from sfpa.valuations import AdditiveValuation
+from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
+                             TableValuation)
 
 
 def single_item_game(values=(1.0, 2.0), step=0.1):
@@ -98,7 +100,7 @@ class _TopUniform:
         return np.full(size, 1.0 - 2.0 ** -53)
 
 
-@pytest.mark.parametrize("n", [1, 2])  # generic path, all-separable path
+@pytest.mark.parametrize("n", [1, 2])  # alone, and against a rival
 def test_level_draw_clamped_to_last_valid_level(monkeypatch, n):
     # uniform weights over 13 (or 7) levels sum to 0.9999999999999998 < u,
     # and the second item's levels are padded up to the first item's width
@@ -110,6 +112,11 @@ def test_level_draw_clamped_to_last_valid_level(monkeypatch, n):
     assert (trace.bids[0] == [levels[0][-1], levels[1][-1]]).all()
 
 
+def test_separable_grid_count_is_exact():
+    # 21^16 overflows int64; a wrapped count made ln K NaN (or a log error)
+    assert SeparableGrid([np.arange(21) * 0.05] * 16).count == 21 ** 16
+
+
 def test_separable_grid_requires_additive():
     from sfpa.valuations import AndValuation
     with pytest.raises(ValueError):
@@ -118,7 +125,7 @@ def test_separable_grid_requires_additive():
 
 def test_mixed_action_spaces():
     # additive bidder on a separable grid against an AND bidder on uniform
-    # bundle bids: exercises the generic per-round path
+    # bundle bids: separable and explicit factors in one game
     from sfpa.valuations import AndValuation
     from sfpa.sets import full_set
     vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
@@ -189,3 +196,53 @@ def test_snapshots_normalized():
     for probs in trace.snapshots.values():
         for p in probs:
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _random_player(rng, m):
+    """An additive bidder on a separable grid whose items have 1-4 levels,
+    or an AND, OR or monotone-table bidder on 1-5 explicit bid vectors.
+    Values and bids sit on a 0.25 lattice, so bids tie exactly."""
+    kind = rng.integers(4)
+    if kind == 0:
+        grid = SeparableGrid([0.25 * np.arange(rng.integers(1, 5)) for _ in range(m)])
+        return AdditiveValuation(tuple(0.25 * rng.integers(1, 5, m))), grid
+    if kind == 3:
+        table = 0.25 * rng.integers(0, 5, 1 << m)
+        table[0] = 0.0
+        s = np.arange(1 << m)
+        for j in range(m):  # max over subsets: monotone
+            has = s[s >> j & 1 == 1]
+            table[has] = np.maximum(table[has], table[has ^ 1 << j])
+        table[-1] += 0.25  # a positive full-bundle value, as normalization needs
+        val = TableValuation(m, tuple(table))
+    else:
+        val = (AndValuation, OrValuation)[kind - 1](m, 1.0)
+    return val, ExplicitActions(0.25 * rng.integers(0, 5, (rng.integers(1, 6), m)))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_factored_loop_matches_reference(n, m, seed):
+    """Any mix of the action families, n = 1 included, under a random
+    priority rule: the counterfactuals recompute (verify_cce), every
+    round's utilities and welfare equal the scalar outcome, and every
+    action index decodes to the recorded bid row."""
+    rng = np.random.default_rng(seed)
+    vals, spaces = zip(*(_random_player(rng, m) for _ in range(n)))
+    rule = PriorityRule(tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m)))
+    trace = run_no_regret(FiniteGame(list(vals), list(spaces), rule), 30, seed)
+    verify_cce(trace)
+    for t in range(30):
+        ref = outcome(vals, trace.bids[t], rule)
+        assert trace.utilities[t] == pytest.approx(ref.utilities, abs=1e-12)
+        assert trace.welfare[t] == pytest.approx(ref.welfare, abs=1e-12)
+        for i, sp in enumerate(spaces):
+            a = trace.action_index[t, i]
+            if isinstance(sp, SeparableGrid):
+                width = sp.levels.shape[1]
+                digits = a // width ** np.arange(m) % width
+                assert sp.valid[np.arange(m), digits].all()
+                row = sp.levels[np.arange(m), digits]
+            else:
+                row = sp.vectors[a]
+            assert (row == trace.bids[t, i]).all()

@@ -63,6 +63,27 @@ def test_walrasian_search_survives_infeasible_canonical_lp():
     assert walrasian_check(vals, we) is None
 
 
+def test_walrasian_search_walks_maximizers_lazily():
+    # all 4^9 assignments tie, more than the maximizer limit; the first one
+    # already has supporting prices, so the search never lists the rest
+    we = walrasian_search([AdditiveValuation((0.0,) * 9)] * 4)
+    assert we.allocation.winners == (0,) * 9
+    assert we.prices == (0.0,) * 9
+
+
+@pytest.mark.parametrize("limit", [8, 9])
+def test_walrasian_search_gives_up_past_the_limit(monkeypatch, limit):
+    # none of the triangle game's 9 maximizers has supporting prices
+    from sfpa import equilibrium
+    monkeypatch.setattr(equilibrium, "MAXIMIZER_LIMIT", limit)
+    vals, _ = triangle_game()
+    if limit == 9:
+        assert walrasian_search(vals) is None
+    else:
+        with pytest.raises(CapExceeded, match="first 8 maximizers"):
+            walrasian_search(vals)
+
+
 def test_walrasian_search_grid_side2_all_prices_one():
     vals, _ = grid_game(2)
     we = walrasian_search(vals)

@@ -131,7 +131,7 @@ GOLDEN = {
     "best_response": "a954537b9eba5fd0bb1ac3c0e04ca59c39749eef91076f79b7eb62ef1b4ceb85",
     "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
     "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
-    "mixed_game": "08b2f64aaffee78960a8ac12df4fde92345a93a691c603af05633d1b56e2832c",
+    "mixed_game": "5efd855f368b543cb7336a834b309e8b1fea745853a234edbb5640a203a3bc6e",
     "pure_nash": "2557b48fe09f883a5666f601cb5cb920e4daa393b651185b53bad74a05fc544d",
     "separable_priority": "9cdb1928fc79084c2e25b1fa80f9bbea026facd90696c051152c2ba1267c53ee",
 }
