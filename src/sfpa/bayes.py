@@ -248,8 +248,14 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
     Schema: types = per-player list of valuation objects; prior = nested
     list matching the type counts (or {"kind": "product", "marginals":
     [...]}); actions = per-player list of bid vectors; strategies =
-    per-player list (one row per type) of action probabilities.
+    per-player list (one row per type) of action probabilities. A missing
+    key raises ValueError naming it.
     """
+    if not isinstance(d, dict):
+        raise ValueError("Bayesian game file: need a JSON object")
+    missing = [k for k in ("types", "prior", "actions", "strategies") if k not in d]
+    if missing:
+        raise ValueError(f"{missing[0]}: missing from the Bayesian game file")
     type_vals = [valuations_from_json(ts, f"types[{i}]") for i, ts in enumerate(d["types"])]
     prior = d["prior"]
     if isinstance(prior, dict) and prior.get("kind") == "product":

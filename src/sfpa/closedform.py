@@ -99,6 +99,9 @@ class AtomicCDF:
         """Generalized inverse min{x : cdf(x) >= u}, honoring atoms."""
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0))
+        if not self.atoms:  # cont_mass is 1, so u is already clipped to it
+            out = self.cont_quantile(u)
+            return float(out[0]) if scalar else out
         out = np.empty(u.shape)
         unset = np.ones(u.shape, dtype=bool)
         acc = 0.0
@@ -268,21 +271,38 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
                      seed: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, 99% CI half-width) of a deviation's
     utility, by simulating the opponent's closed-form play. Independent
-    cross-check of the analytic evaluators."""
+    cross-check of the analytic evaluators.
+
+    The opponent's play has only m + 1 outcomes for the deviator's win set,
+    so each outcome's utility is computed once, as a row of an (m + 1)-row
+    table, and each trial looks its outcome up. Against an OR bid g on item
+    k the AND deviator loses item k (row k) or wins everything (row m; zero
+    ties go to AND). Against the common AND bid y the OR deviator wins the
+    items bid above y, fixed by the number c of its bids at or below y (row
+    c wins the items bid at least the (c + 1)-th smallest bid; row m wins
+    none; ties, including the 0 atom, go to AND)."""
+    if role not in ("and", "or"):
+        raise ValueError(f"role must be 'and' or 'or', got {role!r}")
     x = np.asarray(bids, dtype=np.float64)
+    if x.shape != (pair.m,):
+        raise ValueError(f"bids must have shape ({pair.m},), got {x.shape}")
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError("bids must be finite and >= 0")
+    if not isinstance(trials, (int, np.integer)) or trials < 2:
+        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
     rng = rng_for(seed, "andor-mc", role)
     if role == "and":
         items, g = pair.sample_or_bids(rng, trials)
-        opp = np.zeros((trials, pair.m))
-        opp[np.arange(trials), items] = g
-        win = (x[None, :] > opp) | (opp == 0.0)  # zero ties go to AND
-        u = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
-    elif role == "or":
-        y = pair.sample_and_bids(rng, trials)
-        win = x[None, :] > y[:, None]  # ties (incl. the 0 atom) go to AND
-        u = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
+        outcome = np.where((x.take(items) > g) | (g == 0.0), pair.m, items)
+        win = ~np.eye(pair.m + 1, pair.m, dtype=bool)
+        table = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
     else:
-        raise ValueError("role must be 'and' or 'or'")
+        y = pair.sample_and_bids(rng, trials)
+        cuts = np.sort(x)
+        outcome = cuts.searchsorted(y, side="right")
+        win = x[None, :] >= np.append(cuts, np.inf)[:, None]
+        table = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
+    u = table.take(outcome)
     half = Z99 * float(u.std(ddof=1)) / math.sqrt(trials)
     return float(u.mean()), half
 

@@ -112,7 +112,8 @@ class LearningTrace:
     seed: int
     rounds: int
     bids: np.ndarray        # (T, n, m) realized bids
-    action_index: np.ndarray  # (T, n) sampled action (mixed-radix for separable)
+    action_index: np.ndarray  # (T, n) sampled action (mixed-radix for separable;
+    #                           -1 for a player whose index range passes int64)
     utilities: np.ndarray   # (T, n) realized money utilities
     welfare: np.ndarray     # (T,)
     regret: np.ndarray      # (T, n) running external regret, money units
@@ -132,7 +133,8 @@ class LearningTrace:
         return float(self.welfare.mean())
 
     def to_csv_rows(self):
-        """Long-format rows (round, player, action_index, utility, regret)."""
+        """Long-format rows (round, player, action_index, utility, regret);
+        action_index is -1 for a player whose index range passes int64."""
         t_col = np.repeat(np.arange(self.rounds), len(self.game.vals))
         p_col = np.tile(np.arange(len(self.game.vals)), self.rounds)
         return np.column_stack([t_col, p_col, self.action_index.ravel(),
@@ -192,8 +194,12 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
     last = valid.sum(axis=2) - 1
     real = np.arange(F) < nf[:, None]  # (n, F): not a filler
     base = np.arange(n * F).reshape(n, F) * W
-    # action index: mixed radix over the factors, in each player's own level count
-    radix = np.where(real, (last.max(axis=1, keepdims=True) + 1) ** np.arange(F), 0)
+    # action index: mixed radix over the factors, in each player's own level
+    # count, exact in Python integers; -1 where the index range passes int64
+    width = (last.max(axis=1) + 1).tolist()
+    fits = np.array([w ** k <= 2 ** 63 for w, k in zip(width, nf.tolist())])
+    radix = np.array([[w ** j if ok and j < k else 0 for j in range(F)]
+                      for w, k, ok in zip(width, nf.tolist(), fits)], dtype=np.int64)
 
     cum = np.where(valid, 0.0, -np.inf)
     cum_flat = cum.reshape(-1)
@@ -232,6 +238,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
         top = cum.max(axis=2, keepdims=True)
         regret_out[t - 1] = top[:, :, 0].sum(axis=1) - realized_cum
 
+    index_out[:, ~fits] = -1
     cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
     return LearningTrace(game, seed, rounds, bids_out, index_out, util_out,
                          welfare_out, regret_out, cum_out, snapshots, ln_k, payoff_range)

@@ -277,6 +277,23 @@ def test_bayes_file_types_validated(tmp_path, capsys):
     assert message.startswith("types[1]:") and "m=1" in message
 
 
+def test_bayes_file_missing_keys(tmp_path, capsys):
+    doc = {"types": [[{"kind": "additive", "m": 1, "weights": [1.0]}]],
+           "prior": [1.0], "actions": [[[0.0]]], "strategies": [[[1.0]]]}
+    path = tmp_path / "bayes.json"
+    for key in doc:
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+        assert message.startswith(f"{key}:")
+    path.write_text(json.dumps([doc]))
+    precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+
+
+def test_verify_andor_needs_two_trials(capsys):
+    code, _, err = run_cli(["verify", "--game", "andor", "--m", "2", "--trials", "1"], capsys)
+    assert "trials" in precondition_message(code, err)
+
+
 def test_unread_flags_are_usage_errors(capsys):
     for args in (["verify", "--game", "andor", "--strategy", "x"],
                  ["poa", "--tolerance", "0.1"], ["dynamics", "--tie-rule", "index"],

@@ -1,9 +1,13 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from sfpa.closedform import (AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
+from sfpa import closedform as cf
+from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              and_bid_cdf, and_support_sum_check,
                              andor_equilibrium_welfare, andor_utility_and,
                              andor_utility_mc, andor_utility_or, or_bid_cdf,
@@ -126,6 +130,117 @@ def test_andor_utilities_vs_monte_carlo():
     x_or = np.array([0.0, 0.15, 0.0, 0.0])
     est, half = andor_utility_mc(pair, "or", x_or, 200_000, seed=4)
     assert abs(est - andor_utility_or(pair, x_or)) <= half
+
+
+def _mc_oracle(pair, role, bids, trials, seed):
+    """Reference for andor_utility_mc: the opponent's bid on every item in
+    every trial, as a (trials, m) matrix, scored row by row."""
+    x = np.asarray(bids, dtype=np.float64)
+    rng = rng_for(seed, "andor-mc", role)
+    if role == "and":
+        items, g = pair.sample_or_bids(rng, trials)
+        opp = np.zeros((trials, pair.m))
+        opp[np.arange(trials), items] = g
+        win = (x[None, :] > opp) | (opp == 0.0)  # zero ties go to AND
+        u = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
+    else:
+        y = pair.sample_and_bids(rng, trials)
+        win = x[None, :] > y[:, None]  # ties (incl. the 0 atom) go to AND
+        u = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
+    half = Z99 * float(u.std(ddof=1)) / math.sqrt(trials)
+    return float(u.mean()), half
+
+
+@dataclass(frozen=True)
+class _SnappedPair(AndOrStrategyPair):
+    """Every third opponent draw replaced by one of `levels`, so that the
+    opponent ties the deviation's bids, and bids 0, exactly."""
+
+    levels: tuple = (0.0,)
+
+    def _snap(self, draws):
+        draws[::3] = np.resize(self.levels, draws[::3].shape)
+        return draws
+
+    def sample_and_bids(self, rng, size):
+        return self._snap(super().sample_and_bids(rng, size))
+
+    def sample_or_bids(self, rng, size):
+        items, g = super().sample_or_bids(rng, size)
+        return items, self._snap(g)
+
+
+@st.composite
+def _mc_cases(draw):
+    m = draw(st.integers(2, 16))
+    top = 1.0 / m
+    v = draw(st.one_of(st.just(top), st.floats(top, 2.0)))
+    # a small pool of levels forces ties among items, with 0, the cube's
+    # top 1/m (the AND point mass when v = 1/m) and values above the cube
+    pool = [0.0, top, top / 2, top / 3, 1.5 * top, 1.0]
+    level = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.5))
+    bids = draw(st.lists(level, min_size=m, max_size=m))
+    pair = (_SnappedPair(m, v, tuple(bids) + (0.0,)) if draw(st.booleans())
+            else AndOrStrategyPair(m, v))
+    return pair, bids, draw(st.sampled_from(["and", "or"]))
+
+
+@given(_mc_cases(), st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_andor_utility_mc_matches_oracle(case, seed):
+    pair, bids, role = case
+    assert andor_utility_mc(pair, role, bids, 3_000, seed) == \
+        _mc_oracle(pair, role, bids, 3_000, seed)
+
+
+def test_andor_utility_mc_checks_input(monkeypatch):
+    pair = AndOrStrategyPair(3, 1.0)
+    for bids in ([0.1], [0.1, 0.2, np.nan], [0.1, -0.2, 0.0], [0.1, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="bids"):
+            andor_utility_mc(pair, "and", bids, 1_000, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        andor_utility_mc(pair, "or", [0.1, 0.0, 0.0], 1, seed=1)
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking the role")
+
+    monkeypatch.setattr(cf, "rng_for", no_draws)
+    with pytest.raises(ValueError, match="role"):
+        andor_utility_mc(pair, "xor", [0.1, 0.0, 0.0], 1_000, seed=1)
+
+
+def _masked_quantile(cdf, u):
+    """AtomicCDF.quantile's atom-by-atom mask-and-scatter loop, run on every
+    distribution (the reference for its atomless shortcut)."""
+    u = np.atleast_1d(np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0))
+    out = np.empty(u.shape)
+    unset = np.ones(u.shape, dtype=bool)
+    acc = 0.0
+    for p, mass in cdf.atoms:
+        before = float(cdf._cc(p)) + acc
+        take = unset & (u <= before)
+        out[take] = cdf.cont_quantile(np.clip(u[take] - acc, 0.0, cdf.cont_mass))
+        unset &= ~take
+        take = unset & (u <= before + mass)
+        out[take] = p
+        unset &= ~take
+        acc += mass
+    out[unset] = cdf.cont_quantile(np.clip(u[unset] - acc, 0.0, cdf.cont_mass))
+    return out
+
+
+def test_atomless_quantile_matches_masked_path():
+    u = np.concatenate([[0.0, 1.0, -0.0, -0.5, 1.5, 1e-300, 1.0 - 2 ** -53, np.inf, -np.inf],
+                        rng_for(5, "quantile").random(10_000)])
+    for cdf in (or_bid_cdf(2), or_bid_cdf(16), triangle_cdf(),
+                SingleMindedSymmetric(3, 3, value=3.0).cdf):
+        assert not cdf.atoms
+        got = cdf.quantile(u)
+        assert got.view(np.int64).tolist() == _masked_quantile(cdf, u).view(np.int64).tolist()
+        for s in u[:9]:
+            got = cdf.quantile(s)
+            assert isinstance(got, float)
+            assert np.float64(got).view(np.int64) == _masked_quantile(cdf, s).view(np.int64)[0]
 
 
 def test_welfare_degenerate_pure_case():

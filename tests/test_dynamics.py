@@ -117,6 +117,26 @@ def test_separable_grid_count_is_exact():
     assert SeparableGrid([np.arange(21) * 0.05] * 16).count == 21 ** 16
 
 
+def test_action_index_past_int64_is_minus_one():
+    # 128^9 = 2^63: player 0's largest index is exactly int64's maximum and
+    # decodes to its bids; player 1's 129^9 range does not fit and reads -1
+    m = 9
+    levels = [np.arange(128) * 0.01, np.arange(129) * 0.01]
+    vals = [AdditiveValuation((1.3,) * m)] * 2
+    game = FiniteGame(vals, [SeparableGrid([lv] * m) for lv in levels], grid_step=0.01)
+    trace = run_no_regret(game, 3, seed=1)
+    assert (trace.action_index[:, 1] == -1).all()
+    for t in range(3):
+        a = int(trace.action_index[t, 0])
+        assert [levels[0][a // 128 ** j % 128] for j in range(m)] == \
+            trace.bids[t, 0].tolist()
+    # 21^16 passes int64 (an int64 radix wraps to negative indices here)
+    vals = [AdditiveValuation((1.0,) * 16)] * 2
+    game = FiniteGame(vals, [SeparableGrid([np.arange(21) * 0.05] * 16)] * 2,
+                      grid_step=0.05)
+    assert (run_no_regret(game, 3, seed=1).action_index == -1).all()
+
+
 def test_separable_grid_requires_additive():
     from sfpa.valuations import AndValuation
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """Golden digests: SHA-256 of canonical payloads from every consumer of the
 first-price kernel, the bundle costs and the demand-constraint LP rows
 (learning, grid Nash search, best-response gaps, limits of equilibria, the
-Walrasian/common-price correspondence and the Bayesian harness).
+Walrasian/common-price correspondence and the Bayesian harness), and from
+the closed-form Monte Carlo: the AND-OR utility cross-checks of
+`verify_andor`, the equilibrium welfare and CDF series of `poa_report`, and
+the symmetric-equilibrium draws of `grid_game_report`.
 
 A refactor of those shared pieces must leave every byte unchanged; a digest
 may change only with a CHANGES.md entry saying why. The digests hold for
@@ -111,6 +114,10 @@ def bayes_priority_payload():
 
 
 PAYLOADS = {
+    "andor_mc_m2": lambda: xp.verify_andor(2, 1.0, trials=200_000, seed=SEED, mc_points=2),
+    "andor_mc_m8": lambda: xp.verify_andor(8, 0.5, trials=200_000, seed=SEED, mc_points=2),
+    "poa_report": lambda: xp.poa_report(16, 0.25, 200_000, SEED),
+    "grid_game_report": lambda: xp.grid_game_report(2, 200_000, SEED),
     "additive_dynamics": lambda: xp.additive_dynamics_report(3, 3, 2000, SEED),
     "andor_dynamics": lambda: xp.andor_dynamics_report(2, 1.0, 300, SEED, levels=11),
     "mixed_game": mixed_game_payload,
@@ -126,12 +133,16 @@ PAYLOADS = {
 GOLDEN = {
     "additive_dynamics": "640bd5bde1903bb7267049762db2029bae68ec818b23ebee71c0eb4dafc31d9c",
     "andor_dynamics": "387424322a1d897e59059b56c5bb9415d0922da928f7262b1c5df97a4dea1374",
+    "andor_mc_m2": "6bd7603a76d24b5e42fc983bded36b2aba848636e2790033c47c44b8ab357b4b",
+    "andor_mc_m8": "9ecca1ff87a7dd9ec9361ebc31ab31110e7f7391575e88758b75568efc870701",
     "bayes_priority": "97f1a92fbef246bd0584afef75dd11b2c9f4ee5089fe7dd71fe6d6a1b1c3de66",
     "bayes_report": "4877cccdb5e6fb17bfbec1defcf0e2ae73c84943882d8b170a473910983cc724",
     "best_response": "a954537b9eba5fd0bb1ac3c0e04ca59c39749eef91076f79b7eb62ef1b4ceb85",
     "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
+    "grid_game_report": "b3d9b3f69847568f731fcbf02c623b902cc9976c77de6c57af776a66ccb079ce",
     "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
     "mixed_game": "5efd855f368b543cb7336a834b309e8b1fea745853a234edbb5640a203a3bc6e",
+    "poa_report": "e37b96bc7a74bd298d147c09db03219f0a531de2cfc1d1383dad3b973fdd34af",
     "pure_nash": "2557b48fe09f883a5666f601cb5cb920e4daa393b651185b53bad74a05fc544d",
     "separable_priority": "9cdb1928fc79084c2e25b1fa80f9bbea026facd90696c051152c2ba1267c53ee",
 }
