@@ -257,12 +257,14 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
     player takes its item. Also reports the empirical frequency of the AND
     zero-bid atom against its analytic mass 1 - 1/(m v).
     """
+    if not isinstance(trials, (int, np.integer)) or trials < 2:
+        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
     rng = rng_for(seed, "andor-welfare", pair.m)
     y = pair.sample_and_bids(rng, trials)
     _, x = pair.sample_or_bids(rng, trials)
     welfare = np.where(y > x, 1.0, pair.v)  # exact float tie y == x is AND-first
     est = float(welfare.mean())
-    ci = Z99 * float(welfare.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
+    ci = Z99 * float(welfare.std(ddof=1)) / math.sqrt(trials)
     atom_prob = 0.0 if pair.v <= pair.top + CDF_TOL else 1.0 - 1.0 / (pair.m * pair.v)
     return WelfareEstimate(est, ci, trials, seed, float(np.mean(y == 0.0)), atom_prob)
 

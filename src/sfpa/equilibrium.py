@@ -1,9 +1,9 @@
 """Walrasian equilibria, discretized pure Nash equilibria, and gap checks.
 
-Walrasian search exploits the First Welfare Theorem: only welfare-optimal
-allocations can carry supporting prices, so it enumerates those and solves
-a price-feasibility LP per allocation (canonical prices minimize the
-maximum price, then the price sum).
+Walrasian search exploits the First Welfare Theorem and Gul and Stacchetti
+(JET 1999, Lemma 1): if any welfare-optimal allocation has supporting
+prices, all do, so one price LP on the first maximizer decides existence
+(canonical prices minimize the maximum price, then the price sum).
 
 Grid Nash search enumerates bid profiles over finite per-player action
 families and keeps those where no player can gain more than epsilon by a
@@ -11,7 +11,8 @@ grid deviation. The common-price scan is a structured profile family
 (everyone bids one shared price vector, per-item priority to the assigned
 winner) matching the bid profiles through which the Walrasian/pure-Nash
 correspondence is proved; it is how the correspondence is exercised at
-desk scale, since full product grids blow past any enumeration cap.
+desk scale, since full product grids blow past any enumeration cap. Its
+deviations range over all real bids, as in the paper's continuous game.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import closedform as cf
-from .auction import (MAXIMIZER_LIMIT, Allocation, CapExceeded, PriorityRule, TIE_TOL,
-                      bid_utilities, price_to_beat, priority_ranks, welfare_maximizers)
+from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, bid_utilities,
+                      price_to_beat, priority_ranks, welfare_maximizers)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
@@ -66,6 +68,19 @@ def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, 
     return np.vstack(rows), np.concatenate(rhs)
 
 
+def demand(tables: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each player's best utility and best bundle (lowest index among ties)
+    when bundles cost `costs`: tables (n, 2^m) and `bundle_costs` output
+    (2^m, ...) give two (n, ...) arrays."""
+    util = tables.reshape(tables.shape + (1,) * (costs.ndim - 1)) - costs
+    return util.max(axis=1), util.argmax(axis=1)
+
+
+def _held_utilities(tables: np.ndarray, costs: np.ndarray, alloc: Allocation) -> np.ndarray:
+    """(n, ...) utility of each player's own bundle under `alloc`."""
+    return np.stack([t[alloc.bundle(i)] - costs[alloc.bundle(i)] for i, t in enumerate(tables)])
+
+
 def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
                     tol: float = MONEY_TOL):
     """None if every player's bundle is demand-optimal, else a witness
@@ -73,13 +88,11 @@ def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
     prices = np.asarray(we.prices, dtype=np.float64)
     if (prices < -tol).any() or not np.isfinite(prices).all():
         raise ValueError("prices must be finite and nonnegative")
+    tables = np.stack([v.as_table() for v in vals])
     costs = bundle_costs(prices)
-    for i, v in enumerate(vals):
-        util = v.as_table() - costs
-        mine = we.allocation.bundle(i)
-        best = int(np.argmax(util))
-        if util[best] > util[mine] + tol:
-            return i, best
+    best, arg = demand(tables, costs)
+    for i in np.flatnonzero(best > _held_utilities(tables, costs, we.allocation) + tol):
+        return int(i), int(arg[i])
     return None
 
 
@@ -90,14 +103,12 @@ def _support_prices(vals: list[Valuation], alloc: Allocation):
     single-item two-bidder market returns the low end of its price range.
     """
     m = vals[0].m
-    demand, rhs = _demand_rows(vals, alloc)
+    rows, rhs = _demand_rows(vals, alloc)
     eye = np.eye(m)
-    a_ub = np.vstack([np.column_stack([demand, np.zeros(len(demand))]),
+    a_ub = np.vstack([np.column_stack([rows, np.zeros(len(rows))]),
                       np.column_stack([eye, np.full(m, -1.0)])])  # p_j <= t
     b_ub = np.concatenate([rhs, np.zeros(m)])
-    obj = np.zeros(m + 1)
-    obj[m] = 1.0
-    first = feasible_point(a_ub, b_ub, m + 1, minimize=obj)
+    first = feasible_point(a_ub, b_ub, m + 1, minimize=np.eye(m + 1)[m])  # minimize t
     if first is None:
         return None
     cap = first[m] + 1e-10  # headroom at solver accuracy, well below MONEY_TOL
@@ -109,24 +120,29 @@ def _support_prices(vals: list[Valuation], alloc: Allocation):
     return first[:m] if x is None else x[:m]
 
 
+def _snap(p: float) -> float:
+    """p, or the nearest fraction with denominator <= 1000 if within 1e-9; never -0.0."""
+    q = float(Fraction(p).limit_denominator(1000))
+    return (q if abs(q - p) <= 1e-9 else float(p)) + 0.0
+
+
 def walrasian_search(vals: list[Valuation], cap: int = 10_000_000,
                      tol: float = MONEY_TOL) -> WalrasianEquilibrium | None:
-    """First Walrasian equilibrium over welfare-optimal allocations (tried
-    lazily in lexicographic order), or None."""
+    """A Walrasian equilibrium on the first welfare maximizer (lexicographic
+    order), or None. One price LP decides existence: if any maximizer has
+    supporting prices, every maximizer does."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     _, found = welfare_maximizers(vals, cap, 1e-9)
-    for k, winners in enumerate(found):
-        if k == MAXIMIZER_LIMIT:
-            raise CapExceeded(f"no supporting prices for the first {MAXIMIZER_LIMIT} maximizers")
-        alloc = Allocation(winners)
-        prices = _support_prices(vals, alloc)
-        if prices is None:
-            continue
-        we = WalrasianEquilibrium(alloc, tuple(float(p) for p in prices))
-        witness = walrasian_check(vals, we, tol)
-        if witness is not None:
-            raise RuntimeError(f"LP prices fail the demand check: {witness}")
-        return we
-    return None
+    alloc = Allocation(next(found))
+    prices = _support_prices(vals, alloc)
+    if prices is None:
+        return None
+    we = WalrasianEquilibrium(alloc, tuple(_snap(p) for p in prices))
+    witness = walrasian_check(vals, we, tol)
+    if witness is not None:
+        raise RuntimeError(f"LP prices fail the demand check: {witness}")
+    return we
 
 
 @dataclass(frozen=True)
@@ -228,14 +244,11 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
 
 def sup_deviation_utility(v: Valuation, beat: np.ndarray) -> float:
     """Supremum over all real bid vectors of the player's deviation utility,
-    given the highest rival bid `beat` on each item.
-
-    Winning item j costs at least max(beat_j, 0) and that cost is
-    approachable (or attained under a favoring tie), so the sup is max over
-    bundles T of v(T) - beat(T). A profile is an eps-equilibrium in the
-    continuum iff every player's sup gain is <= eps.
-    """
-    return float((v.as_table() - bundle_costs(np.maximum(beat, 0.0))).max())
+    given the highest rival bid `beat` on each item: its demand at prices
+    max(beat, 0), costs that are approachable (or attained under a favoring
+    tie). A profile is an eps-equilibrium in the continuum iff every
+    player's sup gain is <= eps."""
+    return float(demand(v.as_table()[None], bundle_costs(np.maximum(beat, 0.0)))[0][0])
 
 
 @dataclass(frozen=True)
@@ -492,11 +505,12 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
                       stop_at_first: bool = True) -> list[CommonPriceEquilibrium]:
     """Grid equilibria in the common-price family.
 
-    A profile is one shared price vector p (all players bid p on every
-    item) plus an assignment of each item to a winner, ties favoring the
-    assigned winner. Deviations are unrestricted grid bids: beating item j
-    costs p_j for its winner and p_j + step for everyone else. Returns
-    profiles whose best deviation gain is <= eps.
+    A profile is one shared price vector p on the grid (all players bid p
+    on every item) plus an assignment of each item to a winner, ties
+    favoring the assigned winner. Deviations are unrestricted real bids:
+    any player wins item j at any price above p_j, and the sup of its
+    deviation utility is its best bundle's utility at p. So a profile's gain
+    is the Walrasian demand gap at p. Returns profiles whose gain is <= eps.
     """
     n, m = len(vals), vals[0].m
     pts = grid.points()
@@ -505,11 +519,12 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)
-    tables = [v.as_table() for v in vals]
+    tables = np.stack([v.as_table() for v in vals])
+    best, _ = demand(tables, costs)  # the same for every assignment
     found = []
     for assign in itertools.product(range(n), repeat=m):
         alloc = Allocation(assign)
-        worst = _common_price_gains(tables, costs, alloc, grid.step)
+        worst = (best - _held_utilities(tables, costs, alloc)).max(axis=0)
         for k in np.flatnonzero(worst <= eps + TIE_TOL):
             found.append(CommonPriceEquilibrium(tuple(float(p) for p in prices[:, k]), alloc,
                                                 float(worst[k])))
@@ -518,28 +533,13 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     return found
 
 
-def common_price_gap(vals: list[Valuation], prices, alloc: Allocation,
-                     step: float) -> float:
+def common_price_gap(vals: list[Valuation], prices, alloc: Allocation) -> float:
     """Best deviation gain in the common-price profile (everyone bids
-    `prices`, ties to the allocated winner, deviations on the step grid)."""
+    `prices`, ties to the allocated winner, deviations over all real bids):
+    the largest Walrasian demand gap at `prices`."""
+    tables = np.stack([v.as_table() for v in vals])
     costs = bundle_costs(np.asarray(prices, dtype=np.float64))
-    return float(_common_price_gains([v.as_table() for v in vals], costs, alloc, step))
-
-
-def _common_price_gains(tables: list, costs: np.ndarray, alloc: Allocation,
-                        step: float) -> np.ndarray:
-    """Largest deviation gain over the players for common-price profiles
-    with bundle costs (2^m, ...): outbidding the shared price on an item
-    outside one's own bundle costs one more grid step."""
-    bits = bit_matrix(len(alloc.winners))
-    worst = -np.inf
-    for i, table in enumerate(tables):
-        mine = alloc.bundle(i)
-        extra = step * (bits @ (1.0 - bits[mine]))
-        current = table[mine] - costs[mine]
-        for t, value in enumerate(table):
-            worst = np.maximum(worst, value - (costs[t] + extra[t]) - current)
-    return worst
+    return float((demand(tables, costs)[0] - _held_utilities(tables, costs, alloc)).max())
 
 
 def walrasian_near(vals: list[Valuation], alloc: Allocation, prices,
@@ -548,7 +548,7 @@ def walrasian_near(vals: list[Valuation], alloc: Allocation, prices,
     (per item, sup-norm) of the given prices? LP feasibility check."""
     m = vals[0].m
     p0 = np.asarray(prices, dtype=np.float64)
-    demand, rhs = _demand_rows(vals, alloc)
+    rows, rhs = _demand_rows(vals, alloc)
     eye = np.eye(m)
-    return feasible_point(np.vstack([demand, eye, -eye]),
+    return feasible_point(np.vstack([rows, eye, -eye]),
                           np.concatenate([rhs, p0 + slack, -(p0 - slack)]), m) is not None

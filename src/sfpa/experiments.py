@@ -20,7 +20,7 @@ from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_
                        ks_distance, run_no_regret, verify_cce)
 from .equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
                           best_response_gap, common_price_gap, common_price_scan,
-                          walrasian_near, walrasian_search)
+                          walrasian_search)
 from .rng import rng_for
 from .sets import full_set, members
 from .valuations import (AdditiveValuation, AndValuation, OrValuation,
@@ -246,30 +246,26 @@ def _random_lattice_valuation(rng: np.random.Generator, m: int) -> Valuation:
     return TableValuation(m, tuple(float(x) for x in table))
 
 
-def _grid_roundup(x: np.ndarray, step: float) -> np.ndarray:
-    return step * np.ceil(np.asarray(x) / step - 1e-9)
-
-
 def correspondence_case(vals: list[Valuation], grid_step: float = 0.05) -> dict:
     """One instance of the Walrasian <-> grid pure-Nash correspondence.
 
     If a Walrasian equilibrium exists, its prices rounded up to the grid
     with its allocation must be a common-price (2 m grid_step)-equilibrium
-    (prices then agree within one grid step by construction). If none
+    whose prices are within one grid step of the equilibrium's. If none
     exists, the exhaustive common-price scan must find no exact grid
-    equilibrium: the epsilon slack only absorbs discretization in the
-    first direction, and at epsilon of even one grid step spurious
-    equilibria appear in games with no Walrasian equilibrium.
+    equilibrium; its deviations range over all real bids, so an exact hit
+    is itself a Walrasian equilibrium. The epsilon slack only absorbs
+    discretization in the first direction.
     """
     return _correspondence_case(vals, walrasian_search(vals), grid_step)
 
 
 def _correspondence_case(vals: list[Valuation], we, grid_step: float) -> dict:
     if we is not None:
-        prices = _grid_roundup(np.array(we.prices), grid_step)
-        gap = common_price_gap(vals, prices, we.allocation, grid_step)
+        prices = grid_step * np.ceil(np.array(we.prices) / grid_step - 1e-9)  # round up
+        gap = common_price_gap(vals, prices, we.allocation)
         found = gap <= 2.0 * vals[0].m * grid_step + 1e-12
-        near = found and walrasian_near(vals, we.allocation, prices, grid_step + 1e-9)
+        near = found and np.abs(prices - we.prices).max() <= grid_step + 1e-9
         return {"walrasian": True, "grid_equilibrium": found, "grid_gap": float(gap),
                 "prices_agree": bool(near), "agree": bool(found and near)}
     scan = common_price_scan(vals, BidGrid(grid_step, 2.0), eps=0.0, stop_at_first=True)

@@ -294,6 +294,20 @@ def test_verify_andor_needs_two_trials(capsys):
     assert "trials" in precondition_message(code, err)
 
 
+def test_poa_needs_two_trials(capsys):
+    for args in (["--m", "4", "--trials", "0"], ["--m", "4", "--trials", "1"],
+                 ["--sweep", "4,9", "--trials", "1"]):
+        code, _, err = run_cli(["poa", *args], capsys)
+        assert "trials" in precondition_message(code, err)
+
+
+def test_walrasian_tolerance_checked(capsys):
+    for tol in ("-1", "nan"):
+        code, _, err = run_cli(["walrasian", "--game", "andor", "--v", "0.4",
+                                "--tolerance", tol], capsys)
+        assert "tolerance" in precondition_message(code, err)
+
+
 def test_unread_flags_are_usage_errors(capsys):
     for args in (["verify", "--game", "andor", "--strategy", "x"],
                  ["poa", "--tolerance", "0.1"], ["dynamics", "--tie-rule", "index"],

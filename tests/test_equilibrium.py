@@ -1,18 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sfpa.auction import Allocation, CapExceeded, PriorityRule, RandomizedRule, outcome
+from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
+                          optimal_allocations, outcome)
 from sfpa.closedform import AndOrStrategyPair, SingleMindedSymmetric
 from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
-                              SingleMindedRole, WalrasianEquilibrium,
-                              best_response_gap, common_price_gap,
-                              common_price_scan, limit_equilibrium_check,
+                              SingleMindedRole, WalrasianEquilibrium, _support_prices,
+                              best_response_gap, bundle_costs, common_price_gap,
+                              common_price_scan, demand, limit_equilibrium_check,
                               pure_nash_search, walrasian_check, walrasian_near,
                               walrasian_search)
 from sfpa.experiments import (andor_game, correspondence_case, grid_game,
                               triangle_game, _random_lattice_valuation)
+from sfpa.lp import feasible_point
 from sfpa.rng import rng_for
-from sfpa.valuations import AdditiveValuation, TableValuation
+from sfpa.valuations import AdditiveValuation, TableValuation, bit_matrix
 
 
 def single_item(values=(1.0, 2.0)):
@@ -64,31 +69,62 @@ def test_walrasian_search_survives_infeasible_canonical_lp():
 
 
 def test_walrasian_search_walks_maximizers_lazily():
-    # all 4^9 assignments tie, more than the maximizer limit; the first one
-    # already has supporting prices, so the search never lists the rest
+    # all 4^9 assignments tie; the search prices the first and never lists the rest
     we = walrasian_search([AdditiveValuation((0.0,) * 9)] * 4)
     assert we.allocation.winners == (0,) * 9
     assert we.prices == (0.0,) * 9
 
 
-@pytest.mark.parametrize("limit", [8, 9])
-def test_walrasian_search_gives_up_past_the_limit(monkeypatch, limit):
-    # none of the triangle game's 9 maximizers has supporting prices
+def test_walrasian_search_solves_one_price_lp(monkeypatch):
+    # none of the triangle game's 9 maximizers has supporting prices; the
+    # first one's infeasible LP settles it
     from sfpa import equilibrium
-    monkeypatch.setattr(equilibrium, "MAXIMIZER_LIMIT", limit)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return feasible_point(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "feasible_point", counted)
     vals, _ = triangle_game()
-    if limit == 9:
-        assert walrasian_search(vals) is None
-    else:
-        with pytest.raises(CapExceeded, match="first 8 maximizers"):
-            walrasian_search(vals)
+    assert walrasian_search(vals) is None
+    assert len(calls) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
+def test_walrasian_search_matches_all_maximizer_oracle(seed, n, m):
+    # the oracle tries every welfare maximizer; the search only the first
+    rng = rng_for(seed, "oracle")
+    vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
+    we = walrasian_search(vals)
+    oracle = any(_support_prices(vals, a) is not None for a in optimal_allocations(vals)[1])
+    assert (we is not None) == oracle
+    if we is not None:
+        assert walrasian_check(vals, we, tol=0.0) is None  # snapped prices pass exactly
+        assert all(math.copysign(1.0, p) == 1.0 for p in we.prices)
+
+
+def test_walrasian_search_rejects_bad_tolerance():
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            walrasian_search(single_item(), tol=tol)
+
+
+def test_snapped_prices():
+    vals, _ = grid_game(3)  # the LP returns 0.9999999998 and 1.0000000001 here
+    assert walrasian_search(vals).prices == (1.0,) * 9
+    rng = rng_for(20260809, "correspondence", 73)  # printed -0.0 before snapping
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    we = walrasian_search([_random_lattice_valuation(rng, m) for _ in range(n)])
+    assert all(math.copysign(1.0, p) == 1.0 for p in we.prices)
 
 
 def test_walrasian_search_grid_side2_all_prices_one():
     vals, _ = grid_game(2)
     we = walrasian_search(vals)
     assert we is not None
-    assert np.allclose(we.prices, 1.0, atol=1e-9)
+    assert we.prices == (1.0,) * 4
     opt = sum(v.value(we.allocation.bundle(i)) for i, v in enumerate(vals))
     assert opt == 4.0
 
@@ -229,9 +265,65 @@ def test_common_price_scan_matches_gap():
     found = common_price_scan(vals, grid, eps=0.0, stop_at_first=False)
     assert found
     for eq in found:
-        gap = common_price_gap(vals, eq.prices, eq.allocation, grid.step)
+        gap = common_price_gap(vals, eq.prices, eq.allocation)
         assert gap <= 1e-12
         assert walrasian_near(vals, eq.allocation, eq.prices, grid.step + 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
+def test_common_price_scan_hits_are_walrasian(seed, n, m):
+    rng = rng_for(seed, "scan-oracle")
+    vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
+    for eq in common_price_scan(vals, BidGrid(0.25, 2.0), eps=0.0, stop_at_first=False):
+        we = WalrasianEquilibrium(eq.allocation, eq.prices)
+        assert walrasian_check(vals, we) is None
+        assert walrasian_near(vals, eq.allocation, eq.prices, 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+       points=st.integers(1, 5))
+def test_demand_matches_bundle_loop(seed, n, m, points):
+    rng = np.random.default_rng(seed)
+    tables = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=(n, 1 << m))
+    prices = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, points))
+    costs = bundle_costs(prices)
+    best, arg = demand(tables, costs)
+    for i in range(n):
+        for k in range(points):
+            util = [tables[i, t] - costs[t, k] for t in range(1 << m)]
+            assert best[i, k] == max(util)
+            assert arg[i, k] == util.index(max(util))
+
+
+def _step_priced_gap(vals, prices, alloc, step):
+    """The discretised game's scorer: a rival pays one grid step above the
+    shared price for each item outside its own bundle."""
+    costs = bundle_costs(np.asarray(prices, dtype=np.float64))
+    bits = bit_matrix(vals[0].m)
+    worst = -np.inf
+    for i, v in enumerate(vals):
+        table, mine = v.as_table(), alloc.bundle(i)
+        extra = step * (bits @ (1.0 - bits[mine]))
+        worst = max(worst, float((table - costs - extra).max() - (table[mine] - costs[mine])))
+    return worst
+
+
+def test_discrete_game_equilibrium_without_walrasian():
+    # Seed 1, instance 140 of the correspondence suite: no Walrasian
+    # equilibrium, yet this common-price profile is an exact equilibrium of
+    # the game discretised at step 0.05. In the paper's continuous game a
+    # player gains 0.15 by deviating.
+    rng = rng_for(1, "correspondence", 140)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
+    assert (n, m) == (3, 3)
+    assert walrasian_search(vals) is None
+    prices, alloc = (0.1, 0.55, 0.95), Allocation((2, 1, 1))
+    assert common_price_gap(vals, prices, alloc) == pytest.approx(0.15, abs=1e-12)
+    assert abs(_step_priced_gap(vals, prices, alloc, 0.05)) <= 1e-12
+    assert common_price_scan(vals, BidGrid(0.05, 2.0), eps=0.0) == []
 
 
 def test_bidgrid_families():

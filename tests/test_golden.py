@@ -139,7 +139,7 @@ GOLDEN = {
     "bayes_report": "4877cccdb5e6fb17bfbec1defcf0e2ae73c84943882d8b170a473910983cc724",
     "best_response": "a954537b9eba5fd0bb1ac3c0e04ca59c39749eef91076f79b7eb62ef1b4ceb85",
     "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
-    "grid_game_report": "b3d9b3f69847568f731fcbf02c623b902cc9976c77de6c57af776a66ccb079ce",
+    "grid_game_report": "94d84d1394a9bb013fa3750f4d84fc7efff378f36fe3a402a68c34c3bc6bd755",
     "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
     "mixed_game": "5efd855f368b543cb7336a834b309e8b1fea745853a234edbb5640a203a3bc6e",
     "poa_report": "e37b96bc7a74bd298d147c09db03219f0a531de2cfc1d1383dad3b973fdd34af",
