@@ -26,7 +26,7 @@ import numpy as np
 
 from . import closedform as cf
 from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, bid_utilities,
-                      price_to_beat, priority_ranks, welfare_maximizers)
+                      optimal_welfare, price_to_beat, priority_ranks)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
@@ -68,12 +68,12 @@ def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, 
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def demand(tables: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each player's best utility and best bundle (lowest index among ties)
-    when bundles cost `costs`: tables (n, 2^m) and `bundle_costs` output
-    (2^m, ...) give two (n, ...) arrays."""
+def demand(tables: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Best bundle utility when bundles cost `costs`: (n, 2^m) tables, or one
+    (2^m,) table, and `bundle_costs` output (2^m, ...) give (n, ...), or
+    (...), utilities."""
     util = tables.reshape(tables.shape + (1,) * (costs.ndim - 1)) - costs
-    return util.max(axis=1), util.argmax(axis=1)
+    return util.max(axis=tables.ndim - 1)
 
 
 def _held_utilities(tables: np.ndarray, costs: np.ndarray, alloc: Allocation) -> np.ndarray:
@@ -90,9 +90,9 @@ def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
         raise ValueError("prices must be finite and nonnegative")
     tables = np.stack([v.as_table() for v in vals])
     costs = bundle_costs(prices)
-    best, arg = demand(tables, costs)
-    for i in np.flatnonzero(best > _held_utilities(tables, costs, we.allocation) + tol):
-        return int(i), int(arg[i])
+    held = _held_utilities(tables, costs, we.allocation)
+    for i in np.flatnonzero(demand(tables, costs) > held + tol):
+        return int(i), int(np.argmax(tables[i] - costs))
     return None
 
 
@@ -128,13 +128,13 @@ def _snap(p: float) -> float:
 
 def walrasian_search(vals: list[Valuation], cap: int = 10_000_000,
                      tol: float = MONEY_TOL) -> WalrasianEquilibrium | None:
-    """A Walrasian equilibrium on the first welfare maximizer (lexicographic
-    order), or None. One price LP decides existence: if any maximizer has
-    supporting prices, every maximizer does."""
+    """A Walrasian equilibrium on the first exact welfare maximizer
+    (lexicographic order), or None. One price LP decides existence: if any
+    maximizer has supporting prices, every maximizer does. The lemma needs
+    an exact maximizer; one a hair below the optimum can have none."""
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    _, found = welfare_maximizers(vals, cap, 1e-9)
-    alloc = Allocation(next(found))
+    _, alloc = optimal_welfare(vals, cap)
     prices = _support_prices(vals, alloc)
     if prices is None:
         return None
@@ -248,7 +248,7 @@ def sup_deviation_utility(v: Valuation, beat: np.ndarray) -> float:
     max(beat, 0), costs that are approachable (or attained under a favoring
     tie). A profile is an eps-equilibrium in the continuum iff every
     player's sup gain is <= eps."""
-    return float(demand(v.as_table()[None], bundle_costs(np.maximum(beat, 0.0)))[0][0])
+    return float(demand(v.as_table(), bundle_costs(np.maximum(beat, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -520,7 +520,7 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)
     tables = np.stack([v.as_table() for v in vals])
-    best, _ = demand(tables, costs)  # the same for every assignment
+    best = demand(tables, costs)  # the same for every assignment
     found = []
     for assign in itertools.product(range(n), repeat=m):
         alloc = Allocation(assign)
@@ -539,7 +539,7 @@ def common_price_gap(vals: list[Valuation], prices, alloc: Allocation) -> float:
     the largest Walrasian demand gap at `prices`."""
     tables = np.stack([v.as_table() for v in vals])
     costs = bundle_costs(np.asarray(prices, dtype=np.float64))
-    return float((demand(tables, costs)[0] - _held_utilities(tables, costs, alloc)).max())
+    return float((demand(tables, costs) - _held_utilities(tables, costs, alloc)).max())
 
 
 def walrasian_near(vals: list[Valuation], alloc: Allocation, prices,

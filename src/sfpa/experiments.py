@@ -250,12 +250,12 @@ def correspondence_case(vals: list[Valuation], grid_step: float = 0.05) -> dict:
     """One instance of the Walrasian <-> grid pure-Nash correspondence.
 
     If a Walrasian equilibrium exists, its prices rounded up to the grid
-    with its allocation must be a common-price (2 m grid_step)-equilibrium
-    whose prices are within one grid step of the equilibrium's. If none
-    exists, the exhaustive common-price scan must find no exact grid
-    equilibrium; its deviations range over all real bids, so an exact hit
-    is itself a Walrasian equilibrium. The epsilon slack only absorbs
-    discretization in the first direction.
+    with its allocation must be a common-price (2 m grid_step)-equilibrium,
+    whose prices are within one grid step of the equilibrium's by
+    construction. If none exists, the exhaustive common-price scan must find
+    no exact grid equilibrium; its deviations range over all real bids, so
+    an exact hit is itself a Walrasian equilibrium. The epsilon slack only
+    absorbs discretization in the first direction.
     """
     return _correspondence_case(vals, walrasian_search(vals), grid_step)
 
@@ -265,9 +265,8 @@ def _correspondence_case(vals: list[Valuation], we, grid_step: float) -> dict:
         prices = grid_step * np.ceil(np.array(we.prices) / grid_step - 1e-9)  # round up
         gap = common_price_gap(vals, prices, we.allocation)
         found = gap <= 2.0 * vals[0].m * grid_step + 1e-12
-        near = found and np.abs(prices - we.prices).max() <= grid_step + 1e-9
         return {"walrasian": True, "grid_equilibrium": found, "grid_gap": float(gap),
-                "prices_agree": bool(near), "agree": bool(found and near)}
+                "prices_agree": bool(found), "agree": bool(found)}
     scan = common_price_scan(vals, BidGrid(grid_step, 2.0), eps=0.0, stop_at_first=True)
     return {"walrasian": False, "grid_equilibrium": bool(scan),
             "prices_agree": None, "agree": not scan}

@@ -45,6 +45,17 @@ def test_walrasian_search_single_item_price_range():
     assert 1.0 - 1e-9 <= we.prices[0] <= 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("values", [(1.0, 1.0 + 5e-10), (1.0 + 5e-10, 1.0)])
+def test_walrasian_search_single_item_near_tie(values):
+    # bidder 0's welfare is within 1e-9 of the optimum in the first order but
+    # only the exact maximizer has supporting prices
+    vals = single_item(values)
+    we = walrasian_search(vals)
+    assert we is not None
+    assert we.allocation.winners == (int(np.argmax(values)),)
+    assert walrasian_check(vals, we, tol=0.0) is None
+
+
 def test_walrasian_search_triangle_none():
     vals, _ = triangle_game()
     assert walrasian_search(vals) is None
@@ -289,12 +300,11 @@ def test_demand_matches_bundle_loop(seed, n, m, points):
     tables = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=(n, 1 << m))
     prices = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, points))
     costs = bundle_costs(prices)
-    best, arg = demand(tables, costs)
+    best = demand(tables, costs)
     for i in range(n):
+        assert (demand(tables[i], costs) == best[i]).all()
         for k in range(points):
-            util = [tables[i, t] - costs[t, k] for t in range(1 << m)]
-            assert best[i, k] == max(util)
-            assert arg[i, k] == util.index(max(util))
+            assert best[i, k] == max(tables[i, t] - costs[t, k] for t in range(1 << m))
 
 
 def _step_priced_gap(vals, prices, alloc, step):
