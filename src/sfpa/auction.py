@@ -8,6 +8,7 @@ equal to the winning bid. Utilities are quasi-linear.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,11 +63,11 @@ class RandomizedRule:
     mixture: tuple  # of (probability, PriorityRule)
 
     def __post_init__(self):
+        if not all(p >= 0 for p, _ in self.mixture):
+            raise ValueError("mixture probabilities must be nonnegative numbers")
         total = sum(p for p, _ in self.mixture)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture probabilities sum to {total}, need 1")
-        if any(p < 0 for p, _ in self.mixture):
-            raise ValueError("mixture probabilities must be nonnegative")
 
     def validate(self, n: int, m: int) -> None:
         for _, rule in self.mixture:
@@ -172,6 +173,57 @@ def bid_utilities(table: np.ndarray, rows: np.ndarray, beat: np.ndarray,
     bundle minus the winning bids."""
     win = wins(rows, beat, favored)
     return table[bundle_masks(win)] - (win * rows).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Rival play: the one home of a bidder's expected utility against its rivals.
+# Scans score lexicographic blocks of profiles at once and add weighted
+# terms in order, so a block gives the bits of a profile-by-profile loop.
+
+_BLOCK = 2 ** 15  # bid entries (or per-action utilities) a scan holds at once
+
+
+def rival_play(bids: np.ndarray, rule) -> list:
+    """(probability, beat, favored) of each deterministic branch of the tie
+    rule, from `price_to_beat` over (..., n, m) profiles."""
+    n, m = bids.shape[-2:]
+    branches = [(1.0, rule)] if isinstance(rule, PriorityRule) else rule.mixture
+    return [(prob, *price_to_beat(bids, priority_ranks(det, n, m))) for prob, det in branches]
+
+
+def expected_utilities(table: np.ndarray, rows: np.ndarray, play: list, player: int):
+    """Utility of `player`'s bid rows (..., m) in expectation over the
+    branches of `play`, the rows broadcast against the profiles' leading
+    axes: (K, 1, m) rows against (B,) profiles give (K, B) utilities."""
+    return sum(prob * bid_utilities(table, rows, beat[..., player, :], favored[..., player, :])
+               for prob, beat, favored in play)
+
+
+def product_play(n: int, m: int, mixed: dict, width: int):
+    """Independent finite mixtures in lexicographic blocks (the last player's
+    choice varies fastest). `mixed` maps a player to its probabilities (K,)
+    and bid rows (K, m); rows of probability 0 are skipped and other players
+    bid zero. Yields the (B,) joint probabilities and (B, n, m) profiles of
+    B combinations, B * width entries filling at most _BLOCK (B >= 1)."""
+    mixed = {k: (probs[probs > 0], rows[probs > 0]) for k, (probs, rows) in mixed.items()}
+    sizes = [len(probs) for probs, _ in mixed.values()]
+    total, size = math.prod(sizes), max(1, _BLOCK // width)
+    for start in range(0, total, size):
+        index = np.arange(start, min(start + size, total))
+        weights, bids = np.ones(index.size), np.zeros((index.size, n, m))
+        for (k, (probs, rows)), pick in zip(mixed.items(),
+                                             np.unravel_index(index, sizes) if sizes else ()):
+            weights = weights * probs[pick]
+            bids[:, k] = rows[pick]
+        yield weights, bids
+
+
+def weighted_sum(total, weights: np.ndarray, values: np.ndarray):
+    """total + weights[0] * values[0] + weights[1] * values[1] + ..., in order,
+    so that summing a scan block by block gives the bits of a running total."""
+    terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    start = np.reshape(total, (1,) + values.shape[1:])
+    return np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
 
 
 def allocate(bids, rule=PriorityRule()):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import (Allocation, PriorityRule, RandomizedRule, bid_utilities,
-                      check_bids, optimal_welfare, price_to_beat, priority_ranks,
-                      rule_from_json, winners)
+from .auction import (PriorityRule, bundle_masks, check_bids, expected_utilities,
+                      optimal_welfare, priority_ranks, product_play, rival_play,
+                      rule_from_json, weighted_sum, winners)
 from .valuations import valuations_from_json
 
 PROB_TOL = 1e-12
@@ -38,12 +38,20 @@ class FiniteBayesianGame:
         shape = tuple(len(ts) for ts in self.type_vals)
         if self.prior.shape != shape:
             raise ValueError(f"prior shape {self.prior.shape} != type counts {shape}")
-        if abs(self.prior.sum() - 1.0) > PROB_TOL or (self.prior < -PROB_TOL).any():
-            raise ValueError("prior must be a probability table")
-        self.actions = [check_bids(a) for a in self.actions]
+        if (not np.isfinite(self.prior).all() or abs(self.prior.sum() - 1.0) > PROB_TOL
+                or (self.prior < -PROB_TOL).any()):
+            raise ValueError("prior: must be a finite probability table")
         for i, vs in enumerate(self.type_vals):
             if any(v.m != self.m for v in vs):
                 raise ValueError(f"types[{i}]: every type must cover m={self.m} items")
+        if len(self.actions) != self.n:
+            raise ValueError(f"actions: need one action list per player ({self.n})")
+        self.actions = [check_bids(a) for a in self.actions]
+        for i, a in enumerate(self.actions):
+            if a.shape[1] != self.m:
+                raise ValueError(f"actions[{i}]: need {self.m} bids per vector, got {a.shape[1]}")
+        if not isinstance(self.rule, PriorityRule):
+            raise ValueError("tie_rule: Bayesian games take only index or priority rules")
 
     @property
     def n(self) -> int:
@@ -77,14 +85,17 @@ class FiniteBayesianGame:
 
 def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
     """Normalize/validate strategies[i] as a (T_i, K_i) row-stochastic matrix."""
+    if len(strategies) != bg.n:
+        raise ValueError(f"strategies: need one per player ({bg.n}), got {len(strategies)}")
     out = []
     for i, s in enumerate(strategies):
         s = np.asarray(s, dtype=np.float64)
         want = (len(bg.type_vals[i]), bg.actions[i].shape[0])
         if s.shape != want:
-            raise ValueError(f"strategy {i} has shape {s.shape}, want {want}")
-        if (s < -PROB_TOL).any() or np.abs(s.sum(axis=1) - 1.0).max() > PROB_TOL:
-            raise ValueError(f"strategy {i} rows must be distributions")
+            raise ValueError(f"strategies[{i}]: shape {s.shape}, want {want}")
+        if (not np.isfinite(s).all() or (s < -PROB_TOL).any()
+                or np.abs(s.sum(axis=1) - 1.0).max() > PROB_TOL):
+            raise ValueError(f"strategies[{i}]: rows must be finite distributions")
         out.append(s)
     return out
 
@@ -97,25 +108,12 @@ def _type_profiles(bg: FiniteBayesianGame):
             yield q, types
 
 
-def _joint_play(bg: FiniteBayesianGame, strategies: list, types: dict):
-    """Joint action distribution of the players in `types` (player -> type):
-    iterator of (probability, (n, m) bid profile). Other players' rows are
-    zero; a player's own row does not enter its price to beat."""
-    supports = [[(p, bg.actions[k][a]) for a, p in enumerate(strategies[k][t]) if p > 0]
-                for k, t in types.items()]
-    bids = np.zeros((bg.n, bg.m))
-    for combo in itertools.product(*supports):
-        for k, (_, b) in zip(types, combo):
-            bids[k] = b
-        yield math.prod(p for p, _ in combo), bids
-
-
 def _conditional_utilities(bg: FiniteBayesianGame, strategies: list, players):
     """Iterator of (player i, type t, E[u_i(a) | type t] for every action a)
     over the positive-mass types of `players`. The expectation runs over the
     conditional prior on the opponents' types and their mixed actions, as
-    `strategies` stand when (i, t) is reached."""
-    ranks = priority_ranks(bg.rule, bg.n, bg.m)
+    `strategies` stand when (i, t) is reached: the opponents' supports
+    as one `product_play`, scored in blocks."""
     for i in players:
         opp = [k for k in range(bg.n) if k != i]
         marg = bg.type_marginal(i)
@@ -129,9 +127,11 @@ def _conditional_utilities(bg: FiniteBayesianGame, strategies: list, players):
                 q = float(cond[opp_types] if opp_types else cond)
                 if q <= PROB_TOL:
                     continue
-                for prob, bids in _joint_play(bg, strategies, dict(zip(opp, opp_types))):
-                    beat, favored = price_to_beat(bids, ranks)
-                    eu += q * prob * bid_utilities(table, bg.actions[i], beat[i], favored[i])
+                supports = {k: (strategies[k][tk], bg.actions[k]) for k, tk in zip(opp, opp_types)}
+                for weights, bids in product_play(bg.n, bg.m, supports, bg.actions[i].size):
+                    play = rival_play(bids[:, None], bg.rule)  # (S, 1) profiles: (S, K) utilities
+                    eu = weighted_sum(eu, q * weights,
+                                      expected_utilities(table, bg.actions[i], play, i))
             yield i, t, eu
 
 
@@ -191,16 +191,19 @@ class BayesWelfareReport:
 
 
 def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
-    """E over types and mixed actions of the realized social welfare."""
+    """E over types and mixed actions of the realized social welfare, one
+    stacked joint play per type profile."""
     strategies = check_strategies(bg, strategies)
     ranks = priority_ranks(bg.rule, bg.n, bg.m)
     total = 0.0
     for q, types in _type_profiles(bg):
-        vals = [bg.type_vals[i][t] for i, t in enumerate(types)]
-        for prob, bids in _joint_play(bg, strategies, dict(enumerate(types))):
-            alloc = Allocation(tuple(winners(bids, ranks).tolist()))
-            total += q * prob * sum(v.value(alloc.bundle(i)) for i, v in enumerate(vals))
-    return total
+        tables = [bg.type_vals[i][t].as_table() for i, t in enumerate(types)]
+        supports = {k: (strategies[k][t], bg.actions[k]) for k, t in enumerate(types)}
+        for weights, bids in product_play(bg.n, bg.m, supports, bg.n * bg.m):
+            won = winners(bids, ranks)
+            welfare = sum(table[bundle_masks(won == i)] for i, table in enumerate(tables))
+            total = weighted_sum(total, q * weights, welfare)
+    return float(total)
 
 
 def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
@@ -265,9 +268,6 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
     else:
         table = np.asarray(prior, dtype=np.float64)
     rule = rule_from_json(d.get("tie_rule", {"kind": "index"}))
-    if isinstance(rule, RandomizedRule):
-        raise ValueError("tie_rule: Bayesian games support only deterministic "
-                         "(index or priority) tie rules, got 'randomized'")
     bg = FiniteBayesianGame(type_vals, table, [np.asarray(a) for a in d["actions"]], rule)
     strategies = [np.asarray(s, dtype=np.float64) for s in d["strategies"]]
     return bg, strategies

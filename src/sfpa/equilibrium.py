@@ -5,9 +5,10 @@ Walrasian search exploits the First Welfare Theorem and Gul and Stacchetti
 prices, all do, so one price LP on the first maximizer decides existence
 (canonical prices minimize the maximum price, then the price sum).
 
-Grid Nash search enumerates bid profiles over finite per-player action
-families and keeps those where no player can gain more than epsilon by a
-grid deviation. The common-price scan is a structured profile family
+Grid Nash search walks the bid profiles over finite per-player action
+families in lexicographic blocks, scored through `sfpa.auction.rival_play`,
+and keeps those where no player can gain more than epsilon by a grid
+deviation. The common-price scan is a structured profile family
 (everyone bids one shared price vector, per-item priority to the assigned
 winner) matching the bid profiles through which the Walrasian/pure-Nash
 correspondence is proved; it is how the correspondence is exercised at
@@ -25,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, bid_utilities,
-                      optimal_welfare, price_to_beat, priority_ranks)
+from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, expected_utilities,
+                      optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
@@ -160,8 +161,10 @@ class BidGrid:
     family: str = "full"
 
     def __post_init__(self):
-        if self.step <= 0 or self.upper < 0:
-            raise ValueError("need step > 0 and upper >= 0")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"grid step must be finite and > 0, got {self.step!r}")
+        if not 0 <= self.upper < math.inf:
+            raise ValueError(f"grid max must be finite and >= 0, got {self.upper!r}")
         if self.family not in ("full", "uniform_on_bundle", "single_item"):
             raise ValueError(f"unknown grid family {self.family!r}")
 
@@ -193,19 +196,6 @@ class BidGrid:
         return {"step": self.step, "max": self.upper, "family": self.family}
 
 
-def _ranked_rules(rule, n: int, m: int) -> list:
-    """(probability, priority ranks) for each deterministic rule in `rule`."""
-    rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
-    return [(prob, priority_ranks(det, n, m)) for prob, det in rules]
-
-
-def _expected_utilities(table: np.ndarray, rows: np.ndarray, against: list, player: int):
-    """Utility of `player`'s bid rows in expectation over the branches
-    (probability, beat, favored) of a tie rule."""
-    return sum(prob * bid_utilities(table, rows, beat[..., player, :], favored[..., player, :])
-               for prob, beat, favored in against)
-
-
 @dataclass(frozen=True)
 class GridEquilibrium:
     bids: tuple  # (n, m) nested tuples
@@ -216,39 +206,30 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
                      eps: float = 0.0, cap: int = 10_000_000,
                      bundles: list[int] | None = None) -> list[GridEquilibrium]:
     """All grid profiles where no player improves by more than eps with a
-    grid deviation of its own family."""
+    grid deviation of its own family, in lexicographic order of the action
+    indices; each block of profiles scores a player's deviations at once."""
+    if not eps >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {eps!r}")
     n, m = len(vals), vals[0].m
     actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
-    total = math.prod(a.shape[0] for a in actions)
+    sizes = [a.shape[0] for a in actions]
+    total = math.prod(sizes)
     if total > cap:
         raise CapExceeded(f"{total} grid profiles exceed cap {cap}; raise cap= to {total} "
                           f"or coarsen the grid (sfpa pure-nash --grid-step)")
-    ranked = _ranked_rules(rule, n, m)
     tables = [v.as_table() for v in vals]
     found = []
-    for combo in itertools.product(*(range(a.shape[0]) for a in actions)):
-        bids = np.stack([actions[i][combo[i]] for i in range(n)])
-        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
-        worst = 0.0
+    pure = {i: (np.ones(len(a)), a) for i, a in enumerate(actions)}
+    for _, bids in product_play(n, m, pure, max(sizes) * m):
+        play = rival_play(bids, rule)
+        worst = np.zeros(len(bids))
         for i in range(n):
-            dev = _expected_utilities(tables[i], actions[i], against, i)
-            cur = float(_expected_utilities(tables[i], bids[i], against, i))
-            worst = max(worst, float(dev.max()) - cur)
-            if worst > eps + TIE_TOL:
-                break
-        if worst <= eps + TIE_TOL:
-            found.append(GridEquilibrium(tuple(tuple(float(x) for x in row) for row in bids),
-                                         worst))
+            dev = expected_utilities(tables[i], actions[i][:, None], play, i)
+            cur = expected_utilities(tables[i], bids[:, i], play, i)
+            worst = np.maximum(worst, dev.max(axis=0) - cur)
+        found += [GridEquilibrium(tuple(map(tuple, bids[k].tolist())), float(worst[k]))
+                  for k in np.flatnonzero(worst <= eps + TIE_TOL)]
     return found
-
-
-def sup_deviation_utility(v: Valuation, beat: np.ndarray) -> float:
-    """Supremum over all real bid vectors of the player's deviation utility,
-    given the highest rival bid `beat` on each item: its demand at prices
-    max(beat, 0), costs that are approachable (or attained under a favoring
-    tie). A profile is an eps-equilibrium in the continuum iff every
-    player's sup gain is <= eps."""
-    return float(demand(v.as_table(), bundle_costs(np.maximum(beat, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -263,10 +244,11 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
     """Is the candidate a limit of eps-equilibria?
 
     For each eps, scans the grid ball of radius eps (step eps/m) around the
-    candidate for a profile no player can improve by more than eps against
-    (deviations range over the whole continuum via sup_deviation_utility).
-    "inconclusive" reports a ball too large to enumerate, as distinct from
-    an exhaustive search that found nothing.
+    candidate, in lexicographic blocks, for the first profile no player can
+    improve by more than eps against. Deviations range over the continuum: a
+    player's best is its demand at prices max(beat, 0), approachable (or
+    attained under a favoring tie). "inconclusive" reports a ball too large
+    to enumerate, as distinct from an exhaustive search that found nothing.
     """
     cand = np.asarray(candidate, dtype=np.float64)
     n, m = cand.shape
@@ -281,26 +263,24 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
         if total > cap:
             results.append(LimitCheckResult(eps, "inconclusive"))
             continue
-        ranked = _ranked_rules(rule, n, m)
+        ball = np.stack(np.meshgrid(*[offsets] * m, indexing="ij"), axis=-1).reshape(-1, m)
+        near = {i: (np.ones(len(ball)), np.maximum(row + ball, 0.0)) for i, row in enumerate(cand)}
         hit = None
-        for combo in itertools.product(range(2 * m + 1), repeat=n * m):
-            bids = np.maximum(cand + offsets[list(combo)].reshape(n, m), 0.0)
-            against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
-            top_rival = against[0][1]  # the highest rival bid does not depend on the rule
-            ok = True
+        for _, bids in product_play(n, m, near, n * m):
+            play = rival_play(bids, rule)
+            top_rival = play[0][1]  # the highest rival bid does not depend on the rule
+            ok = np.ones(len(bids), dtype=bool)
             for i in range(n):
-                cur = float(_expected_utilities(tables[i], bids[i], against, i))
-                if sup_deviation_utility(vals[i], top_rival[i]) > cur + eps + TIE_TOL:
-                    ok = False
-                    break
-            if ok:
-                hit = bids
+                cur = expected_utilities(tables[i], bids[:, i], play, i)
+                best = demand(tables[i], bundle_costs(np.maximum(top_rival[:, i], 0.0).T))
+                ok &= ~(best > cur + eps + TIE_TOL)
+            if ok.any():
+                hit = bids[np.argmax(ok)]
                 break
         if hit is None:
             results.append(LimitCheckResult(eps, "failure"))
         else:
-            results.append(LimitCheckResult(eps, "ok",
-                                            tuple(tuple(float(x) for x in r) for r in hit)))
+            results.append(LimitCheckResult(eps, "ok", tuple(map(tuple, hit.tolist()))))
     return results
 
 
@@ -315,11 +295,11 @@ class FiniteSupportStrategy:
     atoms: tuple  # of (probability, bid tuple)
 
     def __post_init__(self):
+        if not all(p >= 0 for p, _ in self.atoms):
+            raise ValueError("probabilities must be nonnegative numbers")
         total = sum(p for p, _ in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}")
-        if any(p < 0 for p, _ in self.atoms):
-            raise ValueError("probabilities must be nonnegative")
 
     def support_vectors(self) -> np.ndarray:
         return np.array([b for _, b in self.atoms], dtype=np.float64)
@@ -420,24 +400,19 @@ def _singleminded_gap_analytic(role: SingleMindedRole, grid: BidGrid) -> BestRes
 def _exact_gap(vals, strategies, player, grid: BidGrid, rule,
                bundle) -> BestResponseGap:
     n, m = len(vals), vals[0].m
-    ranked = _ranked_rules(rule, n, m)
-    opp_index = [k for k in range(n) if k != player]
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
-    dev = np.zeros(actions.shape[0])
-    base = 0.0
     own = strategies[player]
-    bids = np.zeros((n, m))  # the player's own row does not enter its price to beat
-    for combo in itertools.product(*(range(len(strategies[k].atoms)) for k in opp_index)):
-        prob = math.prod(strategies[opp_index[t]].atoms[c][0] for t, c in enumerate(combo))
-        for t, c in enumerate(combo):
-            bids[opp_index[t]] = strategies[opp_index[t]].atoms[c][1]
-        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
-        dev += prob * _expected_utilities(table, actions, against, player)
-        payoff = _expected_utilities(table, own.support_vectors(), against, player)
-        base += prob * float(np.dot([p for p, _ in own.atoms], payoff))
+    probs = [np.array([p for p, _ in s.atoms]) for s in strategies]
+    rivals = {k: (probs[k], s.support_vectors()) for k, s in enumerate(strategies) if k != player}
+    dev, base = np.zeros(actions.shape[0]), 0.0
+    for weights, bids in product_play(n, m, rivals, actions.size):
+        play = rival_play(bids[:, None], rule)  # (S, 1) profiles: (S, K) utilities
+        dev = weighted_sum(dev, weights, expected_utilities(table, actions, play, player))
+        payoff = expected_utilities(table, own.support_vectors(), play, player)
+        base = weighted_sum(base, weights, np.vecdot(payoff, probs[player]))
     k = int(np.argmax(dev))
-    return BestResponseGap(float(dev[k]) - base, 0.0, "exact", base, tuple(actions[k]))
+    return BestResponseGap(float(dev[k] - base), 0.0, "exact", float(base), tuple(actions[k]))
 
 
 def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
@@ -447,17 +422,18 @@ def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
     draws = [strategies[k].sample(rng, trials) for k in range(n) if k != player]
     own = strategies[player].sample(rng, trials)
     draws.insert(player, own)
-    bids = np.stack(draws, axis=1)
-    against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in _ranked_rules(rule, n, m)]
+    play = rival_play(np.stack(draws, axis=1), rule)
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
-    dev_mean = np.empty(actions.shape[0])
-    dev_var = np.empty(actions.shape[0])
-    for a in range(actions.shape[0]):
-        u = _expected_utilities(table, actions[a], against, player)
-        dev_mean[a] = u.mean()
-        dev_var[a] = u.var(ddof=1)
-    base_u = _expected_utilities(table, own, against, player)
+    dev_mean, dev_var = [], []
+    for _, rows in product_play(1, m, {0: (np.ones(len(actions)), actions)}, trials * m):
+        # (B, 1, m) rows against the trials: one contiguous row of trials per
+        # action, reduced as a lone row would be
+        u = expected_utilities(table, rows, play, player)
+        dev_mean.append(u.mean(axis=1))
+        dev_var.append(u.var(axis=1, ddof=1))
+    dev_mean, dev_var = np.concatenate(dev_mean), np.concatenate(dev_var)
+    base_u = expected_utilities(table, own, play, player)
     base = float(base_u.mean())
     k = int(np.argmax(dev_mean))
     var = dev_var[k] / trials + base_u.var(ddof=1) / trials

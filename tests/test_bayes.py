@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sfpa.auction import PriorityRule, RandomizedRule
 from sfpa.bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
                         bayesian_game_from_json, best_response_strategies,
                         expected_welfare)
@@ -124,6 +125,26 @@ def test_prior_validation():
     with pytest.raises(ValueError):
         FiniteBayesianGame([[AdditiveValuation((1.0,))]], np.array([0.5]),
                            [np.zeros((1, 1))])
+    types = [[AdditiveValuation((1.0,)), AdditiveValuation((0.5,))]]
+    with pytest.raises(ValueError, match="^prior:"):  # NaN fails every comparison
+        FiniteBayesianGame(types, np.array([np.nan, 1.0]), [np.zeros((1, 1))])
+
+
+def test_game_input_checked_where_it_enters():
+    types = [[AndValuation(2, 1.0)], [OrValuation(2, 0.5)]]
+    acts = BidGrid(0.5, 1.0).actions_for(2)
+    with pytest.raises(ValueError, match=r"^actions\[1\]: need 2 bids"):
+        FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts[:, :1]])
+    rule = RandomizedRule(((0.5, PriorityRule()), (0.5, PriorityRule(((1, 0), (1, 0))))))
+    with pytest.raises(ValueError, match="^tie_rule:"):
+        FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts], rule)
+    bg = FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts])
+    k = acts.shape[0]
+    bad = pure((1, k), [0])
+    bad[0, 1] = np.nan
+    for strategies in ([pure((1, k), [0]), bad], [pure((1, k), [0]), pure((2, k), [0, 0])]):
+        with pytest.raises(ValueError, match=r"^strategies\[1\]:"):
+            bayes_deviation_gap(bg, strategies)
 
 
 def test_json_ingestion():

@@ -361,3 +361,29 @@ def test_config_keys_by_option_name(tmp_path, capsys):
     assert code == 0
     spec = body_of(out)["spec"]
     assert (spec["grid_step"], spec["upper"], spec["v"]) == (0.2, 1.0, 0.4)
+
+
+def test_bayes_file_input_checked(tmp_path, capsys):
+    doc = {"types": [[{"kind": "and", "m": 2, "value": 1.0}],
+                     [{"kind": "or", "m": 2, "value": 0.5}]],
+           "prior": [[1.0]], "actions": [[[0.0, 0.0], [0.5, 0.5]], [[0.0, 0.0], [0.5, 0.0]]],
+           "strategies": [[[1.0, 0.0]], [[0.0, 1.0]]]}
+    path = tmp_path / "bayes.json"
+    cases = [("actions", [[[0.0, 0.0], [0.5, 0.5]], [[0.0], [0.5]]], "actions[1]:"),
+             ("actions", doc["actions"][:1], "actions:"),
+             ("prior", [[float("nan")]], "prior:"),
+             ("strategies", [[[1.0, 0.0]], [[float("nan"), 1.0]]], "strategies[1]:"),
+             ("strategies", doc["strategies"][:1], "strategies:"),
+             ("strategies", doc["strategies"] * 2, "strategies:")]
+    for key, value, field in cases:
+        path.write_text(json.dumps({**doc, key: value}))  # NaN is written as a bare NaN
+        message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+        assert message.startswith(field)
+
+
+def test_pure_nash_input_checked(capsys):
+    base = ["pure-nash", "--game", "andor", "--v", "0.4", "--grid-step", "0.1", "--max", "1.0"]
+    for flag, value, field in (("--epsilon", "-1", "epsilon"), ("--epsilon", "nan", "epsilon"),
+                               ("--grid-step", "nan", "grid step"), ("--max", "nan", "grid max")):
+        code, _, err = run_cli(base + [flag, value], capsys)
+        assert precondition_message(code, err).startswith(field)

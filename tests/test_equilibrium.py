@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, outcome)
@@ -17,6 +18,7 @@ from sfpa.experiments import (andor_game, correspondence_case, grid_game,
                               triangle_game, _random_lattice_valuation)
 from sfpa.lp import feasible_point
 from sfpa.rng import rng_for
+from sfpa.sets import members
 from sfpa.valuations import AdditiveValuation, TableValuation, bit_matrix
 
 
@@ -102,8 +104,21 @@ def test_walrasian_search_solves_one_price_lp(monkeypatch):
     assert len(calls) == 1
 
 
+def exactly_walrasian(vals, we) -> bool:
+    """Every player's bundle demand-optimal in exact arithmetic, at the
+    prices read as fractions with denominator at most 1000."""
+    prices = [Fraction(p).limit_denominator(1000) for p in we.prices]
+    for i, v in enumerate(vals):
+        utility = [Fraction(v.value(t)) - sum(prices[j] for j in members(t))
+                   for t in range(1 << v.m)]
+        if max(utility) > utility[we.allocation.bundle(i)]:
+            return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
+@example(seed=97875, n=3, m=3)  # prices (2/3, 2/3, 1/6): two bundles tie, but not in floats
 def test_walrasian_search_matches_all_maximizer_oracle(seed, n, m):
     # the oracle tries every welfare maximizer; the search only the first
     rng = rng_for(seed, "oracle")
@@ -112,7 +127,8 @@ def test_walrasian_search_matches_all_maximizer_oracle(seed, n, m):
     oracle = any(_support_prices(vals, a) is not None for a in optimal_allocations(vals)[1])
     assert (we is not None) == oracle
     if we is not None:
-        assert walrasian_check(vals, we, tol=0.0) is None  # snapped prices pass exactly
+        assert walrasian_check(vals, we) is None
+        assert exactly_walrasian(vals, we)  # snapped prices support the allocation exactly
         assert all(math.copysign(1.0, p) == 1.0 for p in we.prices)
 
 
@@ -167,6 +183,23 @@ def test_pure_nash_cap():
     vals = single_item((1.0, 2.0))
     with pytest.raises(CapExceeded):
         pure_nash_search(vals, BidGrid(0.0001, 2.0), cap=1000)
+
+
+def test_grid_search_input_checked():
+    for eps in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            pure_nash_search(single_item(), BidGrid(0.5, 1.0), eps=eps)
+    for step in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^grid step"):
+            BidGrid(step, 1.0)
+    for upper in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^grid max"):
+            BidGrid(0.1, upper)
+    for probs in ((float("nan"), 1.0), (1.5, -0.5)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FiniteSupportStrategy(tuple((p, (0.0,)) for p in probs))
+    with pytest.raises(ValueError, match="nonnegative"):
+        RandomizedRule(((float("nan"), PriorityRule()), (1.0, PriorityRule())))
 
 
 def test_limit_equilibrium_examples():

@@ -1,0 +1,313 @@
+"""The rival-play kernel against the scalar loops it replaced.
+
+`pure_nash_search`, `limit_equilibrium_check`, the exact best-response gap
+and the Bayesian conditional utilities score blocks of profiles through
+`auction.rival_play` / `expected_utilities`. The reference loops below are
+the per-profile versions they replaced, kept verbatim: one `price_to_beat`
+per profile, visited with `itertools.product`. The comparisons are exact,
+bit for bit, on small random games with coarse bids that force ties.
+"""
+
+import itertools
+import math
+from contextlib import contextmanager
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from sfpa import auction
+from sfpa.auction import (_BLOCK, Allocation, PriorityRule, RandomizedRule, bid_utilities,
+                          expected_utilities, price_to_beat, priority_ranks, product_play,
+                          rival_play, weighted_sum, winners)
+from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, expected_welfare
+from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, best_response_gap, bundle_costs,
+                              demand, limit_equilibrium_check, pure_nash_search)
+from sfpa.valuations import TableValuation
+
+
+def _ranked_rules(rule, n, m):
+    rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
+    return [(prob, priority_ranks(det, n, m)) for prob, det in rules]
+
+
+def _expected_utilities(table, rows, against, player):
+    return sum(prob * bid_utilities(table, rows, beat[..., player, :], favored[..., player, :])
+               for prob, beat, favored in against)
+
+
+def pure_nash_loop(vals, grid, rule, eps):
+    n, m = len(vals), vals[0].m
+    actions = [grid.actions_for(m) for _ in range(n)]
+    ranked = _ranked_rules(rule, n, m)
+    tables = [v.as_table() for v in vals]
+    found = []
+    for combo in itertools.product(*(range(a.shape[0]) for a in actions)):
+        bids = np.stack([actions[i][combo[i]] for i in range(n)])
+        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+        worst = 0.0
+        for i in range(n):
+            dev = _expected_utilities(tables[i], actions[i], against, i)
+            cur = float(_expected_utilities(tables[i], bids[i], against, i))
+            worst = max(worst, float(dev.max()) - cur)
+            if worst > eps + 1e-12:
+                break
+        if worst <= eps + 1e-12:
+            found.append((tuple(tuple(float(x) for x in row) for row in bids), worst))
+    return found
+
+
+def limit_loop(vals, candidate, rule, eps_list, cap):
+    cand = np.asarray(candidate, dtype=np.float64)
+    n, m = cand.shape
+    tables = [v.as_table() for v in vals]
+    results = []
+    for eps in eps_list:
+        step = eps / m
+        offsets = step * np.arange(-m, m + 1)
+        if (2 * m + 1) ** (n * m) > cap:
+            results.append((eps, "inconclusive", None))
+            continue
+        ranked = _ranked_rules(rule, n, m)
+        hit = None
+        for combo in itertools.product(range(2 * m + 1), repeat=n * m):
+            bids = np.maximum(cand + offsets[list(combo)].reshape(n, m), 0.0)
+            against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+            top_rival = against[0][1]
+            ok = True
+            for i in range(n):
+                cur = float(_expected_utilities(tables[i], bids[i], against, i))
+                sup = float(demand(tables[i], bundle_costs(np.maximum(top_rival[i], 0.0))))
+                if sup > cur + eps + 1e-12:
+                    ok = False
+                    break
+            if ok:
+                hit = bids
+                break
+        if hit is None:
+            results.append((eps, "failure", None))
+        else:
+            results.append((eps, "ok", tuple(tuple(float(x) for x in r) for r in hit)))
+    return results
+
+
+def exact_gap_loop(vals, strategies, player, grid, rule):
+    n, m = len(vals), vals[0].m
+    ranked = _ranked_rules(rule, n, m)
+    opp_index = [k for k in range(n) if k != player]
+    actions = grid.actions_for(m)
+    table = vals[player].as_table()
+    dev = np.zeros(actions.shape[0])
+    base = 0.0
+    own = strategies[player]
+    bids = np.zeros((n, m))
+    for combo in itertools.product(*(range(len(strategies[k].atoms)) for k in opp_index)):
+        prob = math.prod(strategies[opp_index[t]].atoms[c][0] for t, c in enumerate(combo))
+        for t, c in enumerate(combo):
+            bids[opp_index[t]] = strategies[opp_index[t]].atoms[c][1]
+        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+        dev += prob * _expected_utilities(table, actions, against, player)
+        payoff = _expected_utilities(table, own.support_vectors(), against, player)
+        base += prob * float(np.dot([p for p, _ in own.atoms], payoff))
+    k = int(np.argmax(dev))
+    return float(dev[k]) - base, base, tuple(actions[k])
+
+
+def _joint_play_loop(bg, strategies, types):
+    supports = [[(p, bg.actions[k][a]) for a, p in enumerate(strategies[k][t]) if p > 0]
+                for k, t in types.items()]
+    bids = np.zeros((bg.n, bg.m))
+    for combo in itertools.product(*supports):
+        for k, (_, b) in zip(types, combo):
+            bids[k] = b
+        yield math.prod(p for p, _ in combo), bids
+
+
+def conditional_utilities_loop(bg, strategies):
+    ranks = priority_ranks(bg.rule, bg.n, bg.m)
+    for i in range(bg.n):
+        opp = [k for k in range(bg.n) if k != i]
+        marg = bg.type_marginal(i)
+        for t in range(len(bg.type_vals[i])):
+            if marg[t] <= 1e-12:
+                continue
+            table = bg.type_vals[i][t].as_table()
+            cond = np.moveaxis(bg.prior, i, 0)[t] / marg[t]
+            eu = np.zeros(bg.actions[i].shape[0])
+            for opp_types in itertools.product(*(range(len(bg.type_vals[k])) for k in opp)):
+                q = float(cond[opp_types] if opp_types else cond)
+                if q <= 1e-12:
+                    continue
+                for prob, bids in _joint_play_loop(bg, strategies, dict(zip(opp, opp_types))):
+                    beat, favored = price_to_beat(bids, ranks)
+                    eu += q * prob * bid_utilities(table, bg.actions[i], beat[i], favored[i])
+            yield i, t, eu
+
+
+def expected_welfare_loop(bg, strategies):
+    ranks = priority_ranks(bg.rule, bg.n, bg.m)
+    total = 0.0
+    for types in itertools.product(*(range(len(ts)) for ts in bg.type_vals)):
+        q = float(bg.prior[types])
+        if q <= 1e-12:
+            continue
+        vals = [bg.type_vals[i][t] for i, t in enumerate(types)]
+        for prob, bids in _joint_play_loop(bg, strategies, dict(enumerate(types))):
+            alloc = Allocation(tuple(winners(bids, ranks).tolist()))
+            total += q * prob * sum(v.value(alloc.bundle(i)) for i, v in enumerate(vals))
+    return total
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+def random_table(rng, m):
+    """Monotone value table: on the 0.25 lattice (ties) or on 0.1 steps
+    (inexact sums), with value 0 for the empty bundle."""
+    step = 0.25 if rng.random() < 0.5 else 0.1
+    raw = step * rng.integers(0, 9, 1 << m)
+    table = np.zeros(1 << m)
+    for s in range(1, 1 << m):
+        table[s] = max(raw[s], max(table[s & ~(1 << j)] for j in range(m) if s >> j & 1))
+    return TableValuation(m, tuple(float(x) for x in table))
+
+
+def random_rule(rng, n, m, randomized):
+    def priority():
+        return PriorityRule(tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m)))
+    if not randomized:
+        return priority() if rng.random() < 0.7 else PriorityRule()
+    p = float(rng.choice([0.25, 0.5, 1.0 / 3.0]))
+    return RandomizedRule(((p, priority()), (1.0 - p, priority())))
+
+
+def random_mixture(rng, m, step):
+    """1-3 atoms on a coarse grid; probabilities sum to 1 and may be 0."""
+    k = int(rng.integers(1, 4))
+    probs = rng.choice([0.0, 1.0, 2.0, 3.0], k)
+    probs[0] += 1.0
+    probs = probs / probs.sum()
+    bids = step * rng.integers(0, 4, (k, m))
+    return FiniteSupportStrategy(tuple((float(p), tuple(b.tolist())) for p, b in zip(probs, bids)))
+
+
+small_games = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+block_entries = st.sampled_from([1, 5, 64, _BLOCK])  # small blocks split the scans
+
+
+@contextmanager
+def block_size(entries):
+    saved, auction._BLOCK = auction._BLOCK, entries
+    try:
+        yield
+    finally:
+        auction._BLOCK = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=small_games, randomized=st.booleans(), eps=st.sampled_from([0.0, 0.05, 0.2]),
+       grid=st.sampled_from([(0.5, 1.0), (0.3, 0.6), (0.25, 0.5), (0.1, 0.2)]),
+       block=block_entries)
+def test_pure_nash_search_matches_profile_loop(game, randomized, eps, grid, block):
+    n, m, seed = game
+    rng = np.random.default_rng(seed)
+    vals = [random_table(rng, m) for _ in range(n)]
+    rule = random_rule(rng, n, m, randomized)
+    grid = BidGrid(*grid)
+    with block_size(block):
+        got = [(e.bids, bits(e.gap)) for e in pure_nash_search(vals, grid, rule, eps)]
+    assert got == [(b, bits(g)) for b, g in pure_nash_loop(vals, grid, rule, eps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=small_games, randomized=st.booleans(),
+       eps_list=st.sampled_from([(0.1,), (0.25, 0.05), (0.3,)]), block=block_entries)
+def test_limit_check_matches_ball_loop(game, randomized, eps_list, block):
+    n, m, seed = game
+    rng = np.random.default_rng(seed)
+    vals = [random_table(rng, m) for _ in range(n)]
+    rule = random_rule(rng, n, m, randomized)
+    cand = 0.25 * rng.integers(0, 6, (n, m))
+    cap = 700  # the n = 3, m = 2 ball (5^6 profiles) reports inconclusive on both sides
+    with block_size(block):
+        got = [(r.eps, r.status, r.witness)
+               for r in limit_equilibrium_check(vals, cand, rule, eps_list, cap)]
+    assert got == limit_loop(vals, cand, rule, eps_list, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(game=small_games, randomized=st.booleans(),
+       grid=st.sampled_from([(0.5, 1.5), (0.3, 0.9), (0.1, 0.6)]), block=block_entries)
+def test_exact_gap_matches_atom_loop(game, randomized, grid, block):
+    n, m, seed = game
+    rng = np.random.default_rng(seed)
+    vals = [random_table(rng, m) for _ in range(n)]
+    rule = random_rule(rng, n, m, randomized)
+    step = float(rng.choice([0.25, 0.3]))
+    strategies = [random_mixture(rng, m, step) for _ in range(n)]
+    grid = BidGrid(*grid)
+    for player in range(n):
+        with block_size(block):
+            res = best_response_gap(vals, strategies, player, grid, rule)
+        gap, base, dev = exact_gap_loop(vals, strategies, player, grid, rule)
+        assert res.method == "exact"
+        assert (bits(res.gap), bits(res.baseline), res.best_deviation) == \
+            (bits(gap), bits(base), dev)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=small_games, types=st.lists(st.integers(1, 2), min_size=3, max_size=3),
+       correlated=st.booleans(), block=block_entries)
+def test_bayesian_utilities_match_joint_play_loop(game, types, correlated, block):
+    n, m, seed = game
+    rng = np.random.default_rng(seed)
+    counts = types[:n]
+    type_vals = [[random_table(rng, m) for _ in range(c)] for c in counts]
+    prior = rng.choice([0.0, 1.0, 2.0, 3.0], counts) if correlated else np.ones(counts)
+    prior.flat[0] += 1.0
+    prior = prior / prior.sum()
+    actions = [0.25 * np.unique(rng.integers(0, 5, (int(rng.integers(1, 5)), m)), axis=0)
+               for _ in range(n)]
+    bg = FiniteBayesianGame(type_vals, prior, actions, random_rule(rng, n, m, False))
+    strategies = []
+    for i in range(n):
+        s = rng.choice([0.0, 1.0, 1.0, 2.0, 3.0], (counts[i], len(actions[i])))
+        s[:, 0] += 1.0
+        strategies.append(s / s.sum(axis=1, keepdims=True))
+    with block_size(block):
+        got = [(i, t, eu.tobytes())
+               for i, t, eu in _conditional_utilities(bg, strategies, range(n))]
+        welfare = expected_welfare(bg, strategies)
+    assert got == [(i, t, eu.tobytes()) for i, t, eu in conditional_utilities_loop(bg, strategies)]
+    assert bits(welfare) == bits(expected_welfare_loop(bg, strategies))
+
+
+def test_product_play_is_lexicographic():
+    mixed = {0: (np.array([0.25, 0.75]), np.array([[3.0], [4.0]])),
+             2: (np.array([0.5, 0.0, 0.5]), np.array([[1.0], [9.0], [2.0]]))}
+    blocks = list(product_play(3, 1, mixed, _BLOCK // 2))  # two profiles per block
+    assert [len(w) for w, _ in blocks] == [2, 2]
+    weights = np.concatenate([w for w, _ in blocks])
+    bids = np.concatenate([b for _, b in blocks])
+    # player 2's atoms vary fastest; its zero-probability atom is skipped
+    assert bids[:, :, 0].tolist() == [[3.0, 0.0, 1.0], [3.0, 0.0, 2.0],
+                                      [4.0, 0.0, 1.0], [4.0, 0.0, 2.0]]
+    assert weights.tolist() == [0.125, 0.125, 0.375, 0.375]
+    weights, bids = next(product_play(2, 2, {}, 4))
+    assert weights.tolist() == [1.0] and bids.tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_weighted_sum_adds_in_order():
+    # a running total loses each 1.0 against 1e16; a pairwise sum would keep them
+    values = np.array([[1.0], [1.0], [1.0]])
+    assert weighted_sum(np.array([1e16]), np.ones(3), values)[0] == 1e16
+    assert weighted_sum(0.0, np.array([0.5, 0.25]), np.array([2.0, 4.0])) == 2.0
+
+
+def test_expected_utilities_weights_tie_branches():
+    bids = np.array([[[0.5], [0.5]]])  # one profile, both bid 0.5
+    rule = RandomizedRule(((0.25, PriorityRule(((0, 1),))), (0.75, PriorityRule(((1, 0),)))))
+    play = rival_play(bids, rule)
+    table = np.array([0.0, 1.0])
+    rows = np.array([[[0.5]], [[0.75]]])  # (K, 1, m) rows against the (1,) profiles
+    assert expected_utilities(table, rows, play, 0).tolist() == [[0.25 * 0.5], [0.25]]
