@@ -128,7 +128,10 @@ _NO_RANK = np.iinfo(np.int64).max
 
 
 def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
-    """(m, n) tie ranks: on item j the tied player of lowest rank wins."""
+    """(m, n) tie ranks: on item j the tied player of lowest rank wins. A
+    randomized rule has none; `rival_play` scores it branch by branch."""
+    if not isinstance(rule, PriorityRule):
+        raise ValueError(f"tie_rule: need an index or priority rule, got {type(rule).__name__}")
     rule.validate(n, m)
     if rule.order is None:
         return np.tile(np.arange(n), (m, 1))

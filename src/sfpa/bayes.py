@@ -50,8 +50,7 @@ class FiniteBayesianGame:
         for i, a in enumerate(self.actions):
             if a.shape[1] != self.m:
                 raise ValueError(f"actions[{i}]: need {self.m} bids per vector, got {a.shape[1]}")
-        if not isinstance(self.rule, PriorityRule):
-            raise ValueError("tie_rule: Bayesian games take only index or priority rules")
+        priority_ranks(self.rule, self.n, self.m)  # a deterministic rule, valid for n and m
 
     @property
     def n(self) -> int:
@@ -84,7 +83,9 @@ class FiniteBayesianGame:
 
 
 def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
-    """Normalize/validate strategies[i] as a (T_i, K_i) row-stochastic matrix."""
+    """Normalize/validate strategies[i] as a (T_i, K_i) row-stochastic matrix,
+    and the tie rule again, as it may be reassigned after construction."""
+    priority_ranks(bg.rule, bg.n, bg.m)
     if len(strategies) != bg.n:
         raise ValueError(f"strategies: need one per player ({bg.n}), got {len(strategies)}")
     out = []

@@ -179,6 +179,8 @@ def _run_command(args) -> dict:
             with open(args.tie_rule) as fh:
                 rule = rule_from_json(json.load(fh))
         grid = BidGrid(args.grid_step, args.upper, args.family)
+        if args.limit < 0:
+            raise ValueError(f"limit must be >= 0, got {args.limit}")
         eqs = pure_nash_search(vals, grid, rule, args.epsilon, bundles=bundles)
         return {"count": len(eqs),
                 "equilibria": [{"bids": [list(r) for r in e.bids], "gap": e.gap}

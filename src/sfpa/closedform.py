@@ -64,7 +64,7 @@ class AtomicCDF:
         if list(self.atoms) != sorted(self.atoms):
             raise ValueError("atoms must be sorted by point")
         cont = float(self.cont_cdf(np.float64(self.hi)))
-        if abs(atom_mass + cont - 1.0) > CDF_TOL:
+        if not abs(atom_mass + cont - 1.0) <= CDF_TOL:  # NaN fails it too
             raise ValueError(f"total mass {atom_mass + cont} != 1")
         if abs(float(self.cont_cdf(np.float64(self.lo)))) > CDF_TOL:
             raise ValueError("continuous part must start at 0")
@@ -130,8 +130,8 @@ def _point_mass(at: float) -> AtomicCDF:
 def and_bid_cdf(m: int, v: float) -> AtomicCDF:
     """F(y) = (v - 1/m)/(v - y) on [0, 1/m], atom at 0 of mass 1 - 1/(m v)."""
     top = 1.0 / m
-    if v < top - CDF_TOL:
-        raise ValueError(f"need v >= 1/m, got v={v}, m={m}")
+    if not top - CDF_TOL <= v < math.inf:
+        raise ValueError(f"v must be finite and >= 1/m, got v={v}, m={m}")
     if v <= top + CDF_TOL:
         return _point_mass(top)
     a0 = 1.0 - 1.0 / (m * v)
@@ -164,8 +164,8 @@ class AndOrStrategyPair:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need m >= 2")
-        if self.v < 1.0 / self.m - CDF_TOL:
-            raise ValueError(f"need v >= 1/m, got v={self.v}")
+        if not 1.0 / self.m - CDF_TOL <= self.v < math.inf:
+            raise ValueError(f"v must be finite and >= 1/m, got v={self.v}, m={self.m}")
 
     @property
     def top(self) -> float:
@@ -240,11 +240,6 @@ class WelfareEstimate:
     seed: int
     atom_freq: float
     atom_prob: float
-
-    def to_json(self) -> dict:
-        return {"welfare": self.estimate, "ci99": self.ci99, "trials": self.trials,
-                "seed": self.seed, "and_zero_bid_freq": self.atom_freq,
-                "and_zero_bid_prob": self.atom_prob}
 
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auction import (PriorityRule, bid_utilities, bundle_masks, optimal_welfare,
-                      price_to_beat, priority_ranks, winners, wins)
+from .auction import (_BLOCK, PriorityRule, bid_utilities, bundle_masks, optimal_welfare,
+                      price_to_beat, priority_ranks, weighted_sum, winners, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
-from .valuations import AdditiveValuation
+from .valuations import AdditiveValuation, bit_matrix
 
 
 class ExplicitActions:
@@ -95,10 +95,12 @@ class FiniteGame:
     grid_step: float = 0.0  # action spacing, reported into slack accounting
 
     def __post_init__(self):
+        if not self.vals:
+            raise ValueError("n must be >= 1: a game needs a player")
         n, m = len(self.vals), self.vals[0].m
         if len(self.spaces) != n:
             raise ValueError("one action space per player")
-        self.rule.validate(n, m)
+        priority_ranks(self.rule, n, m)  # a deterministic rule, valid for n and m
         for i, sp in enumerate(self.spaces):
             if isinstance(sp, SeparableGrid) and not isinstance(self.vals[i], AdditiveValuation):
                 raise ValueError("separable grids factorize only for additive valuations")
@@ -146,13 +148,6 @@ def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarr
     `u`, clamped to each row's `last` valid level: rounding can leave the
     cumulative sum below 1 - 2**-53, the largest uniform a generator draws."""
     return np.minimum((u[..., None] > probs.cumsum(axis=-1)).sum(axis=-1), last)
-
-
-def _level_gains(levels, valid, weights, beat, favored) -> np.ndarray:
-    """Utility of every bid level (..., L) of an additive bidder on each
-    item, against the item's (beat, favored) (...); padded levels gain 0."""
-    win = wins(levels, beat[..., None], favored[..., None])
-    return np.where(valid, win * (np.asarray(weights)[..., None] - levels), 0.0)
 
 
 def run_no_regret(game: FiniteGame, rounds: int, seed: int,
@@ -248,26 +243,32 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
     """Recompute counterfactual sums from the stored bids and confirm the
     empirical play distribution is a (max_i regret_i / T)-approximate CCE.
 
-    Returns the largest recomputation discrepancy (should be float dust).
+    Every factor of every family takes one path: its rows are scored on its
+    own items, against the value restricted to them, by `bid_utilities`, a
+    block of rounds at a time, and the rounds are added in order.
+    `run_no_regret` instead masks wins by support over the full value table,
+    so the two agree only if the factorization is right. Returns the largest
+    discrepancy over the finite stored sums (0.0 when they agree).
     """
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
     beats, favoreds = price_to_beat(trace.bids, priority_ranks(game.rule, n, m))
     worst = 0.0
-    for i in range(n):
-        sp = game.spaces[i]
-        beat, favored = beats[:, i], favoreds[:, i]  # (T, m)
-        if isinstance(sp, SeparableGrid):  # item by item keeps temporaries at (T, L)
-            recomputed = np.array([
-                _level_gains(sp.levels[j], sp.valid[j], w, beat[:, j], favored[:, j]).sum(axis=0)
-                for j, w in enumerate(game.vals[i].weights)])
-            stored = np.where(sp.valid, trace.cum_counterfactual[i], 0.0)
-        else:
-            table = game.vals[i].as_table()
-            recomputed = np.array([bid_utilities(table, vec, beat, favored).sum()
-                                   for vec in sp.vectors])
-            stored = trace.cum_counterfactual[i]
-        gap = float(np.abs(recomputed - stored).max())
+    for i, sp in enumerate(game.spaces):
+        factors = sp.factors(m)
+        sums = np.zeros((len(factors), max(len(rows) for rows, _ in factors)))
+        for f, (rows, support) in enumerate(factors):
+            items = np.flatnonzero(support)
+            subsets = (bit_matrix(items.size) @ (1 << items)).astype(np.intp)
+            table, own, k = game.vals[i].as_table()[subsets], rows[:, items], len(rows)
+            size = max(1, _BLOCK // own.size)  # rounds per block: (size, k, |items|) wins
+            for start in range(0, trace.rounds, size):
+                at = np.s_[start:start + size, i, items]
+                gain = bid_utilities(table, own, beats[at][:, None], favoreds[at][:, None])
+                sums[f, :k] = weighted_sum(sums[f, :k], np.ones(len(gain)), gain)
+        stored = trace.cum_counterfactual[i]
+        finite = np.isfinite(stored)
+        gap = float(np.abs(sp.unpack(sums)[finite] - stored[finite]).max())
         worst = max(worst, gap)
         if gap > tol * max(1.0, trace.rounds):
             raise RuntimeError(f"counterfactual recomputation drifted by {gap}")

@@ -192,9 +192,6 @@ class BidGrid:
         grids = np.meshgrid(*([pts] * m), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def to_json(self) -> dict:
-        return {"step": self.step, "max": self.upper, "family": self.family}
-
 
 @dataclass(frozen=True)
 class GridEquilibrium:

@@ -53,6 +53,8 @@ def grid_bundles(side: int) -> list[int]:
 def grid_game(side: int) -> tuple[list[Valuation], list[int]]:
     """side^2 items, `side` row bidders and `side` column bidders, value
     `side` each for their full line."""
+    if side < 1:
+        raise ValueError(f"side (--l) must be >= 1, got {side}")
     bundles = grid_bundles(side)
     m = side * side
     return [SingleMindedValuation(m, b, float(side)) for b in bundles], bundles
@@ -75,7 +77,7 @@ def build_game(name: str, m: int = 2, v: float = 1.0, k: int = 2, d: int = 2,
     if name == "single_minded":
         if (k, d) == (2, 2):
             return triangle_game()
-        if d == 2:
+        if d == 2 and k >= 1:
             return grid_game(k)
         raise ValueError(f"no builtin single-minded instance for k={k}, d={d}; "
                          "supply a game file")
@@ -304,6 +306,8 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
                              grid_step: float = 0.05) -> dict:
     """Multiplicative weights on a random additive-valuation game; regret
     envelope and the beta = 1 welfare bound with explicit slack."""
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid step must be finite and > 0, got {grid_step!r}")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
     vals = [AdditiveValuation(tuple(map(float, w))) for w in weights]
@@ -456,6 +460,8 @@ def bayes_report(grid_step: float = 0.05) -> dict:
 
 def strategy_samples(name: str, m: int, v: float, k: int, d: int, count: int,
                      seed: int) -> dict:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = rng_for(seed, "samples", name)
     if name == "andor":
         pair = cf.AndOrStrategyPair(m, v)
@@ -515,22 +521,14 @@ def report_body(command: str, spec: dict, result: dict, seed=None) -> dict:
     return body
 
 
-def pyify(x):
-    """Recursively replace numpy scalars/arrays with plain Python values."""
-    if isinstance(x, dict):
-        return {k: pyify(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [pyify(v) for v in x]
+def _plain(x):
+    """A numpy array or scalar as plain Python values (json's `default`)."""
     if isinstance(x, np.ndarray):
-        return [pyify(v) for v in x.tolist()]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def dumps_canonical(payload: dict) -> str:
-    return json.dumps(pyify(payload), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_plain)

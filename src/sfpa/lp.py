@@ -21,15 +21,6 @@ _OPTIONS = {"primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10}
 
 
-def solve_max(c, a_ub, b_ub, bounds=(0, None)):
-    """Maximize c @ x subject to a_ub @ x <= b_ub, default x >= 0."""
-    res = linprog(-np.asarray(c), A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs", options=_OPTIONS)
-    if not res.success:
-        raise LpError(f"LP solve failed: {res.message}")
-    return res.x
-
-
 def feasible_point(a_ub, b_ub, n: int, minimize=None):
     """A point with a_ub @ x <= b_ub and x >= 0, or None if infeasible.
 

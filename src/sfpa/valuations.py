@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import solve_max
+from .lp import LpError, feasible_point
 from .sets import MAX_ITEMS, from_items, full_set, is_subset, members, subsets
 
 MONEY_TOL = 1e-9
@@ -71,6 +71,13 @@ def _check_m(m: int) -> None:
         raise ValueError(f"need at least one item, got m={m}")
 
 
+def _check_amounts(field: str, amounts) -> None:
+    """Refuse a negative or non-finite money amount, naming its field."""
+    bad = [a for a in amounts if not 0 <= a < math.inf]
+    if bad:
+        raise ValueError(f"{field} must be finite and >= 0, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class TableValuation(Valuation):
     m: int
@@ -101,6 +108,7 @@ class AdditiveValuation(Valuation):
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         _check_m(self.m)
+        _check_amounts("weights", self.weights)
 
     @property
     def m(self) -> int:
@@ -129,6 +137,7 @@ class SingleMindedValuation(Valuation):
         if not is_subset(self.bundle, full_set(self.m)) or self.bundle == 0:
             raise ValueError("bundle must be a nonempty subset of the universe")
         object.__setattr__(self, "amount", float(self.amount))
+        _check_amounts("value", (self.amount,))
 
     def value(self, s: int) -> float:
         return self.amount if is_subset(self.bundle, s) else 0.0
@@ -152,6 +161,7 @@ class AndValuation(Valuation):
     def __post_init__(self):
         _check_m(self.m)
         object.__setattr__(self, "amount", float(self.amount))
+        _check_amounts("value", (self.amount,))
 
     def value(self, s: int) -> float:
         return self.amount if s == full_set(self.m) else 0.0
@@ -175,6 +185,7 @@ class OrValuation(Valuation):
         if not is_subset(self.items, full_set(self.m)) or self.items == 0:
             raise ValueError("designated items must be a nonempty subset")
         object.__setattr__(self, "amount", float(self.amount))
+        _check_amounts("value", (self.amount,))
 
     def value(self, s: int) -> float:
         return self.amount if s & self.items else 0.0
@@ -198,8 +209,7 @@ class XosValuation(Valuation):
             raise ValueError("need at least one clause")
         if len({len(c) for c in cl}) != 1:
             raise ValueError("clauses must share a length")
-        if any(w < 0 for c in cl for w in c):
-            raise ValueError("clause weights must be nonnegative")
+        _check_amounts("clauses", [w for c in cl for w in c])
         object.__setattr__(self, "clauses", cl)
         _check_m(self.m)
 
@@ -331,7 +341,9 @@ def xos_supporting_clause(v: Valuation, target: int, tol: float = MONEY_TOL) -> 
         row[[pos[j] for j in members(s)]] = 1.0
         rows.append(row)
         rhs.append(v.value(s))
-    x = solve_max(np.ones(k), np.array(rows), np.array(rhs))
+    x = feasible_point(np.array(rows), np.array(rhs), k, minimize=-np.ones(k))
+    if x is None:
+        raise LpError(f"supporting-clause LP infeasible at target {target:b}")
     a[idx] = np.maximum(x, 0.0)  # clip solver dust below 0
     # feasibility can be off by solver tolerance only; verify on target's subsets
     for s in subsets(target):
@@ -351,9 +363,6 @@ class BetaCertificate:
 
     beta: float
     clauses: dict = field(repr=False)  # target bitmask -> weight array
-
-    def clause_for(self, target: int) -> np.ndarray:
-        return self.clauses[target]
 
 
 def beta_of(v: Valuation, tol: float = MONEY_TOL) -> BetaCertificate:

@@ -140,6 +140,11 @@ def test_game_input_checked_where_it_enters():
         FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts], rule)
     bg = FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts])
     k = acts.shape[0]
+    bg.rule = rule  # reassigned after construction: refused where it is used
+    for use in (bayes_deviation_gap, expected_welfare):
+        with pytest.raises(ValueError, match="^tie_rule:"):
+            use(bg, [pure((1, k), [0])] * 2)
+    bg.rule = PriorityRule()
     bad = pure((1, k), [0])
     bad[0, 1] = np.nan
     for strategies in ([pure((1, k), [0]), bad], [pure((1, k), [0]), pure((2, k), [0, 0])]):

@@ -384,6 +384,26 @@ def test_bayes_file_input_checked(tmp_path, capsys):
 def test_pure_nash_input_checked(capsys):
     base = ["pure-nash", "--game", "andor", "--v", "0.4", "--grid-step", "0.1", "--max", "1.0"]
     for flag, value, field in (("--epsilon", "-1", "epsilon"), ("--epsilon", "nan", "epsilon"),
-                               ("--grid-step", "nan", "grid step"), ("--max", "nan", "grid max")):
+                               ("--grid-step", "nan", "grid step"), ("--max", "nan", "grid max"),
+                               ("--limit", "-1", "limit")):
         code, _, err = run_cli(base + [flag, value], capsys)
         assert precondition_message(code, err).startswith(field)
+
+
+def test_bad_flags_name_their_field(capsys):
+    learn = ["--rounds", "10"]
+    for args, field in ((["walrasian", "--game", "andor", "--v", "nan"], "value"),
+                        (["poa", "--v", "nan"], "v must"),
+                        (["dynamics", "--mode", "andor", "--v", "nan", *learn], "v must"),
+                        (["dynamics", "--mode", "additive", "--n", "0", *learn], "n must"),
+                        (["walrasian", "--game", "grid", "--l", "0"], "side"),
+                        (["pure-nash", "--game", "grid", "--l", "0"], "side"),
+                        (["walrasian", "--game", "single_minded", "--k", "0"],
+                         "no builtin single-minded instance for k=0"),
+                        (["dynamics", "--mode", "single-item", "--values", "1,-2", *learn],
+                         "weights"),
+                        (["dynamics", "--mode", "additive", "--grid-step", "0", *learn],
+                         "grid step"),
+                        (["sample", "--strategy", "andor", "--count", "-1"], "count")):
+        code, _, err = run_cli(args, capsys)
+        assert precondition_message(code, err).startswith(field), args

@@ -66,6 +66,12 @@ def test_invalid_cdf_rejected():
         AtomicCDF(0.0, 1.0, (), lambda x: -np.asarray(x), lambda u: -np.asarray(u))
     with pytest.raises(ValueError):
         and_bid_cdf(4, 0.2)  # v < 1/m
+    with pytest.raises(ValueError, match="^total mass"):  # NaN fails every comparison
+        AtomicCDF(0.0, 1.0, (), lambda x: np.asarray(x) * np.nan, lambda u: np.asarray(u))
+    for v in (math.nan, math.inf):
+        for build in (and_bid_cdf, AndOrStrategyPair):
+            with pytest.raises(ValueError, match="^v must be finite"):
+                build(2, v)
 
 
 def test_sampling_matches_cdf():

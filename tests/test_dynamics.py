@@ -10,7 +10,7 @@ from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
 from sfpa.equilibrium import BidGrid, pure_nash_search
 from sfpa.experiments import (additive_dynamics_report, andor_dynamics_report,
                               andor_game, single_item_dynamics_report)
-from sfpa.auction import PriorityRule, outcome
+from sfpa.auction import PriorityRule, RandomizedRule, outcome
 from sfpa.rng import rng_for
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              TableValuation)
@@ -137,6 +137,18 @@ def test_action_index_past_int64_is_minus_one():
     assert (run_no_regret(game, 3, seed=1).action_index == -1).all()
 
 
+def test_game_input_checked():
+    with pytest.raises(ValueError, match="^n must be >= 1"):
+        FiniteGame([], [])
+    rule = RandomizedRule(((0.5, PriorityRule()), (0.5, PriorityRule(((1, 0),)))))
+    game = single_item_game()
+    with pytest.raises(ValueError, match="^tie_rule:"):
+        FiniteGame(game.vals, game.spaces, rule)
+    game.rule = rule  # reassigned after construction: refused where it is used
+    with pytest.raises(ValueError, match="^tie_rule:"):
+        run_no_regret(game, 10, seed=1)
+
+
 def test_separable_grid_requires_additive():
     from sfpa.valuations import AndValuation
     with pytest.raises(ValueError):
@@ -161,6 +173,22 @@ def test_mixed_action_spaces():
     for probs in trace.snapshots.values():
         assert probs[0].sum(axis=-1) == pytest.approx(np.ones(2), abs=1e-9)
         assert probs[1].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", ["separable", "explicit", "mixed"])
+def test_verify_cce_catches_a_corrupted_sum(family):
+    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
+    uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2))
+    spaces = {"separable": [sep, sep], "explicit": [uni, uni], "mixed": [sep, uni]}[family]
+    if family == "separable":
+        vals = [vals[0], AdditiveValuation((0.6, 0.2))]
+    trace = run_no_regret(FiniteGame(vals, spaces, grid_step=0.1), 200, seed=4)
+    assert verify_cce(trace) == 0.0
+    cum = trace.cum_counterfactual[-1]
+    cum[np.unravel_index(np.flatnonzero(np.isfinite(cum))[-1], cum.shape)] += 1e-3
+    with pytest.raises(RuntimeError, match="drifted"):
+        verify_cce(trace)
 
 
 def test_welfare_report_fields():
@@ -221,37 +249,44 @@ def test_snapshots_normalized():
 def _random_player(rng, m):
     """An additive bidder on a separable grid whose items have 1-4 levels,
     or an AND, OR or monotone-table bidder on 1-5 explicit bid vectors.
-    Values and bids sit on a 0.25 lattice, so bids tie exactly."""
+    Bids sit on a 0.25 lattice, so they tie exactly; values sit on a 0.1
+    lattice, so sums of utilities round and their order shows."""
     kind = rng.integers(4)
     if kind == 0:
         grid = SeparableGrid([0.25 * np.arange(rng.integers(1, 5)) for _ in range(m)])
-        return AdditiveValuation(tuple(0.25 * rng.integers(1, 5, m))), grid
+        return AdditiveValuation(tuple(0.1 * rng.integers(3, 13, m))), grid
     if kind == 3:
-        table = 0.25 * rng.integers(0, 5, 1 << m)
+        table = 0.1 * rng.integers(0, 13, 1 << m)
         table[0] = 0.0
         s = np.arange(1 << m)
         for j in range(m):  # max over subsets: monotone
             has = s[s >> j & 1 == 1]
             table[has] = np.maximum(table[has], table[has ^ 1 << j])
-        table[-1] += 0.25  # a positive full-bundle value, as normalization needs
+        table[-1] += 0.1  # a positive full-bundle value, as normalization needs
         val = TableValuation(m, tuple(table))
     else:
-        val = (AndValuation, OrValuation)[kind - 1](m, 1.0)
+        val = (AndValuation, OrValuation)[kind - 1](m, 0.1 * rng.integers(3, 13))
     return val, ExplicitActions(0.25 * rng.integers(0, 5, (rng.integers(1, 6), m)))
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([1, 5, 64, dynamics._BLOCK]))
 @settings(max_examples=60, deadline=None)
-def test_factored_loop_matches_reference(n, m, seed):
+def test_factored_loop_matches_reference(n, m, seed, block):
     """Any mix of the action families, n = 1 included, under a random
-    priority rule: the counterfactuals recompute (verify_cce), every
-    round's utilities and welfare equal the scalar outcome, and every
-    action index decodes to the recorded bid row."""
+    priority rule: the counterfactuals recompute exactly (verify_cce, in
+    blocks small enough to split the rounds), every round's utilities and
+    welfare equal the scalar outcome, and every action index decodes to
+    the recorded bid row."""
     rng = np.random.default_rng(seed)
     vals, spaces = zip(*(_random_player(rng, m) for _ in range(n)))
     rule = PriorityRule(tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m)))
     trace = run_no_regret(FiniteGame(list(vals), list(spaces), rule), 30, seed)
-    verify_cce(trace)
+    saved, dynamics._BLOCK = dynamics._BLOCK, block
+    try:
+        assert verify_cce(trace) == 0.0
+    finally:
+        dynamics._BLOCK = saved
     for t in range(30):
         ref = outcome(vals, trace.bids[t], rule)
         assert trace.utilities[t] == pytest.approx(ref.utilities, abs=1e-12)

@@ -132,7 +132,7 @@ PAYLOADS = {
 
 GOLDEN = {
     "additive_dynamics": "640bd5bde1903bb7267049762db2029bae68ec818b23ebee71c0eb4dafc31d9c",
-    "andor_dynamics": "387424322a1d897e59059b56c5bb9415d0922da928f7262b1c5df97a4dea1374",
+    "andor_dynamics": "1a19ce3ee00f561ea5f85f2a9f255cf9a8415506ed18bc9012a915cdf8622748",
     "andor_mc_m2": "6bd7603a76d24b5e42fc983bded36b2aba848636e2790033c47c44b8ab357b4b",
     "andor_mc_m8": "9ecca1ff87a7dd9ec9361ebc31ab31110e7f7391575e88758b75568efc870701",
     "bayes_priority": "97f1a92fbef246bd0584afef75dd11b2c9f4ee5089fe7dd71fe6d6a1b1c3de66",
@@ -141,7 +141,7 @@ GOLDEN = {
     "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
     "grid_game_report": "94d84d1394a9bb013fa3750f4d84fc7efff378f36fe3a402a68c34c3bc6bd755",
     "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
-    "mixed_game": "5efd855f368b543cb7336a834b309e8b1fea745853a234edbb5640a203a3bc6e",
+    "mixed_game": "0512557a91051489b037588179d3090cb8ed2dec5d4b3455a13a627b7eddb768",
     "poa_report": "e37b96bc7a74bd298d147c09db03219f0a531de2cfc1d1383dad3b973fdd34af",
     "pure_nash": "2557b48fe09f883a5666f601cb5cb920e4daa393b651185b53bad74a05fc544d",
     "separable_priority": "9cdb1928fc79084c2e25b1fa80f9bbea026facd90696c051152c2ba1267c53ee",

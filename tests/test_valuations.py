@@ -170,6 +170,14 @@ def test_caps_and_validation():
         SingleMindedValuation(2, 0, 1.0)
     with pytest.raises(ValueError):
         XosValuation(((1.0, -0.5),))
+    for bad in (math.nan, math.inf, -1.0):  # NaN fails every comparison
+        for field, build in (("value", lambda x: AndValuation(2, x)),
+                             ("value", lambda x: OrValuation(2, x)),
+                             ("value", lambda x: SingleMindedValuation(2, 0b11, x)),
+                             ("weights", lambda x: AdditiveValuation((1.0, x))),
+                             ("clauses", lambda x: XosValuation(((1.0, 0.0), (0.0, x))))):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+                build(bad)
     with pytest.raises(ValueError):
         beta_of(AndValuation(13, 1.0))
     with pytest.raises(ValueError):
