@@ -156,6 +156,14 @@ def _apply_config(args, parser: _Parser) -> None:
         setattr(args, action.dest, action.default if value is None else value)
 
 
+def _number_list(field: str, text: str, kind: type) -> tuple:
+    """A comma-separated flag value as numbers; a ValueError names the flag."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{field}: need comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 def _spec_echo(args) -> dict:
     skip = {"out", "format", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -187,7 +195,7 @@ def _run_command(args) -> dict:
                                for e in eqs[:args.limit]]}
     if cmd == "poa":
         if args.sweep:
-            ms = tuple(int(x) for x in args.sweep.split(","))
+            ms = _number_list("sweep", args.sweep, int)
             return xp.andor_welfare_sweep(ms, args.trials, args.seed)
         return xp.poa_report(args.m, args.v, args.trials, args.seed)
     if cmd == "dynamics":
@@ -196,7 +204,7 @@ def _run_command(args) -> dict:
                                                args.seed, args.grid_step)
         if args.mode == "andor":
             return xp.andor_dynamics_report(args.m, args.v, args.rounds, args.seed)
-        values = tuple(float(x) for x in args.values.split(","))
+        values = _number_list("values", args.values, float)
         return xp.single_item_dynamics_report(values, args.rounds, args.seed,
                                               args.grid_step)
     if cmd == "bayes":

@@ -111,16 +111,12 @@ class LearningTrace:
     """Round-by-round record of a multiplicative-weights run."""
 
     game: FiniteGame
-    seed: int
     rounds: int
     bids: np.ndarray        # (T, n, m) realized bids
-    action_index: np.ndarray  # (T, n) sampled action (mixed-radix for separable;
-    #                           -1 for a player whose index range passes int64)
     utilities: np.ndarray   # (T, n) realized money utilities
     welfare: np.ndarray     # (T,)
     regret: np.ndarray      # (T, n) running external regret, money units
     cum_counterfactual: list  # per player, money units
-    snapshots: dict         # round -> list of per-player probability arrays
     ln_k: np.ndarray        # (n,)
     payoff_range: np.ndarray  # (n,) money units
 
@@ -134,14 +130,6 @@ class LearningTrace:
     def empirical_welfare(self) -> float:
         return float(self.welfare.mean())
 
-    def to_csv_rows(self):
-        """Long-format rows (round, player, action_index, utility, regret);
-        action_index is -1 for a player whose index range passes int64."""
-        t_col = np.repeat(np.arange(self.rounds), len(self.game.vals))
-        p_col = np.tile(np.arange(len(self.game.vals)), self.rounds)
-        return np.column_stack([t_col, p_col, self.action_index.ravel(),
-                                self.utilities.ravel(), self.regret.ravel()])
-
 
 def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Categorical draw along the last axis of `probs` from pre-drawn uniforms
@@ -150,8 +138,7 @@ def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarr
     return np.minimum((u[..., None] > probs.cumsum(axis=-1)).sum(axis=-1), last)
 
 
-def run_no_regret(game: FiniteGame, rounds: int, seed: int,
-                  snapshot_every: int | None = None) -> LearningTrace:
+def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     """Run multiplicative weights for `rounds` rounds; T = 0 is rejected.
     All players' factors share one padded (factor, level) block; gains are
     scored on the real levels only, entry e being one level of a factor of
@@ -189,24 +176,13 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
     last = valid.sum(axis=2) - 1
     real = np.arange(F) < nf[:, None]  # (n, F): not a filler
     base = np.arange(n * F).reshape(n, F) * W
-    # action index: mixed radix over the factors, in each player's own level
-    # count, exact in Python integers; -1 where the index range passes int64
-    width = (last.max(axis=1) + 1).tolist()
-    fits = np.array([w ** k <= 2 ** 63 for w, k in zip(width, nf.tolist())])
-    radix = np.array([[w ** j if ok and j < k else 0 for j in range(F)]
-                      for w, k, ok in zip(width, nf.tolist(), fits)], dtype=np.int64)
 
     cum = np.where(valid, 0.0, -np.inf)
     cum_flat = cum.reshape(-1)
     bids_out = np.empty((rounds, n, m))
-    index_out = np.empty((rounds, n), dtype=np.int64)
     util_out = np.empty((rounds, n))
     welfare_out = np.empty(rounds)
-    regret_out = np.empty((rounds, n))
-    realized_cum = np.zeros(n)
-    snapshots = {}
-    if snapshot_every is None:
-        snapshot_every = max(1, rounds // 16)
+    regret_out = np.empty((rounds, n))  # best counterfactual sum, then regret
     u, draws = np.zeros((n, F)), int(nf.sum())
     top = cum.max(axis=2, keepdims=True)
 
@@ -214,29 +190,23 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int,
         w = np.exp((eta_base / math.sqrt(t)) * (cum - top) / vmax)
         probs = w / w.sum(axis=2, keepdims=True)
         u[real] = rng.random(draws)  # one uniform per factor, in player order
-        level = _level_index(u, probs, last)
-        chosen = entry.take(base + level)  # (n, F) entry of every sampled level
-        bids = rows.take(chosen, axis=0).sum(axis=1)
-        index_out[t - 1] = (level * radix).sum(axis=1)
-        bids_out[t - 1] = bids
-        if t == 1 or t % snapshot_every == 0 or t == rounds:
-            snapshots[t] = [sp.unpack(probs[i]) for i, sp in enumerate(game.spaces)]
+        chosen = entry.take(base + _level_index(u, probs, last))  # (n, F) sampled entries
+        bids_out[t - 1] = rows.take(chosen, axis=0).sum(axis=1)
 
-        beat, favored = price_to_beat(bids, ranks)
+        beat, favored = price_to_beat(bids_out[t - 1], ranks)
         won = wins(rows, beat.take(player, axis=0), favored.take(player, axis=0)) & support
         value = table.take(table_at | bundle_masks(won))
         gain = value - (won * rows).sum(axis=1)
         cum_flat[slot] += gain
         util_out[t - 1] = gain.take(chosen).sum(axis=1)
         welfare_out[t - 1] = value.take(chosen).sum(axis=0).sum()
-        realized_cum += util_out[t - 1]
         top = cum.max(axis=2, keepdims=True)
-        regret_out[t - 1] = top[:, :, 0].sum(axis=1) - realized_cum
+        regret_out[t - 1] = top[:, :, 0].sum(axis=1)
 
-    index_out[:, ~fits] = -1
+    regret_out -= np.cumsum(util_out, axis=0)  # in round order, as a running sum adds
     cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
-    return LearningTrace(game, seed, rounds, bids_out, index_out, util_out,
-                         welfare_out, regret_out, cum_out, snapshots, ln_k, payoff_range)
+    return LearningTrace(game, rounds, bids_out, util_out, welfare_out, regret_out,
+                         cum_out, ln_k, payoff_range)
 
 
 def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:

@@ -126,11 +126,11 @@ def verify_andor(m: int, v: float, grid_step: float = 1e-3, upper: float = 1.0,
 
 def verify_triangle(points: int = 500) -> dict:
     """Deviation utility on a points x points grid over [0, 1/2]^2 compared
-    against the closed form -2(y-z)^2."""
+    against the closed form -2(y-z)^2 (`closedform.triangle_utility`)."""
     sm = cf.SingleMindedSymmetric(2, 2)
     axis = np.linspace(0.0, 0.5, points)
     net = cf.singleminded_utility_grid(sm, axis)
-    closed = -2.0 * (axis[:, None] - axis[None, :]) ** 2
+    closed = cf.triangle_utility(axis[:, None], axis[None, :])
     return {"points": points,
             "max_formula_error": float(np.abs(net - closed).max()),
             "max_utility": float(net.max()),
@@ -324,16 +324,16 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
             "regret_within_envelope": all(r <= e for r, e in zip(regret, envelope)),
             "cce_recompute_drift": drift, "welfare": rep.to_json(),
             "series": [{"name": f"regret_p{i}",
-                        "points": _thin([[t + 1, float(trace.regret[t, i])]
-                                         for t in range(rounds)])}
+                        "points": [[int(t) + 1, float(trace.regret[t, i])]
+                                   for t in _thin(rounds)]}
                        for i in range(n)]}
 
 
-def _thin(points: list, keep: int = 200) -> list:
-    if len(points) <= keep:
-        return points
-    idx = np.linspace(0, len(points) - 1, keep).astype(int)
-    return [points[i] for i in idx]
+def _thin(count: int, keep: int = 200):
+    """Indices of at most `keep` evenly spaced points out of `count`."""
+    if count <= keep:
+        return range(count)
+    return np.linspace(0, count - 1, keep).astype(int)
 
 
 def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,

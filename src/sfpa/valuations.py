@@ -62,6 +62,8 @@ class Valuation:
 @lru_cache(maxsize=4096)
 def _cached_table(v: Valuation) -> np.ndarray:
     table = v._table()
+    if not np.isfinite(table).all():  # a non-finite entry, or a sum past float range
+        raise ValueError(f"values must be finite, got {table[~np.isfinite(table)][0]}")
     table.setflags(write=False)
     return table
 
@@ -90,6 +92,7 @@ class TableValuation(Valuation):
         if len(self.table) != 1 << self.m:
             raise ValueError(f"table needs 2^{self.m} entries, got {len(self.table)}")
         object.__setattr__(self, "table", tuple(float(x) for x in self.table))
+        self.as_table()  # refuses a non-finite entry
 
     def value(self, s: int) -> float:
         return self.table[s]
@@ -258,13 +261,11 @@ def valuations_from_json(items: list, field: str) -> list[Valuation]:
     for k, d in enumerate(items):
         try:
             v = valuation_from_json(d)
-            table = v.as_table()
+            v.as_table()  # non-finite or past the dense-table cap: refused naming the field
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{field}[{k}]: malformed valuation ({exc!r})") from exc
         if vals and v.m != vals[0].m:
             raise ValueError(f"{field}[{k}]: covers m={v.m} items, {field}[0] has m={vals[0].m}")
-        if not np.isfinite(table).all():
-            raise ValueError(f"{field}[{k}]: values must be finite")
         bad = check_valid(v)
         if bad is not None:
             raise ValueError(f"{field}[{k}]: {bad.kind} violation at "

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from sfpa.cli import main
 from sfpa.experiments import emit_plot_data
 
@@ -242,11 +244,13 @@ def test_game_file_mixed_item_counts(tmp_path, capsys):
 
 
 def test_game_file_non_finite_value(tmp_path, capsys):
-    path = tmp_path / "game.json"
-    path.write_text('{"valuations": [{"kind": "additive", "m": 1, "weights": [1.0]},'
-                    ' {"kind": "additive", "m": 1, "weights": [NaN]}]}')
-    message = precondition_message(*run_cli(["walrasian", "--game", str(path)], capsys)[::2])
-    assert message.startswith("valuations[1]:") and "finite" in message
+    # a NaN weight (json writes a bare NaN), and finite weights whose sum overflows
+    for weights in ([float("nan")], [1e308, 1e308]):
+        path = write_game(tmp_path, [{"kind": "additive", "weights": [1.0] * len(weights)},
+                                     {"kind": "additive", "weights": weights}])
+        with np.errstate(over="ignore"):
+            message = precondition_message(*run_cli(["walrasian", "--game", path], capsys)[::2])
+        assert message.startswith("valuations[1]:") and "finite" in message
 
 
 def test_game_file_invalid_valuation(tmp_path, capsys):
@@ -347,6 +351,11 @@ def test_config_value_of_wrong_type(tmp_path, capsys):
     assert "'trials'" in precondition_message(code, err)
     code, _, err = run_with_config(tmp_path, capsys, {"trials": 2.5})
     assert "'trials'" in precondition_message(code, err)
+    code, _, err = run_with_config(tmp_path, capsys, {"sweep": "4,x"})
+    assert precondition_message(code, err).startswith("sweep")
+    code, _, err = run_with_config(tmp_path, capsys, {"values": "1,y"},
+                                   ("dynamics", "--mode", "single-item", "--rounds", "10"))
+    assert precondition_message(code, err).startswith("values")
 
 
 def test_config_value_outside_choices(tmp_path, capsys):
@@ -404,6 +413,10 @@ def test_bad_flags_name_their_field(capsys):
                          "weights"),
                         (["dynamics", "--mode", "additive", "--grid-step", "0", *learn],
                          "grid step"),
-                        (["sample", "--strategy", "andor", "--count", "-1"], "count")):
+                        (["sample", "--strategy", "andor", "--count", "-1"], "count"),
+                        (["poa", "--sweep", "4,x", "--trials", "1000"], "sweep"),
+                        (["poa", "--sweep", "4,,9", "--trials", "1000"], "sweep"),
+                        (["dynamics", "--mode", "single-item", "--values", "1,y", *learn],
+                         "values")):
         code, _, err = run_cli(args, capsys)
         assert precondition_message(code, err).startswith(field), args

@@ -60,7 +60,7 @@ def test_dominant_action_takes_over():
     game = FiniteGame([AdditiveValuation((1.0,))],
                       [ExplicitActions([[0.0], [0.5]])], grid_step=0.5)
     trace = run_no_regret(game, 3000, seed=5)
-    assert (trace.action_index[:, 0] == 0).mean() >= 0.95
+    assert (trace.bids[:, 0, 0] == 0.0).mean() >= 0.95
 
 
 def test_cce_inequality_from_counterfactuals():
@@ -117,26 +117,6 @@ def test_separable_grid_count_is_exact():
     assert SeparableGrid([np.arange(21) * 0.05] * 16).count == 21 ** 16
 
 
-def test_action_index_past_int64_is_minus_one():
-    # 128^9 = 2^63: player 0's largest index is exactly int64's maximum and
-    # decodes to its bids; player 1's 129^9 range does not fit and reads -1
-    m = 9
-    levels = [np.arange(128) * 0.01, np.arange(129) * 0.01]
-    vals = [AdditiveValuation((1.3,) * m)] * 2
-    game = FiniteGame(vals, [SeparableGrid([lv] * m) for lv in levels], grid_step=0.01)
-    trace = run_no_regret(game, 3, seed=1)
-    assert (trace.action_index[:, 1] == -1).all()
-    for t in range(3):
-        a = int(trace.action_index[t, 0])
-        assert [levels[0][a // 128 ** j % 128] for j in range(m)] == \
-            trace.bids[t, 0].tolist()
-    # 21^16 passes int64 (an int64 radix wraps to negative indices here)
-    vals = [AdditiveValuation((1.0,) * 16)] * 2
-    game = FiniteGame(vals, [SeparableGrid([np.arange(21) * 0.05] * 16)] * 2,
-                      grid_step=0.05)
-    assert (run_no_regret(game, 3, seed=1).action_index == -1).all()
-
-
 def test_game_input_checked():
     with pytest.raises(ValueError, match="^n must be >= 1"):
         FiniteGame([], [])
@@ -169,10 +149,6 @@ def test_mixed_action_spaces():
     assert verify_cce(trace) <= 1e-6
     rep = ccqe_welfare_ratio(trace)
     assert rep.bound_general_ok
-    # snapshot rows are distributions in both representations
-    for probs in trace.snapshots.values():
-        assert probs[0].sum(axis=-1) == pytest.approx(np.ones(2), abs=1e-9)
-        assert probs[1].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("family", ["separable", "explicit", "mixed"])
@@ -215,13 +191,6 @@ def test_ks_distance_on_true_samples():
     assert ks_distance(np.full(1000, 0.5), cdf) >= 0.9
 
 
-def test_trace_csv_rows():
-    trace = run_no_regret(single_item_game(), 100, seed=2)
-    rows = trace.to_csv_rows()
-    assert rows.shape == (200, 5)
-    assert rows[0, 0] == 0 and rows[-1, 1] == 1
-
-
 def test_additive_report_bounds():
     rep = additive_dynamics_report(2, 2, 3000, seed=9)
     assert rep["regret_within_envelope"]
@@ -236,14 +205,6 @@ def test_andor_report_fields():
     assert rep["and_support_ok"]
     assert rep["welfare"]["bound_general_ok"]
     assert all(r <= e for r, e in zip(rep["regret"], rep["regret_envelope"]))
-
-
-def test_snapshots_normalized():
-    trace = run_no_regret(single_item_game(), 1000, seed=3)
-    assert trace.snapshots
-    for probs in trace.snapshots.values():
-        for p in probs:
-            assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def _random_player(rng, m):
@@ -276,8 +237,8 @@ def test_factored_loop_matches_reference(n, m, seed, block):
     """Any mix of the action families, n = 1 included, under a random
     priority rule: the counterfactuals recompute exactly (verify_cce, in
     blocks small enough to split the rounds), every round's utilities and
-    welfare equal the scalar outcome, and every action index decodes to
-    the recorded bid row."""
+    welfare equal the scalar outcome, and every recorded bid row is an
+    action of its player's family."""
     rng = np.random.default_rng(seed)
     vals, spaces = zip(*(_random_player(rng, m) for _ in range(n)))
     rule = PriorityRule(tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m)))
@@ -292,12 +253,8 @@ def test_factored_loop_matches_reference(n, m, seed, block):
         assert trace.utilities[t] == pytest.approx(ref.utilities, abs=1e-12)
         assert trace.welfare[t] == pytest.approx(ref.welfare, abs=1e-12)
         for i, sp in enumerate(spaces):
-            a = trace.action_index[t, i]
-            if isinstance(sp, SeparableGrid):
-                width = sp.levels.shape[1]
-                digits = a // width ** np.arange(m) % width
-                assert sp.valid[np.arange(m), digits].all()
-                row = sp.levels[np.arange(m), digits]
+            bid = trace.bids[t, i]
+            if isinstance(sp, SeparableGrid):  # each item's bid is one of its levels
+                assert ((sp.levels == bid[:, None]) & sp.valid).any(axis=1).all()
             else:
-                row = sp.vectors[a]
-            assert (row == trace.bids[t, i]).all()
+                assert (sp.vectors == bid).all(axis=1).any()

@@ -39,8 +39,8 @@ def mixed_game_payload():
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2, full_set(2)))
     trace = run_no_regret(FiniteGame(vals, [sep, uni], grid_step=0.1), 2000, SEED)
     cum = [np.where(np.isfinite(c), c, 0.0) for c in trace.cum_counterfactual]
-    return {"bids": trace.bids, "index": trace.action_index,
-            "utilities": trace.utilities, "regret": trace.regret, "cum": cum,
+    return {"bids": trace.bids, "utilities": trace.utilities, "regret": trace.regret,
+            "cum": cum,
             "drift": verify_cce(trace), "welfare": ccqe_welfare_ratio(trace).to_json()}
 
 
@@ -141,7 +141,7 @@ GOLDEN = {
     "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
     "grid_game_report": "94d84d1394a9bb013fa3750f4d84fc7efff378f36fe3a402a68c34c3bc6bd755",
     "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
-    "mixed_game": "0512557a91051489b037588179d3090cb8ed2dec5d4b3455a13a627b7eddb768",
+    "mixed_game": "effb80c2df40863c469f39e25d0795fb10547628ca65f6aef9103e8ca7027fd7",
     "poa_report": "e37b96bc7a74bd298d147c09db03219f0a531de2cfc1d1383dad3b973fdd34af",
     "pure_nash": "2557b48fe09f883a5666f601cb5cb920e4daa393b651185b53bad74a05fc544d",
     "separable_priority": "9cdb1928fc79084c2e25b1fa80f9bbea026facd90696c051152c2ba1267c53ee",

@@ -178,6 +178,9 @@ def test_caps_and_validation():
                              ("clauses", lambda x: XosValuation(((1.0, 0.0), (0.0, x))))):
             with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
                 build(bad)
+    for bad in (math.nan, math.inf, -math.inf):  # negative entries are check_valid's
+        with pytest.raises(ValueError, match="^values must be finite"):
+            TableValuation(1, (0.0, bad))
     with pytest.raises(ValueError):
         beta_of(AndValuation(13, 1.0))
     with pytest.raises(ValueError):
