@@ -151,13 +151,16 @@ def price_to_beat(bids: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.n
     n = bids.shape[-2]
     if n == 1:
         return np.full(bids.shape, -np.inf), np.ones(bids.shape, dtype=bool)
-    top = bids.max(axis=-2, keepdims=True)
-    second = np.sort(bids, axis=-2)[..., n - 2:n - 1, :]
-    beat = np.where(bids == top, second, top)  # exactly the max over the others
-    rank = ranks.T
-    ahead = rank[None, :, :] < rank[:, None, :]  # (i, k, m): k outranks i
-    attain = bids[..., None, :, :] >= beat[..., :, None, :] - TIE_TOL
-    return beat, ~(attain & ahead).any(axis=-2)
+    rivals = _rivals(n)
+    others = bids[..., rivals, :]  # (..., n, n - 1, m): player i's rivals' bids
+    beat = others.max(axis=-2)
+    ahead = ranks.T[rivals] < ranks.T[:, None, :]  # (i, r, m): rival r outranks i
+    return beat, ~((others >= beat[..., None, :] - TIE_TOL) & ahead).any(axis=-2)
+
+
+@lru_cache(maxsize=None)
+def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i, in order
+    return np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
 
 
 def wins(rows: np.ndarray, beat: np.ndarray, favored: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auction import (_BLOCK, PriorityRule, bid_utilities, bundle_masks, optimal_welfare,
-                      price_to_beat, priority_ranks, weighted_sum, winners, wins)
+from .auction import (_BLOCK, CapExceeded, PriorityRule, bid_utilities, bundle_masks,
+                      optimal_welfare, price_to_beat, priority_ranks, weighted_sum, winners, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
 from .valuations import AdditiveValuation, bit_matrix
@@ -93,6 +93,7 @@ class FiniteGame:
     spaces: list
     rule: PriorityRule = field(default_factory=PriorityRule)
     grid_step: float = 0.0  # action spacing, reported into slack accounting
+    optimum: tuple = field(init=False, repr=False)  # (value, allocation), before any round
 
     def __post_init__(self):
         if not self.vals:
@@ -104,6 +105,10 @@ class FiniteGame:
         for i, sp in enumerate(self.spaces):
             if isinstance(sp, SeparableGrid) and not isinstance(self.vals[i], AdditiveValuation):
                 raise ValueError("separable grids factorize only for additive valuations")
+        try:
+            self.optimum = optimal_welfare(self.vals)
+        except CapExceeded as exc:  # learning has no cap knob: name the size instead
+            raise CapExceeded(f"m: {str(exc).split(';')[0]}; learn over fewer items") from None
 
 
 @dataclass
@@ -178,35 +183,40 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     base = np.arange(n * F).reshape(n, F) * W
 
     cum = np.where(valid, 0.0, -np.inf)
-    cum_flat = cum.reshape(-1)
-    bids_out = np.empty((rounds, n, m))
-    util_out = np.empty((rounds, n))
-    welfare_out = np.empty(rounds)
-    regret_out = np.empty((rounds, n))  # best counterfactual sum, then regret
-    u, draws = np.zeros((n, F)), int(nf.sum())
+    cum_flat, draws = cum.reshape(-1), int(nf.sum())
+    size = min(max(1, _BLOCK // draws), rounds)  # rounds of uniforms drawn at once
+    try:  # per round: the bids, each factor's chosen gain, chosen value and best sum, the steps
+        bids_out = np.empty((rounds, n, m))
+        gains, values, tops = np.empty((3, rounds, n, F))
+        step = eta_base / np.sqrt(np.arange(1.0, rounds + 1))[:, None, None, None]
+    except MemoryError:
+        raise ValueError(f"rounds: {rounds} rounds need "
+                         f"{8 * rounds * (n * m + 3 * n * F + n)} bytes of records") from None
+    u = np.zeros((size, n, F))  # filler factors draw nothing and stay 0
     top = cum.max(axis=2, keepdims=True)
 
-    for t in range(1, rounds + 1):
-        w = np.exp((eta_base / math.sqrt(t)) * (cum - top) / vmax)
+    for t in range(rounds):
+        if t % size == 0:  # a bulk draw gives the doubles of `size` successive ones
+            left = min(size, rounds - t)
+            u[:left, real] = rng.random((left, draws))  # per round, in player order
+        w = np.exp(step[t] * (cum - top) / vmax)
         probs = w / w.sum(axis=2, keepdims=True)
-        u[real] = rng.random(draws)  # one uniform per factor, in player order
-        chosen = entry.take(base + _level_index(u, probs, last))  # (n, F) sampled entries
-        bids_out[t - 1] = rows.take(chosen, axis=0).sum(axis=1)
+        chosen = entry.take(base + _level_index(u[t % size], probs, last))  # (n, F) entries drawn
+        bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
 
-        beat, favored = price_to_beat(bids_out[t - 1], ranks)
+        beat, favored = price_to_beat(bids_out[t], ranks)
         won = wins(rows, beat.take(player, axis=0), favored.take(player, axis=0)) & support
         value = table.take(table_at | bundle_masks(won))
         gain = value - (won * rows).sum(axis=1)
         cum_flat[slot] += gain
-        util_out[t - 1] = gain.take(chosen).sum(axis=1)
-        welfare_out[t - 1] = value.take(chosen).sum(axis=0).sum()
-        top = cum.max(axis=2, keepdims=True)
-        regret_out[t - 1] = top[:, :, 0].sum(axis=1)
+        gains[t] = gain.take(chosen)
+        values[t] = value.take(chosen)
+        top = cum.max(axis=2, out=tops[t])[:, :, None]
 
-    regret_out -= np.cumsum(util_out, axis=0)  # in round order, as a running sum adds
+    util = gains.sum(axis=2)  # each round's orders: over factors; over players, then factors
     cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
-    return LearningTrace(game, rounds, bids_out, util_out, welfare_out, regret_out,
-                         cum_out, ln_k, payoff_range)
+    return LearningTrace(game, rounds, bids_out, util, values.sum(axis=1).sum(axis=1),
+                         tops.sum(axis=2) - np.cumsum(util, axis=0), cum_out, ln_k, payoff_range)
 
 
 def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
@@ -258,7 +268,7 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     u_exp = trace.utilities.mean(axis=0)
     pay = np.where(winner[:, None, :] == np.arange(n)[None, :, None], bids, 0.0)
     e_exp = u_exp + pay.sum(axis=2).mean(axis=0)
-    _, opt_alloc = optimal_welfare(game.vals)
+    _, opt_alloc = game.optimum
     o = [game.vals[i].value(opt_alloc.bundle(i)) for i in range(n)]
     r = [float(sum(f_item[j] for j in range(m) if opt_alloc.bundle(i) >> j & 1))
          for i in range(n)]
@@ -302,7 +312,7 @@ def ccqe_welfare_ratio(trace: LearningTrace, beta: float | None = None) -> CceWe
     """
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
-    opt, _ = optimal_welfare(game.vals)
+    opt, _ = game.optimum
     emp = trace.empirical_welfare()
     reg = tuple(float(max(r, 0.0)) / trace.rounds for r in trace.final_regret())
     general_slack = 2.0 * sum(reg) + 2.0 * n * m * game.grid_step

@@ -204,7 +204,7 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
                      bundles: list[int] | None = None) -> list[GridEquilibrium]:
     """All grid profiles where no player improves by more than eps with a
     grid deviation of its own family, in lexicographic order of the action
-    indices; each block of profiles scores a player's deviations at once."""
+    indices; a player's deviations are scored once per profile of its rivals."""
     if not eps >= 0:
         raise ValueError(f"epsilon must be >= 0, got {eps!r}")
     n, m = len(vals), vals[0].m
@@ -215,15 +215,22 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
         raise CapExceeded(f"{total} grid profiles exceed cap {cap}; raise cap= to {total} "
                           f"or coarsen the grid (sfpa pure-nash --grid-step)")
     tables = [v.as_table() for v in vals]
-    found = []
     pure = {i: (np.ones(len(a)), a) for i, a in enumerate(actions)}
-    for _, bids in product_play(n, m, pure, max(sizes) * m):
+    best = []  # player i's best deviation against each profile of its rivals
+    for i in range(n):
+        rivals = product_play(n, m, {k: pure[k] for k in pure if k != i}, sizes[i] * m)
+        top = [expected_utilities(tables[i], actions[i][:, None], rival_play(bids, rule), i)
+               .max(axis=0) for _, bids in rivals]
+        best.append(np.concatenate(top).reshape([1 if k == i else s for k, s in enumerate(sizes)]))
+    found, start = [], 0
+    for _, bids in product_play(n, m, pure, n * m):
+        index = np.unravel_index(np.arange(start, start + len(bids)), sizes)
+        start += len(bids)
         play = rival_play(bids, rule)
         worst = np.zeros(len(bids))
         for i in range(n):
-            dev = expected_utilities(tables[i], actions[i][:, None], play, i)
-            cur = expected_utilities(tables[i], bids[:, i], play, i)
-            worst = np.maximum(worst, dev.max(axis=0) - cur)
+            dev = best[i][index[:i] + (0,) + index[i + 1:]]
+            worst = np.maximum(worst, dev - expected_utilities(tables[i], bids[:, i], play, i))
         found += [GridEquilibrium(tuple(map(tuple, bids[k].tolist())), float(worst[k]))
                   for k in np.flatnonzero(worst <= eps + TIE_TOL)]
     return found

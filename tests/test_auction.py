@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa.auction import (CapExceeded, PriorityRule, RandomizedRule,
+from sfpa.auction import (TIE_TOL, CapExceeded, PriorityRule, RandomizedRule,
                           allocate, bid_utilities, optimal_allocations,
                           optimal_welfare, outcome, price_to_beat,
                           priority_ranks, rule_from_json, winners)
@@ -123,6 +123,32 @@ def test_first_price_kernel_matches_reference(n, m, priority, seed):
                 deviated = bids.copy()
                 deviated[i] = x
                 assert u == outcome(vals, deviated, rule).utilities[i]
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_price_to_beat_matches_player_loop(n, m, lead, priority, seed):
+    """The rival gather against a per-player scalar loop over 0-2 leading
+    axes: beat is the highest other bid, and a player is favored when no
+    rival of better rank bids within TIE_TOL of it. Bids on a coarse grid,
+    some nudged by half of TIE_TOL, tie exactly and nearly."""
+    rng = np.random.default_rng(seed)
+    order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
+    ranks = priority_ranks(PriorityRule(order) if priority else PriorityRule(), n, m)
+    shape = tuple(int(k) for k in rng.integers(1, 4, lead)) + (n, m)
+    coarse = rng.choice([0.0, 0.25, 0.5], shape) + rng.choice([0.0, 0.0, TIE_TOL / 2], shape)
+    bids = np.where(rng.random(shape) < 0.8, coarse, rng.uniform(0, 1, shape))
+    beat, favored = price_to_beat(bids, ranks)
+    assert beat.shape == favored.shape == shape
+    for at in np.ndindex(shape[:-2]):
+        for i in range(n):
+            rivals = [k for k in range(n) if k != i]
+            for j in range(m):
+                top = max((bids[at][k, j] for k in rivals), default=-np.inf)
+                assert beat[at][i, j] == top
+                assert favored[at][i, j] == all(ranks[j, k] > ranks[j, i]
+                                                or bids[at][k, j] < top - TIE_TOL for k in rivals)
 
 
 def _enumerated_optimum(vals, tol=1e-9, limit=65536):

@@ -399,6 +399,23 @@ def test_pure_nash_input_checked(capsys):
         assert precondition_message(code, err).startswith(field)
 
 
+def test_dynamics_optimum_out_of_reach_exits_before_learning(monkeypatch, capsys):
+    import sfpa.experiments as xp
+
+    def learn(*args):
+        raise AssertionError("learned before the welfare optimum was checked")
+
+    monkeypatch.setattr(xp, "run_no_regret", learn)
+    code, _, err = run_cli(["dynamics", "--m", "17", "--rounds", "5000"], capsys)
+    message = precondition_message(code, err)
+    assert message.startswith("m") and "--cap" not in message
+
+
+def test_dynamics_trace_too_large_names_rounds(capsys):
+    code, _, err = run_cli(["dynamics", "--rounds", "1000000000000"], capsys)
+    assert precondition_message(code, err).startswith("rounds")
+
+
 def test_bad_flags_name_their_field(capsys):
     learn = ["--rounds", "10"]
     for args, field in ((["walrasian", "--game", "andor", "--v", "nan"], "value"),

@@ -167,6 +167,23 @@ def test_verify_cce_catches_a_corrupted_sum(family):
         verify_cce(trace)
 
 
+@pytest.mark.parametrize("family", ["explicit", "mixed"])  # 2 and 3 uniforms a round
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_uniform_blocks_leave_the_trace_unchanged(monkeypatch, family, block):
+    """Uniforms drawn `_BLOCK // draws` rounds at a time, split unevenly over
+    70 rounds, give the bits of one block for the whole run."""
+    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
+    uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2))
+    game = FiniteGame(vals, {"explicit": [uni, uni], "mixed": [sep, uni]}[family], grid_step=0.1)
+    ref = run_no_regret(game, 70, seed=5)
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    got = run_no_regret(game, 70, seed=5)
+    for a, b in zip((ref.bids, ref.utilities, ref.welfare, ref.regret, *ref.cum_counterfactual),
+                    (got.bids, got.utilities, got.welfare, got.regret, *got.cum_counterfactual)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_welfare_report_fields():
     game = single_item_game()
     trace = run_no_regret(game, 2000, seed=1)
