@@ -39,10 +39,12 @@ class PriorityRule:
         if self.order is None:
             return
         if len(self.order) != m:
-            raise ValueError(f"need one priority list per item ({m}), got {len(self.order)}")
+            raise ValueError(f"tie_rule: need one priority list per item ({m}), "
+                             f"got {len(self.order)}")
         for perm in self.order:
             if sorted(perm) != list(range(n)):
-                raise ValueError(f"item priority {perm} is not a permutation of 0..{n - 1}")
+                raise ValueError(f"tie_rule: item priority {perm} is not a permutation "
+                                 f"of 0..{n - 1}")
 
     def pick(self, item: int, tied: np.ndarray) -> int:
         if self.order is None:
@@ -64,10 +66,10 @@ class RandomizedRule:
 
     def __post_init__(self):
         if not all(p >= 0 for p, _ in self.mixture):
-            raise ValueError("mixture probabilities must be nonnegative numbers")
+            raise ValueError("tie_rule: mixture probabilities must be nonnegative numbers")
         total = sum(p for p, _ in self.mixture)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixture probabilities sum to {total}, need 1")
+            raise ValueError(f"tie_rule: mixture probabilities sum to {total}, need 1")
 
     def validate(self, n: int, m: int) -> None:
         for _, rule in self.mixture:
@@ -79,14 +81,30 @@ class RandomizedRule:
 
 
 def rule_from_json(d: dict):
+    """A tie rule from JSON: {"kind": "index"}, {"kind": "priority", "order":
+    one list of player indices per item} or {"kind": "randomized", "mixture":
+    [{"prob": number, "rule": rule}, ...]}. A ValueError starting `tie_rule:`
+    refuses a malformed one."""
+    if not isinstance(d, dict):
+        raise ValueError(f"tie_rule: need a JSON object, got {type(d).__name__}")
     kind = d.get("kind", "index")
     if kind == "index":
         return PriorityRule()
     if kind == "priority":
-        return PriorityRule(tuple(tuple(p) for p in d["order"]))
+        order = d.get("order")
+        if not (isinstance(order, list) and all(
+                isinstance(p, list) and all(type(i) is int for i in p) for p in order)):
+            raise ValueError("tie_rule: 'order' must hold one list of player indices per item")
+        return PriorityRule(tuple(tuple(p) for p in order))
     if kind == "randomized":
-        return RandomizedRule(tuple((b["prob"], rule_from_json(b["rule"])) for b in d["mixture"]))
-    raise ValueError(f"unknown tie rule kind {kind!r}")
+        mixture = d.get("mixture")
+        if not (isinstance(mixture, list) and all(
+                isinstance(b, dict) and isinstance(b.get("prob"), (int, float)) and "rule" in b
+                for b in mixture)):
+            raise ValueError("tie_rule: 'mixture' must be a list of {\"prob\": number, "
+                             "\"rule\": tie rule} objects")
+        return RandomizedRule(tuple((b["prob"], rule_from_json(b["rule"])) for b in mixture))
+    raise ValueError(f"tie_rule: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -272,29 +272,3 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
     bg = FiniteBayesianGame(type_vals, table, [np.asarray(a) for a in d["actions"]], rule)
     strategies = [np.asarray(s, dtype=np.float64) for s in d["strategies"]]
     return bg, strategies
-
-
-def best_response_strategies(bg: FiniteBayesianGame, strategies: list,
-                             sweeps: int = 50, players=None) -> tuple[list, bool]:
-    """Iterated exact best response over pure per-type actions.
-
-    Test scaffolding for building gap-0 inputs to the harness: returns the
-    final strategy profile and whether it is a fixed point (a pure Bayesian
-    Nash equilibrium of the finite game when every player participates).
-    Not an equilibrium solver; it simply stops if the dynamics cycle.
-    `players` restricts which players get updated (default: all).
-    """
-    strategies = [s.copy() for s in check_strategies(bg, strategies)]
-    updating = range(bg.n) if players is None else players
-    for _ in range(sweeps):
-        changed = False
-        for i, t, eu in _conditional_utilities(bg, strategies, updating):
-            best = int(np.argmax(eu))
-            row = np.zeros(bg.actions[i].shape[0])
-            row[best] = 1.0
-            if eu[best] > eu @ strategies[i][t] + 1e-12:
-                strategies[i][t] = row
-                changed = True
-        if not changed:
-            return strategies, True
-    return strategies, False

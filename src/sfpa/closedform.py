@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -149,11 +149,6 @@ def or_bid_cdf(m: int) -> AtomicCDF:
                      lambda u: u / (m - 1.0 + u))
 
 
-def triangle_cdf() -> AtomicCDF:
-    """F(x) = 2x on [0, 1/2]; atomless."""
-    return AtomicCDF(0.0, 0.5, (), lambda x: 2.0 * x, lambda u: u / 2.0)
-
-
 @dataclass(frozen=True)
 class AndOrStrategyPair:
     """The AND-OR equilibrium strategies for m items and OR value v."""
@@ -191,40 +186,37 @@ class AndOrStrategyPair:
         return rng.integers(0, self.m, size), self.G.sample(rng, size)
 
 
-class FlaggedUtility(NamedTuple):
-    value: float
-    in_cube: bool
-
-
-def andor_utility_and(pair: AndOrStrategyPair, bids) -> FlaggedUtility:
-    """Exact expected AND utility for a bid vector against the OR strategy.
+def andor_utility_and(pair: AndOrStrategyPair, bids):
+    """Exact expected AND utility of bid rows (..., m) against the OR strategy.
 
     Wins item j unless the OR player picked j and outbid it (zero-bid ties
-    go to AND). Identically 0 on the cube [0, 1/m]^m; bids above 1/m are
-    evaluated literally and flagged, and are strictly worse than their
-    clamped counterparts.
+    go to AND), so the utility is one term per item,
+    sum_j [G_lt(x_j)(1 - x_j) - x_j (m - 1)] / m. Identically 0 on the cube
+    [0, 1/m]^m (`pair.in_cube`); bids above 1/m are evaluated literally and
+    are strictly worse than their clamped counterparts. One row gives a float.
     """
     x = np.asarray(bids, dtype=np.float64)
-    if x.shape != (pair.m,):
-        raise ValueError(f"need {pair.m} bids")
+    if x.shape[-1:] != (pair.m,):
+        raise ValueError(f"need rows of {pair.m} bids")
     g_lt = pair.G.prob_lt(x)
-    win_all = float(np.sum(g_lt)) / pair.m
     win_item = (pair.m - 1.0) / pair.m + g_lt / pair.m
-    return FlaggedUtility(win_all - float(np.sum(x * win_item)), pair.in_cube(x))
+    u = g_lt.sum(axis=-1) / pair.m - (x * win_item).sum(axis=-1)
+    return u if u.ndim else float(u)
 
 
-def andor_utility_or(pair: AndOrStrategyPair, bids) -> float:
-    """Exact expected OR utility for a bid vector against the AND strategy.
+def andor_utility_or(pair: AndOrStrategyPair, bids):
+    """Exact expected OR utility of bid rows (..., m) against the AND strategy.
 
     The AND bid y is common to all items, so the OR player wins something
     iff y < max(bids), and pays each positive bid that individually beats
-    y. Keeping only the maximal entry never hurts.
+    y. Keeping only the maximal entry never hurts. One row gives a float.
     """
     x = np.asarray(bids, dtype=np.float64)
-    if x.shape != (pair.m,):
-        raise ValueError(f"need {pair.m} bids")
+    if x.shape[-1:] != (pair.m,):
+        raise ValueError(f"need rows of {pair.m} bids")
     f_lt = pair.F.prob_lt(x)
-    return pair.v * float(pair.F.prob_lt(np.max(x))) - float(np.sum(x * f_lt))
+    u = pair.v * pair.F.prob_lt(x.max(axis=-1)) - (x * f_lt).sum(axis=-1)
+    return u if u.ndim else float(u)
 
 
 def andor_equilibrium_utilities(pair: AndOrStrategyPair) -> tuple[float, float]:
@@ -343,7 +335,7 @@ class SingleMindedSymmetric:
                          lambda u: self.value * u ** float(e) / self.k)
 
 
-def singleminded_utility(sm: SingleMindedSymmetric, bids) -> float:
+def singleminded_utility(sm: SingleMindedSymmetric, bids):
     """Exact expected deviation utility for one player bidding `bids` on its
     k items while everyone else follows the symmetric strategy.
 
@@ -351,67 +343,24 @@ def singleminded_utility(sm: SingleMindedSymmetric, bids) -> float:
     at most one item), so wins are independent across items: the player
     takes item j with probability G(x_j)^(d-1) and its utility is
     value * prod_j G(x_j)^(d-1) - sum_j x_j G(x_j)^(d-1), which is <= 0
-    with equality exactly on the uniform-bid diagonal.
+    with equality exactly on the uniform-bid diagonal. `bids` holds the k
+    per-item bids as numbers or as arrays that broadcast together, so
+    `np.ix_(*[axis] * k)` scores the whole grid axis^k without building it.
     """
-    x = np.asarray(bids, dtype=np.float64)
-    if x.shape != (sm.k,):
+    if len(bids) != sm.k:
         raise ValueError(f"need {sm.k} bids")
-    win = sm.cdf.cdf(x) ** (sm.d - 1)
-    return sm.value * float(np.prod(win)) - float(np.sum(x * win))
-
-
-def singleminded_utility_grid(sm: SingleMindedSymmetric, axis: np.ndarray) -> np.ndarray:
-    """singleminded_utility on the full grid axis^k, shape (len(axis),) * k."""
-    win_1d = sm.cdf.cdf(axis) ** (sm.d - 1)
-    pay_1d = axis * win_1d
-    win = np.ones((1,) * sm.k)
-    pay = np.zeros((1,) * sm.k)
-    for j in range(sm.k):
-        shape = [1] * sm.k
-        shape[j] = axis.size
-        win = win * win_1d.reshape(shape)
-        pay = pay + pay_1d.reshape(shape)
-    return sm.value * win - pay
-
-
-def validate_symmetric_instance(bundles: list[int], m: int) -> tuple[int, int]:
-    """Check the structural assumptions behind the symmetric equilibrium.
-
-    Every bundle has the same size k, every item is wanted by exactly d
-    players, and bundles pairwise share at most one item. Returns (k, d).
-    """
-    if not bundles:
-        raise ValueError("no bundles")
-    sizes = {b.bit_count() for b in bundles}
-    if len(sizes) != 1:
-        raise ValueError(f"bundle sizes differ: {sorted(sizes)}")
-    k = sizes.pop()
-    demand = [sum(1 for b in bundles if b >> j & 1) for j in range(m)]
-    if len(set(demand)) != 1:
-        raise ValueError(f"per-item demand differs: {demand}")
-    d = demand[0]
-    if k < 2 or d < 2:
-        raise ValueError(f"closed form needs k >= 2 and d >= 2, got k={k}, d={d}")
-    for i, a in enumerate(bundles):
-        for b in bundles[i + 1:]:
-            if (a & b).bit_count() > 1:
-                raise ValueError("two bundles share more than one item")
-    return k, d
+    cdf = sm.cdf
+    x = [np.asarray(b, dtype=np.float64) for b in bids]
+    # numpy's ** on arrays, never a Python float's, whose x ** 2 can round differently
+    win = [np.asarray(cdf.cdf(b)) ** (sm.d - 1) for b in x]
+    u = sm.value * math.prod(win) - sum(b * w for b, w in zip(x, win))
+    return u if np.ndim(u) else float(u)
 
 
 def and_support_sum_check(support, value_full: float, tol: float = 1e-9):
-    """Verify no supported AND bid vector sums above the full-set value.
-
-    `support` is either an AndOrStrategyPair (checked analytically: every
-    supported vector is y on all m items with y <= 1/m, so the sum is at
-    most 1) or an array of bid vectors, one per row (checked directly).
-    Returns None when the check passes, else a witness bid vector.
-    """
-    if isinstance(support, AndOrStrategyPair):
-        worst = support.m * support.F.hi
-        if worst <= value_full + tol:
-            return None
-        return np.full(support.m, support.F.hi)
+    """Verify that no AND bid vector of `support` (one per row, or a single
+    vector) sums above the full-set value. Returns None when the check
+    passes, else a witness bid vector."""
     vecs = np.asarray(support, dtype=np.float64)
     if vecs.ndim == 1:
         vecs = vecs[None, :]

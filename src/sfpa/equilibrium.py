@@ -364,25 +364,21 @@ class BestResponseGap:
 
 def _andor_gap_analytic(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestResponseGap:
     axis = grid.points()
+    rows = np.zeros((axis.size, pair.m))
+    and_base, or_base = cf.andor_equilibrium_utilities(pair)
     if role == "and":
-        # The AND utility is a sum of per-item terms, so the maximum over the
-        # full product grid is the sum of per-axis maxima.
-        g_lt = pair.G.prob_lt(axis)
-        phi = g_lt / pair.m * (1.0 - axis) - axis * (pair.m - 1.0) / pair.m
-        best = int(np.argmax(phi))
-        gap = pair.m * float(phi[best])
-        dev = tuple(np.full(pair.m, axis[best]))
-        return BestResponseGap(max(gap, 0.0), 0.0, "analytic", 0.0, dev)
-    # A multi-item OR bid is dominated by keeping only its maximal entry,
-    # so scanning single-item bids covers the whole grid.
-    base = pair.v - pair.top
-    f_lt = pair.F.prob_lt(axis)
-    util = (pair.v - axis) * f_lt
+        # The AND utility is one identical term per item, so the maximum over
+        # the full product grid lies on the diagonal.
+        rows[:] = axis[:, None]
+        util, base = cf.andor_utility_and(pair, rows), and_base
+    else:
+        # A multi-item OR bid is dominated by keeping only its maximal entry,
+        # so scanning single-item bids covers the whole grid.
+        rows[:, 0] = axis
+        util, base = cf.andor_utility_or(pair, rows), or_base
     best = int(np.argmax(util))
-    dev = [0.0] * pair.m
-    dev[0] = float(axis[best])
-    return BestResponseGap(max(float(util[best]) - base, 0.0), 0.0, "analytic",
-                           base, tuple(dev))
+    return BestResponseGap(max(float(util[best]) - base, 0.0), 0.0, "analytic", base,
+                           tuple(rows[best]))
 
 
 def _singleminded_gap_analytic(role: SingleMindedRole, grid: BidGrid) -> BestResponseGap:
@@ -392,9 +388,8 @@ def _singleminded_gap_analytic(role: SingleMindedRole, grid: BidGrid) -> BestRes
     sm = role.strategy
     axis = grid.points()
     axis = axis[axis <= sm.top + TIE_TOL]
-    util = cf.singleminded_utility_grid(sm, axis)
-    flat = int(np.argmax(util))
-    best = np.unravel_index(flat, util.shape)
+    util = cf.singleminded_utility(sm, np.ix_(*[axis] * sm.k))
+    best = np.unravel_index(int(np.argmax(util)), util.shape)
     dev = np.zeros(role.m)
     dev[members(role.bundle)] = axis[list(best)]
     return BestResponseGap(max(float(util[best]), 0.0), 0.0, "analytic", 0.0,

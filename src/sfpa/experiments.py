@@ -61,6 +61,8 @@ def grid_game(side: int) -> tuple[list[Valuation], list[int]]:
 
 
 def game_from_json(d: dict) -> tuple[list[Valuation], PriorityRule]:
+    if not isinstance(d, dict):
+        raise ValueError(f"game file: need a JSON object, got {type(d).__name__}")
     return (valuations_from_json(d.get("valuations"), "valuations"),
             rule_from_json(d.get("tie_rule", {"kind": "index"})))
 
@@ -106,7 +108,7 @@ def verify_andor(m: int, v: float, grid_step: float = 1e-3, upper: float = 1.0,
         for p in range(mc_points):
             y = float(rng.uniform(0, pair.top))
             bids_and = np.full(m, y)
-            analytic = cf.andor_utility_and(pair, bids_and).value
+            analytic = cf.andor_utility_and(pair, bids_and)
             est, half = cf.andor_utility_mc(pair, "and", bids_and, trials,
                                             seed + 101 * p)
             out["mc_checks"].append({"player": "and", "bid": y, "analytic": analytic,
@@ -129,7 +131,7 @@ def verify_triangle(points: int = 500) -> dict:
     against the closed form -2(y-z)^2 (`closedform.triangle_utility`)."""
     sm = cf.SingleMindedSymmetric(2, 2)
     axis = np.linspace(0.0, 0.5, points)
-    net = cf.singleminded_utility_grid(sm, axis)
+    net = cf.singleminded_utility(sm, np.ix_(axis, axis))
     closed = cf.triangle_utility(axis[:, None], axis[None, :])
     return {"points": points,
             "max_formula_error": float(np.abs(net - closed).max()),
@@ -142,7 +144,7 @@ def verify_single_minded(k: int, d: int, points: int = 97) -> dict:
     deviation utility on a points^k grid."""
     sm = cf.SingleMindedSymmetric(k, d)
     axis = np.linspace(0.0, sm.top, points)
-    util = cf.singleminded_utility_grid(sm, axis)
+    util = cf.singleminded_utility(sm, np.ix_(*[axis] * k))
     diag = util[tuple(np.arange(points) for _ in range(k))]
     off = util.copy()
     off[tuple(np.arange(points) for _ in range(k))] = -np.inf
@@ -162,7 +164,7 @@ def poa_report(m: int, v: float, trials: int, seed: int) -> dict:
     est = cf.andor_equilibrium_welfare(pair, trials, seed)
     vals = andor_game(m, v)
     opt, _ = optimal_welfare(vals)
-    support_witness = cf.and_support_sum_check(pair, vals[0].value(full_set(m)))
+    support_witness = cf.and_support_sum_check(np.full(m, pair.F.hi), vals[0].value(full_set(m)))
     welfare_bound_poa = 2.0 / math.sqrt(m)
     welfare_bound_pos = 3.0 * math.sqrt(math.log2(m) / m)
     return {"m": m, "v": v, "trials": trials, "seed": seed,
@@ -248,8 +250,9 @@ def _random_lattice_valuation(rng: np.random.Generator, m: int) -> Valuation:
     return TableValuation(m, tuple(float(x) for x in table))
 
 
-def correspondence_case(vals: list[Valuation], grid_step: float = 0.05) -> dict:
-    """One instance of the Walrasian <-> grid pure-Nash correspondence.
+def correspondence_case(vals: list[Valuation], we, grid_step: float = 0.05) -> dict:
+    """One instance of the Walrasian <-> grid pure-Nash correspondence, given
+    the instance's `walrasian_search` result `we`.
 
     If a Walrasian equilibrium exists, its prices rounded up to the grid
     with its allocation must be a common-price (2 m grid_step)-equilibrium,
@@ -259,10 +262,6 @@ def correspondence_case(vals: list[Valuation], grid_step: float = 0.05) -> dict:
     an exact hit is itself a Walrasian equilibrium. The epsilon slack only
     absorbs discretization in the first direction.
     """
-    return _correspondence_case(vals, walrasian_search(vals), grid_step)
-
-
-def _correspondence_case(vals: list[Valuation], we, grid_step: float) -> dict:
     if we is not None:
         prices = grid_step * np.ceil(np.array(we.prices) / grid_step - 1e-9)  # round up
         gap = common_price_gap(vals, prices, we.allocation)
@@ -288,7 +287,7 @@ def correspondence_suite(instances: int = 200, seed: int = 0,
         m = int(rng.integers(1, 4))
         vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
         we = walrasian_search(vals)
-        case = _correspondence_case(vals, we, grid_step)
+        case = correspondence_case(vals, we, grid_step)
         if we is not None:
             got = sum(v.value(we.allocation.bundle(j)) for j, v in enumerate(vals))
             welfare_optimal &= got == optimal_welfare(vals)[0]
@@ -473,18 +472,15 @@ def strategy_samples(name: str, m: int, v: float, k: int, d: int, count: int,
                 "or_bids": [float(t) for t in x],
                 "series": [_cdf_series("and_cdf", pair.F),
                            _cdf_series("or_cdf", pair.G)]}
-    if name == "triangle":
-        sm = cf.SingleMindedSymmetric(2, 2)
-        draws = sm.cdf.sample(rng, count)
-        return {"strategy": name, "count": count, "seed": seed,
-                "bids": [float(t) for t in draws],
-                "series": [_cdf_series("cdf", sm.cdf)]}
-    if name == "single_minded":
-        sm = cf.SingleMindedSymmetric(k, d)
-        draws = sm.cdf.sample(rng, count)
-        return {"strategy": name, "k": k, "d": d, "count": count, "seed": seed,
-                "bids": [float(t) for t in draws],
-                "series": [_cdf_series("cdf", sm.cdf)]}
+    if name in ("triangle", "single_minded"):
+        triangle = name == "triangle"
+        sm = cf.SingleMindedSymmetric(2, 2) if triangle else cf.SingleMindedSymmetric(k, d)
+        out = {"strategy": name, "count": count, "seed": seed,
+               "bids": [float(t) for t in sm.cdf.sample(rng, count)],
+               "series": [_cdf_series("cdf", sm.cdf)]}
+        if not triangle:
+            out.update(k=k, d=d)
+        return out
     raise ValueError(f"unknown strategy {name!r}")
 
 

@@ -381,16 +381,3 @@ def beta_of(v: Valuation, tol: float = MONEY_TOL) -> BetaCertificate:
         got = a[members(target)].sum()
         beta = max(beta, math.inf if got <= tol else vt / got)
     return BetaCertificate(beta, clauses)
-
-
-def verify_beta_certificate(v: Valuation, cert: BetaCertificate, tol: float = MONEY_TOL) -> bool:
-    """Check both certificate inequalities exhaustively (test oracle)."""
-    table = v.as_table()
-    bits = bit_matrix(v.m)
-    for target, a in cert.clauses.items():
-        if (bits @ a > table + tol).any():
-            return False
-        want = 0.0 if math.isinf(cert.beta) else v.value(target) / cert.beta
-        if a[members(target)].sum() < want - tol:
-            return False
-    return True

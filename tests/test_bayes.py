@@ -5,11 +5,12 @@ import pytest
 
 from sfpa.auction import PriorityRule, RandomizedRule
 from sfpa.bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
-                        bayesian_game_from_json, best_response_strategies,
-                        expected_welfare)
+                        bayesian_game_from_json, expected_welfare)
 from sfpa.equilibrium import BidGrid, FiniteSupportStrategy, best_response_gap
 from sfpa.experiments import bayes_report, exact_two_type_bne, two_type_bne_game
 from sfpa.valuations import AdditiveValuation, AndValuation, OrValuation
+
+from oracles import best_response_strategies
 
 
 def pure(strategy_shape, picks):

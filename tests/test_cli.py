@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 
 from sfpa.cli import main
-from sfpa.experiments import emit_plot_data
+from sfpa.experiments import dumps_canonical, emit_plot_data
 
 
 def run_cli(args, capsys):
@@ -88,6 +89,19 @@ def test_csv_plot_data(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "series,x,y"
     assert len(lines) == 1 + 200 + 200  # two sampled CDF curves
+
+
+def test_sample_single_minded_bodies_pinned(capsys):
+    # SHA-256 of the canonical body without wall-clock; the triangle carries no k or d
+    for args, want in (
+            (["--strategy", "triangle"],
+             "815946848d9197f39a5555b7a1d942bdee2317fab56e98204e9d73b96dcc6ce8"),
+            (["--strategy", "single_minded", "--k", "3", "--d", "2"],
+             "fac0a2e89677c29e63eeb511b8bdb3a88a4dc3c741bab9dca5e515a0e63baa09")):
+        code, out, _ = run_cli(["sample", *args, "--count", "50", "--seed", "3"], capsys)
+        assert code == 0
+        body = dumps_canonical(body_of(out))
+        assert hashlib.sha256(body.encode()).hexdigest() == want
 
 
 def test_emit_plot_data_empty():
@@ -291,6 +305,39 @@ def test_bayes_file_missing_keys(tmp_path, capsys):
         assert message.startswith(f"{key}:")
     path.write_text(json.dumps([doc]))
     precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+
+
+def test_malformed_tie_rules_and_game_files(tmp_path, capsys):
+    vals = [{"kind": "additive", "m": 1, "weights": [1.0]},
+            {"kind": "additive", "m": 1, "weights": [2.0]}]
+    bayes = {"types": [[vals[0]], [vals[1]]], "prior": [[1.0]],
+             "actions": [[[0.0]], [[0.0]]], "strategies": [[[1.0]], [[1.0]]]}
+    game, rule_file, bayes_file = (tmp_path / name for name in ("g.json", "r.json", "b.json"))
+    for rule in ({"kind": "priority"}, {"kind": "priority", "order": 5},
+                 {"kind": "priority", "order": [[0, "1"]]},
+                 {"kind": "randomized", "mixture": [{"prob": 1.0}]}, "index", [{"kind": "index"}]):
+        game.write_text(json.dumps({"valuations": vals, "tie_rule": rule}))
+        rule_file.write_text(json.dumps(rule))
+        bayes_file.write_text(json.dumps({**bayes, "tie_rule": rule}))
+        for args in (["walrasian", "--game", str(game)], ["pure-nash", "--game", str(game)],
+                     ["pure-nash", "--game", "triangle", "--tie-rule", str(rule_file)],
+                     ["bayes", "--file", str(bayes_file)]):
+            message = precondition_message(*run_cli(args, capsys)[::2])
+            assert message.startswith("tie_rule:"), (rule, args, message)
+    # well-formed JSON that is no valid rule for this game; walrasian reads no tie rule
+    for rule in ({"kind": "priority", "order": [[0]]}, {"kind": "priority", "order": [[0, 1]] * 2},
+                 {"kind": "randomized", "mixture": [{"prob": 0.5, "rule": {"kind": "index"}}]},
+                 {"kind": "randomized", "mixture": [{"prob": 1.0, "rule": {
+                     "kind": "randomized", "mixture": [{"prob": 1.0, "rule": {}}]}}]}):
+        game.write_text(json.dumps({"valuations": vals, "tie_rule": rule}))
+        bayes_file.write_text(json.dumps({**bayes, "tie_rule": rule}))
+        for args in (["pure-nash", "--game", str(game)], ["bayes", "--file", str(bayes_file)]):
+            message = precondition_message(*run_cli(args, capsys)[::2])
+            assert message.startswith("tie_rule:"), (rule, args, message)
+    game.write_text(json.dumps([{"valuations": vals}]))
+    for command in ("walrasian", "pure-nash"):
+        message = precondition_message(*run_cli([command, "--game", str(game)], capsys)[::2])
+        assert message.startswith("game file:")
 
 
 def test_verify_andor_needs_two_trials(capsys):

@@ -11,10 +11,10 @@ from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymm
                              and_bid_cdf, and_support_sum_check,
                              andor_equilibrium_welfare, andor_utility_and,
                              andor_utility_mc, andor_utility_or, or_bid_cdf,
-                             singleminded_utility, singleminded_utility_grid,
-                             triangle_cdf, triangle_utility,
-                             validate_symmetric_instance)
+                             singleminded_utility, triangle_utility)
 from sfpa.rng import rng_for
+
+from oracles import triangle_cdf, validate_symmetric_instance
 
 
 def test_atom_mass_and_endpoints():
@@ -90,20 +90,17 @@ def test_andor_utility_and_zero_on_cube():
             rng = rng_for(7, "cube", m)
             for _ in range(20):
                 x = rng.uniform(0, pair.top, m)
-                got = andor_utility_and(pair, x)
-                assert got.in_cube
-                assert got.value == pytest.approx(0.0, abs=1e-12)
-    assert andor_utility_and(AndOrStrategyPair(2, 1.0), [0.3, 0.1]).value == \
+                assert pair.in_cube(x)
+                assert andor_utility_and(pair, x) == pytest.approx(0.0, abs=1e-12)
+    assert andor_utility_and(AndOrStrategyPair(2, 1.0), [0.3, 0.1]) == \
         pytest.approx(0.0, abs=1e-12)
-    assert andor_utility_and(AndOrStrategyPair(2, 1.0), [0.0, 0.0]).value == 0.0
+    assert andor_utility_and(AndOrStrategyPair(2, 1.0), [0.0, 0.0]) == 0.0
 
 
 def test_andor_utility_and_above_cube_flagged_and_dominated():
     pair = AndOrStrategyPair(2, 1.0)
-    high = andor_utility_and(pair, [0.6, 0.3])
-    assert not high.in_cube
-    clamped = andor_utility_and(pair, [0.5, 0.3])
-    assert high.value < clamped.value
+    assert not pair.in_cube([0.6, 0.3])
+    assert andor_utility_and(pair, [0.6, 0.3]) < andor_utility_and(pair, [0.5, 0.3])
 
 
 def test_andor_utility_or_values():
@@ -128,11 +125,27 @@ def test_or_keep_max_dominance(m, seed):
     assert andor_utility_or(pair, x) <= andor_utility_or(pair, keep) + 1e-12
 
 
+@given(st.integers(2, 8), st.integers(0, 2), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_andor_rows_match_one_row_calls(m, which, count, seed):
+    # v = 1/m (the AND point mass), 2/m, or 1; bids tie at 0 and 1/m and leave the cube
+    pair = AndOrStrategyPair(m, (1.0 / m, 2.0 / m, 1.0)[which])
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.0, 1.5 * pair.top, (count, m))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[rng.random(rows.shape) < 0.2] = pair.top
+    for evaluate in (andor_utility_and, andor_utility_or):
+        one = [evaluate(pair, row) for row in rows]
+        assert all(isinstance(u, float) for u in one)
+        assert evaluate(pair, rows).view(np.int64).tolist() == \
+            np.array(one).view(np.int64).tolist()
+
+
 def test_andor_utilities_vs_monte_carlo():
     pair = AndOrStrategyPair(4, 0.5)
     x_and = np.full(4, 0.2)
     est, half = andor_utility_mc(pair, "and", x_and, 200_000, seed=3)
-    assert abs(est - andor_utility_and(pair, x_and).value) <= half
+    assert abs(est - andor_utility_and(pair, x_and)) <= half
     x_or = np.array([0.0, 0.15, 0.0, 0.0])
     est, half = andor_utility_mc(pair, "or", x_or, 200_000, seed=4)
     assert abs(est - andor_utility_or(pair, x_or)) <= half
@@ -275,7 +288,7 @@ def test_triangle_utility_formula():
     assert triangle_utility(0.5, 0.0) == pytest.approx(-0.5)
     axis = np.linspace(0, 0.5, 101)
     sm = SingleMindedSymmetric(2, 2)
-    grid = singleminded_utility_grid(sm, axis)
+    grid = singleminded_utility(sm, np.ix_(axis, axis))
     closed = -2.0 * (axis[:, None] - axis[None, :]) ** 2
     assert np.abs(grid - closed).max() <= 1e-12
 
@@ -307,6 +320,18 @@ def test_singleminded_matches_triangle_and_displayed_formula():
             assert singleminded_utility(smkd, x) <= 1e-12
         flat = rng.uniform(0, smkd.top)
         assert singleminded_utility(smkd, [flat] * k) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_singleminded_grid_matches_point_calls():
+    for k, d in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        sm = SingleMindedSymmetric(k, d)
+        axis = np.linspace(0.0, sm.top, 7)
+        grid = singleminded_utility(sm, np.ix_(*[axis] * k))
+        assert grid.shape == (7,) * k
+        points = [singleminded_utility(sm, [float(axis[i]) for i in idx])
+                  for idx in np.ndindex(grid.shape)]
+        assert grid.ravel().view(np.int64).tolist() == \
+            np.array(points).view(np.int64).tolist()
 
 
 def test_symmetric_cdf_indifference_identity():
@@ -344,7 +369,9 @@ def test_scaled_value_consistency():
 
 def test_and_support_sum_check():
     pair = AndOrStrategyPair(3, 1.0)
-    assert and_support_sum_check(pair, 1.0) is None
+    extreme = np.full(3, pair.F.hi)  # every supported AND vector is y <= 1/m on all items
+    assert and_support_sum_check(extreme, 1.0) is None
+    assert and_support_sum_check(extreme, 0.9).tolist() == extreme.tolist()
     witness = and_support_sum_check(np.array([[0.6, 0.6], [0.1, 0.1]]), 1.0)
     assert witness is not None and witness.sum() == pytest.approx(1.2)
     assert and_support_sum_check(np.array([[0.5, 0.5]]), 1.0) is None

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfpa import dynamics
-from sfpa.closedform import triangle_cdf
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, ks_distance, run_no_regret,
                            verify_cce)
@@ -14,6 +13,8 @@ from sfpa.auction import PriorityRule, RandomizedRule, outcome
 from sfpa.rng import rng_for
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              TableValuation)
+
+from oracles import triangle_cdf
 
 
 def single_item_game(values=(1.0, 2.0), step=0.1):

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, outcome)
-from sfpa.closedform import AndOrStrategyPair, SingleMindedSymmetric
+from sfpa.closedform import (AndOrStrategyPair, SingleMindedSymmetric,
+                             andor_equilibrium_utilities, andor_utility_and,
+                             andor_utility_or)
 from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
                               SingleMindedRole, WalrasianEquilibrium, _support_prices,
                               best_response_gap, bundle_costs, common_price_gap,
@@ -241,6 +243,22 @@ def test_best_response_gap_andor_analytic():
                 assert res.gap <= 1e-9
 
 
+def test_andor_analytic_gap_matches_full_grid():
+    # the diagonal (AND) and single-item (OR) scans against every grid vector
+    for m in (2, 3):
+        rows = BidGrid(0.05, 1.0).actions_for(m)
+        for v in (1.0 / m, 2.0 / m, 1.0):
+            pair = AndOrStrategyPair(m, v)
+            roles = [AndOrRole(pair, "and"), AndOrRole(pair, "or")]
+            bases = andor_equilibrium_utilities(pair)
+            for player, evaluate in enumerate((andor_utility_and, andor_utility_or)):
+                res = best_response_gap(andor_game(m, v), roles, player, BidGrid(0.05, 1.0))
+                best = evaluate(pair, rows).max()
+                assert res.baseline == bases[player]
+                assert abs(evaluate(pair, res.best_deviation) - best) <= 1e-15
+                assert abs(res.gap - max(best - bases[player], 0.0)) <= 1e-15
+
+
 def test_best_response_gap_triangle_analytic():
     vals, bundles = triangle_game()
     sm = SingleMindedSymmetric(2, 2)
@@ -386,5 +404,5 @@ def test_correspondence_random_instances():
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
-        case = correspondence_case(vals)
+        case = correspondence_case(vals, walrasian_search(vals))
         assert case["agree"], (i, case)

@@ -19,8 +19,7 @@ import pytest
 
 from sfpa import experiments as xp
 from sfpa.auction import PriorityRule
-from sfpa.bayes import (bayes_deviation_gap, bayes_welfare_bounds,
-                        best_response_strategies)
+from sfpa.bayes import bayes_deviation_gap, bayes_welfare_bounds
 from sfpa.closedform import AndOrStrategyPair, SingleMindedSymmetric
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, run_no_regret, verify_cce)
@@ -29,6 +28,8 @@ from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
                               limit_equilibrium_check, pure_nash_search)
 from sfpa.sets import full_set
 from sfpa.valuations import AdditiveValuation, AndValuation
+
+from oracles import best_response_strategies
 
 SEED = 20260809
 
@@ -133,8 +134,8 @@ PAYLOADS = {
 GOLDEN = {
     "additive_dynamics": "640bd5bde1903bb7267049762db2029bae68ec818b23ebee71c0eb4dafc31d9c",
     "andor_dynamics": "1a19ce3ee00f561ea5f85f2a9f255cf9a8415506ed18bc9012a915cdf8622748",
-    "andor_mc_m2": "6bd7603a76d24b5e42fc983bded36b2aba848636e2790033c47c44b8ab357b4b",
-    "andor_mc_m8": "9ecca1ff87a7dd9ec9361ebc31ab31110e7f7391575e88758b75568efc870701",
+    "andor_mc_m2": "dffa1b8d3a4541f61f610d2bb424f971de7399020b07841e878479b75c0e07e4",
+    "andor_mc_m8": "e7528f117b9274d2d4624ff026d6483b54d3235658cdafc68fdfdf473bd20da6",
     "bayes_priority": "97f1a92fbef246bd0584afef75dd11b2c9f4ee5089fe7dd71fe6d6a1b1c3de66",
     "bayes_report": "4877cccdb5e6fb17bfbec1defcf0e2ae73c84943882d8b170a473910983cc724",
     "best_response": "a954537b9eba5fd0bb1ac3c0e04ca59c39749eef91076f79b7eb62ef1b4ceb85",

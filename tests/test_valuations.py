@@ -8,7 +8,9 @@ from sfpa.sets import members, subsets
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation, XosValuation,
                              beta_of, bit_matrix, check_valid, valuation_from_json,
-                             verify_beta_certificate, xos_supporting_clause)
+                             xos_supporting_clause)
+
+from oracles import verify_beta_certificate
 
 
 def brute_force_monotone(v):
