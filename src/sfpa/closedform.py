@@ -22,12 +22,23 @@ Ties at bid 0 between the AND atom and the OR player's untouched items
 are broken in favor of the AND bidder (the OR side is atomless, so the
 equilibrium itself is tie-rule independent; the convention only fixes
 bookkeeping on zero bids).
+
+Monte Carlo runs in blocks of MC_BLOCK trials: each block draws its
+uniforms from the one generator, in order, and writes its per-trial
+values into one array preallocated for all trials. Successive draws from
+a generator continue one stream, so the blocks see the very doubles a
+single draw of every trial would, and the mean and CI are reduced over the
+whole per-trial array as before: the results are bit for bit those of the
+one-shot form, while the temporaries shrink to one block. Trial and sample
+counts whose arrays would pass MC_BYTE_LIMIT bytes are refused before
+anything is drawn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,6 +46,26 @@ import numpy as np
 from .rng import rng_for
 
 CDF_TOL = 1e-12
+MC_BLOCK = 2 ** 16  # trials (or draws) a Monte Carlo loop handles at a time
+MC_BYTE_LIMIT = 2 ** 31  # largest estimated working set of a Monte Carlo run or sample
+
+
+def _blocks(size: int):
+    """Consecutive slices of range(size), MC_BLOCK long but the last."""
+    for lo in range(0, size, MC_BLOCK):
+        yield slice(lo, min(lo + MC_BLOCK, size))
+
+
+def check_count(count, field: str = "trials", least: int = 2, per_unit: int = 40) -> None:
+    """Refuse a trial or sample count that is not an integer >= least, or
+    whose arrays, at about per_unit bytes each, would pass MC_BYTE_LIMIT.
+    The default bounds a Monte Carlo trial: at most four per-trial arrays
+    (bids, OR items, per-trial values) and the temporary of their std."""
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise ValueError(f"{field} must be an integer >= {least}, got {count!r}")
+    if count * per_unit > MC_BYTE_LIMIT:
+        raise ValueError(f"{field}: {count} would take about {count * per_unit} bytes, over "
+                         f"the {MC_BYTE_LIMIT}-byte limit; use at most {MC_BYTE_LIMIT // per_unit}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +149,10 @@ class AtomicCDF:
         return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.quantile(rng.random(size))
+        out = np.empty(size)
+        for s in _blocks(size):
+            out[s] = self.quantile(rng.random(s.stop - s.start))
+        return out
 
 
 def _point_mass(at: float) -> AtomicCDF:
@@ -166,11 +200,11 @@ class AndOrStrategyPair:
     def top(self) -> float:
         return 1.0 / self.m
 
-    @property
+    @cached_property
     def F(self) -> AtomicCDF:
         return and_bid_cdf(self.m, self.v)
 
-    @property
+    @cached_property
     def G(self) -> AtomicCDF:
         return or_bid_cdf(self.m)
 
@@ -244,12 +278,13 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
     player takes its item. Also reports the empirical frequency of the AND
     zero-bid atom against its analytic mass 1 - 1/(m v).
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 2:
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    check_count(trials)
     rng = rng_for(seed, "andor-welfare", pair.m)
     y = pair.sample_and_bids(rng, trials)
-    _, x = pair.sample_or_bids(rng, trials)
-    welfare = np.where(y > x, 1.0, pair.v)  # exact float tie y == x is AND-first
+    x = pair.sample_or_bids(rng, trials)[1]  # not holding the items: one array less at the peak
+    welfare = np.empty(trials)
+    for s in _blocks(trials):
+        welfare[s] = np.where(y[s] > x[s], 1.0, pair.v)  # exact float tie y == x is AND-first
     est = float(welfare.mean())
     ci = Z99 * float(welfare.std(ddof=1)) / math.sqrt(trials)
     atom_prob = 0.0 if pair.v <= pair.top + CDF_TOL else 1.0 - 1.0 / (pair.m * pair.v)
@@ -277,21 +312,23 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
         raise ValueError(f"bids must have shape ({pair.m},), got {x.shape}")
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ValueError("bids must be finite and >= 0")
-    if not isinstance(trials, (int, np.integer)) or trials < 2:
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    check_count(trials)
     rng = rng_for(seed, "andor-mc", role)
+    u = np.empty(trials)
     if role == "and":
         items, g = pair.sample_or_bids(rng, trials)
-        outcome = np.where((x.take(items) > g) | (g == 0.0), pair.m, items)
         win = ~np.eye(pair.m + 1, pair.m, dtype=bool)
         table = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
+        for s in _blocks(trials):
+            u[s] = table.take(np.where((x.take(items[s]) > g[s]) | (g[s] == 0.0),
+                                       pair.m, items[s]))
     else:
         y = pair.sample_and_bids(rng, trials)
         cuts = np.sort(x)
-        outcome = cuts.searchsorted(y, side="right")
         win = x[None, :] >= np.append(cuts, np.inf)[:, None]
         table = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
-    u = table.take(outcome)
+        for s in _blocks(trials):
+            u[s] = table.take(cuts.searchsorted(y[s], side="right"))
     half = Z99 * float(u.std(ddof=1)) / math.sqrt(trials)
     return float(u.mean()), half
 
@@ -327,7 +364,7 @@ class SingleMindedSymmetric:
     def top(self) -> float:
         return self.value / self.k
 
-    @property
+    @cached_property
     def cdf(self) -> AtomicCDF:
         e = (self.d - 1) * (self.k - 1)
         return AtomicCDF(0.0, self.top, (),

@@ -33,6 +33,8 @@ from .rng import rng_for
 from .sets import full_set, members
 from .valuations import MONEY_TOL, Valuation, bit_matrix
 
+GRID_CAP = 2_000_000  # bid vectors a full product grid may hold
+
 
 @dataclass(frozen=True)
 class WalrasianEquilibrium:
@@ -186,8 +188,8 @@ class BidGrid:
             for j in range(m):
                 out[j * pts.size:(j + 1) * pts.size, j] = pts
             return out
-        if pts.size ** m > 2_000_000:
-            raise CapExceeded(f"full product grid {pts.size}^{m} exceeds 2000000 bid vectors; "
+        if pts.size ** m > GRID_CAP:
+            raise CapExceeded(f"full product grid {pts.size}^{m} exceeds {GRID_CAP} bid vectors; "
                               "coarsen sfpa pure-nash --grid-step, lower --max or change --family")
         grids = np.meshgrid(*([pts] * m), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)

@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from . import __version__, closedform as cf
-from .auction import PriorityRule, optimal_welfare, rule_from_json
+from .auction import CapExceeded, PriorityRule, optimal_welfare, rule_from_json
 from .bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
                     check_strategies)
 from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_ratio,
                        ks_distance, run_no_regret, verify_cce)
-from .equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
+from .equilibrium import (GRID_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
                           best_response_gap, common_price_gap, common_price_scan,
                           walrasian_search)
 from .rng import rng_for
@@ -93,6 +93,8 @@ def verify_andor(m: int, v: float, grid_step: float = 1e-3, upper: float = 1.0,
                  trials: int = 0, seed: int = 0, mc_points: int = 2) -> dict:
     """Best-response gaps for both AND-OR players; optional Monte Carlo
     cross-check of the analytic utilities at sampled deviation bids."""
+    if trials:
+        cf.check_count(trials)
     pair = cf.AndOrStrategyPair(m, v)
     vals = andor_game(m, v)
     strategies = [AndOrRole(pair, "and"), AndOrRole(pair, "or")]
@@ -143,6 +145,9 @@ def verify_single_minded(k: int, d: int, points: int = 97) -> dict:
     """Sign and diagonal-equality structure of the symmetric single-minded
     deviation utility on a points^k grid."""
     sm = cf.SingleMindedSymmetric(k, d)
+    if points ** min(k, 64) > GRID_CAP:  # 2^64 already exceeds it; a huge k skips the power
+        raise CapExceeded(f"k: the {points}^{k}-point bid grid exceeds {GRID_CAP} bid vectors; "
+                          "lower --k")
     axis = np.linspace(0.0, sm.top, points)
     util = cf.singleminded_utility(sm, np.ix_(*[axis] * k))
     diag = util[tuple(np.arange(points) for _ in range(k))]
@@ -199,17 +204,19 @@ def andor_welfare_sweep(ms, trials: int, seed: int) -> dict:
 def grid_game_report(side: int, trials: int, seed: int) -> dict:
     """Walrasian equilibrium of the side x side grid game plus Monte Carlo
     satisfied-player count under the symmetric mixed equilibrium."""
+    cf.check_count(trials)
     vals, bundles = grid_game(side)
     m = side * side
     we = walrasian_search(vals)
     opt, _ = optimal_welfare(vals)
     sm = cf.SingleMindedSymmetric(side, 2, value=float(side))
     rng = rng_for(seed, "grid-game", side)
-    draws = sm.cdf.sample(rng, (2 * side) * trials).reshape(trials, 2 * side)
-    rows, cols = draws[:, :side], draws[:, side:]
-    sat_rows = (rows > cols.max(axis=1, keepdims=True)).sum(axis=1)
-    sat_cols = (cols > rows.max(axis=1, keepdims=True)).sum(axis=1)
-    satisfied = sat_rows + sat_cols
+    satisfied = np.empty(trials, dtype=np.int64)
+    for s in cf._blocks(trials):  # a block's 2 * side draws per trial, as one draw would give them
+        draws = sm.cdf.sample(rng, 2 * side * (s.stop - s.start)).reshape(-1, 2 * side)
+        rows, cols = draws[:, :side], draws[:, side:]
+        satisfied[s] = ((rows > cols.max(axis=1, keepdims=True)).sum(axis=1)
+                        + (cols > rows.max(axis=1, keepdims=True)).sum(axis=1))
     mean = float(satisfied.mean())
     ci = cf.Z99 * float(satisfied.std(ddof=1)) / math.sqrt(trials)
     welfare = side * mean
@@ -459,8 +466,9 @@ def bayes_report(grid_step: float = 0.05) -> dict:
 
 def strategy_samples(name: str, m: int, v: float, k: int, d: int, count: int,
                      seed: int) -> dict:
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    # about 160 bytes per drawn value: its array entry, list entry and JSON text;
+    # an andor sample draws three (the AND bid, the OR item and the OR bid)
+    cf.check_count(count, "count", 0, 160 * (3 if name == "andor" else 1))
     rng = rng_for(seed, "samples", name)
     if name == "andor":
         pair = cf.AndOrStrategyPair(m, v)

@@ -1,14 +1,17 @@
 """Reference code that only the tests call: a structural check of the
 symmetric single-minded instances, the triangle's bid distribution, the
-exhaustive check of an XOS certificate and best-response iteration for
-building Bayesian equilibria to verify."""
+whole-array forms of the blocked Monte Carlo loops, the exhaustive check
+of an XOS certificate and best-response iteration for building Bayesian
+equilibria to verify."""
 
 import math
 
 import numpy as np
 
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, check_strategies
-from sfpa.closedform import AtomicCDF
+from sfpa.closedform import (CDF_TOL, Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
+                             WelfareEstimate)
+from sfpa.rng import rng_for
 from sfpa.sets import members
 from sfpa.valuations import MONEY_TOL, BetaCertificate, Valuation, bit_matrix
 
@@ -41,6 +44,32 @@ def validate_symmetric_instance(bundles: list[int], m: int) -> tuple[int, int]:
 def triangle_cdf() -> AtomicCDF:
     """F(x) = 2x on [0, 1/2]; atomless."""
     return AtomicCDF(0.0, 0.5, (), lambda x: 2.0 * x, lambda u: u / 2.0)
+
+
+def grid_satisfied(side: int, trials: int, seed: int) -> tuple[float, float]:
+    """(mean, 99% CI half-width) of the grid game's satisfied-player count,
+    from one draw of every trial's 2 * side bids: the whole-array form of
+    experiments.grid_game_report's Monte Carlo."""
+    sm = SingleMindedSymmetric(side, 2, value=float(side))
+    rng = rng_for(seed, "grid-game", side)
+    draws = sm.cdf.quantile(rng.random(2 * side * trials)).reshape(trials, 2 * side)
+    rows, cols = draws[:, :side], draws[:, side:]
+    satisfied = ((rows > cols.max(axis=1, keepdims=True)).sum(axis=1)
+                 + (cols > rows.max(axis=1, keepdims=True)).sum(axis=1))
+    return float(satisfied.mean()), Z99 * float(satisfied.std(ddof=1)) / math.sqrt(trials)
+
+
+def andor_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -> WelfareEstimate:
+    """closedform.andor_equilibrium_welfare with every trial's welfare
+    computed in one whole-array step."""
+    rng = rng_for(seed, "andor-welfare", pair.m)
+    y = pair.sample_and_bids(rng, trials)
+    _, x = pair.sample_or_bids(rng, trials)
+    welfare = np.where(y > x, 1.0, pair.v)
+    ci = Z99 * float(welfare.std(ddof=1)) / math.sqrt(trials)
+    atom_prob = 0.0 if pair.v <= pair.top + CDF_TOL else 1.0 - 1.0 / (pair.m * pair.v)
+    return WelfareEstimate(float(welfare.mean()), ci, trials, seed,
+                           float(np.mean(y == 0.0)), atom_prob)
 
 
 def verify_beta_certificate(v: Valuation, cert: BetaCertificate, tol: float = MONEY_TOL) -> bool:

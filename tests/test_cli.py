@@ -463,6 +463,39 @@ def test_dynamics_trace_too_large_names_rounds(capsys):
     assert precondition_message(code, err).startswith("rounds")
 
 
+def test_oversized_counts_refused_before_drawing(monkeypatch, capsys):
+    import sfpa.closedform as cf
+    import sfpa.experiments as xp
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the size was checked")
+
+    for module, name in ((np, "empty"), (cf, "rng_for"), (xp, "rng_for")):
+        monkeypatch.setattr(module, name, allocate)
+    huge = "1000000000000"
+    for args, field in ((["sample", "--strategy", "andor", "--count", huge], "count"),
+                        (["sample", "--strategy", "triangle", "--count", huge], "count"),
+                        (["poa", "--trials", huge], "trials"),
+                        (["poa", "--sweep", "4,9", "--trials", huge], "trials"),
+                        (["verify", "--game", "andor", "--trials", huge], "trials")):
+        code, _, err = run_cli(args, capsys)
+        message = precondition_message(code, err)
+        assert message.startswith(f"{field}: {huge} would take") and "limit" in message
+
+
+def test_single_minded_grid_too_large_names_k(monkeypatch, capsys):
+    import sfpa.closedform as cf
+
+    def score(*args):
+        raise AssertionError("scored the grid before checking its size")
+
+    monkeypatch.setattr(cf, "singleminded_utility", score)
+    for k in ("5", "1000000000"):
+        code, _, err = run_cli(["verify", "--game", "single_minded", "--k", k], capsys)
+        message = precondition_message(code, err)
+        assert message.startswith(f"k: the 97^{k}-point") and "2000000" in message
+
+
 def test_bad_flags_name_their_field(capsys):
     learn = ["--rounds", "10"]
     for args, field in ((["walrasian", "--game", "andor", "--v", "nan"], "value"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sfpa import closedform as cf
+from sfpa.experiments import grid_game_report
 from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              and_bid_cdf, and_support_sum_check,
                              andor_equilibrium_welfare, andor_utility_and,
@@ -14,7 +16,7 @@ from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymm
                              singleminded_utility, triangle_utility)
 from sfpa.rng import rng_for
 
-from oracles import triangle_cdf, validate_symmetric_instance
+from oracles import andor_welfare, grid_satisfied, triangle_cdf, validate_symmetric_instance
 
 
 def test_atom_mass_and_endpoints():
@@ -226,6 +228,89 @@ def test_andor_utility_mc_checks_input(monkeypatch):
     monkeypatch.setattr(cf, "rng_for", no_draws)
     with pytest.raises(ValueError, match="role"):
         andor_utility_mc(pair, "xor", [0.1, 0.0, 0.0], 1_000, seed=1)
+
+
+_BLOCK_SIZES = (1, 3, 7, 64)
+# atomless G, F with its atom at 0 (v > 1/m), the point mass (v = 1/m), single-minded
+_SAMPLED = (or_bid_cdf(3), and_bid_cdf(3, 1.0), and_bid_cdf(3, 1.0 / 3),
+            SingleMindedSymmetric(3, 2, value=3.0).cdf)
+
+
+@given(st.sampled_from(_BLOCK_SIZES), st.sampled_from(range(len(_SAMPLED))),
+       st.integers(0, 3), st.integers(-1, 1), st.integers(0, 2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_sample_blocks_match_one_draw(block, which, blocks, offset, seed):
+    cdf, size = _SAMPLED[which], max(0, blocks * block + offset)
+    one = rng_for(seed, "blocks")
+    want = cdf.quantile(one.random(size))
+    blocked = rng_for(seed, "blocks")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "MC_BLOCK", block)
+        got = cdf.sample(blocked, size)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert blocked.random() == one.random()  # both consumed the stream alike
+
+
+@given(st.sampled_from(_BLOCK_SIZES), _mc_cases(), st.integers(2, 200), st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_mc_blocks_match_unblocked(block, case, trials, seed):
+    pair, bids, role = case
+
+    def run():
+        return (andor_utility_mc(pair, role, bids, trials, seed),
+                andor_equilibrium_welfare(pair, trials, seed))
+
+    assert cf.MC_BLOCK >= trials
+    whole = run()
+    assert whole[1] == andor_welfare(pair, trials, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "MC_BLOCK", block)
+        assert run() == whole
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES + (2 ** 16,))
+def test_grid_game_blocks_match_whole_array(monkeypatch, block):
+    monkeypatch.setattr(cf, "MC_BLOCK", block)
+    for side, trials, seed in ((2, 200, 1), (3, 130, 7)):
+        rep = grid_game_report(side, trials, seed)
+        assert (rep["expected_satisfied"], rep["satisfied_ci99"]) == \
+            grid_satisfied(side, trials, seed)
+
+
+def _peak_bytes_per_trial(run, small=200_000, large=600_000):
+    """Growth of the tracemalloc peak of run(trials) per extra trial."""
+    peaks = []
+    for trials in (small, large):
+        tracemalloc.start()
+        try:
+            run(trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (large - small)
+
+
+def test_blocked_monte_carlo_memory_per_trial():
+    # the whole-array forms grew by about 95 (grid game), 24 (G) and 26 (F) bytes per trial
+    for cdf in (or_bid_cdf(3), and_bid_cdf(3, 1.0)):
+        assert _peak_bytes_per_trial(lambda n: cdf.sample(rng_for(0, "memory"), n)) <= 16
+    assert _peak_bytes_per_trial(lambda n: grid_game_report(3, n, 0)) <= 16
+
+
+def test_distributions_built_once_per_object():
+    pair, sm = AndOrStrategyPair(3, 1.0), SingleMindedSymmetric(3, 2)
+    assert pair.F is pair.F and pair.G is pair.G and sm.cdf is sm.cdf
+    fresh = AndOrStrategyPair(3, 1.0)
+    assert pair == fresh and hash(pair) == hash(fresh)
+
+
+def test_check_count_refuses_at_the_byte_limit():
+    most = cf.MC_BYTE_LIMIT // 40
+    cf.check_count(most)
+    with pytest.raises(ValueError, match=f"^trials: {most + 1} would take"):
+        cf.check_count(most + 1)
+    with pytest.raises(ValueError, match="^count must be an integer >= 0"):
+        cf.check_count(-1, "count", 0, 160)
 
 
 def _masked_quantile(cdf, u):
