@@ -14,11 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sets import members
-from .valuations import Valuation
+from .sets import MAX_ITEMS, members
+from .valuations import MONEY_TOL, Valuation
 
 TIE_TOL = 1e-12  # bids this close count as tied
 MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
+CAP = 11_000_000  # default size cap: welfare-DP subset pairs, or grid Nash profiles
 
 
 class CapExceeded(ValueError):
@@ -45,12 +46,6 @@ class PriorityRule:
             if sorted(perm) != list(range(n)):
                 raise ValueError(f"tie_rule: item priority {perm} is not a permutation "
                                  f"of 0..{n - 1}")
-
-    def pick(self, item: int, tied: np.ndarray) -> int:
-        if self.order is None:
-            return int(tied.min())
-        rank = self.order[item]
-        return int(min(tied, key=lambda i: rank.index(i)))
 
     def to_json(self) -> dict:
         if self.order is None:
@@ -140,7 +135,7 @@ def check_bids(bids) -> np.ndarray:
 # First-price kernel: the single vectorised home of the rule "each item goes
 # to its highest bidder, a tie within TIE_TOL to the best priority rank".
 # Bid arrays are (..., n, m) profiles or (..., m) rows; leading axes batch
-# trials or rounds. `allocate` below stays as the scalar reference.
+# trials or rounds. `allocate` and `outcome` below read it too.
 
 _NO_RANK = np.iinfo(np.int64).max
 
@@ -254,15 +249,10 @@ def allocate(bids, rule=PriorityRule()):
     """Allocation under the rule; a randomized rule yields [(prob, Allocation)]."""
     b = check_bids(bids)
     n, m = b.shape
-    rule.validate(n, m)
     if isinstance(rule, RandomizedRule):
+        rule.validate(n, m)
         return [(p, allocate(b, det)) for p, det in rule.mixture]
-    winners = []
-    for j in range(m):
-        col = b[:, j]
-        tied = np.flatnonzero(col >= col.max() - TIE_TOL)
-        winners.append(rule.pick(j, tied))
-    return Allocation(tuple(winners))
+    return Allocation(tuple(winners(b, priority_ranks(rule, n, m)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -308,15 +298,12 @@ def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
         return Outcome(None, tuple(map(float, utils)), tuple(map(float, prices)),
                        welfare, revenue, branches)
     alloc = allocate(b, rule)
-    utilities, prices, welfare = [], [0.0] * m, 0.0
-    for i, v in enumerate(vals):
-        s = alloc.bundle(i)
-        paid = float(sum(b[i, j] for j in members(s)))
-        for j in members(s):
-            prices[j] = float(b[i, j])
-        utilities.append(float(v.value(s)) - paid)
-        welfare += float(v.value(s))
-    return Outcome(alloc, tuple(utilities), tuple(prices), welfare, float(sum(prices)))
+    mine = np.array(alloc.winners) == np.arange(n)[:, None]  # (n, m): who won what
+    values = [v.as_table()[s] for v, s in zip(vals, bundle_masks(mine))]
+    utilities = np.array(values) - (mine * b).sum(axis=1)  # as bid_utilities scores them
+    prices = b[alloc.winners, np.arange(m)].tolist()
+    return Outcome(alloc, tuple(map(float, utilities)), tuple(prices), float(sum(values)),
+                   float(sum(prices)))
 
 
 @lru_cache(maxsize=None)
@@ -357,6 +344,8 @@ def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     exactly the best welfare among the completions, so every branch taken
     ends in at least one assignment."""
     n, m = len(vals), vals[0].m
+    if m > MAX_ITEMS:  # before 3^m is formed: a huge m would take minutes
+        raise CapExceeded(f"m: the welfare DP covers at most {MAX_ITEMS} items, got m={m}")
     pairs = max(n - 2, 0) * 3 ** m + (1 << m)
     if pairs > cap:
         raise CapExceeded(f"welfare DP over {n} bidders, {m} items: (n-2)*3^m + 2^m = {pairs} "
@@ -377,14 +366,14 @@ def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     return best, search(0, np.zeros(n, dtype=np.intp), ())
 
 
-def optimal_welfare(vals: list[Valuation], cap: int = 10_000_000) -> tuple[float, Allocation]:
+def optimal_welfare(vals: list[Valuation], cap: int = CAP) -> tuple[float, Allocation]:
     """Exact welfare maximum by subset DP over bidders. Among ties, the
     lexicographically first assignment (item 0 most significant) wins."""
     best, found = welfare_maximizers(vals, cap, 0.0)
     return best, Allocation(next(found))
 
 
-def optimal_allocations(vals: list[Valuation], cap: int = 10_000_000, tol: float = 1e-9,
+def optimal_allocations(vals: list[Valuation], cap: int = CAP, tol: float = MONEY_TOL,
                         limit: int = MAXIMIZER_LIMIT) -> tuple[float, list[Allocation]]:
     """All welfare maximizers (within tol), in lexicographic order."""
     best, found = welfare_maximizers(vals, cap, tol)

@@ -16,10 +16,10 @@ import sys
 import time
 
 from . import experiments as xp
-from .auction import CapExceeded, PriorityRule, rule_from_json
+from .auction import CAP, CapExceeded, PriorityRule, rule_from_json
 from .bayes import bayes_deviation_gap, bayes_welfare_bounds, bayesian_game_from_json
 from .equilibrium import BidGrid, pure_nash_search, walrasian_search
-from .valuations import Valuation
+from .valuations import MONEY_TOL, Valuation
 
 EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -68,8 +68,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("walrasian", help="search for a Walrasian equilibrium")
     p.add_argument("--game", required=True, help="builtin name or game JSON file")
     _add_builtin_game(p, side=True)
-    p.add_argument("--cap", type=int, default=11_000_000)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--cap", type=int, default=CAP)
+    p.add_argument("--tolerance", type=float, default=MONEY_TOL)
     _add_common(p)
 
     p = sub.add_parser("pure-nash", help="grid search for epsilon-equilibria")

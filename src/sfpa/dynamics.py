@@ -28,7 +28,7 @@ from .auction import (_BLOCK, CapExceeded, PriorityRule, bid_utilities, bundle_m
                       optimal_welfare, price_to_beat, priority_ranks, weighted_sum, winners, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
-from .valuations import AdditiveValuation, bit_matrix
+from .valuations import AdditiveValuation, bit_matrix, bundle_costs
 
 
 class ExplicitActions:
@@ -108,7 +108,8 @@ class FiniteGame:
         try:
             self.optimum = optimal_welfare(self.vals)
         except CapExceeded as exc:  # learning has no cap knob: name the size instead
-            raise CapExceeded(f"m: {str(exc).split(';')[0]}; learn over fewer items") from None
+            reason = str(exc).split(";")[0].removeprefix("m: ")
+            raise CapExceeded(f"m: {reason}; learn over fewer items") from None
 
 
 @dataclass
@@ -269,11 +270,10 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     pay = np.where(winner[:, None, :] == np.arange(n)[None, :, None], bids, 0.0)
     e_exp = u_exp + pay.sum(axis=2).mean(axis=0)
     _, opt_alloc = game.optimum
-    o = [game.vals[i].value(opt_alloc.bundle(i)) for i in range(n)]
-    r = [float(sum(f_item[j] for j in range(m) if opt_alloc.bundle(i) >> j & 1))
-         for i in range(n)]
-    return {"o": [float(x) for x in o], "e": [float(x) for x in e_exp],
-            "u": [float(x) for x in u_exp], "r": r,
+    mine = [opt_alloc.bundle(i) for i in range(n)]
+    costs = bundle_costs(f_item)
+    return {"o": [v.value(s) for v, s in zip(game.vals, mine)], "e": [float(x) for x in e_exp],
+            "u": [float(x) for x in u_exp], "r": [float(costs[s]) for s in mine],
             "item_prices": [float(x) for x in f_item]}
 
 

@@ -26,14 +26,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .auction import (Allocation, CapExceeded, PriorityRule, TIE_TOL, expected_utilities,
+from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, expected_utilities,
                       optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
-from .valuations import MONEY_TOL, Valuation, bit_matrix
+from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs
 
-GRID_CAP = 2_000_000  # bid vectors a full product grid may hold
+GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,6 @@ class WalrasianEquilibrium:
         return {"prices": list(self.prices), "allocation": self.allocation.to_json(n)}
 
 
-def bundle_costs(prices: np.ndarray) -> np.ndarray:
-    """Cost of every bundle (index = bitmask) at per-item prices: (m, ...)
-    prices give (2^m, ...) costs. Items are added one at a time in ascending
-    order; recorded payloads depend on that summation order."""
-    bits = bit_matrix(len(prices))
-    cost = np.zeros((len(bits),) + np.shape(prices)[1:])
-    for j, p in enumerate(prices):
-        cost = cost + np.multiply.outer(bits[:, j], p)
-    return cost
-
-
 def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
     """Demand constraints p(mine) - p(t) <= v(mine) - v(t) as (rows over the m
     prices, right-hand side): per player, bundles t ascending, own skipped."""
@@ -64,10 +53,10 @@ def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, 
     bundles = np.arange(1 << m)
     rows, rhs = [], []
     for i, v in enumerate(vals):
-        mine = alloc.bundle(i)
+        mine, t = alloc.bundle(i), v.as_table()
         others = bundles[bundles != mine]
         rows.append(bits[mine] - bits[others])
-        rhs.append(v.value(mine) - np.array([v.value(int(t)) for t in others]))
+        rhs.append(t[mine] - t[others])
     return np.vstack(rows), np.concatenate(rhs)
 
 
@@ -129,7 +118,7 @@ def _snap(p: float) -> float:
     return (q if abs(q - p) <= 1e-9 else float(p)) + 0.0
 
 
-def walrasian_search(vals: list[Valuation], cap: int = 10_000_000,
+def walrasian_search(vals: list[Valuation], cap: int = CAP,
                      tol: float = MONEY_TOL) -> WalrasianEquilibrium | None:
     """A Walrasian equilibrium on the first exact welfare maximizer
     (lexicographic order), or None. One price LP decides existence: if any
@@ -171,8 +160,11 @@ class BidGrid:
             raise ValueError(f"unknown grid family {self.family!r}")
 
     def points(self) -> np.ndarray:
-        count = int(math.floor(self.upper / self.step + 1e-9)) + 1
-        return self.step * np.arange(count)
+        span = self.upper / self.step + 1e-9
+        if span >= GRID_CAP:  # also an infinite span; refused before allocating
+            raise CapExceeded(f"grid_step: {self.step!r} up to {self.upper!r} needs more than "
+                              f"{GRID_CAP} bid levels; coarsen it")
+        return self.step * np.arange(math.floor(span) + 1)
 
     def actions_for(self, m: int, bundle: int | None = None) -> np.ndarray:
         """(K, m) matrix of allowed bid vectors for one player."""
@@ -202,7 +194,7 @@ class GridEquilibrium:
 
 
 def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
-                     eps: float = 0.0, cap: int = 10_000_000,
+                     eps: float = 0.0, cap: int = CAP,
                      bundles: list[int] | None = None) -> list[GridEquilibrium]:
     """All grid profiles where no player improves by more than eps with a
     grid deviation of its own family, in lexicographic order of the action

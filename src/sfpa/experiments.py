@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from . import __version__, closedform as cf
-from .auction import CapExceeded, PriorityRule, optimal_welfare, rule_from_json
+from .auction import (CapExceeded, PriorityRule, expected_utilities, optimal_welfare,
+                      rival_play, rule_from_json)
 from .bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
                     check_strategies)
 from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_ratio,
@@ -169,7 +170,7 @@ def poa_report(m: int, v: float, trials: int, seed: int) -> dict:
     est = cf.andor_equilibrium_welfare(pair, trials, seed)
     vals = andor_game(m, v)
     opt, _ = optimal_welfare(vals)
-    support_witness = cf.and_support_sum_check(np.full(m, pair.F.hi), vals[0].value(full_set(m)))
+    support_witness = cf.and_support_sum_check(np.full(m, pair.F.hi), vals[0].value_max())
     welfare_bound_poa = 2.0 / math.sqrt(m)
     welfare_bound_pos = 3.0 * math.sqrt(math.log2(m) / m)
     return {"m": m, "v": v, "trials": trials, "seed": seed,
@@ -316,6 +317,9 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
         raise ValueError(f"grid step must be finite and > 0, got {grid_step!r}")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
+    if (weights.max(initial=0.0) + 1e-12) / grid_step >= GRID_CAP:  # refused before allocating
+        raise CapExceeded(f"grid_step: {grid_step!r} needs more than {GRID_CAP} bid levels "
+                          "per item; coarsen it")
     vals = [AdditiveValuation(tuple(map(float, w))) for w in weights]
     spaces = [SeparableGrid([np.arange(0.0, wij + 1e-12, grid_step) for wij in w])
               for w in weights]
@@ -367,7 +371,7 @@ def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
             "cce_recompute_drift": drift,
             "welfare": rep.to_json(),
             "and_support_ok": cf.and_support_sum_check(
-                trace.bids[:, 0, :], vals[0].value(full_set(m))) is None}
+                trace.bids[:, 0, :], vals[0].value_max()) is None}
 
 
 def single_item_dynamics_report(values: tuple, rounds: int, seed: int,
@@ -404,15 +408,16 @@ def two_type_bne_game(grid_step: float = 0.05):
 def exact_two_type_bne(bg: FiniteBayesianGame, acts: np.ndarray):
     """Lexicographically first pure Bayesian Nash equilibrium, by exhaustive
     scan over per-type pure strategies (the harness only verifies; this is
-    the deliberate reference construction for it)."""
-    pts = acts[:, 0]
-    k = pts.size
-    v0 = np.array([v.value(1) for v in bg.type_vals[0]])
-    v1 = np.array([v.value(1) for v in bg.type_vals[1]])
-    win0 = pts[:, None] >= pts[None, :]  # player 0 wins ties
-    win1 = pts[:, None] > pts[None, :]
-    u0 = win0[None] * (v0[:, None, None] - pts[None, :, None])
-    u1 = win1[None] * (v1[:, None, None] - pts[None, :, None])
+    the deliberate reference construction for it). Both players choose
+    among `acts`; every action pair is scored once under `bg.rule`."""
+    k = acts.shape[0]
+    bids = np.stack(np.broadcast_arrays(acts[:, None], acts[None]), axis=2)  # (a0, a1, 2, m)
+    play = rival_play(bids, bg.rule)
+    # u0[t, a0, a1] and u1[t, a1, a0]: type t's utility for its own action first
+    u0 = np.array([expected_utilities(v.as_table(), bids[:, :, 0], play, 0)
+                   for v in bg.type_vals[0]])
+    u1 = np.array([expected_utilities(v.as_table(), bids[:, :, 1], play, 1).T
+                   for v in bg.type_vals[1]])
     for low1 in range(k):
         for high1 in range(k):
             eu0 = 0.5 * (u0[:, :, low1] + u0[:, :, high1])

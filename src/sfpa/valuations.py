@@ -2,9 +2,11 @@
 
 A valuation maps item subsets (bitmasks) to money. All valuations here are
 normalized (empty set worth 0), nonnegative, and monotone non-decreasing;
-`check_valid` verifies this by exhaustive scan. Structured subclasses
-(additive, single-minded, AND, OR, XOS) evaluate without materializing the
-dense 2^m table.
+`check_valid` verifies this by exhaustive scan. Each class has one
+evaluator, `_table`, which builds the dense 2^m table (m <= MAX_ITEMS);
+`value` and `value_max` read that cached table. Every bundle sum, of item
+weights, clause weights or prices, comes from `bundle_costs`, which adds
+items in ascending order.
 
 The XOS machinery (`xos_supporting_clause`, `beta_of`) computes, for a
 target set T, an additive vector dominated by the valuation everywhere and
@@ -34,16 +36,29 @@ def bit_matrix(m: int) -> np.ndarray:
     return ((s[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(np.float64)
 
 
+def bundle_costs(prices) -> np.ndarray:
+    """Cost of every bundle (index = bitmask) at per-item prices: (m, ...)
+    prices give (2^m, ...) costs. Items are added one at a time in ascending
+    order, so a bundle's cost is 0 + p_j1 + p_j2 + ... over its items
+    j1 < j2 < ...; recorded payloads depend on that summation order."""
+    s = np.arange(1 << len(prices))
+    cost = np.zeros(s.shape + np.shape(prices)[1:])
+    for j, p in enumerate(prices):
+        cost = cost + np.multiply.outer(s >> j & 1, p)
+    return cost
+
+
 class Valuation:
-    """Base class; subclasses are frozen dataclasses and hence hashable/immutable."""
+    """Base class; subclasses are frozen dataclasses and hence hashable/immutable.
+    A subclass defines `_table`, its one evaluator."""
 
     m: int
 
     def value(self, s: int) -> float:
-        raise NotImplementedError
+        return float(self.as_table()[s])
 
     def value_max(self) -> float:
-        return self.value(full_set(self.m))
+        return float(self.as_table()[-1])
 
     def as_table(self) -> np.ndarray:
         """Dense value table indexed by bitmask (read-only, cached).
@@ -53,7 +68,7 @@ class Valuation:
         return _cached_table(self)
 
     def _table(self) -> np.ndarray:
-        return np.array([self.value(s) for s in range(1 << self.m)])
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -94,9 +109,6 @@ class TableValuation(Valuation):
         object.__setattr__(self, "table", tuple(float(x) for x in self.table))
         self.as_table()  # refuses a non-finite entry
 
-    def value(self, s: int) -> float:
-        return self.table[s]
-
     def _table(self) -> np.ndarray:
         return np.array(self.table)
 
@@ -117,11 +129,8 @@ class AdditiveValuation(Valuation):
     def m(self) -> int:
         return len(self.weights)
 
-    def value(self, s: int) -> float:
-        return sum(self.weights[j] for j in members(s))
-
     def _table(self) -> np.ndarray:
-        return bit_matrix(self.m) @ np.array(self.weights)
+        return bundle_costs(np.array(self.weights))
 
     def to_json(self) -> dict:
         return {"kind": "additive", "m": self.m, "weights": list(self.weights)}
@@ -141,9 +150,6 @@ class SingleMindedValuation(Valuation):
             raise ValueError("bundle must be a nonempty subset of the universe")
         object.__setattr__(self, "amount", float(self.amount))
         _check_amounts("value", (self.amount,))
-
-    def value(self, s: int) -> float:
-        return self.amount if is_subset(self.bundle, s) else 0.0
 
     def _table(self) -> np.ndarray:
         s = np.arange(1 << self.m)
@@ -166,8 +172,10 @@ class AndValuation(Valuation):
         object.__setattr__(self, "amount", float(self.amount))
         _check_amounts("value", (self.amount,))
 
-    def value(self, s: int) -> float:
-        return self.amount if s == full_set(self.m) else 0.0
+    def _table(self) -> np.ndarray:
+        table = np.zeros(1 << self.m)
+        table[-1] = self.amount
+        return table
 
     def to_json(self) -> dict:
         return {"kind": "and", "m": self.m, "value": self.amount}
@@ -190,8 +198,8 @@ class OrValuation(Valuation):
         object.__setattr__(self, "amount", float(self.amount))
         _check_amounts("value", (self.amount,))
 
-    def value(self, s: int) -> float:
-        return self.amount if s & self.items else 0.0
+    def _table(self) -> np.ndarray:
+        return np.where(np.arange(1 << self.m) & self.items, self.amount, 0.0)
 
     def to_json(self) -> dict:
         out = {"kind": "or", "m": self.m, "value": self.amount}
@@ -220,14 +228,8 @@ class XosValuation(Valuation):
     def m(self) -> int:
         return len(self.clauses[0])
 
-    def value(self, s: int) -> float:
-        idx = members(s)
-        if not idx:
-            return 0.0
-        return max(sum(c[j] for j in idx) for c in self.clauses)
-
     def _table(self) -> np.ndarray:
-        return (bit_matrix(self.m) @ np.array(self.clauses).T).max(axis=1)
+        return bundle_costs(np.array(self.clauses).T).max(axis=1)
 
     def to_json(self) -> dict:
         return {"kind": "xos", "m": self.m, "clauses": [list(c) for c in self.clauses]}
@@ -329,27 +331,20 @@ def xos_supporting_clause(v: Valuation, target: int, tol: float = MONEY_TOL) -> 
         a[idx] = [v.weights[j] for j in idx]
         return a
     if isinstance(v, XosValuation):
-        best = max(v.clauses, key=lambda c: sum(c[j] for j in idx))
-        a[idx] = [best[j] for j in idx]
+        clauses = np.array(v.clauses)[:, idx]
+        a[idx] = clauses[np.argmax(bundle_costs(clauses.T)[-1])]  # each clause's sum on target
         return a
-    k = len(idx)
-    pos = {j: i for i, j in enumerate(idx)}
-    rows, rhs = [], []
-    for s in subsets(target):
-        if s == 0:
-            continue
-        row = np.zeros(k)
-        row[[pos[j] for j in members(s)]] = 1.0
-        rows.append(row)
-        rhs.append(v.value(s))
-    x = feasible_point(np.array(rows), np.array(rhs), k, minimize=-np.ones(k))
+    t = v.as_table()
+    sub = np.array([s for s in subsets(target) if s])
+    x = feasible_point((sub[:, None] >> np.array(idx) & 1).astype(np.float64), t[sub],
+                       len(idx), minimize=-np.ones(len(idx)))
     if x is None:
         raise LpError(f"supporting-clause LP infeasible at target {target:b}")
     a[idx] = np.maximum(x, 0.0)  # clip solver dust below 0
     # feasibility can be off by solver tolerance only; verify on target's subsets
-    for s in subsets(target):
-        if a[members(s)].sum() > v.value(s) + tol:
-            raise RuntimeError(f"LP clause infeasible at set {s:b}")
+    bad = sub[bundle_costs(a)[sub] > t[sub] + tol]
+    if bad.size:
+        raise RuntimeError(f"LP clause infeasible at set {int(bad[0]):b}")
     return a
 
 
@@ -370,14 +365,15 @@ def beta_of(v: Valuation, tol: float = MONEY_TOL) -> BetaCertificate:
     """XOS approximation factor via one supporting-clause LP per subset (m <= 12)."""
     if v.m > 12:
         raise ValueError("beta_of enumerates one LP per subset; capped at m <= 12")
+    t = v.as_table()
     beta = 1.0
     clauses: dict[int, np.ndarray] = {}
     for target in range(1, 1 << v.m):
         a = xos_supporting_clause(v, target)
         clauses[target] = a
-        vt = v.value(target)
+        vt = t[target]
         if vt <= tol:
             continue
-        got = a[members(target)].sum()
+        got = bundle_costs(a[members(target)])[-1]  # the sum of a over target
         beta = max(beta, math.inf if got <= tol else vt / got)
     return BetaCertificate(beta, clauses)

@@ -1,19 +1,63 @@
-"""Reference code that only the tests call: a structural check of the
-symmetric single-minded instances, the triangle's bid distribution, the
-whole-array forms of the blocked Monte Carlo loops, the exhaustive check
-of an XOS certificate and best-response iteration for building Bayesian
-equilibria to verify."""
+"""Reference code that only the tests call: the scalar per-class value
+formulas, the scalar first-price allocation and outcome, a structural check
+of the symmetric single-minded instances, the triangle's bid distribution,
+the whole-array forms of the blocked Monte Carlo loops, the exhaustive
+check of an XOS certificate and best-response iteration for building
+Bayesian equilibria to verify."""
 
 import math
 
 import numpy as np
 
+from sfpa.auction import TIE_TOL, Allocation, PriorityRule, check_bids
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, check_strategies
 from sfpa.closedform import (CDF_TOL, Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              WelfareEstimate)
 from sfpa.rng import rng_for
-from sfpa.sets import members
-from sfpa.valuations import MONEY_TOL, BetaCertificate, Valuation, bit_matrix
+from sfpa.sets import full_set, is_subset, members
+from sfpa.valuations import (MONEY_TOL, AdditiveValuation, AndValuation, BetaCertificate,
+                             OrValuation, SingleMindedValuation, TableValuation, Valuation,
+                             XosValuation, bit_matrix)
+
+
+def value_formula(v: Valuation, s: int) -> float:
+    """v(s) from the class's own formula, one bundle at a time; sums run
+    over the items in ascending order from 0."""
+    if isinstance(v, TableValuation):
+        return v.table[s]
+    if isinstance(v, AdditiveValuation):
+        return sum(v.weights[j] for j in members(s))
+    if isinstance(v, SingleMindedValuation):
+        return v.amount if is_subset(v.bundle, s) else 0.0
+    if isinstance(v, AndValuation):
+        return v.amount if s == full_set(v.m) else 0.0
+    if isinstance(v, OrValuation):
+        return v.amount if s & v.items else 0.0
+    if isinstance(v, XosValuation):
+        idx = members(s)
+        return max(sum(c[j] for j in idx) for c in v.clauses) if idx else 0.0
+    raise TypeError(f"no formula for {type(v).__name__}")
+
+
+def allocate_reference(bids, rule: PriorityRule = PriorityRule()) -> Allocation:
+    """Item by item: the tied highest bidders within TIE_TOL, and of those
+    the one the rule ranks first."""
+    b = check_bids(bids)
+    winners = []
+    for j in range(b.shape[1]):
+        tied = np.flatnonzero(b[:, j] >= b[:, j].max() - TIE_TOL)
+        rank = rule.order[j] if rule.order is not None else range(b.shape[0])
+        winners.append(int(min(tied, key=list(rank).index)))
+    return Allocation(tuple(winners))
+
+
+def outcome_utilities(vals: list, bids, rule: PriorityRule = PriorityRule()) -> list:
+    """Each player's value of its won bundle, by `value_formula`, minus its
+    winning bids summed in item order."""
+    b = check_bids(bids)
+    alloc = allocate_reference(b, rule)
+    return [value_formula(v, alloc.bundle(i)) - sum(b[i, j] for j in members(alloc.bundle(i)))
+            for i, v in enumerate(vals)]
 
 
 def validate_symmetric_instance(bundles: list[int], m: int) -> tuple[int, int]:

@@ -6,8 +6,11 @@ from sfpa.auction import (TIE_TOL, CapExceeded, PriorityRule, RandomizedRule,
                           allocate, bid_utilities, optimal_allocations,
                           optimal_welfare, outcome, price_to_beat,
                           priority_ranks, rule_from_json, winners)
+from sfpa.equilibrium import walrasian_search
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation)
+
+from oracles import allocate_reference, outcome_utilities
 
 
 def test_allocate_strict_max():
@@ -95,12 +98,15 @@ def _monotone_table(rng, m, lattice=False):
     return TableValuation(m, tuple(table))
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 31 - 1))
+@given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=80, deadline=None)
-def test_first_price_kernel_matches_reference(n, m, priority, seed):
-    """The batched kernel against the scalar allocate/outcome reference:
-    winners of every profile, and every player's utility for unilateral
-    deviations. Half the bids come from a coarse grid to force exact ties."""
+def test_first_price_kernel_matches_reference(n, m, priority, additive, seed):
+    """The batched kernel and `allocate`/`outcome` against the scalar
+    reference in tests/oracles.py: winners of every profile, and every
+    player's utility for unilateral deviations, bit for bit. Values are
+    monotone tables or additive weights (whose table sums run in item
+    order). Half the bids come from a coarse grid to force exact ties."""
     rng = np.random.default_rng(seed)
     order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
     rule = PriorityRule(order) if priority else PriorityRule()
@@ -110,19 +116,33 @@ def test_first_price_kernel_matches_reference(n, m, priority, seed):
         coarse = rng.choice([0.0, 0.25, 0.5, 1.0], shape)
         return np.where(rng.random(shape) < 0.5, coarse, rng.uniform(0, 1, shape))
 
-    vals = [_monotone_table(rng, m) for _ in range(n)]
+    vals = [AdditiveValuation(tuple(rng.uniform(0, 1, m))) if additive
+            else _monotone_table(rng, m) for _ in range(n)]
     profiles = draw((5, n, m))
     deviations = draw((6, m))
     won = winners(profiles, ranks)
     beat, favored = price_to_beat(profiles, ranks)
     for p, bids in enumerate(profiles):
-        assert tuple(won[p]) == allocate(bids, rule).winners
+        assert tuple(won[p]) == allocate_reference(bids, rule).winners
+        assert outcome(vals, bids, rule).utilities == tuple(outcome_utilities(vals, bids, rule))
         for i in range(n):
             got = bid_utilities(vals[i].as_table(), deviations, beat[p, i], favored[p, i])
             for x, u in zip(deviations, got):
                 deviated = bids.copy()
                 deviated[i] = x
-                assert u == outcome(vals, deviated, rule).utilities[i]
+                assert u == outcome_utilities(vals, deviated, rule)[i]
+
+
+def test_walrasian_outcome_welfare_is_the_optimum():
+    """First welfare theorem, to the bit: everyone bids the equilibrium
+    prices, ties go to the allocated winner, and the outcome's welfare is
+    the welfare DP's optimum (the value tables and the DP add in one order)."""
+    vals = [AdditiveValuation((0.7, 0.1, 0.2, 0.3)), AdditiveValuation((0.1, 0.05, 0.1, 0.1))]
+    we = walrasian_search(vals)
+    rule = PriorityRule(tuple((w, 1 - w) for w in we.allocation.winners))
+    o = outcome(vals, [we.prices] * 2, rule)
+    assert o.allocation == we.allocation
+    assert o.welfare == optimal_welfare(vals)[0]
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2), st.booleans(),

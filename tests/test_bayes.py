@@ -74,6 +74,15 @@ def test_two_type_bne_gap_zero_and_bounds():
     assert rep.ratio <= 4.0 + 2.0 * (rep.grid_step * bg.n * bg.m) / rep.expected_welfare
 
 
+def test_two_type_bne_honours_the_tie_rule():
+    """Under a rule that gives ties to player 1, the scan returns a profile
+    with zero gaps under that rule (or none at all)."""
+    bg, acts = two_type_bne_game(0.05)
+    bg.rule = PriorityRule(((1, 0),))
+    strategies = exact_two_type_bne(bg, acts)
+    assert strategies is None or max(g.max() for g in bayes_deviation_gap(bg, strategies)) == 0.0
+
+
 def test_adversarial_strategies_flag_gap_precondition():
     bg, acts = two_type_bne_game(0.05)
     k = acts.shape[0]

@@ -496,6 +496,45 @@ def test_single_minded_grid_too_large_names_k(monkeypatch, capsys):
         assert message.startswith(f"k: the 97^{k}-point") and "2000000" in message
 
 
+def test_grid_steps_too_fine_refused_before_allocating(monkeypatch, capsys):
+    """A grid step with more levels than GRID_CAP is refused naming grid_step
+    before np.arange allocates them (1e-9 on the additive game would take
+    gigabytes, so it only ever runs with the allocation patched to fail)."""
+    def arange(*args, **kwargs):
+        raise AssertionError("allocated before the level count was checked")
+
+    learn = ["--rounds", "10"]
+    monkeypatch.setattr(np, "arange", arange)
+    for args in (["pure-nash", "--game", "andor", "--grid-step", "1e-300"],
+                 ["dynamics", "--mode", "single-item", "--grid-step", "1e-300", *learn],
+                 ["dynamics", "--grid-step", "1e-9", *learn],
+                 ["dynamics", "--grid-step", "1e-300", *learn]):
+        code, _, err = run_cli(args, capsys)
+        assert precondition_message(code, err).startswith("grid_step: "), args
+
+
+def test_poa_huge_m_names_m(capsys):
+    """m is checked before the welfare DP's 3^m pair count is formed."""
+    code, _, err = run_cli(["poa", "--m", "100000000", "--trials", "1000"], capsys)
+    message = precondition_message(code, err)
+    assert message.startswith("m: ") and "--cap" not in message
+
+
+def test_cap_defaults_are_one_constant():
+    import inspect
+
+    from sfpa import auction, equilibrium
+    from sfpa.cli import build_parser
+    from sfpa.valuations import MONEY_TOL
+
+    for fn in (auction.optimal_welfare, auction.optimal_allocations,
+               equilibrium.walrasian_search, equilibrium.pure_nash_search):
+        assert inspect.signature(fn).parameters["cap"].default == auction.CAP
+    assert inspect.signature(auction.optimal_allocations).parameters["tol"].default == MONEY_TOL
+    args = build_parser().parse_args(["walrasian", "--game", "andor"])
+    assert (args.cap, args.tolerance) == (auction.CAP, MONEY_TOL) == (11_000_000, 1e-9)
+
+
 def test_bad_flags_name_their_field(capsys):
     learn = ["--rounds", "10"]
     for args, field in ((["walrasian", "--game", "andor", "--v", "nan"], "value"),

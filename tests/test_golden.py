@@ -9,7 +9,9 @@ the symmetric-equilibrium draws of `grid_game_report`.
 A refactor of those shared pieces must leave every byte unchanged; a digest
 may change only with a CHANGES.md entry saying why. The digests hold for
 one floating-point environment (recorded with Python 3.11, numpy 2.4 and
-scipy 1.17's HiGHS).
+scipy 1.17's HiGHS). Additive and XOS value tables are sums formed by
+`bundle_costs` in ascending item order, not by a BLAS dot product, so they
+no longer depend on the BLAS kernel's summation order.
 """
 
 import hashlib

@@ -10,7 +10,7 @@ from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              beta_of, bit_matrix, check_valid, valuation_from_json,
                              xos_supporting_clause)
 
-from oracles import verify_beta_certificate
+from oracles import value_formula, verify_beta_certificate
 
 
 def brute_force_monotone(v):
@@ -74,7 +74,34 @@ def test_monotone_closure_tables_are_valid(m, seed):
 def test_structured_value_matches_table(v):
     table = v.as_table()
     for s in range(1 << v.m):
-        assert v.value(s) == pytest.approx(table[s], abs=1e-12)
+        assert v.value(s) == table[s] == value_formula(v, s)
+
+
+@st.composite
+def valuations(draw):
+    """A valuation of every class on 1..10 items, with generic float amounts."""
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    kind = draw(st.sampled_from(["table", "additive", "single_minded", "and", "or", "xos"]))
+    if kind == "table":
+        return TableValuation(m, tuple(np.sort(rng.uniform(0, 2, 1 << m))))
+    if kind == "additive":
+        return AdditiveValuation(tuple(rng.uniform(0, 2, m)))
+    if kind == "xos":
+        return XosValuation(tuple(map(tuple, rng.uniform(0, 2, (int(rng.integers(1, 4)), m)))))
+    amount, items = float(rng.uniform(0, 2)), int(rng.integers(1, 1 << m))
+    if kind == "single_minded":
+        return SingleMindedValuation(m, items, amount)
+    return AndValuation(m, amount) if kind == "and" else OrValuation(m, amount, items)
+
+
+@given(valuations())
+@settings(max_examples=60, deadline=None)
+def test_table_is_the_scalar_formula(v):
+    """The dense table, every class's one evaluator, equals the per-class
+    formula of tests/oracles.py bit for bit on every bundle."""
+    table = v.as_table()
+    assert [float(x) for x in table] == [value_formula(v, s) for s in range(1 << v.m)]
 
 
 def test_xos_clause_additive():
