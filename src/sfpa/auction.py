@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sets import MAX_ITEMS, members
-from .valuations import MONEY_TOL, Valuation
+from .valuations import MONEY_TOL, Valuation, paid
 
 TIE_TOL = 1e-12  # bids this close count as tied
 MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
@@ -133,11 +133,11 @@ def check_bids(bids) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # First-price kernel: the single vectorised home of the rule "each item goes
-# to its highest bidder, a tie within TIE_TOL to the best priority rank".
-# Bid arrays are (..., n, m) profiles or (..., m) rows; leading axes batch
-# trials or rounds. `allocate` and `outcome` below read it too.
-
-_NO_RANK = np.iinfo(np.int64).max
+# to its highest bidder, a tie within TIE_TOL to the best priority rank, at
+# the winning bid". Bid arrays are (..., n, m) profiles or (..., m) rows;
+# leading axes batch trials or rounds. On a realized profile `wins` marks
+# one winner per item, the mask `allocate` and `outcome` read, and
+# `valuations.paid` adds the winning bids in item order.
 
 
 def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
@@ -151,24 +151,15 @@ def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
     return np.argsort(np.asarray(rule.order), axis=1)
 
 
-def winners(bids: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """(..., m) winner of every item in (..., n, m) bid profiles."""
-    at_max = bids >= bids.max(axis=-2, keepdims=True) - TIE_TOL
-    return np.where(at_max, ranks.T, _NO_RANK).argmin(axis=-2)
-
-
 def price_to_beat(bids: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(beat, favored), each (..., n, m): every player's highest rival bid on
-    every item (-inf without rivals), and whether the player wins a tie at
-    that price. A player's own row does not enter its own pair."""
-    n = bids.shape[-2]
-    if n == 1:
-        return np.full(bids.shape, -np.inf), np.ones(bids.shape, dtype=bool)
-    rivals = _rivals(n)
+    """(beat, ahead), each (..., n, m): every player's highest rival bid on
+    every item, and the highest bid of the rivals who outrank it there, -inf
+    where there are none. A player's own row does not enter its own pair."""
+    rivals = _rivals(bids.shape[-2])
     others = bids[..., rivals, :]  # (..., n, n - 1, m): player i's rivals' bids
-    beat = others.max(axis=-2)
-    ahead = ranks.T[rivals] < ranks.T[:, None, :]  # (i, r, m): rival r outranks i
-    return beat, ~((others >= beat[..., None, :] - TIE_TOL) & ahead).any(axis=-2)
+    outranks = ranks.T[rivals] < ranks.T[:, None, :]  # (i, r, m): rival r outranks i
+    return (others.max(axis=-2, initial=-np.inf),
+            np.where(outranks, others, -np.inf).max(axis=-2, initial=-np.inf))
 
 
 @lru_cache(maxsize=None)
@@ -176,9 +167,10 @@ def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i
     return np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
 
 
-def wins(rows: np.ndarray, beat: np.ndarray, favored: np.ndarray) -> np.ndarray:
-    """Which bids in `rows` win their item against (beat, favored)."""
-    return (rows > beat + TIE_TOL) | ((np.abs(rows - beat) <= TIE_TOL) & favored)
+def wins(rows: np.ndarray, beat: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+    """Which bids in `rows` win their item against (beat, ahead): the bid is
+    within TIE_TOL of the item's top bid and no better-ranked rival is."""
+    return (rows >= beat - TIE_TOL) & (ahead < np.maximum(rows, beat) - TIE_TOL)
 
 
 def bundle_masks(won: np.ndarray) -> np.ndarray:
@@ -187,11 +179,11 @@ def bundle_masks(won: np.ndarray) -> np.ndarray:
 
 
 def bid_utilities(table: np.ndarray, rows: np.ndarray, beat: np.ndarray,
-                  favored: np.ndarray) -> np.ndarray:
-    """Utility of each bid row against (beat, favored): the value of the won
+                  ahead: np.ndarray) -> np.ndarray:
+    """Utility of each bid row against (beat, ahead): the value of the won
     bundle minus the winning bids."""
-    win = wins(rows, beat, favored)
-    return table[bundle_masks(win)] - (win * rows).sum(axis=-1)
+    win = wins(rows, beat, ahead)
+    return table[bundle_masks(win)] - paid(win, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +195,7 @@ _BLOCK = 2 ** 15  # bid entries (or per-action utilities) a scan holds at once
 
 
 def rival_play(bids: np.ndarray, rule) -> list:
-    """(probability, beat, favored) of each deterministic branch of the tie
+    """(probability, beat, ahead) of each deterministic branch of the tie
     rule, from `price_to_beat` over (..., n, m) profiles."""
     n, m = bids.shape[-2:]
     branches = [(1.0, rule)] if isinstance(rule, PriorityRule) else rule.mixture
@@ -214,8 +206,8 @@ def expected_utilities(table: np.ndarray, rows: np.ndarray, play: list, player: 
     """Utility of `player`'s bid rows (..., m) in expectation over the
     branches of `play`, the rows broadcast against the profiles' leading
     axes: (K, 1, m) rows against (B,) profiles give (K, B) utilities."""
-    return sum(prob * bid_utilities(table, rows, beat[..., player, :], favored[..., player, :])
-               for prob, beat, favored in play)
+    return sum(prob * bid_utilities(table, rows, beat[..., player, :], ahead[..., player, :])
+               for prob, beat, ahead in play)
 
 
 def product_play(n: int, m: int, mixed: dict, width: int):
@@ -252,7 +244,8 @@ def allocate(bids, rule=PriorityRule()):
     if isinstance(rule, RandomizedRule):
         rule.validate(n, m)
         return [(p, allocate(b, det)) for p, det in rule.mixture]
-    return Allocation(tuple(winners(b, priority_ranks(rule, n, m)).tolist()))
+    own = wins(b, *price_to_beat(b, priority_ranks(rule, n, m)))
+    return Allocation(tuple(own.argmax(axis=0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -297,10 +290,10 @@ def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
         revenue = float(probs @ [o.revenue for _, o in branches])
         return Outcome(None, tuple(map(float, utils)), tuple(map(float, prices)),
                        welfare, revenue, branches)
-    alloc = allocate(b, rule)
-    mine = np.array(alloc.winners) == np.arange(n)[:, None]  # (n, m): who won what
-    values = [v.as_table()[s] for v, s in zip(vals, bundle_masks(mine))]
-    utilities = np.array(values) - (mine * b).sum(axis=1)  # as bid_utilities scores them
+    own = wins(b, *price_to_beat(b, priority_ranks(rule, n, m)))  # (n, m): who won what
+    alloc = Allocation(tuple(own.argmax(axis=0).tolist()))
+    values = [v.as_table()[s] for v, s in zip(vals, bundle_masks(own))]
+    utilities = np.array(values) - paid(own, b)  # as bid_utilities scores them
     prices = b[alloc.winners, np.arange(m)].tolist()
     return Outcome(alloc, tuple(map(float, utilities)), tuple(prices), float(sum(values)),
                    float(sum(prices)))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction import (PriorityRule, bundle_masks, check_bids, expected_utilities,
-                      optimal_welfare, priority_ranks, product_play, rival_play,
-                      rule_from_json, weighted_sum, winners)
+                      optimal_welfare, price_to_beat, priority_ranks, product_play, rival_play,
+                      rule_from_json, weighted_sum, wins)
 from .valuations import valuations_from_json
 
 PROB_TOL = 1e-12
@@ -201,8 +201,8 @@ def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
         tables = [bg.type_vals[i][t].as_table() for i, t in enumerate(types)]
         supports = {k: (strategies[k][t], bg.actions[k]) for k, t in enumerate(types)}
         for weights, bids in product_play(bg.n, bg.m, supports, bg.n * bg.m):
-            won = winners(bids, ranks)
-            welfare = sum(table[bundle_masks(won == i)] for i, table in enumerate(tables))
+            bundles = bundle_masks(wins(bids, *price_to_beat(bids, ranks)))  # (B, n)
+            welfare = sum(table[bundles[:, i]] for i, table in enumerate(tables))
             total = weighted_sum(total, q * weights, welfare)
     return float(total)
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auction import (_BLOCK, CapExceeded, PriorityRule, bid_utilities, bundle_masks,
-                      optimal_welfare, price_to_beat, priority_ranks, weighted_sum, winners, wins)
+                      optimal_welfare, price_to_beat, priority_ranks, weighted_sum, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
-from .valuations import AdditiveValuation, bit_matrix, bundle_costs
+from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid
 
 
 class ExplicitActions:
@@ -205,10 +205,10 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
         chosen = entry.take(base + _level_index(u[t % size], probs, last))  # (n, F) entries drawn
         bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
 
-        beat, favored = price_to_beat(bids_out[t], ranks)
-        won = wins(rows, beat.take(player, axis=0), favored.take(player, axis=0)) & support
+        beat, ahead = price_to_beat(bids_out[t], ranks)
+        won = wins(rows, beat.take(player, axis=0), ahead.take(player, axis=0)) & support
         value = table.take(table_at | bundle_masks(won))
-        gain = value - (won * rows).sum(axis=1)
+        gain = value - paid(won, rows)
         cum_flat[slot] += gain
         gains[t] = gain.take(chosen)
         values[t] = value.take(chosen)
@@ -233,7 +233,7 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
     """
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
-    beats, favoreds = price_to_beat(trace.bids, priority_ranks(game.rule, n, m))
+    beats, aheads = price_to_beat(trace.bids, priority_ranks(game.rule, n, m))
     worst = 0.0
     for i, sp in enumerate(game.spaces):
         factors = sp.factors(m)
@@ -245,7 +245,7 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
             size = max(1, _BLOCK // own.size)  # rounds per block: (size, k, |items|) wins
             for start in range(0, trace.rounds, size):
                 at = np.s_[start:start + size, i, items]
-                gain = bid_utilities(table, own, beats[at][:, None], favoreds[at][:, None])
+                gain = bid_utilities(table, own, beats[at][:, None], aheads[at][:, None])
                 sums[f, :k] = weighted_sum(sums[f, :k], np.ones(len(gain)), gain)
         stored = trace.cum_counterfactual[i]
         finite = np.isfinite(stored)
@@ -263,12 +263,10 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
     bids = trace.bids
-    winner = winners(bids, priority_ranks(game.rule, n, m))  # (T, m)
-    prices = np.take_along_axis(bids, winner[:, None, :], axis=1)[:, 0, :]
-    f_item = prices.mean(axis=0)
+    own = wins(bids, *price_to_beat(bids, priority_ranks(game.rule, n, m)))  # (T, n, m)
+    f_item = (own * bids).max(axis=1).mean(axis=0)  # each item's one winning bid
     u_exp = trace.utilities.mean(axis=0)
-    pay = np.where(winner[:, None, :] == np.arange(n)[None, :, None], bids, 0.0)
-    e_exp = u_exp + pay.sum(axis=2).mean(axis=0)
+    e_exp = u_exp + paid(own, bids).mean(axis=0)
     _, opt_alloc = game.optimum
     mine = [opt_alloc.bundle(i) for i in range(n)]
     costs = bundle_costs(f_item)

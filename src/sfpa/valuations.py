@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,16 +35,25 @@ def bit_matrix(m: int) -> np.ndarray:
     return ((s[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(np.float64)
 
 
+def paid(won: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    """0 + won_0 * a_0 + won_1 * a_1 + ... over the last axis, items added
+    one at a time in ascending order: the winning bids of each bid row, or
+    each bundle's cost. Recorded payloads depend on that summation order."""
+    total = 0.0
+    for j in range(won.shape[-1]):
+        total = total + won[..., j] * amounts[..., j]
+    return total
+
+
 def bundle_costs(prices) -> np.ndarray:
     """Cost of every bundle (index = bitmask) at per-item prices: (m, ...)
-    prices give (2^m, ...) costs. Items are added one at a time in ascending
-    order, so a bundle's cost is 0 + p_j1 + p_j2 + ... over its items
-    j1 < j2 < ...; recorded payloads depend on that summation order."""
-    s = np.arange(1 << len(prices))
-    cost = np.zeros(s.shape + np.shape(prices)[1:])
-    for j, p in enumerate(prices):
-        cost = cost + np.multiply.outer(s >> j & 1, p)
-    return cost
+    prices give (2^m, ...) costs, `paid` over the bundles' bit rows, so a
+    bundle's cost is 0 + p_j1 + p_j2 + ... over its items j1 < j2 < ..."""
+    prices = np.moveaxis(np.asarray(prices, dtype=np.float64), 0, -1)
+    m = prices.shape[-1]
+    words = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(words, axis=1, count=m, bitorder="little")  # bit_matrix(m) in bytes
+    return paid(bits.reshape((1 << m,) + (1,) * (prices.ndim - 1) + (m,)), prices)
 
 
 class Valuation:
@@ -61,26 +69,24 @@ class Valuation:
         return float(self.as_table()[-1])
 
     def as_table(self) -> np.ndarray:
-        """Dense value table indexed by bitmask (read-only, cached).
+        """Dense value table indexed by bitmask (read-only, cached on the instance).
         Capped at m <= MAX_ITEMS."""
-        if self.m > MAX_ITEMS:
-            raise ValueError(f"dense table needs m <= {MAX_ITEMS}, got {self.m}")
-        return _cached_table(self)
+        table = getattr(self, "_dense", None)
+        if table is None:
+            if self.m > MAX_ITEMS:
+                raise ValueError(f"dense table needs m <= {MAX_ITEMS}, got {self.m}")
+            table = self._table()
+            if not np.isfinite(table).all():  # a non-finite entry, or a sum past float range
+                raise ValueError(f"values must be finite, got {table[~np.isfinite(table)][0]}")
+            table.setflags(write=False)
+            object.__setattr__(self, "_dense", table)
+        return table
 
     def _table(self) -> np.ndarray:
         raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-@lru_cache(maxsize=4096)
-def _cached_table(v: Valuation) -> np.ndarray:
-    table = v._table()
-    if not np.isfinite(table).all():  # a non-finite entry, or a sum past float range
-        raise ValueError(f"values must be finite, got {table[~np.isfinite(table)][0]}")
-    table.setflags(write=False)
-    return table
 
 
 def _check_m(m: int) -> None:

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from sfpa.auction import (TIE_TOL, CapExceeded, PriorityRule, RandomizedRule,
                           allocate, bid_utilities, optimal_allocations,
                           optimal_welfare, outcome, price_to_beat,
-                          priority_ranks, rule_from_json, winners)
+                          priority_ranks, rule_from_json, wins)
 from sfpa.equilibrium import walrasian_search
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
-                             SingleMindedValuation, TableValuation)
+                             SingleMindedValuation, TableValuation, bit_matrix,
+                             bundle_costs, paid)
 
 from oracles import allocate_reference, outcome_utilities
 
@@ -98,7 +99,7 @@ def _monotone_table(rng, m, lattice=False):
     return TableValuation(m, tuple(table))
 
 
-@given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.booleans(),
+@given(st.integers(1, 4), st.integers(1, 9), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=80, deadline=None)
 def test_first_price_kernel_matches_reference(n, m, priority, additive, seed):
@@ -106,27 +107,30 @@ def test_first_price_kernel_matches_reference(n, m, priority, additive, seed):
     reference in tests/oracles.py: winners of every profile, and every
     player's utility for unilateral deviations, bit for bit. Values are
     monotone tables or additive weights (whose table sums run in item
-    order). Half the bids come from a coarse grid to force exact ties."""
+    order); payments too are summed in item order, which numpy's pairwise
+    `sum` would not match from 8 items up. Half the bids come from a coarse
+    grid, nudged by 0, 0.6 or 1.2 TIE_TOL, to force exact ties and chains of
+    near ties whose ends lie more than TIE_TOL apart."""
     rng = np.random.default_rng(seed)
     order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
     rule = PriorityRule(order) if priority else PriorityRule()
     ranks = priority_ranks(rule, n, m)
 
     def draw(shape):
-        coarse = rng.choice([0.0, 0.25, 0.5, 1.0], shape)
+        coarse = (rng.choice([0.0, 0.25, 0.5, 1.0], shape)
+                  + rng.choice([0.0, 0.6 * TIE_TOL, 1.2 * TIE_TOL], shape))
         return np.where(rng.random(shape) < 0.5, coarse, rng.uniform(0, 1, shape))
 
     vals = [AdditiveValuation(tuple(rng.uniform(0, 1, m))) if additive
             else _monotone_table(rng, m) for _ in range(n)]
     profiles = draw((5, n, m))
     deviations = draw((6, m))
-    won = winners(profiles, ranks)
-    beat, favored = price_to_beat(profiles, ranks)
+    beat, ahead = price_to_beat(profiles, ranks)
     for p, bids in enumerate(profiles):
-        assert tuple(won[p]) == allocate_reference(bids, rule).winners
+        assert allocate(bids, rule).winners == allocate_reference(bids, rule).winners
         assert outcome(vals, bids, rule).utilities == tuple(outcome_utilities(vals, bids, rule))
         for i in range(n):
-            got = bid_utilities(vals[i].as_table(), deviations, beat[p, i], favored[p, i])
+            got = bid_utilities(vals[i].as_table(), deviations, beat[p, i], ahead[p, i])
             for x, u in zip(deviations, got):
                 deviated = bids.copy()
                 deviated[i] = x
@@ -150,25 +154,49 @@ def test_walrasian_outcome_welfare_is_the_optimum():
 @settings(max_examples=100, deadline=None)
 def test_price_to_beat_matches_player_loop(n, m, lead, priority, seed):
     """The rival gather against a per-player scalar loop over 0-2 leading
-    axes: beat is the highest other bid, and a player is favored when no
-    rival of better rank bids within TIE_TOL of it. Bids on a coarse grid,
-    some nudged by half of TIE_TOL, tie exactly and nearly."""
+    axes: beat is the highest other bid, and ahead the highest bid of a
+    rival of better rank (-inf if none). Bids on a coarse grid, some nudged
+    by half of TIE_TOL, tie exactly and nearly."""
     rng = np.random.default_rng(seed)
     order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
     ranks = priority_ranks(PriorityRule(order) if priority else PriorityRule(), n, m)
     shape = tuple(int(k) for k in rng.integers(1, 4, lead)) + (n, m)
     coarse = rng.choice([0.0, 0.25, 0.5], shape) + rng.choice([0.0, 0.0, TIE_TOL / 2], shape)
     bids = np.where(rng.random(shape) < 0.8, coarse, rng.uniform(0, 1, shape))
-    beat, favored = price_to_beat(bids, ranks)
-    assert beat.shape == favored.shape == shape
+    beat, ahead = price_to_beat(bids, ranks)
+    assert beat.shape == ahead.shape == shape
     for at in np.ndindex(shape[:-2]):
         for i in range(n):
             rivals = [k for k in range(n) if k != i]
             for j in range(m):
-                top = max((bids[at][k, j] for k in rivals), default=-np.inf)
-                assert beat[at][i, j] == top
-                assert favored[at][i, j] == all(ranks[j, k] > ranks[j, i]
-                                                or bids[at][k, j] < top - TIE_TOL for k in rivals)
+                assert beat[at][i, j] == max((bids[at][k, j] for k in rivals), default=-np.inf)
+                assert ahead[at][i, j] == max((bids[at][k, j] for k in rivals
+                                               if ranks[j, k] < ranks[j, i]), default=-np.inf)
+
+
+def test_near_tie_chain_has_one_winner_everywhere():
+    """Three bids 0.8e-12 apart: the ends are more than TIE_TOL apart, so
+    only the top two tie, and the rule's favorite of those, player 2, wins.
+    `allocate`, `outcome`, `wins` and `bid_utilities` all say so."""
+    bids = np.array([[1.0], [1.0 + 0.8e-12], [1.0 + 1.6e-12]])
+    rule = PriorityRule(((0, 2, 1),))
+    vals = [AdditiveValuation((2.0,))] * 3
+    beat, ahead = price_to_beat(bids, priority_ranks(rule, 3, 1))
+    assert allocate(bids, rule).winners == allocate_reference(bids, rule).winners == (2,)
+    assert wins(bids, beat, ahead)[:, 0].tolist() == [False, False, True]
+    utilities = outcome(vals, bids, rule).utilities
+    assert utilities == tuple(outcome_utilities(vals, bids, rule))
+    assert utilities == tuple(float(bid_utilities(vals[i].as_table(), bids[i], beat[i], ahead[i]))
+                              for i in range(3))
+    assert utilities[2] == 2.0 - bids[2, 0]
+
+
+@pytest.mark.parametrize("m", range(8, 13))
+def test_paid_is_bundle_costs_fold(m):
+    """`paid` over every bundle's bit row is `bundle_costs`, bit for bit,
+    past the 8 items from which numpy's `sum` adds in pairs."""
+    prices = np.random.default_rng(m).uniform(0, 1, m)
+    assert paid(bit_matrix(m), prices).tobytes() == bundle_costs(prices).tobytes()
 
 
 def _enumerated_optimum(vals, tol=1e-9, limit=65536):

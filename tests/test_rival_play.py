@@ -3,9 +3,10 @@
 `pure_nash_search`, `limit_equilibrium_check`, the exact best-response gap
 and the Bayesian conditional utilities score blocks of profiles through
 `auction.rival_play` / `expected_utilities`. The reference loops below are
-the per-profile versions they replaced, kept verbatim: one `price_to_beat`
-per profile, visited with `itertools.product`. The comparisons are exact,
-bit for bit, on small random games with coarse bids that force ties.
+the per-profile versions they replaced: one `price_to_beat` per profile
+(the welfare loop allocates by the scalar `allocate_reference`), visited
+with `itertools.product`. The comparisons are exact, bit for bit, on small
+random games with coarse bids that force ties.
 """
 
 import itertools
@@ -16,13 +17,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sfpa import auction
-from sfpa.auction import (_BLOCK, Allocation, PriorityRule, RandomizedRule, bid_utilities,
+from sfpa.auction import (_BLOCK, PriorityRule, RandomizedRule, bid_utilities,
                           expected_utilities, price_to_beat, priority_ranks, product_play,
-                          rival_play, weighted_sum, winners)
+                          rival_play, weighted_sum)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, expected_welfare
 from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, best_response_gap, bundle_costs,
                               demand, limit_equilibrium_check, pure_nash_search)
 from sfpa.valuations import TableValuation
+
+from oracles import allocate_reference
 
 
 def _ranked_rules(rule, n, m):
@@ -31,8 +34,8 @@ def _ranked_rules(rule, n, m):
 
 
 def _expected_utilities(table, rows, against, player):
-    return sum(prob * bid_utilities(table, rows, beat[..., player, :], favored[..., player, :])
-               for prob, beat, favored in against)
+    return sum(prob * bid_utilities(table, rows, beat[..., player, :], ahead[..., player, :])
+               for prob, beat, ahead in against)
 
 
 def pure_nash_loop(vals, grid, rule, eps):
@@ -138,13 +141,12 @@ def conditional_utilities_loop(bg, strategies):
                 if q <= 1e-12:
                     continue
                 for prob, bids in _joint_play_loop(bg, strategies, dict(zip(opp, opp_types))):
-                    beat, favored = price_to_beat(bids, ranks)
-                    eu += q * prob * bid_utilities(table, bg.actions[i], beat[i], favored[i])
+                    beat, ahead = price_to_beat(bids, ranks)
+                    eu += q * prob * bid_utilities(table, bg.actions[i], beat[i], ahead[i])
             yield i, t, eu
 
 
 def expected_welfare_loop(bg, strategies):
-    ranks = priority_ranks(bg.rule, bg.n, bg.m)
     total = 0.0
     for types in itertools.product(*(range(len(ts)) for ts in bg.type_vals)):
         q = float(bg.prior[types])
@@ -152,7 +154,7 @@ def expected_welfare_loop(bg, strategies):
             continue
         vals = [bg.type_vals[i][t] for i, t in enumerate(types)]
         for prob, bids in _joint_play_loop(bg, strategies, dict(enumerate(types))):
-            alloc = Allocation(tuple(winners(bids, ranks).tolist()))
+            alloc = allocate_reference(bids, bg.rule)
             total += q * prob * sum(v.value(alloc.bundle(i)) for i, v in enumerate(vals))
     return total
 

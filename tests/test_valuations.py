@@ -104,6 +104,20 @@ def test_table_is_the_scalar_formula(v):
     assert [float(x) for x in table] == [value_formula(v, s) for s in range(1 << v.m)]
 
 
+def test_table_is_cached_on_the_instance_without_hashing():
+    """`as_table` keeps the checked table on the valuation itself: reading
+    it never hashes the 2^m-entry `table` tuple, and every read returns the
+    same read-only array."""
+    class Unhashable(TableValuation):
+        def __hash__(self):
+            raise TypeError("hashed")
+
+    v = Unhashable(2, (0.0, 0.5, 0.25, 1.0))
+    assert v.as_table() is v.as_table()
+    assert not v.as_table().flags.writeable
+    assert v.value(0b01) == 0.5 and v.value_max() == 1.0
+
+
 def test_xos_clause_additive():
     v = AdditiveValuation((0.5, 1.5, 0.25))
     a = xos_supporting_clause(v, 0b101)
