@@ -122,12 +122,12 @@ class Allocation:
         return [members(b) for b in self.bundles(n)]
 
 
-def check_bids(bids) -> np.ndarray:
+def check_bids(bids, field: str = "bids") -> np.ndarray:
     b = np.asarray(bids, dtype=np.float64)
     if b.ndim != 2:
-        raise ValueError("bids must be an (n, m) matrix")
+        raise ValueError(f"{field} must be an (n, m) matrix")
     if not np.isfinite(b).all() or (b < 0).any():
-        raise ValueError("bids must be finite and nonnegative")
+        raise ValueError(f"{field} must be finite and nonnegative")
     return b
 
 
@@ -190,8 +190,17 @@ def bid_utilities(table: np.ndarray, rows: np.ndarray, beat: np.ndarray,
 # Rival play: the one home of a bidder's expected utility against its rivals.
 # Scans score lexicographic blocks of profiles at once and add weighted
 # terms in order, so a block gives the bits of a profile-by-profile loop.
+# Every bounded-memory loop of the package slices its work with `blocks`.
 
-_BLOCK = 2 ** 15  # bid entries (or per-action utilities) a scan holds at once
+BLOCK = 2 ** 16  # float64 entries one vectorised step of a blocked loop holds
+
+
+def blocks(total: int, width: int = 1):
+    """Consecutive slices of range(total), each of at most max(1, BLOCK //
+    width) elements: a block of `width` entries per element stays in BLOCK."""
+    size = max(1, BLOCK // width)
+    for lo in range(0, total, size):
+        yield slice(lo, min(lo + size, total))
 
 
 def rival_play(bids: np.ndarray, rule) -> list:
@@ -215,12 +224,11 @@ def product_play(n: int, m: int, mixed: dict, width: int):
     choice varies fastest). `mixed` maps a player to its probabilities (K,)
     and bid rows (K, m); rows of probability 0 are skipped and other players
     bid zero. Yields the (B,) joint probabilities and (B, n, m) profiles of
-    B combinations, B * width entries filling at most _BLOCK (B >= 1)."""
+    B combinations, B * width entries filling at most BLOCK (B >= 1)."""
     mixed = {k: (probs[probs > 0], rows[probs > 0]) for k, (probs, rows) in mixed.items()}
     sizes = [len(probs) for probs, _ in mixed.values()]
-    total, size = math.prod(sizes), max(1, _BLOCK // width)
-    for start in range(0, total, size):
-        index = np.arange(start, min(start + size, total))
+    for block in blocks(math.prod(sizes), width):
+        index = np.arange(block.start, block.stop)
         weights, bids = np.ones(index.size), np.zeros((index.size, n, m))
         for (k, (probs, rows)), pick in zip(mixed.items(),
                                              np.unravel_index(index, sizes) if sizes else ()):

@@ -34,6 +34,8 @@ class FiniteBayesianGame:
     rule: PriorityRule = PriorityRule()
 
     def __post_init__(self):
+        if not self.type_vals:
+            raise ValueError("types: need at least one player")
         self.prior = np.asarray(self.prior, dtype=np.float64)
         shape = tuple(len(ts) for ts in self.type_vals)
         if self.prior.shape != shape:
@@ -46,7 +48,7 @@ class FiniteBayesianGame:
                 raise ValueError(f"types[{i}]: every type must cover m={self.m} items")
         if len(self.actions) != self.n:
             raise ValueError(f"actions: need one action list per player ({self.n})")
-        self.actions = [check_bids(a) for a in self.actions]
+        self.actions = [check_bids(a, f"actions[{i}]") for i, a in enumerate(self.actions)]
         for i, a in enumerate(self.actions):
             if a.shape[1] != self.m:
                 raise ValueError(f"actions[{i}]: need {self.m} bids per vector, got {a.shape[1]}")
@@ -180,16 +182,6 @@ class BayesWelfareReport:
     bound_beta_ok: bool | None
     beta_check_skipped: str | None
 
-    def to_json(self) -> dict:
-        return {"expected_opt": self.expected_opt, "expected_welfare": self.expected_welfare,
-                "ratio": self.ratio, "avg_gaps": list(self.avg_gaps), "max_gap": self.max_gap,
-                "eps": self.eps, "gap_precondition_ok": self.gap_precondition_ok,
-                "grid_step": self.grid_step, "bound_general": self.bound_general,
-                "bound_general_ok": self.bound_general_ok, "beta": self.beta,
-                "product_prior": self.product_prior, "bound_beta": self.bound_beta,
-                "bound_beta_ok": self.bound_beta_ok,
-                "beta_check_skipped": self.beta_check_skipped}
-
 
 def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
     """E over types and mixed actions of the realized social welfare, one
@@ -253,22 +245,37 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
     list matching the type counts (or {"kind": "product", "marginals":
     [...]}); actions = per-player list of bid vectors; strategies =
     per-player list (one row per type) of action probabilities. A missing
-    key raises ValueError naming it.
+    key, or one of the wrong type, raises ValueError naming it.
     """
     if not isinstance(d, dict):
         raise ValueError("Bayesian game file: need a JSON object")
     missing = [k for k in ("types", "prior", "actions", "strategies") if k not in d]
     if missing:
         raise ValueError(f"{missing[0]}: missing from the Bayesian game file")
-    type_vals = [valuations_from_json(ts, f"types[{i}]") for i, ts in enumerate(d["types"])]
+    type_vals = [valuations_from_json(ts, key) for key, ts in _entries(d["types"], "types")]
     prior = d["prior"]
     if isinstance(prior, dict) and prior.get("kind") == "product":
         table = np.ones(())
-        for marg in prior["marginals"]:
-            table = np.multiply.outer(table, np.asarray(marg, dtype=np.float64))
+        for key, marg in _entries(prior.get("marginals"), "prior.marginals"):
+            table = np.multiply.outer(table, _numbers(marg, key))
     else:
-        table = np.asarray(prior, dtype=np.float64)
+        table = _numbers(prior, "prior")
     rule = rule_from_json(d.get("tie_rule", {"kind": "index"}))
-    bg = FiniteBayesianGame(type_vals, table, [np.asarray(a) for a in d["actions"]], rule)
-    strategies = [np.asarray(s, dtype=np.float64) for s in d["strategies"]]
-    return bg, strategies
+    actions = [_numbers(a, key) for key, a in _entries(d["actions"], "actions")]
+    strategies = [_numbers(s, key) for key, s in _entries(d["strategies"], "strategies")]
+    return FiniteBayesianGame(type_vals, table, actions, rule), strategies
+
+
+def _entries(value, key: str) -> list:
+    """(key[i], entry) for each entry of the game file's list `key`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: need a list, got {type(value).__name__}")
+    return [(f"{key}[{i}]", entry) for i, entry in enumerate(value)]
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """The game file's entry `key` as float64 numbers."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, or a ragged nesting
+        raise ValueError(f"{key}: need numbers ({exc})") from None

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import experiments as xp
 from .auction import CAP, CapExceeded, PriorityRule, rule_from_json
@@ -215,7 +216,7 @@ def _run_command(args) -> dict:
         gaps = bayes_deviation_gap(bg, strategies)
         rep = bayes_welfare_bounds(bg, strategies)
         return {"gaps": [[float(g) for g in gs] for gs in gaps],
-                "welfare": rep.to_json()}
+                "welfare": asdict(rep)}
     if cmd == "sample":
         return xp.strategy_samples(args.strategy, args.m, args.v, args.k, args.d,
                                    args.count, args.seed)

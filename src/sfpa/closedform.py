@@ -23,15 +23,16 @@ are broken in favor of the AND bidder (the OR side is atomless, so the
 equilibrium itself is tie-rule independent; the convention only fixes
 bookkeeping on zero bids).
 
-Monte Carlo runs in blocks of MC_BLOCK trials: each block draws its
-uniforms from the one generator, in order, and writes its per-trial
-values into one array preallocated for all trials. Successive draws from
-a generator continue one stream, so the blocks see the very doubles a
-single draw of every trial would, and the mean and CI are reduced over the
-whole per-trial array as before: the results are bit for bit those of the
-one-shot form, while the temporaries shrink to one block. Trial and sample
-counts whose arrays would pass MC_BYTE_LIMIT bytes are refused before
-anything is drawn.
+Monte Carlo runs in the slices of `sfpa.auction.blocks`, BLOCK trials
+(or draws) each: each block draws its uniforms from the one generator,
+in order, and writes its per-trial values into one array preallocated
+for all trials. Successive draws from a generator continue one stream,
+so the blocks see the very doubles a single draw of every trial would,
+and the mean and CI are reduced over the whole per-trial array as
+before: the results are bit for bit those of the one-shot form, while
+the temporaries shrink to one block. Trial and sample counts whose
+arrays would pass MC_BYTE_LIMIT bytes are refused before anything is
+drawn.
 """
 
 from __future__ import annotations
@@ -43,17 +44,11 @@ from typing import Callable
 
 import numpy as np
 
+from .auction import blocks
 from .rng import rng_for
 
 CDF_TOL = 1e-12
-MC_BLOCK = 2 ** 16  # trials (or draws) a Monte Carlo loop handles at a time
 MC_BYTE_LIMIT = 2 ** 31  # largest estimated working set of a Monte Carlo run or sample
-
-
-def _blocks(size: int):
-    """Consecutive slices of range(size), MC_BLOCK long but the last."""
-    for lo in range(0, size, MC_BLOCK):
-        yield slice(lo, min(lo + MC_BLOCK, size))
 
 
 def check_count(count, field: str = "trials", least: int = 2, per_unit: int = 40) -> None:
@@ -150,7 +145,7 @@ class AtomicCDF:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty(size)
-        for s in _blocks(size):
+        for s in blocks(size):
             out[s] = self.quantile(rng.random(s.stop - s.start))
         return out
 
@@ -283,7 +278,7 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
     y = pair.sample_and_bids(rng, trials)
     x = pair.sample_or_bids(rng, trials)[1]  # not holding the items: one array less at the peak
     welfare = np.empty(trials)
-    for s in _blocks(trials):
+    for s in blocks(trials):
         welfare[s] = np.where(y[s] > x[s], 1.0, pair.v)  # exact float tie y == x is AND-first
     est = float(welfare.mean())
     ci = Z99 * float(welfare.std(ddof=1)) / math.sqrt(trials)
@@ -319,7 +314,7 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
         items, g = pair.sample_or_bids(rng, trials)
         win = ~np.eye(pair.m + 1, pair.m, dtype=bool)
         table = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
-        for s in _blocks(trials):
+        for s in blocks(trials):
             u[s] = table.take(np.where((x.take(items[s]) > g[s]) | (g[s] == 0.0),
                                        pair.m, items[s]))
     else:
@@ -327,7 +322,7 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
         cuts = np.sort(x)
         win = x[None, :] >= np.append(cuts, np.inf)[:, None]
         table = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
-        for s in _blocks(trials):
+        for s in blocks(trials):
             u[s] = table.take(cuts.searchsorted(y[s], side="right"))
     half = Z99 * float(u.std(ddof=1)) / math.sqrt(trials)
     return float(u.mean()), half

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auction import (_BLOCK, CapExceeded, PriorityRule, bid_utilities, bundle_masks,
+from .auction import (CapExceeded, PriorityRule, bid_utilities, blocks, bundle_masks,
                       optimal_welfare, price_to_beat, priority_ranks, weighted_sum, wins)
 from .closedform import AtomicCDF
 from .rng import rng_for
@@ -185,7 +185,6 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
 
     cum = np.where(valid, 0.0, -np.inf)
     cum_flat, draws = cum.reshape(-1), int(nf.sum())
-    size = min(max(1, _BLOCK // draws), rounds)  # rounds of uniforms drawn at once
     try:  # per round: the bids, each factor's chosen gain, chosen value and best sum, the steps
         bids_out = np.empty((rounds, n, m))
         gains, values, tops = np.empty((3, rounds, n, F))
@@ -193,26 +192,25 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     except MemoryError:
         raise ValueError(f"rounds: {rounds} rounds need "
                          f"{8 * rounds * (n * m + 3 * n * F + n)} bytes of records") from None
-    u = np.zeros((size, n, F))  # filler factors draw nothing and stay 0
     top = cum.max(axis=2, keepdims=True)
 
-    for t in range(rounds):
-        if t % size == 0:  # a bulk draw gives the doubles of `size` successive ones
-            left = min(size, rounds - t)
-            u[:left, real] = rng.random((left, draws))  # per round, in player order
-        w = np.exp(step[t] * (cum - top) / vmax)
-        probs = w / w.sum(axis=2, keepdims=True)
-        chosen = entry.take(base + _level_index(u[t % size], probs, last))  # (n, F) entries drawn
-        bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
+    for block in blocks(rounds, draws):  # a bulk draw gives the doubles of successive ones
+        u = np.zeros((block.stop - block.start, n, F))  # filler factors draw nothing: 0
+        u[:, real] = rng.random((len(u), draws))  # per round, in player order
+        for t, u_t in enumerate(u, block.start):
+            w = np.exp(step[t] * (cum - top) / vmax)
+            probs = w / w.sum(axis=2, keepdims=True)
+            chosen = entry.take(base + _level_index(u_t, probs, last))  # (n, F) entries drawn
+            bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
 
-        beat, ahead = price_to_beat(bids_out[t], ranks)
-        won = wins(rows, beat.take(player, axis=0), ahead.take(player, axis=0)) & support
-        value = table.take(table_at | bundle_masks(won))
-        gain = value - paid(won, rows)
-        cum_flat[slot] += gain
-        gains[t] = gain.take(chosen)
-        values[t] = value.take(chosen)
-        top = cum.max(axis=2, out=tops[t])[:, :, None]
+            beat, ahead = price_to_beat(bids_out[t], ranks)
+            won = wins(rows, beat.take(player, axis=0), ahead.take(player, axis=0)) & support
+            value = table.take(table_at | bundle_masks(won))
+            gain = value - paid(won, rows)
+            cum_flat[slot] += gain
+            gains[t] = gain.take(chosen)
+            values[t] = value.take(chosen)
+            top = cum.max(axis=2, out=tops[t])[:, :, None]
 
     util = gains.sum(axis=2)  # each round's orders: over factors; over players, then factors
     cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
@@ -240,11 +238,10 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
         sums = np.zeros((len(factors), max(len(rows) for rows, _ in factors)))
         for f, (rows, support) in enumerate(factors):
             items = np.flatnonzero(support)
-            subsets = (bit_matrix(items.size) @ (1 << items)).astype(np.intp)
+            subsets = bit_matrix(items.size) @ (1 << items)
             table, own, k = game.vals[i].as_table()[subsets], rows[:, items], len(rows)
-            size = max(1, _BLOCK // own.size)  # rounds per block: (size, k, |items|) wins
-            for start in range(0, trace.rounds, size):
-                at = np.s_[start:start + size, i, items]
+            for s in blocks(trace.rounds, own.size):  # (rounds, k, |items|) wins a block
+                at = np.s_[s, i, items]
                 gain = bid_utilities(table, own, beats[at][:, None], aheads[at][:, None])
                 sums[f, :k] = weighted_sum(sums[f, :k], np.ones(len(gain)), gain)
         stored = trace.cum_counterfactual[i]
@@ -280,7 +277,7 @@ class CceWelfareReport:
     """Price-of-anarchy accounting for one trace against the two welfare bounds."""
 
     opt: float
-    empirical_welfare: float
+    welfare: float
     ratio: float
     regret_per_round: tuple
     slack: float
@@ -290,14 +287,6 @@ class CceWelfareReport:
     bound_general: float
     bound_general_ok: bool
     decomposition: dict
-
-    def to_json(self) -> dict:
-        return {"opt": self.opt, "welfare": self.empirical_welfare, "ratio": self.ratio,
-                "regret_per_round": list(self.regret_per_round), "slack": self.slack,
-                "beta": self.beta, "bound_beta": self.bound_beta,
-                "bound_beta_ok": self.bound_beta_ok, "bound_general": self.bound_general,
-                "bound_general_ok": self.bound_general_ok,
-                "decomposition": self.decomposition}
 
 
 def ccqe_welfare_ratio(trace: LearningTrace, beta: float | None = None) -> CceWelfareReport:

@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, expected_utilities,
-                      optimal_welfare, product_play, rival_play, weighted_sum)
+from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, blocks,
+                      expected_utilities, optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import feasible_point
 from .rng import rng_for
 from .sets import full_set, members
@@ -55,7 +55,7 @@ def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, 
     for i, v in enumerate(vals):
         mine, t = alloc.bundle(i), v.as_table()
         others = bundles[bundles != mine]
-        rows.append(bits[mine] - bits[others])
+        rows.append(np.subtract(bits[mine], bits[others], dtype=np.float64))  # uint8 would wrap
         rhs.append(t[mine] - t[others])
     return np.vstack(rows), np.concatenate(rhs)
 
@@ -351,10 +351,6 @@ class BestResponseGap:
     baseline: float
     best_deviation: tuple = ()
 
-    def to_json(self) -> dict:
-        return {"gap": self.gap, "ci99": self.ci99, "method": self.method,
-                "baseline": self.baseline, "best_deviation": list(self.best_deviation)}
-
 
 def _andor_gap_analytic(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestResponseGap:
     axis = grid.points()
@@ -419,10 +415,10 @@ def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
     dev_mean, dev_var = [], []
-    for _, rows in product_play(1, m, {0: (np.ones(len(actions)), actions)}, trials * m):
+    for s in blocks(len(actions), trials * m):
         # (B, 1, m) rows against the trials: one contiguous row of trials per
         # action, reduced as a lone row would be
-        u = expected_utilities(table, rows, play, player)
+        u = expected_utilities(table, actions[s, None], play, player)
         dev_mean.append(u.mean(axis=1))
         dev_var.append(u.var(axis=1, ddof=1))
     dev_mean, dev_var = np.concatenate(dev_mean), np.concatenate(dev_var)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, closedform as cf
-from .auction import (CapExceeded, PriorityRule, expected_utilities, optimal_welfare,
+from .auction import (CapExceeded, PriorityRule, blocks, expected_utilities, optimal_welfare,
                       rival_play, rule_from_json)
 from .bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
                     check_strategies)
@@ -191,6 +192,8 @@ def _cdf_series(name: str, cdf: cf.AtomicCDF, points: int = 200) -> dict:
 def andor_welfare_sweep(ms, trials: int, seed: int) -> dict:
     """Equilibrium welfare of the bad construction (v = 1/sqrt(m)) across
     item counts, against the 2/sqrt(m) envelope."""
+    if any(m < 2 for m in ms):  # before v = 1/sqrt(m) is formed
+        raise ValueError(f"sweep: item counts must be >= 2, got {list(ms)}")
     rows, bound = [], []
     for m in ms:
         pair = cf.AndOrStrategyPair(m, 1.0 / math.sqrt(m))
@@ -213,7 +216,7 @@ def grid_game_report(side: int, trials: int, seed: int) -> dict:
     sm = cf.SingleMindedSymmetric(side, 2, value=float(side))
     rng = rng_for(seed, "grid-game", side)
     satisfied = np.empty(trials, dtype=np.int64)
-    for s in cf._blocks(trials):  # a block's 2 * side draws per trial, as one draw would give them
+    for s in blocks(trials):  # a block's 2 * side draws per trial, as one draw would give them
         draws = sm.cdf.sample(rng, 2 * side * (s.stop - s.start)).reshape(-1, 2 * side)
         rows, cols = draws[:, :side], draws[:, side:]
         satisfied[s] = ((rows > cols.max(axis=1, keepdims=True)).sum(axis=1)
@@ -332,7 +335,7 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
     return {"n": n, "m": m, "rounds": rounds, "seed": seed, "grid_step": grid_step,
             "weights": weights.tolist(), "regret": regret, "regret_envelope": envelope,
             "regret_within_envelope": all(r <= e for r, e in zip(regret, envelope)),
-            "cce_recompute_drift": drift, "welfare": rep.to_json(),
+            "cce_recompute_drift": drift, "welfare": asdict(rep),
             "series": [{"name": f"regret_p{i}",
                         "points": [[int(t) + 1, float(trace.regret[t, i])]
                                    for t in _thin(rounds)]}
@@ -369,7 +372,7 @@ def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
             "regret": [float(r) for r in trace.final_regret()],
             "regret_envelope": [float(e) for e in trace.regret_envelope()],
             "cce_recompute_drift": drift,
-            "welfare": rep.to_json(),
+            "welfare": asdict(rep),
             "and_support_ok": cf.and_support_sum_check(
                 trace.bids[:, 0, :], vals[0].value_max()) is None}
 
@@ -386,7 +389,7 @@ def single_item_dynamics_report(values: tuple, rounds: int, seed: int,
     rep = ccqe_welfare_ratio(trace, beta=1.0)
     return {"values": list(map(float, values)), "rounds": rounds, "seed": seed,
             "tail_mean_price": float(tail.max(axis=1).mean()),
-            "welfare": rep.to_json(),
+            "welfare": asdict(rep),
             "regret": [float(r) for r in trace.final_regret()],
             "regret_envelope": [float(e) for e in trace.regret_envelope()]}
 
@@ -463,7 +466,7 @@ def bayes_report(grid_step: float = 0.05) -> dict:
     return {"degenerate": degenerate,
             "two_type": {"bne_found": True, "grid_step": grid_step, "bids": bids,
                          "max_gap": float(max(g.max() for g in gaps)),
-                         "welfare": rep.to_json()}}
+                         "welfare": asdict(rep)}}
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ MONEY_TOL = 1e-9
 
 
 def bit_matrix(m: int) -> np.ndarray:
-    """(2^m, m) 0/1 membership matrix; row s column j is item j's bit of s."""
-    s = np.arange(1 << m, dtype=np.uint32)
-    return ((s[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(np.float64)
+    """(2^m, m) uint8 0/1 membership table; row s column j is item j's bit of s."""
+    words = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(words, axis=1, count=m, bitorder="little")
 
 
 def paid(won: np.ndarray, amounts: np.ndarray) -> np.ndarray:
@@ -51,9 +51,7 @@ def bundle_costs(prices) -> np.ndarray:
     bundle's cost is 0 + p_j1 + p_j2 + ... over its items j1 < j2 < ..."""
     prices = np.moveaxis(np.asarray(prices, dtype=np.float64), 0, -1)
     m = prices.shape[-1]
-    words = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(words, axis=1, count=m, bitorder="little")  # bit_matrix(m) in bytes
-    return paid(bits.reshape((1 << m,) + (1,) * (prices.ndim - 1) + (m,)), prices)
+    return paid(bit_matrix(m).reshape((1 << m,) + (1,) * (prices.ndim - 1) + (m,)), prices)
 
 
 class Valuation:
@@ -342,8 +340,8 @@ def xos_supporting_clause(v: Valuation, target: int, tol: float = MONEY_TOL) -> 
         return a
     t = v.as_table()
     sub = np.array([s for s in subsets(target) if s])
-    x = feasible_point((sub[:, None] >> np.array(idx) & 1).astype(np.float64), t[sub],
-                       len(idx), minimize=-np.ones(len(idx)))
+    x = feasible_point(bit_matrix(v.m)[np.ix_(sub, idx)], t[sub], len(idx),
+                       minimize=-np.ones(len(idx)))
     if x is None:
         raise LpError(f"supporting-clause LP infeasible at target {target:b}")
     a[idx] = np.maximum(x, 0.0)  # clip solver dust below 0

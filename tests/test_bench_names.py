@@ -37,3 +37,29 @@ def test_package_exports_resolve():
     assert names
     for name in names:
         assert hasattr(sfpa, name), name
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_name():
+    """No `sfpa` module imports or reads another module's `_name`: a value
+    one module owns (a block size, a helper) is shared under a public name,
+    so patching it in its home module reaches every reader."""
+    package = pathlib.Path(sfpa.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [(node.module, alias) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sfpa")
+                    for alias in node.names]
+        aliases = {alias.asname or alias.name for module, alias in imported
+                   if module in (None, "sfpa") and alias.name in modules}
+        reads += [f"{path.stem}: from {module} import {alias.name}"
+                  for module, alias in imported if _private(alias.name)]
+        reads += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and _private(node.attr)]
+    assert not reads

@@ -430,11 +430,20 @@ def test_bayes_file_input_checked(tmp_path, capsys):
              ("prior", [[float("nan")]], "prior:"),
              ("strategies", [[[1.0, 0.0]], [[float("nan"), 1.0]]], "strategies[1]:"),
              ("strategies", doc["strategies"][:1], "strategies:"),
-             ("strategies", doc["strategies"] * 2, "strategies:")]
+             ("strategies", doc["strategies"] * 2, "strategies:"),
+             ("types", 3, "types:"), ("actions", 3, "actions:"), ("strategies", 3, "strategies:"),
+             ("prior", {"kind": "product", "marginals": 3}, "prior.marginals:"),
+             ("prior", {"kind": "product", "marginals": [[1.0], "x"]}, "prior.marginals[1]:"),
+             ("prior", "x", "prior:"), ("actions", [3, 3], "actions[0]"),
+             ("actions", [[["y", 0.0]], doc["actions"][1]], "actions[0]:"),
+             ("strategies", [[[1.0, 0.0]], "x"], "strategies[1]:")]
     for key, value, field in cases:
         path.write_text(json.dumps({**doc, key: value}))  # NaN is written as a bare NaN
         message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
         assert message.startswith(field)
+    path.write_text(json.dumps({"types": [], "prior": 1.0, "actions": [], "strategies": []}))
+    message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])
+    assert message.startswith("types:")
 
 
 def test_pure_nash_input_checked(capsys):
@@ -552,6 +561,8 @@ def test_bad_flags_name_their_field(capsys):
                         (["sample", "--strategy", "andor", "--count", "-1"], "count"),
                         (["poa", "--sweep", "4,x", "--trials", "1000"], "sweep"),
                         (["poa", "--sweep", "4,,9", "--trials", "1000"], "sweep"),
+                        (["poa", "--sweep", "0", "--trials", "1000"], "sweep"),
+                        (["poa", "--sweep", "-4", "--trials", "1000"], "sweep"),
                         (["dynamics", "--mode", "single-item", "--values", "1,y", *learn],
                          "values")):
         code, _, err = run_cli(args, capsys)

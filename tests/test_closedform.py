@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from sfpa import closedform as cf
+from sfpa import auction, closedform as cf
 from sfpa.experiments import grid_game_report
 from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              and_bid_cdf, and_support_sum_check,
@@ -245,7 +245,7 @@ def test_sample_blocks_match_one_draw(block, which, blocks, offset, seed):
     want = cdf.quantile(one.random(size))
     blocked = rng_for(seed, "blocks")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cf, "MC_BLOCK", block)
+        mp.setattr(auction, "BLOCK", block)
         got = cdf.sample(blocked, size)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert blocked.random() == one.random()  # both consumed the stream alike
@@ -260,17 +260,17 @@ def test_mc_blocks_match_unblocked(block, case, trials, seed):
         return (andor_utility_mc(pair, role, bids, trials, seed),
                 andor_equilibrium_welfare(pair, trials, seed))
 
-    assert cf.MC_BLOCK >= trials
+    assert auction.BLOCK >= trials
     whole = run()
     assert whole[1] == andor_welfare(pair, trials, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cf, "MC_BLOCK", block)
+        mp.setattr(auction, "BLOCK", block)
         assert run() == whole
 
 
 @pytest.mark.parametrize("block", _BLOCK_SIZES + (2 ** 16,))
 def test_grid_game_blocks_match_whole_array(monkeypatch, block):
-    monkeypatch.setattr(cf, "MC_BLOCK", block)
+    monkeypatch.setattr(auction, "BLOCK", block)
     for side, trials, seed in ((2, 200, 1), (3, 130, 7)):
         rep = grid_game_report(side, trials, seed)
         assert (rep["expected_satisfied"], rep["satisfied_ci99"]) == \

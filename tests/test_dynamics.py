@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa import dynamics
+from sfpa import auction, dynamics
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, ks_distance, run_no_regret,
                            verify_cce)
@@ -171,14 +171,14 @@ def test_verify_cce_catches_a_corrupted_sum(family):
 @pytest.mark.parametrize("family", ["explicit", "mixed"])  # 2 and 3 uniforms a round
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_uniform_blocks_leave_the_trace_unchanged(monkeypatch, family, block):
-    """Uniforms drawn `_BLOCK // draws` rounds at a time, split unevenly over
+    """Uniforms drawn `BLOCK // draws` rounds at a time, split unevenly over
     70 rounds, give the bits of one block for the whole run."""
     vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
     sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2))
     game = FiniteGame(vals, {"explicit": [uni, uni], "mixed": [sep, uni]}[family], grid_step=0.1)
     ref = run_no_regret(game, 70, seed=5)
-    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    monkeypatch.setattr(auction, "BLOCK", block)
     got = run_no_regret(game, 70, seed=5)
     for a, b in zip((ref.bids, ref.utilities, ref.welfare, ref.regret, *ref.cum_counterfactual),
                     (got.bids, got.utilities, got.welfare, got.regret, *got.cum_counterfactual)):
@@ -196,7 +196,7 @@ def test_welfare_report_fields():
     dec = rep.decomposition
     # o_i from the optimum, e/u/r from play: values = utilities + payments
     assert dec["o"] == [0.0, 2.0]
-    assert sum(dec["e"]) == pytest.approx(rep.empirical_welfare, abs=1e-9)
+    assert sum(dec["e"]) == pytest.approx(rep.welfare, abs=1e-9)
     assert sum(dec["item_prices"]) <= 2.0 + 1e-9
     assert dec["r"][1] == pytest.approx(dec["item_prices"][0])
 
@@ -249,7 +249,7 @@ def _random_player(rng, m):
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
-       st.sampled_from([1, 5, 64, dynamics._BLOCK]))
+       st.sampled_from([1, 5, 64, auction.BLOCK]))
 @settings(max_examples=60, deadline=None)
 def test_factored_loop_matches_reference(n, m, seed, block):
     """Any mix of the action families, n = 1 included, under a random
@@ -261,11 +261,11 @@ def test_factored_loop_matches_reference(n, m, seed, block):
     vals, spaces = zip(*(_random_player(rng, m) for _ in range(n)))
     rule = PriorityRule(tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m)))
     trace = run_no_regret(FiniteGame(list(vals), list(spaces), rule), 30, seed)
-    saved, dynamics._BLOCK = dynamics._BLOCK, block
+    saved, auction.BLOCK = auction.BLOCK, block
     try:
         assert verify_cce(trace) == 0.0
     finally:
-        dynamics._BLOCK = saved
+        auction.BLOCK = saved
     for t in range(30):
         ref = outcome(vals, trace.bids[t], rule)
         assert trace.utilities[t] == pytest.approx(ref.utilities, abs=1e-12)

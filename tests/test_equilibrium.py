@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sfpa import auction
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, outcome)
 from sfpa.closedform import (AndOrStrategyPair, SingleMindedSymmetric,
@@ -283,16 +284,27 @@ def test_best_response_gap_monotone_in_grid():
     assert gaps[0] <= gaps[1] <= gaps[2]  # refining the grid cannot shrink the gap
 
 
-def test_best_response_gap_mc_matches_exact():
+def test_best_response_gap_mc_matches_exact(monkeypatch):
+    """The Monte Carlo gap matches the closed form, and its bits do not
+    depend on how its 13 actions are split into blocks: at 2000 trials of
+    2 items an action, one action a block up to BLOCK = 64 entries, then
+    two (the last block one), then all 13."""
     vals = andor_game(2, 1.0)
     pair = AndOrStrategyPair(2, 1.0)
     opp = AndOrRole(pair, "and")
     own = FiniteSupportStrategy(((1.0, (0.0, 0.2)),))
-    res = best_response_gap(vals, [opp, own], 1, BidGrid(0.05, 0.6, "single_item"),
-                            trials=200_000, seed=3)
+    grid = BidGrid(0.05, 0.6, "single_item")
+    res = best_response_gap(vals, [opp, own], 1, grid, trials=200_000, seed=3)
     assert res.method == "monte_carlo"
     assert res.baseline == pytest.approx(0.5, abs=res.ci99 + 0.01)
     assert res.gap <= res.ci99 + 0.01  # the closed form leaves (almost) no gap
+    whole = best_response_gap(vals, [opp, own], 1, grid, trials=2000, seed=3)
+    for block in (1, 5, 64, 10_000, auction.BLOCK):
+        monkeypatch.setattr(auction, "BLOCK", block)
+        got = best_response_gap(vals, [opp, own], 1, grid, trials=2000, seed=3)
+        assert [np.float64(x).tobytes() for x in (got.gap, got.baseline, got.ci99)] == \
+            [np.float64(x).tobytes() for x in (whole.gap, whole.baseline, whole.ci99)], block
+        assert got.best_deviation == whole.best_deviation, block
 
 
 class _Sampled:

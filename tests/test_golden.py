@@ -15,6 +15,7 @@ no longer depend on the BLAS kernel's summation order.
 """
 
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def mixed_game_payload():
     cum = [np.where(np.isfinite(c), c, 0.0) for c in trace.cum_counterfactual]
     return {"bids": trace.bids, "utilities": trace.utilities, "regret": trace.regret,
             "cum": cum,
-            "drift": verify_cce(trace), "welfare": ccqe_welfare_ratio(trace).to_json()}
+            "drift": verify_cce(trace), "welfare": asdict(ccqe_welfare_ratio(trace))}
 
 
 def separable_priority_payload():
@@ -55,7 +56,7 @@ def separable_priority_payload():
               for v in vals]
     trace = run_no_regret(FiniteGame(vals, spaces, rule, grid_step=0.1), 1500, SEED)
     return {"bids": trace.bids, "utilities": trace.utilities, "regret": trace.regret,
-            "drift": verify_cce(trace), "welfare": ccqe_welfare_ratio(trace, 1.0).to_json()}
+            "drift": verify_cce(trace), "welfare": asdict(ccqe_welfare_ratio(trace, 1.0))}
 
 
 def pure_nash_payload():
@@ -88,7 +89,7 @@ def best_response_payload():
     mc_tri = best_response_gap(vals3, roles, 0, BidGrid(0.05, 0.5, "uniform_on_bundle"),
                                PriorityRule(((1, 0, 2), (2, 1, 0), (0, 2, 1))),
                                trials=20_000, seed=SEED, bundle=bundles[0])
-    return {k: g.to_json() for k, g in
+    return {k: asdict(g) for k, g in
             (("exact", exact), ("mc_or", mc_or), ("mc_and", mc_and), ("mc_tri", mc_tri))}
 
 
@@ -113,7 +114,7 @@ def bayes_priority_payload():
     strategies, fixed = best_response_strategies(bg, start, sweeps=5)
     return {"fixed": fixed, "strategies": strategies,
             "gaps": bayes_deviation_gap(bg, strategies),
-            "welfare": bayes_welfare_bounds(bg, strategies, beta=1.0).to_json()}
+            "welfare": asdict(bayes_welfare_bounds(bg, strategies, beta=1.0))}
 
 
 PAYLOADS = {

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sfpa import auction
-from sfpa.auction import (_BLOCK, PriorityRule, RandomizedRule, bid_utilities,
+from sfpa.auction import (BLOCK, PriorityRule, RandomizedRule, bid_utilities,
                           expected_utilities, price_to_beat, priority_ranks, product_play,
                           rival_play, weighted_sum)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, expected_welfare
@@ -194,16 +194,16 @@ def random_mixture(rng, m, step):
 
 
 small_games = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
-block_entries = st.sampled_from([1, 5, 64, _BLOCK])  # small blocks split the scans
+block_entries = st.sampled_from([1, 5, 64, BLOCK])  # small blocks split the scans
 
 
 @contextmanager
 def block_size(entries):
-    saved, auction._BLOCK = auction._BLOCK, entries
+    saved, auction.BLOCK = auction.BLOCK, entries
     try:
         yield
     finally:
-        auction._BLOCK = saved
+        auction.BLOCK = saved
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,7 +287,7 @@ def test_bayesian_utilities_match_joint_play_loop(game, types, correlated, block
 def test_product_play_is_lexicographic():
     mixed = {0: (np.array([0.25, 0.75]), np.array([[3.0], [4.0]])),
              2: (np.array([0.5, 0.0, 0.5]), np.array([[1.0], [9.0], [2.0]]))}
-    blocks = list(product_play(3, 1, mixed, _BLOCK // 2))  # two profiles per block
+    blocks = list(product_play(3, 1, mixed, BLOCK // 2))  # two profiles per block
     assert [len(w) for w, _ in blocks] == [2, 2]
     weights = np.concatenate([w for w, _ in blocks])
     bids = np.concatenate([b for _, b in blocks])
