@@ -18,7 +18,7 @@ import numpy as np
 from .auction import (PriorityRule, bundle_masks, check_bids, expected_utilities,
                       optimal_welfare, price_to_beat, priority_ranks, product_play, rival_play,
                       rule_from_json, weighted_sum, wins)
-from .valuations import valuations_from_json
+from .valuations import numbers, valuations_from_json
 
 PROB_TOL = 1e-12
 
@@ -257,12 +257,12 @@ def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
     if isinstance(prior, dict) and prior.get("kind") == "product":
         table = np.ones(())
         for key, marg in _entries(prior.get("marginals"), "prior.marginals"):
-            table = np.multiply.outer(table, _numbers(marg, key))
+            table = np.multiply.outer(table, numbers(marg, key))
     else:
-        table = _numbers(prior, "prior")
+        table = numbers(prior, "prior")
     rule = rule_from_json(d.get("tie_rule", {"kind": "index"}))
-    actions = [_numbers(a, key) for key, a in _entries(d["actions"], "actions")]
-    strategies = [_numbers(s, key) for key, s in _entries(d["strategies"], "strategies")]
+    actions = [numbers(a, key) for key, a in _entries(d["actions"], "actions")]
+    strategies = [numbers(s, key) for key, s in _entries(d["strategies"], "strategies")]
     return FiniteBayesianGame(type_vals, table, actions, rule), strategies
 
 
@@ -272,10 +272,3 @@ def _entries(value, key: str) -> list:
         raise ValueError(f"{key}: need a list, got {type(value).__name__}")
     return [(f"{key}[{i}]", entry) for i, entry in enumerate(value)]
 
-
-def _numbers(value, key: str) -> np.ndarray:
-    """The game file's entry `key` as float64 numbers."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a string, or a ragged nesting
-        raise ValueError(f"{key}: need numbers ({exc})") from None

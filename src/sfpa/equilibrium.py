@@ -34,6 +34,7 @@ from .sets import full_set, members
 from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs
 
 GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
+MESH_CAP = 500_000  # price vectors the common-price scan may hold
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,8 @@ class BidGrid:
     def points(self) -> np.ndarray:
         span = self.upper / self.step + 1e-9
         if span >= GRID_CAP:  # also an infinite span; refused before allocating
-            raise CapExceeded(f"grid_step: {self.step!r} up to {self.upper!r} needs more than "
-                              f"{GRID_CAP} bid levels; coarsen it")
+            raise CapExceeded(f"grid_step: {self.step!r} up to {self.upper!r} is over {GRID_CAP} "
+                              f"levels; grid_step >= {self.upper / (GRID_CAP - 1)!r} fits")
         return self.step * np.arange(math.floor(span) + 1)
 
     def actions_for(self, m: int, bundle: int | None = None) -> np.ndarray:
@@ -479,8 +480,10 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     """
     n, m = len(vals), vals[0].m
     pts = grid.points()
-    if pts.size ** m > 500_000:
-        raise CapExceeded(f"common-price mesh {pts.size}^{m} exceeds 500000; coarsen grid_step=")
+    if pts.size ** m > MESH_CAP:  # name the most levels that fit; one needs a step past the top
+        fit = int(MESH_CAP ** (1 / m) + 1e-9)
+        raise CapExceeded(f"grid_step: price mesh {pts.size}^{m} exceeds {MESH_CAP}; {fit} levels "
+                          f"per item fit: grid_step >= {grid.upper / max(fit - 1, 0.5)!r}")
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)

@@ -320,9 +320,10 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
         raise ValueError(f"grid step must be finite and > 0, got {grid_step!r}")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
-    if (weights.max(initial=0.0) + 1e-12) / grid_step >= GRID_CAP:  # refused before allocating
+    top = float(weights.max(initial=0.0)) + 1e-12
+    if top / grid_step >= GRID_CAP:  # refused before allocating
         raise CapExceeded(f"grid_step: {grid_step!r} needs more than {GRID_CAP} bid levels "
-                          "per item; coarsen it")
+                          f"per item; grid_step >= {top / (GRID_CAP - 1)!r} fits")
     vals = [AdditiveValuation(tuple(map(float, w))) for w in weights]
     spaces = [SeparableGrid([np.arange(0.0, wij + 1e-12, grid_step) for wij in w])
               for w in weights]

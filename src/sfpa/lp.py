@@ -1,14 +1,13 @@
 """Thin linear-programming helpers over scipy's HiGHS backend.
 
-All problems here are small (thousands of rows at most); HiGHS solves them
-to simplex accuracy, which is ample for the 1e-9 money tolerance used
-throughout.
+HiGHS solves these small problems (thousands of rows at most) to simplex
+accuracy, ample for the 1e-9 money tolerance used throughout. scipy.optimize
+loads on the first solve: learning, closed forms and Monte Carlo never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class LpError(RuntimeError):
@@ -27,6 +26,7 @@ def feasible_point(a_ub, b_ub, n: int, minimize=None):
     With `minimize` set, returns the minimizer of that linear objective
     over the feasible region (used to pick canonical solutions).
     """
+    from scipy.optimize import linprog  # here, so that only LP users pay its import
     c = np.zeros(n) if minimize is None else np.asarray(minimize)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
                   method="highs", options=_OPTIONS)

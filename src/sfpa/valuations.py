@@ -239,22 +239,44 @@ class XosValuation(Valuation):
         return {"kind": "xos", "m": self.m, "clauses": [list(c) for c in self.clauses]}
 
 
-def valuation_from_json(d: dict) -> Valuation:
-    kind = d["kind"]
-    if kind == "table":
-        return TableValuation(d["m"], tuple(d["values"]))
-    if kind == "additive":
-        return AdditiveValuation(tuple(d["weights"]))
-    if kind == "single_minded":
-        return SingleMindedValuation(d["m"], from_items(d["items"]), d["value"])
-    if kind == "and":
-        return AndValuation(d["m"], d["value"])
-    if kind == "or":
-        items = from_items(d["items"]) if "items" in d else -1
-        return OrValuation(d["m"], d["value"], items)
-    if kind == "xos":
-        return XosValuation(tuple(tuple(c) for c in d["clauses"]))
-    raise ValueError(f"unknown valuation kind {kind!r}")
+def numbers(value, field: str) -> np.ndarray:
+    """A file's numbers as float64; a ValueError naming `field` refuses str, bool or ragged."""
+    flat = [value]
+    for x in flat:  # extended while iterated: a walk over the whole nesting
+        if isinstance(x, list):
+            flat.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{field}: need numbers, got {x!r}")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged, or an integer past float range
+        raise ValueError(f"{field}: need numbers ({exc})") from None
+
+
+def valuation_from_json(d: dict, field: str = "valuation") -> Valuation:
+    """The valuation object `d`; a ValueError names `field`, or `field.key` if not numbers."""
+    num = {k: numbers(d[k], f"{field}.{k}") for k in ("weights", "values", "clauses", "value")
+           if isinstance(d, dict) and k in d}
+    try:
+        kind = d["kind"]
+        if kind == "table":
+            v = TableValuation(d["m"], tuple(num["values"]))
+        elif kind == "additive":
+            v = AdditiveValuation(tuple(num["weights"]))
+        elif kind == "single_minded":
+            v = SingleMindedValuation(d["m"], from_items(d["items"]), num["value"])
+        elif kind == "and":
+            v = AndValuation(d["m"], num["value"])
+        elif kind == "or":
+            v = OrValuation(d["m"], num["value"], from_items(d["items"]) if "items" in d else -1)
+        elif kind == "xos":
+            v = XosValuation(tuple(map(tuple, num["clauses"])))
+        else:
+            raise ValueError(f"unknown valuation kind {kind!r}")
+        v.as_table()  # non-finite or past the dense-table cap: refused naming the field
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: malformed valuation ({exc!r})") from exc
+    return v
 
 
 def valuations_from_json(items: list, field: str) -> list[Valuation]:
@@ -265,11 +287,7 @@ def valuations_from_json(items: list, field: str) -> list[Valuation]:
         raise ValueError(f"{field}: need a nonempty list of valuation objects")
     vals = []
     for k, d in enumerate(items):
-        try:
-            v = valuation_from_json(d)
-            v.as_table()  # non-finite or past the dense-table cap: refused naming the field
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{field}[{k}]: malformed valuation ({exc!r})") from exc
+        v = valuation_from_json(d, f"{field}[{k}]")
         if vals and v.m != vals[0].m:
             raise ValueError(f"{field}[{k}]: covers m={v.m} items, {field}[0] has m={vals[0].m}")
         bad = check_valid(v)

@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Every criterion is evaluated from a deterministic payload builder (fixed
-seeds throughout); the final test rebuilds every payload and checks the
-reruns are byte-identical.
+seeds throughout); the last two tests pin every payload's SHA-256 digest
+and rebuild every payload, checking the reruns are byte-identical.
 """
 
+import hashlib
 import math
 
 from sfpa import experiments as xp
@@ -171,6 +172,27 @@ def test_c8_bayesian_harness():
           and w["ratio"] <= 4.0 + slack / w["expected_welfare"])
     report("C8", ok, f"degenerate equal, gap {two['max_gap']}, "
                      f"ratio {w['ratio']:.3f} <= 4 + slack")
+
+
+PINNED = {  # SHA-256 of dumps_canonical(payload(cid)); a change needs a CHANGES.md entry
+    "c1": "6834d3e775337ada30f4b492f41dd2fd9597eb1e0147ae92fa768d6028af06fb",
+    "c2": "52e3639bdf1e17de36d0e5951d1eaec2f53506209e71b80b2dc8ac624be651f1",
+    "c3": "8aa4b08ea1fef62c34896585d416b0d5f02f4115bbc103b2336ebdd670486226",
+    "c4": "d82e8182dc1ec02cc5cf964be8d7e3f54a9dab4ce2fb6112281bd080f75f6fd5",
+    "c5": "477389f4785c2c4a7ebac8053aa6b223a6556a7530e26fe0a5706d8b0a0c84f3",
+    "c6": "7f3b22b6c864ab150ea40fe2826d5f9c2ba865ed530ab370659768580726bd94",
+    "c7": "06fc4f1e71d7d585bccec23d6d2ccff1fcfd0fe6329c82e504d8707e10af21de",
+    "c8": "4877cccdb5e6fb17bfbec1defcf0e2ae73c84943882d8b170a473910983cc724",
+}
+
+
+def test_c1_to_c8_digests_pinned():
+    """Every payload is byte-identical to the recorded one, so a change that
+    moves C1-C8 consistently within one process still fails. The payloads
+    come from the cache the criteria above filled; nothing is rebuilt."""
+    digests = {cid: hashlib.sha256(xp.dumps_canonical(payload(cid)).encode()).hexdigest()
+               for cid in BUILDERS}
+    assert digests == PINNED
 
 
 def test_c9_determinism():

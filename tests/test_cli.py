@@ -275,6 +275,26 @@ def test_game_file_invalid_valuation(tmp_path, capsys):
         assert message.startswith("valuations[1]: negative")
 
 
+def test_game_file_numbers_are_numbers(tmp_path, capsys):
+    """A string, a boolean, a ragged list or an integer past float range
+    where a valuation holds numbers exits 2 naming its dotted field; a
+    string of digits is not split into numbers."""
+    ok = {"kind": "additive", "m": 2, "weights": [1.0, 1.0]}
+    for bad, field in (({"kind": "additive", "weights": "05"}, "weights"),
+                       ({"kind": "additive", "weights": [0.5, False]}, "weights"),
+                       ({"kind": "table", "m": 2, "values": "0121"}, "values"),
+                       ({"kind": "and", "m": 2, "value": "1"}, "value"),
+                       ({"kind": "and", "m": 2, "value": True}, "value"),
+                       ({"kind": "or", "m": 2, "value": None}, "value"),
+                       ({"kind": "single_minded", "m": 2, "items": [0], "value": [1]}, None),
+                       ({"kind": "xos", "clauses": [[1.0, 0.0], [0.5]]}, "clauses"),
+                       ({"kind": "xos", "clauses": [[1.0, 10 ** 400]]}, "clauses")):
+        path = write_game(tmp_path, [ok, bad])
+        for command in ("walrasian", "pure-nash"):
+            message = precondition_message(*run_cli([command, "--game", path], capsys)[::2])
+            assert message.startswith(f"valuations[1].{field}:" if field else "valuations[1]:")
+
+
 def test_bayes_file_types_validated(tmp_path, capsys):
     doc = {"types": [[{"kind": "additive", "m": 1, "weights": [1.0]}],
                      [{"kind": "additive", "m": 1, "weights": [0.5]},
@@ -436,7 +456,12 @@ def test_bayes_file_input_checked(tmp_path, capsys):
              ("prior", {"kind": "product", "marginals": [[1.0], "x"]}, "prior.marginals[1]:"),
              ("prior", "x", "prior:"), ("actions", [3, 3], "actions[0]"),
              ("actions", [[["y", 0.0]], doc["actions"][1]], "actions[0]:"),
-             ("strategies", [[[1.0, 0.0]], "x"], "strategies[1]:")]
+             ("strategies", [[[1.0, 0.0]], "x"], "strategies[1]:"),
+             ("strategies", [[[True, False]], [[0.0, 1.0]]], "strategies[0]:"),
+             ("prior", [[True]], "prior:"), ("actions", [[["0", 0.0]], [[0.5, 0.0]]], "actions[0]:"),
+             ("prior", {"kind": "product", "marginals": [[1.0], [True]]}, "prior.marginals[1]:"),
+             ("types", [[{"kind": "and", "m": 2, "value": "1"}], doc["types"][1]],
+              "types[0][0].value:")]
     for key, value, field in cases:
         path.write_text(json.dumps({**doc, key: value}))  # NaN is written as a bare NaN
         message = precondition_message(*run_cli(["bayes", "--file", str(path)], capsys)[::2])

@@ -1,17 +1,18 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sfpa import auction
+from sfpa import auction, experiments as xp
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, outcome)
 from sfpa.closedform import (AndOrStrategyPair, SingleMindedSymmetric,
                              andor_equilibrium_utilities, andor_utility_and,
                              andor_utility_or)
-from sfpa.equilibrium import (AndOrRole, BidGrid, FiniteSupportStrategy,
+from sfpa.equilibrium import (GRID_CAP, MESH_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
                               SingleMindedRole, WalrasianEquilibrium, _support_prices,
                               best_response_gap, bundle_costs, common_price_gap,
                               common_price_scan, demand, limit_equilibrium_check,
@@ -186,6 +187,56 @@ def test_pure_nash_cap():
     vals = single_item((1.0, 2.0))
     with pytest.raises(CapExceeded):
         pure_nash_search(vals, BidGrid(0.0001, 2.0), cap=1000)
+
+
+def _step_that_fits(exc) -> float:
+    return float(re.search(r"grid_step >= (\S+)", str(exc)).group(1))
+
+
+def test_bid_level_cap_names_the_finest_step():
+    """The refusal names the finest step that fits: the grid it gives holds
+    exactly GRID_CAP levels, and a step 1% finer is refused again."""
+    for step, upper in ((1e-9, 2.0), (3e-7, 0.7), (1e-300, 1e300)):
+        with pytest.raises(CapExceeded, match="^grid_step: ") as info:
+            BidGrid(step, upper).points()
+        fits = _step_that_fits(info.value)
+        assert BidGrid(fits, upper).points().size == GRID_CAP
+        with pytest.raises(CapExceeded):
+            BidGrid(0.99 * fits, upper).points()
+
+
+def test_common_price_mesh_cap_names_the_largest_level_count():
+    """The refusal names the most price levels per item that fit and the
+    step that gives them; at m = 19 only one level fits."""
+    for m, n in ((2, 2), (3, 1), (19, 1)):
+        vals = [AdditiveValuation((0.5,) * m)] * n
+        with pytest.raises(CapExceeded, match="^grid_step: ") as info:
+            common_price_scan(vals, BidGrid(0.001, 2.0), eps=0.0)
+        fit = int(re.search(r"; (\d+) levels per item fit", str(info.value)).group(1))
+        assert fit ** m <= MESH_CAP < (fit + 1) ** m
+        grid = BidGrid(_step_that_fits(info.value), 2.0)
+        assert grid.points().size == fit
+        common_price_scan(vals, grid, eps=0.0)  # no longer refused
+
+
+def test_learning_level_cap_names_the_finest_step(monkeypatch):
+    """additive_dynamics_report refuses a step before building its levels
+    and names the finest one that fits; np.arange is patched to stop the
+    run right after the check, before any level is allocated."""
+    class PastTheCheck(Exception):
+        pass
+
+    def arange(*args, **kwargs):
+        raise PastTheCheck
+
+    monkeypatch.setattr(np, "arange", arange)
+    with pytest.raises(CapExceeded, match="^grid_step: ") as info:
+        xp.additive_dynamics_report(3, 3, 10, 0, 1e-9)
+    fits = _step_that_fits(info.value)
+    with pytest.raises(PastTheCheck):
+        xp.additive_dynamics_report(3, 3, 10, 0, fits)
+    with pytest.raises(CapExceeded):
+        xp.additive_dynamics_report(3, 3, 10, 0, 0.99 * fits)
 
 
 def test_grid_search_input_checked():

@@ -15,6 +15,11 @@ no longer depend on the BLAS kernel's summation order.
 """
 
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -159,3 +164,37 @@ def digest(name):
 @pytest.mark.parametrize("name", sorted(PAYLOADS))
 def test_golden_digest(name):
     assert digest(name) == GOLDEN[name]
+
+
+# Run in a fresh interpreter: scipy.optimize stays unloaded through the
+# imports and the learning payloads, and the LP-backed correspondence
+# payload loads it on its first solve.
+LAZY_LP_SCRIPT = """
+import json, sys
+import sfpa.cli, sfpa.experiments
+assert "scipy.optimize" not in sys.modules, "imported with sfpa"
+import test_golden
+digests = {name: test_golden.digest(name) for name in ("additive_dynamics", "andor_dynamics")}
+assert "scipy.optimize" not in sys.modules, "imported by learning"
+digests["correspondence"] = test_golden.digest("correspondence")
+assert "scipy.optimize" in sys.modules, "the LP payload solved no LP"
+print(json.dumps(digests))
+"""
+
+
+def test_lp_import_is_lazy_and_digests_hold_across_hash_seeds():
+    """Two fresh processes, under PYTHONHASHSEED 0 and 1 and run side by
+    side, give the pinned digests; the late scipy import leaves every LP
+    solution bit as it was."""
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(pathlib.Path(xp.__file__).resolve().parents[1]), str(tests)])
+    procs = [subprocess.Popen([sys.executable, "-c", LAZY_LP_SCRIPT], cwd=tests,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for seed in ("0", "1")]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    digests = [json.loads(out) for out, _ in outs]
+    assert digests[0] == digests[1] == {name: GOLDEN[name] for name in digests[0]}
+    assert len(digests[0]) == 3

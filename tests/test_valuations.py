@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sfpa.sets import members, subsets
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation, XosValuation,
-                             beta_of, bit_matrix, check_valid, valuation_from_json,
-                             xos_supporting_clause)
+                             beta_of, bit_matrix, check_valid, numbers,
+                             valuation_from_json, xos_supporting_clause)
 
 from oracles import value_formula, verify_beta_certificate
 
@@ -206,6 +206,19 @@ def test_json_roundtrip():
     for v in vals:
         back = valuation_from_json(v.to_json())
         assert back == v
+
+
+def test_numbers_reads_only_numbers():
+    assert numbers([[1, 2.5], [0, 3]], "x").tolist() == [[1.0, 2.5], [0.0, 3.0]]
+    assert numbers(2, "x").shape == () and numbers([], "x").shape == (0,)
+    for bad in ("05", True, [1, "2"], [[1.0], [1.0, 2.0]], [None], {"a": 1}, (1.0,), 10 ** 400):
+        with pytest.raises(ValueError, match=r"^x\.y: need numbers"):
+            numbers(bad, "x.y")
+    with pytest.raises(ValueError, match=r"^valuation\.weights: need numbers"):
+        valuation_from_json({"kind": "additive", "weights": "05"})
+    for bad in (3, None, {"kind": "additive", "weights": 5}, {"kind": "cone", "m": 1}):
+        with pytest.raises(ValueError, match="^valuation: malformed valuation"):
+            valuation_from_json(bad)
 
 
 def test_caps_and_validation():
