@@ -94,7 +94,7 @@ def rule_from_json(d: dict):
     if kind == "randomized":
         mixture = d.get("mixture")
         if not (isinstance(mixture, list) and all(
-                isinstance(b, dict) and isinstance(b.get("prob"), (int, float)) and "rule" in b
+                isinstance(b, dict) and type(b.get("prob")) in (int, float) and "rule" in b
                 for b in mixture)):
             raise ValueError("tie_rule: 'mixture' must be a list of {\"prob\": number, "
                              "\"rule\": tie rule} objects")

@@ -28,7 +28,7 @@ import numpy as np
 from . import closedform as cf
 from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, blocks,
                       expected_utilities, optimal_welfare, product_play, rival_play, weighted_sum)
-from .lp import feasible_point
+from .lp import LpError, feasible_point
 from .rng import rng_for
 from .sets import full_set, members
 from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs
@@ -94,6 +94,8 @@ def _support_prices(vals: list[Valuation], alloc: Allocation):
 
     Canonicalized by minimizing max price, then total price, so e.g. the
     single-item two-bidder market returns the low end of its price range.
+    That face can hold several vertices, and which one is returned depends
+    on the solver's pivoting: only its max and total are determined.
     """
     m = vals[0].m
     rows, rhs = _demand_rows(vals, alloc)
@@ -108,9 +110,9 @@ def _support_prices(vals: list[Valuation], alloc: Allocation):
     x = feasible_point(np.vstack([a_ub, np.column_stack([eye, np.zeros(m)])]),
                        np.concatenate([b_ub, np.full(m, cap)]),
                        m + 1, minimize=np.concatenate([np.ones(m), [0.0]]))
-    # HiGHS can call the capped LP infeasible although the first LP's prices
-    # satisfy it; they meet every demand row, so fall back to them.
-    return first[:m] if x is None else x[:m]
+    if x is None:  # the first LP's prices satisfy it
+        raise LpError(f"capped price LP infeasible at cap {cap!r}")
+    return x[:m]
 
 
 def _snap(p: float) -> float:
@@ -181,9 +183,12 @@ class BidGrid:
             for j in range(m):
                 out[j * pts.size:(j + 1) * pts.size, j] = pts
             return out
-        if pts.size ** m > GRID_CAP:
-            raise CapExceeded(f"full product grid {pts.size}^{m} exceeds {GRID_CAP} bid vectors; "
-                              "coarsen sfpa pure-nash --grid-step, lower --max or change --family")
+        if pts.size ** m > GRID_CAP:  # name the most levels that fit; one needs a step past the top
+            fit = int(GRID_CAP ** (1 / m) + 1e-9)
+            raise CapExceeded(f"grid_step: full product grid {pts.size}^{m} exceeds {GRID_CAP} bid "
+                              f"vectors; {fit} levels per item fit: grid_step >= "
+                              f"{self.upper / max(fit - 1, 0.5)!r} (sfpa pure-nash --grid-step), "
+                              "or lower --max or change --family")
         grids = np.meshgrid(*([pts] * m), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 

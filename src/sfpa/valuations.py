@@ -254,9 +254,15 @@ def numbers(value, field: str) -> np.ndarray:
 
 
 def valuation_from_json(d: dict, field: str = "valuation") -> Valuation:
-    """The valuation object `d`; a ValueError names `field`, or `field.key` if not numbers."""
+    """The valuation object `d`; a ValueError names `field`, or `field.key`
+    if not numbers, or if `m` or `items` is not integers (booleans refused)."""
     num = {k: numbers(d[k], f"{field}.{k}") for k in ("weights", "values", "clauses", "value")
            if isinstance(d, dict) and k in d}
+    if isinstance(d, dict) and type(d.get("m", 0)) is not int:
+        raise ValueError(f"{field}.m: need an integer, got {d['m']!r}")
+    if isinstance(d, dict) and not (isinstance(d.get("items", []), list)
+                                    and all(type(j) is int for j in d.get("items", []))):
+        raise ValueError(f"{field}.items: need a list of integers, got {d['items']!r}")
     try:
         kind = d["kind"]
         if kind == "table":

@@ -67,7 +67,9 @@ def test_cap_exit_code(capsys):
                             "--grid-step", "0.0001"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "precondition"
-    assert "--grid-step" in json.loads(err)["error"]["message"]
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("grid_step: full product grid 20001^2") and "--grid-step" in message
+    assert "1414 levels per item fit: grid_step >= " in message
 
 
 def test_welfare_cap_names_its_knob(capsys):
@@ -277,8 +279,9 @@ def test_game_file_invalid_valuation(tmp_path, capsys):
 
 def test_game_file_numbers_are_numbers(tmp_path, capsys):
     """A string, a boolean, a ragged list or an integer past float range
-    where a valuation holds numbers exits 2 naming its dotted field; a
-    string of digits is not split into numbers."""
+    where a valuation holds numbers, and a boolean or a float where it holds
+    integers, exits 2 naming its dotted field; a string of digits is not
+    split into numbers."""
     ok = {"kind": "additive", "m": 2, "weights": [1.0, 1.0]}
     for bad, field in (({"kind": "additive", "weights": "05"}, "weights"),
                        ({"kind": "additive", "weights": [0.5, False]}, "weights"),
@@ -288,7 +291,11 @@ def test_game_file_numbers_are_numbers(tmp_path, capsys):
                        ({"kind": "or", "m": 2, "value": None}, "value"),
                        ({"kind": "single_minded", "m": 2, "items": [0], "value": [1]}, None),
                        ({"kind": "xos", "clauses": [[1.0, 0.0], [0.5]]}, "clauses"),
-                       ({"kind": "xos", "clauses": [[1.0, 10 ** 400]]}, "clauses")):
+                       ({"kind": "xos", "clauses": [[1.0, 10 ** 400]]}, "clauses"),
+                       ({"kind": "and", "m": True, "value": 1.0}, "m"),
+                       ({"kind": "table", "m": 1.0, "values": [0.0, 1.0]}, "m"),
+                       ({"kind": "single_minded", "m": 2, "items": [True], "value": 1.0}, "items"),
+                       ({"kind": "or", "m": 2, "value": 1.0, "items": 1}, "items")):
         path = write_game(tmp_path, [ok, bad])
         for command in ("walrasian", "pure-nash"):
             message = precondition_message(*run_cli([command, "--game", path], capsys)[::2])
@@ -335,7 +342,9 @@ def test_malformed_tie_rules_and_game_files(tmp_path, capsys):
     game, rule_file, bayes_file = (tmp_path / name for name in ("g.json", "r.json", "b.json"))
     for rule in ({"kind": "priority"}, {"kind": "priority", "order": 5},
                  {"kind": "priority", "order": [[0, "1"]]},
-                 {"kind": "randomized", "mixture": [{"prob": 1.0}]}, "index", [{"kind": "index"}]):
+                 {"kind": "randomized", "mixture": [{"prob": 1.0}]},
+                 {"kind": "randomized", "mixture": [{"prob": True, "rule": {"kind": "index"}}]},
+                 "index", [{"kind": "index"}]):
         game.write_text(json.dumps({"valuations": vals, "tie_rule": rule}))
         rule_file.write_text(json.dumps(rule))
         bayes_file.write_text(json.dumps({**bayes, "tie_rule": rule}))

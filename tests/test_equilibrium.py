@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
-from sfpa import auction, experiments as xp
+from sfpa import auction, equilibrium, experiments as xp
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
-                          optimal_allocations, outcome)
+                          optimal_allocations, optimal_welfare, outcome)
 from sfpa.closedform import (AndOrStrategyPair, SingleMindedSymmetric,
                              andor_equilibrium_utilities, andor_utility_and,
                              andor_utility_or)
@@ -23,7 +24,7 @@ from sfpa.experiments import (andor_game, correspondence_case, grid_game,
 from sfpa.lp import feasible_point
 from sfpa.rng import rng_for
 from sfpa.sets import members
-from sfpa.valuations import AdditiveValuation, TableValuation, bit_matrix
+from sfpa.valuations import AdditiveValuation, TableValuation, XosValuation, bit_matrix
 
 
 def single_item(values=(1.0, 2.0)):
@@ -136,6 +137,39 @@ def test_walrasian_search_matches_all_maximizer_oracle(seed, n, m):
         assert all(math.copysign(1.0, p) == 1.0 for p in we.prices)
 
 
+def highs_point(a_ub, b_ub, n, minimize=None):
+    """`feasible_point` by scipy's HiGHS at 1e-10 tolerances: the oracle."""
+    res = linprog(np.zeros(n) if minimize is None else minimize, A_ub=a_ub, b_ub=b_ub,
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status in (0, 2), res.message
+    return res.x if res.status == 0 else None
+
+
+def test_canonical_prices_match_highs_on_their_face(monkeypatch):
+    # The least-max, then least-total face can hold several vertices, and
+    # HiGHS picks another one than the simplex on some of these games; only
+    # the max, the total and the demand check are compared, no vector.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 4))
+        vals = [AdditiveValuation(tuple(0.25 * rng.integers(0, 9, m))) if rng.random() < 0.5
+                else XosValuation(tuple(tuple(0.25 * rng.integers(0, 9, m))
+                                        for _ in range(int(rng.integers(1, 4)))))
+                for _ in range(n)]
+        _, alloc = optimal_welfare(vals)
+        prices = _support_prices(vals, alloc)
+        with monkeypatch.context() as patched:
+            patched.setattr(equilibrium, "feasible_point", highs_point)
+            oracle = _support_prices(vals, alloc)
+        assert (prices is None) == (oracle is None)
+        if prices is not None:
+            assert abs(prices.max() - oracle.max()) <= 1e-9
+            assert abs(prices.sum() - oracle.sum()) <= 1e-9
+            assert walrasian_check(vals, WalrasianEquilibrium(alloc, tuple(prices))) is None
+
+
 def test_walrasian_search_rejects_bad_tolerance():
     for tol in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="tolerance"):
@@ -143,9 +177,9 @@ def test_walrasian_search_rejects_bad_tolerance():
 
 
 def test_snapped_prices():
-    vals, _ = grid_game(3)  # the LP returns 0.9999999998 and 1.0000000001 here
+    vals, _ = grid_game(3)  # HiGHS returned 0.9999999998 and 1.0000000001 here
     assert walrasian_search(vals).prices == (1.0,) * 9
-    rng = rng_for(20260809, "correspondence", 73)  # printed -0.0 before snapping
+    rng = rng_for(20260809, "correspondence", 73)  # HiGHS gave -0.0 here
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     we = walrasian_search([_random_lattice_valuation(rng, m) for _ in range(n)])
     assert all(math.copysign(1.0, p) == 1.0 for p in we.prices)
@@ -217,6 +251,17 @@ def test_common_price_mesh_cap_names_the_largest_level_count():
         grid = BidGrid(_step_that_fits(info.value), 2.0)
         assert grid.points().size == fit
         common_price_scan(vals, grid, eps=0.0)  # no longer refused
+
+
+def test_full_grid_cap_names_the_largest_level_count():
+    """The full product grid's refusal names the most bid levels per item
+    that fit and the step that gives them; at m = 21 only one level fits."""
+    for m in (2, 3, 9, 21):
+        with pytest.raises(CapExceeded, match="^grid_step: ") as info:
+            BidGrid(0.001, 2.0).actions_for(m)
+        fit = int(re.search(r"; (\d+) levels per item fit", str(info.value)).group(1))
+        assert fit ** m <= GRID_CAP < (fit + 1) ** m
+        assert BidGrid(_step_that_fits(info.value), 2.0).points().size == fit
 
 
 def test_learning_level_cap_names_the_finest_step(monkeypatch):

@@ -8,10 +8,12 @@ the symmetric-equilibrium draws of `grid_game_report`.
 
 A refactor of those shared pieces must leave every byte unchanged; a digest
 may change only with a CHANGES.md entry saying why. The digests hold for
-one floating-point environment (recorded with Python 3.11, numpy 2.4 and
-scipy 1.17's HiGHS). Additive and XOS value tables are sums formed by
-`bundle_costs` in ascending item order, not by a BLAS dot product, so they
-no longer depend on the BLAS kernel's summation order.
+one floating-point environment (recorded with Python 3.11 and numpy 2.4;
+the LP-backed ones were first taken with scipy 1.17's HiGHS, and the
+in-library simplex of `sfpa.lp` gives the same bytes). Additive and XOS
+value tables are sums formed by `bundle_costs` in ascending item order, not
+by a BLAS dot product, so they no longer depend on the BLAS kernel's
+summation order.
 """
 
 import hashlib
@@ -167,28 +169,30 @@ def test_golden_digest(name):
 
 
 # Run in a fresh interpreter: scipy.optimize stays unloaded through the
-# imports and the learning payloads, and the LP-backed correspondence
-# payload loads it on its first solve.
-LAZY_LP_SCRIPT = """
-import json, sys
+# imports, every golden payload (the LP-backed correspondence one included),
+# `sfpa walrasian` and the XOS supporting-clause LPs of `beta_of`.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
 import sfpa.cli, sfpa.experiments
-assert "scipy.optimize" not in sys.modules, "imported with sfpa"
+from sfpa.valuations import OrValuation, beta_of
 import test_golden
-digests = {name: test_golden.digest(name) for name in ("additive_dynamics", "andor_dynamics")}
-assert "scipy.optimize" not in sys.modules, "imported by learning"
-digests["correspondence"] = test_golden.digest("correspondence")
-assert "scipy.optimize" in sys.modules, "the LP payload solved no LP"
+digests = {name: test_golden.digest(name) for name in sorted(test_golden.PAYLOADS)}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert sfpa.cli.main(["walrasian", "--game", "triangle"]) == 0
+assert '"exists": false' in out.getvalue()
+beta_of(OrValuation(3, 0.7))
+assert "scipy.optimize" not in sys.modules, "an LP loaded scipy.optimize"
 print(json.dumps(digests))
 """
 
 
-def test_lp_import_is_lazy_and_digests_hold_across_hash_seeds():
+def test_scipy_never_loads_and_digests_hold_across_hash_seeds():
     """Two fresh processes, under PYTHONHASHSEED 0 and 1 and run side by
-    side, give the pinned digests; the late scipy import leaves every LP
-    solution bit as it was."""
+    side, give every pinned digest without loading scipy.optimize: the LPs
+    are solved in-library."""
     tests = pathlib.Path(__file__).resolve().parent
     path = os.pathsep.join([str(pathlib.Path(xp.__file__).resolve().parents[1]), str(tests)])
-    procs = [subprocess.Popen([sys.executable, "-c", LAZY_LP_SCRIPT], cwd=tests,
+    procs = [subprocess.Popen([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tests,
                               env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for seed in ("0", "1")]
@@ -196,5 +200,4 @@ def test_lp_import_is_lazy_and_digests_hold_across_hash_seeds():
     for proc, (_, err) in zip(procs, outs):
         assert proc.returncode == 0, err
     digests = [json.loads(out) for out, _ in outs]
-    assert digests[0] == digests[1] == {name: GOLDEN[name] for name in digests[0]}
-    assert len(digests[0]) == 3
+    assert digests[0] == digests[1] == GOLDEN
