@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sets import MAX_ITEMS, members
-from .valuations import MONEY_TOL, Valuation, paid
+from .valuations import MONEY_TOL, SCHEMA, Valuation, entries, fields, numbers, paid
 
 TIE_TOL = 1e-12  # bids this close count as tied
 MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
@@ -75,31 +75,20 @@ class RandomizedRule:
                 "mixture": [{"prob": p, "rule": r.to_json()} for p, r in self.mixture]}
 
 
-def rule_from_json(d: dict):
-    """A tie rule from JSON: {"kind": "index"}, {"kind": "priority", "order":
-    one list of player indices per item} or {"kind": "randomized", "mixture":
-    [{"prob": number, "rule": rule}, ...]}. A ValueError starting `tie_rule:`
-    refuses a malformed one."""
-    if not isinstance(d, dict):
-        raise ValueError(f"tie_rule: need a JSON object, got {type(d).__name__}")
-    kind = d.get("kind", "index")
+def rule_from_json(d, field: str = "tie_rule"):
+    """A tie rule from JSON, keyed as SCHEMA says: index, priority (`order`:
+    one list of player indices per item) or randomized (`mixture`: a list of
+    {"prob", "rule"}). A ValueError names `field`, or the key within it."""
+    kind = fields(d, field, SCHEMA["tie rule"])["kind"]
     if kind == "index":
         return PriorityRule()
     if kind == "priority":
-        order = d.get("order")
-        if not (isinstance(order, list) and all(
-                isinstance(p, list) and all(type(i) is int for i in p) for p in order)):
-            raise ValueError("tie_rule: 'order' must hold one list of player indices per item")
-        return PriorityRule(tuple(tuple(p) for p in order))
-    if kind == "randomized":
-        mixture = d.get("mixture")
-        if not (isinstance(mixture, list) and all(
-                isinstance(b, dict) and type(b.get("prob")) in (int, float) and "rule" in b
-                for b in mixture)):
-            raise ValueError("tie_rule: 'mixture' must be a list of {\"prob\": number, "
-                             "\"rule\": tie rule} objects")
-        return RandomizedRule(tuple((b["prob"], rule_from_json(b["rule"])) for b in mixture))
-    raise ValueError(f"tie_rule: unknown kind {kind!r}")
+        order = numbers(d["order"], f"{field}.order", 2, range(2 ** 63))
+        return PriorityRule(tuple(map(tuple, order)))
+    mixture = [(key, fields(b, key, SCHEMA["mixture entry"]))
+               for key, b in entries(d["mixture"], f"{field}.mixture")]
+    return RandomizedRule(tuple((float(numbers(b["prob"], f"{key}.prob", 0)),
+                                 rule_from_json(b["rule"], f"{key}.rule")) for key, b in mixture))
 
 
 @dataclass(frozen=True)

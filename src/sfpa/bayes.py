@@ -18,7 +18,7 @@ import numpy as np
 from .auction import (PriorityRule, bundle_masks, check_bids, expected_utilities,
                       optimal_welfare, price_to_beat, priority_ranks, product_play, rival_play,
                       rule_from_json, weighted_sum, wins)
-from .valuations import numbers, valuations_from_json
+from .valuations import SCHEMA, entries, fields, numbers, valuations_from_json
 
 PROB_TOL = 1e-12
 
@@ -238,37 +238,20 @@ def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
                               beta, product, bound_beta, beta_ok, skipped)
 
 
-def bayesian_game_from_json(d: dict) -> tuple[FiniteBayesianGame, list]:
-    """Parse {types, prior, actions, strategies} into a game and strategies.
-
-    Schema: types = per-player list of valuation objects; prior = nested
-    list matching the type counts (or {"kind": "product", "marginals":
-    [...]}); actions = per-player list of bid vectors; strategies =
-    per-player list (one row per type) of action probabilities. A missing
-    key, or one of the wrong type, raises ValueError naming it.
-    """
-    if not isinstance(d, dict):
-        raise ValueError("Bayesian game file: need a JSON object")
-    missing = [k for k in ("types", "prior", "actions", "strategies") if k not in d]
-    if missing:
-        raise ValueError(f"{missing[0]}: missing from the Bayesian game file")
-    type_vals = [valuations_from_json(ts, key) for key, ts in _entries(d["types"], "types")]
-    prior = d["prior"]
-    if isinstance(prior, dict) and prior.get("kind") == "product":
+def bayesian_game_from_json(d) -> tuple[FiniteBayesianGame, list]:
+    """A game and strategies from a file keyed as SCHEMA says: per player,
+    valuation objects per type, bid vectors, and rows of action probabilities
+    per type; the prior is a nested table or a product prior object."""
+    fields(d, "Bayesian game file", SCHEMA["Bayesian game file"])
+    type_vals = [valuations_from_json(ts, key) for key, ts in entries(d["types"], "types")]
+    if isinstance(d["prior"], dict):
         table = np.ones(())
-        for key, marg in _entries(prior.get("marginals"), "prior.marginals"):
-            table = np.multiply.outer(table, numbers(marg, key))
+        for key, marg in entries(fields(d["prior"], "prior", SCHEMA["product prior"])["marginals"],
+                                 "prior.marginals"):
+            table = np.multiply.outer(table, numbers(marg, key, 1))
     else:
-        table = numbers(prior, "prior")
+        table = numbers(d["prior"], "prior")
     rule = rule_from_json(d.get("tie_rule", {"kind": "index"}))
-    actions = [numbers(a, key) for key, a in _entries(d["actions"], "actions")]
-    strategies = [numbers(s, key) for key, s in _entries(d["strategies"], "strategies")]
+    actions = [numbers(a, key, 2) for key, a in entries(d["actions"], "actions")]
+    strategies = [numbers(s, key, 2) for key, s in entries(d["strategies"], "strategies")]
     return FiniteBayesianGame(type_vals, table, actions, rule), strategies
-
-
-def _entries(value, key: str) -> list:
-    """(key[i], entry) for each entry of the game file's list `key`."""
-    if not isinstance(value, list):
-        raise ValueError(f"{key}: need a list, got {type(value).__name__}")
-    return [(f"{key}[{i}]", entry) for i, entry in enumerate(value)]
-

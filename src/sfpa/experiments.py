@@ -25,8 +25,8 @@ from .equilibrium import (GRID_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
                           walrasian_search)
 from .rng import rng_for
 from .sets import full_set, members
-from .valuations import (AdditiveValuation, AndValuation, OrValuation,
-                         SingleMindedValuation, TableValuation, Valuation,
+from .valuations import (SCHEMA, AdditiveValuation, AndValuation, OrValuation,
+                         SingleMindedValuation, TableValuation, Valuation, fields,
                          valuations_from_json)
 
 
@@ -62,10 +62,9 @@ def grid_game(side: int) -> tuple[list[Valuation], list[int]]:
     return [SingleMindedValuation(m, b, float(side)) for b in bundles], bundles
 
 
-def game_from_json(d: dict) -> tuple[list[Valuation], PriorityRule]:
-    if not isinstance(d, dict):
-        raise ValueError(f"game file: need a JSON object, got {type(d).__name__}")
-    return (valuations_from_json(d.get("valuations"), "valuations"),
+def game_from_json(d) -> tuple[list[Valuation], PriorityRule]:
+    fields(d, "game file", SCHEMA["game file"])
+    return (valuations_from_json(d["valuations"], "valuations"),
             rule_from_json(d.get("tie_rule", {"kind": "index"})))
 
 

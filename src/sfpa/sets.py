@@ -13,21 +13,12 @@ def full_set(m: int) -> int:
 
 def members(s: int) -> list[int]:
     """Item indices in s, ascending."""
-    out = []
-    j = 0
-    while s:
-        if s & 1:
-            out.append(j)
-        s >>= 1
-        j += 1
-    return out
+    return [j for j in range(int(s).bit_length()) if s >> j & 1]
 
 
 def from_items(items) -> int:
     s = 0
     for j in items:
-        if j < 0:
-            raise ValueError(f"negative item index {j}")
         s |= 1 << j
     return s
 

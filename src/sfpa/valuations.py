@@ -239,68 +239,104 @@ class XosValuation(Valuation):
         return {"kind": "xos", "m": self.m, "clauses": [list(c) for c in self.clauses]}
 
 
-def numbers(value, field: str) -> np.ndarray:
-    """A file's numbers as float64; a ValueError naming `field` refuses str, bool or ragged."""
+SCHEMA = {  # each input object's (required, optional) keys; by kind, besides "kind", if kinded
+    "game file": (("valuations",), ("tie_rule",)),
+    "valuation": {"table": (("m", "values"), ()), "additive": (("weights",), ("m",)),
+                  "single_minded": (("m", "items", "value"), ()), "and": (("m", "value"), ()),
+                  "or": (("m", "value"), ("items",)), "xos": (("clauses",), ("m",))},
+    "tie rule": {"index": ((), ()), "priority": (("order",), ()), "randomized": (("mixture",), ())},
+    "mixture entry": (("prob", "rule"), ()),
+    "Bayesian game file": (("types", "prior", "actions", "strategies"), ("tie_rule",)),
+    "product prior": {"product": (("marginals",), ())},
+}
+
+
+def fields(d, field: str, keys) -> dict:
+    """`d`, a JSON object with the keys of a SCHEMA entry `keys`. A ValueError
+    names `field` for a non-object, else `field.key` (a bare `key` when
+    `field` is a whole file) for a missing or unknown key or kind."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{field}: need a JSON object, got {type(d).__name__}")
+    if isinstance(keys, dict):
+        kind = fields(d, field, (("kind",), d))["kind"]  # the other keys depend on it
+        if not isinstance(kind, str) or kind not in keys:
+            raise ValueError(f"{field}.kind: need one of {', '.join(keys)}, got {kind!r}")
+        keys = (("kind", *keys[kind][0]), keys[kind][1])
+    for key in (*keys[0], *d):
+        if key not in d or key not in (*keys[0], *keys[1]):
+            name = key if field.endswith("file") else f"{field}.{key}"
+            raise ValueError(f"{name}: missing" if key not in d else
+                             f"{name}: unknown key; known: {', '.join((*keys[0], *keys[1]))}")
+    return d
+
+
+def entries(value, field: str) -> list:
+    """(field[i], entry) for each entry of the nonempty list `value`."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{field}: need a nonempty list, got {value!r:.40}")
+    return [(f"{field}[{i}]", entry) for i, entry in enumerate(value)]
+
+
+def numbers(value, field: str, depth: int | None = None, ints: range | None = None):
+    """A file's numbers, nested `depth` lists deep if that is given: float64,
+    or with `ints` Python integers in that range. A ValueError naming `field`
+    refuses str, bool, a ragged list, another depth and float overflow."""
     flat = [value]
     for x in flat:  # extended while iterated: a walk over the whole nesting
         if isinstance(x, list):
             flat.extend(x)
+        elif ints is not None and not (type(x) is int and x in ints):
+            raise ValueError(f"{field}: need integers in {ints[0]}..{ints[-1]}, got {x!r}")
         elif isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValueError(f"{field}: need numbers, got {x!r}")
     try:
-        return np.asarray(value, dtype=np.float64)
+        out = np.asarray(value, dtype=np.float64 if ints is None else np.int64)
     except (ValueError, OverflowError) as exc:  # ragged, or an integer past float range
         raise ValueError(f"{field}: need numbers ({exc})") from None
+    if depth is not None and out.ndim != depth:
+        raise ValueError(f"{field}: need numbers nested {depth} lists deep, got {out.ndim}")
+    return out if ints is None else out.tolist()
 
 
-def valuation_from_json(d: dict, field: str = "valuation") -> Valuation:
-    """The valuation object `d`; a ValueError names `field`, or `field.key`
-    if not numbers, or if `m` or `items` is not integers (booleans refused)."""
-    num = {k: numbers(d[k], f"{field}.{k}") for k in ("weights", "values", "clauses", "value")
-           if isinstance(d, dict) and k in d}
-    if isinstance(d, dict) and type(d.get("m", 0)) is not int:
-        raise ValueError(f"{field}.m: need an integer, got {d['m']!r}")
-    if isinstance(d, dict) and not (isinstance(d.get("items", []), list)
-                                    and all(type(j) is int for j in d.get("items", []))):
-        raise ValueError(f"{field}.items: need a list of integers, got {d['items']!r}")
+_DEPTHS = {"items": 1, "value": 0, "values": 1, "weights": 1, "clauses": 2}
+
+
+def valuation_from_json(d, field: str = "valuation") -> Valuation:
+    """The valuation object `d`, keyed as SCHEMA says. A ValueError names
+    `field.key` for a missing, unknown or malformed key, an `m` other than
+    the numbers' or an item outside 0..m-1, else `field` for a valuation
+    that is not finite, or fails `check_valid`."""
+    kind = fields(d, field, SCHEMA["valuation"])["kind"]
+    m = numbers(d["m"], f"{field}.m", 0, range(1, MAX_ITEMS + 1)) if "m" in d else None
+    x = {k: numbers(d[k], f"{field}.{k}", _DEPTHS[k], range(m) if k == "items" else None)
+         for k in _DEPTHS if k in d}
     try:
-        kind = d["kind"]
-        if kind == "table":
-            v = TableValuation(d["m"], tuple(num["values"]))
-        elif kind == "additive":
-            v = AdditiveValuation(tuple(num["weights"]))
-        elif kind == "single_minded":
-            v = SingleMindedValuation(d["m"], from_items(d["items"]), num["value"])
-        elif kind == "and":
-            v = AndValuation(d["m"], num["value"])
-        elif kind == "or":
-            v = OrValuation(d["m"], num["value"], from_items(d["items"]) if "items" in d else -1)
-        elif kind == "xos":
-            v = XosValuation(tuple(map(tuple, num["clauses"])))
-        else:
-            raise ValueError(f"unknown valuation kind {kind!r}")
-        v.as_table()  # non-finite or past the dense-table cap: refused naming the field
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: malformed valuation ({exc!r})") from exc
+        v = {"table": lambda: TableValuation(m, tuple(x["values"])),
+             "additive": lambda: AdditiveValuation(tuple(x["weights"])),
+             "single_minded": lambda: SingleMindedValuation(m, from_items(x["items"]), x["value"]),
+             "and": lambda: AndValuation(m, x["value"]),
+             "or": lambda: OrValuation(m, x["value"], from_items(x.get("items", range(m)))),
+             "xos": lambda: XosValuation(tuple(map(tuple, x["clauses"])))}[kind]()
+        bad = check_valid(v)  # after as_table refuses non-finite values or m past the cap
+        if bad is not None:
+            raise ValueError(f"{bad.kind} violation at v({members(bad.set_small)}), "
+                             f"v({members(bad.set_large)})")
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    if m not in (None, v.m):
+        raise ValueError(f"{field}.m: {m} items, but the numbers give {v.m}")
     return v
 
 
 def valuations_from_json(items: list, field: str) -> list[Valuation]:
-    """Valuation objects where they enter a game. A ValueError naming
-    `field[k]` refuses an entry that is malformed, covers other than the
-    first entry's m items, has a non-finite value or fails `check_valid`."""
-    if not isinstance(items, list) or not items:
-        raise ValueError(f"{field}: need a nonempty list of valuation objects")
+    """The nonempty list of valuation objects where they enter a game. A
+    ValueError naming `field[k]` refuses an entry that is malformed or
+    covers other than the first entry's m items."""
     vals = []
-    for k, d in enumerate(items):
-        v = valuation_from_json(d, f"{field}[{k}]")
-        if vals and v.m != vals[0].m:
-            raise ValueError(f"{field}[{k}]: covers m={v.m} items, {field}[0] has m={vals[0].m}")
-        bad = check_valid(v)
-        if bad is not None:
-            raise ValueError(f"{field}[{k}]: {bad.kind} violation at "
-                             f"v({members(bad.set_small)}), v({members(bad.set_large)})")
-        vals.append(v)
+    for key, d in entries(items, field):
+        vals.append(valuation_from_json(d, key))
+        if vals[-1].m != vals[0].m:
+            raise ValueError(f"{key}: covers m={vals[-1].m} items, {field}[0] has m={vals[0].m}")
     return vals
 
 

@@ -278,10 +278,11 @@ def test_game_file_invalid_valuation(tmp_path, capsys):
 
 
 def test_game_file_numbers_are_numbers(tmp_path, capsys):
-    """A string, a boolean, a ragged list or an integer past float range
-    where a valuation holds numbers, and a boolean or a float where it holds
-    integers, exits 2 naming its dotted field; a string of digits is not
-    split into numbers."""
+    """A string, a boolean, a ragged list, a list for a number or an integer
+    past float range where a valuation holds numbers, a boolean, a float or
+    an item outside 0..m-1 where it holds integers, and an `m` the weights
+    or clauses contradict exit 2 naming the dotted field; a string of digits
+    is not split into numbers."""
     ok = {"kind": "additive", "m": 2, "weights": [1.0, 1.0]}
     for bad, field in (({"kind": "additive", "weights": "05"}, "weights"),
                        ({"kind": "additive", "weights": [0.5, False]}, "weights"),
@@ -289,17 +290,23 @@ def test_game_file_numbers_are_numbers(tmp_path, capsys):
                        ({"kind": "and", "m": 2, "value": "1"}, "value"),
                        ({"kind": "and", "m": 2, "value": True}, "value"),
                        ({"kind": "or", "m": 2, "value": None}, "value"),
-                       ({"kind": "single_minded", "m": 2, "items": [0], "value": [1]}, None),
+                       ({"kind": "single_minded", "m": 2, "items": [0], "value": [1]}, "value"),
                        ({"kind": "xos", "clauses": [[1.0, 0.0], [0.5]]}, "clauses"),
                        ({"kind": "xos", "clauses": [[1.0, 10 ** 400]]}, "clauses"),
                        ({"kind": "and", "m": True, "value": 1.0}, "m"),
                        ({"kind": "table", "m": 1.0, "values": [0.0, 1.0]}, "m"),
                        ({"kind": "single_minded", "m": 2, "items": [True], "value": 1.0}, "items"),
-                       ({"kind": "or", "m": 2, "value": 1.0, "items": 1}, "items")):
+                       ({"kind": "or", "m": 2, "value": 1.0, "items": 1}, "items"),
+                       ({"kind": "single_minded", "m": 2, "items": [10 ** 18], "value": 1.0},
+                        "items"),
+                       ({"kind": "or", "m": 2, "value": 1.0, "items": [10 ** 20]}, "items"),
+                       ({"kind": "or", "m": 2, "value": 1.0, "items": [-1]}, "items"),
+                       ({"kind": "additive", "m": 3, "weights": [1.0, 1.0]}, "m"),
+                       ({"kind": "xos", "m": 5, "clauses": [[1.0, 1.0]]}, "m")):
         path = write_game(tmp_path, [ok, bad])
         for command in ("walrasian", "pure-nash"):
             message = precondition_message(*run_cli([command, "--game", path], capsys)[::2])
-            assert message.startswith(f"valuations[1].{field}:" if field else "valuations[1]:")
+            assert message.startswith(f"valuations[1].{field}:")
 
 
 def test_bayes_file_types_validated(tmp_path, capsys):
@@ -340,11 +347,15 @@ def test_malformed_tie_rules_and_game_files(tmp_path, capsys):
     bayes = {"types": [[vals[0]], [vals[1]]], "prior": [[1.0]],
              "actions": [[[0.0]], [[0.0]]], "strategies": [[[1.0]], [[1.0]]]}
     game, rule_file, bayes_file = (tmp_path / name for name in ("g.json", "r.json", "b.json"))
-    for rule in ({"kind": "priority"}, {"kind": "priority", "order": 5},
-                 {"kind": "priority", "order": [[0, "1"]]},
-                 {"kind": "randomized", "mixture": [{"prob": 1.0}]},
-                 {"kind": "randomized", "mixture": [{"prob": True, "rule": {"kind": "index"}}]},
-                 "index", [{"kind": "index"}]):
+    for rule, field in (({"kind": "priority"}, "tie_rule.order"),
+                        ({"kind": "priority", "order": 5}, "tie_rule.order"),
+                        ({"kind": "priority", "order": [[0, "1"]]}, "tie_rule.order"),
+                        ({"kind": "randomized", "mixture": [{"prob": 1.0}]},
+                         "tie_rule.mixture[0].rule"),
+                        ({"kind": "randomized",
+                          "mixture": [{"prob": True, "rule": {"kind": "index"}}]},
+                         "tie_rule.mixture[0].prob"),
+                        ("index", "tie_rule"), ([{"kind": "index"}], "tie_rule")):
         game.write_text(json.dumps({"valuations": vals, "tie_rule": rule}))
         rule_file.write_text(json.dumps(rule))
         bayes_file.write_text(json.dumps({**bayes, "tie_rule": rule}))
@@ -352,17 +363,20 @@ def test_malformed_tie_rules_and_game_files(tmp_path, capsys):
                      ["pure-nash", "--game", "triangle", "--tie-rule", str(rule_file)],
                      ["bayes", "--file", str(bayes_file)]):
             message = precondition_message(*run_cli(args, capsys)[::2])
-            assert message.startswith("tie_rule:"), (rule, args, message)
+            assert message.startswith(f"{field}:"), (rule, args, message)
     # well-formed JSON that is no valid rule for this game; walrasian reads no tie rule
-    for rule in ({"kind": "priority", "order": [[0]]}, {"kind": "priority", "order": [[0, 1]] * 2},
-                 {"kind": "randomized", "mixture": [{"prob": 0.5, "rule": {"kind": "index"}}]},
-                 {"kind": "randomized", "mixture": [{"prob": 1.0, "rule": {
-                     "kind": "randomized", "mixture": [{"prob": 1.0, "rule": {}}]}}]}):
+    for rule, field in (({"kind": "priority", "order": [[0]]}, "tie_rule"),
+                        ({"kind": "priority", "order": [[0, 1]] * 2}, "tie_rule"),
+                        ({"kind": "randomized",
+                          "mixture": [{"prob": 0.5, "rule": {"kind": "index"}}]}, "tie_rule"),
+                        ({"kind": "randomized", "mixture": [{"prob": 1.0, "rule": {
+                            "kind": "randomized", "mixture": [{"prob": 1.0, "rule": {}}]}}]},
+                         "tie_rule.mixture[0].rule.mixture[0].rule.kind")):
         game.write_text(json.dumps({"valuations": vals, "tie_rule": rule}))
         bayes_file.write_text(json.dumps({**bayes, "tie_rule": rule}))
         for args in (["pure-nash", "--game", str(game)], ["bayes", "--file", str(bayes_file)]):
             message = precondition_message(*run_cli(args, capsys)[::2])
-            assert message.startswith("tie_rule:"), (rule, args, message)
+            assert message.startswith(f"{field}:"), (rule, args, message)
     game.write_text(json.dumps([{"valuations": vals}]))
     for command in ("walrasian", "pure-nash"):
         message = precondition_message(*run_cli([command, "--game", str(game)], capsys)[::2])

@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sfpa import experiments as xp
+from sfpa import auction, experiments as xp
 from sfpa.auction import PriorityRule
 from sfpa.bayes import bayes_deviation_gap, bayes_welfare_bounds
 from sfpa.closedform import AndOrStrategyPair, SingleMindedSymmetric
@@ -165,6 +165,16 @@ def digest(name):
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))
 def test_golden_digest(name):
+    assert digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("block", (257, 4099))
+@pytest.mark.parametrize("name", ("poa_report", "grid_game_report", "best_response"))
+def test_golden_digest_holds_for_other_blocks(name, block, monkeypatch):
+    """The Monte Carlo and best-response payloads, rebuilt with other
+    `auction.BLOCK` budgets (so other slice boundaries in the blocked
+    loops), give the same pinned bytes."""
+    monkeypatch.setattr(auction, "BLOCK", block)
     assert digest(name) == GOLDEN[name]
 
 

@@ -28,3 +28,23 @@ def test_readme_module_bullets_name_live_code():
         stale += [f"{name}: {word}" for word in re.findall(r"`([A-Za-z_]\w*)`", text)
                   if not any(hasattr(owner, word) for owner in owners)]
     assert not stale
+
+
+def test_readme_key_table_lists_the_loaders_keys():
+    """The README's input-file table gives exactly the keys, in order, of
+    `sfpa.valuations.SCHEMA`, which every loader validates against: per
+    object (and kind), the required keys and the optional ones."""
+    from sfpa.valuations import SCHEMA
+
+    code = {}
+    for name, keys in SCHEMA.items():
+        if isinstance(keys, dict):
+            code.update({(name, f"`{kind}`"): (("kind", *required), optional)
+                         for kind, (required, optional) in keys.items()})
+        else:
+            code[name, ""] = keys
+    rows = re.findall(r"^\| (.*?) \| (.*?) ?\| (.*?) ?\| (.*?) ?\|$", README.read_text(), re.M)
+    table = {(name, kind): (tuple(re.findall(r"`(\w+)`", required)),
+                            tuple(re.findall(r"`(\w+)`", optional)))
+             for name, kind, required, optional in rows if name != "object"}
+    assert table == code

@@ -216,9 +216,20 @@ def test_numbers_reads_only_numbers():
             numbers(bad, "x.y")
     with pytest.raises(ValueError, match=r"^valuation\.weights: need numbers"):
         valuation_from_json({"kind": "additive", "weights": "05"})
-    for bad in (3, None, {"kind": "additive", "weights": 5}, {"kind": "cone", "m": 1}):
-        with pytest.raises(ValueError, match="^valuation: malformed valuation"):
+    for bad, message in ((3, "valuation: need a JSON object"),
+                         (None, "valuation: need a JSON object"),
+                         ({"kind": "additive", "weights": 5}, r"valuation\.weights: need numbers"),
+                         ({"kind": "cone", "m": 1}, r"valuation\.kind: need one of")):
+        with pytest.raises(ValueError, match=f"^{message}"):
             valuation_from_json(bad)
+    # a depth and an integer range: integers come back as Python lists
+    assert numbers([[1, 0]], "x", 2, range(2)) == [[1, 0]]
+    for bad, depth, ints, message in (([1.0], 0, None, "need numbers nested 0 lists deep"),
+                                      ([[1]], 1, range(2), "need numbers nested 1 lists deep"),
+                                      ([1.0], 1, range(2), "need integers in 0..1"),
+                                      ([2 ** 63], 1, range(2 ** 63), "need integers in 0..")):
+        with pytest.raises(ValueError, match=f"^x: {message}"):
+            numbers(bad, "x", depth, ints)
 
 
 def test_caps_and_validation():
