@@ -114,9 +114,9 @@ class Allocation:
 def check_bids(bids, field: str = "bids") -> np.ndarray:
     b = np.asarray(bids, dtype=np.float64)
     if b.ndim != 2:
-        raise ValueError(f"{field} must be an (n, m) matrix")
+        raise ValueError(f"{field}: must be an (n, m) matrix")
     if not np.isfinite(b).all() or (b < 0).any():
-        raise ValueError(f"{field} must be finite and nonnegative")
+        raise ValueError(f"{field}: must be finite and nonnegative")
     return b
 
 
@@ -144,16 +144,23 @@ def price_to_beat(bids: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.n
     """(beat, ahead), each (..., n, m): every player's highest rival bid on
     every item, and the highest bid of the rivals who outrank it there, -inf
     where there are none. A player's own row does not enter its own pair."""
-    rivals = _rivals(bids.shape[-2])
-    others = bids[..., rivals, :]  # (..., n, n - 1, m): player i's rivals' bids
-    outranks = ranks.T[rivals] < ranks.T[:, None, :]  # (i, r, m): rival r outranks i
-    return (others.max(axis=-2, initial=-np.inf),
-            np.where(outranks, others, -np.inf).max(axis=-2, initial=-np.inf))
+    others = bids[..., _rivals(bids.shape[-2]), :]  # (..., n, n - 1, m): player i's rivals' bids
+    outranks = _outranks(ranks.dtype, ranks.shape, ranks.tobytes())
+    return (np.maximum.reduce(others, axis=-2, initial=-np.inf),
+            np.maximum.reduce(np.where(outranks, others, -np.inf), axis=-2, initial=-np.inf))
 
 
 @lru_cache(maxsize=None)
 def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i, in order
     return np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+
+
+@lru_cache(maxsize=256)  # (n, n - 1, m), once per rule: rival r of player i outranks i on item j
+def _outranks(dtype: np.dtype, shape: tuple, data: bytes) -> np.ndarray:
+    ranks = np.frombuffer(data, dtype).reshape(shape).T
+    mask = ranks[_rivals(shape[1])] < ranks[:, None, :]
+    mask.flags.writeable = False  # one array serves every call with these ranks
+    return mask
 
 
 def wins(rows: np.ndarray, beat: np.ndarray, ahead: np.ndarray) -> np.ndarray:
@@ -162,9 +169,12 @@ def wins(rows: np.ndarray, beat: np.ndarray, ahead: np.ndarray) -> np.ndarray:
     return (rows >= beat - TIE_TOL) & (ahead < np.maximum(rows, beat) - TIE_TOL)
 
 
-def bundle_masks(won: np.ndarray) -> np.ndarray:
-    """Bitmask of the won items along the last axis."""
-    return won @ (1 << np.arange(won.shape[-1]))
+def bundle_masks(won: np.ndarray, bits: np.ndarray | None = None) -> np.ndarray:
+    """Bitmask of the won items along the last axis: position j stands for
+    item j, or for the item whose bit `bits` holds at j (slot-major rows)."""
+    if bits is None:
+        return won @ (1 << np.arange(won.shape[-1]))
+    return np.add.reduce(won * bits, axis=-1)
 
 
 def bid_utilities(table: np.ndarray, rows: np.ndarray, beat: np.ndarray,

@@ -39,7 +39,7 @@ class FiniteBayesianGame:
         self.prior = np.asarray(self.prior, dtype=np.float64)
         shape = tuple(len(ts) for ts in self.type_vals)
         if self.prior.shape != shape:
-            raise ValueError(f"prior shape {self.prior.shape} != type counts {shape}")
+            raise ValueError(f"prior: shape {self.prior.shape} != type counts {shape}")
         if (not np.isfinite(self.prior).all() or abs(self.prior.sum() - 1.0) > PROB_TOL
                 or (self.prior < -PROB_TOL).any()):
             raise ValueError("prior: must be a finite probability table")
@@ -168,7 +168,7 @@ class BayesWelfareReport:
 
     expected_opt: float
     expected_welfare: float
-    ratio: float
+    ratio: float | None  # None when the strategies have zero expected welfare
     avg_gaps: tuple
     max_gap: float
     eps: float
@@ -232,7 +232,7 @@ def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
     else:
         bound_beta = 4.0 * beta * e_sw + 2.0 * beta * (sum(avg_gaps) + n * m * step)
         beta_ok = e_opt <= bound_beta + 1e-12
-    return BayesWelfareReport(e_opt, e_sw, e_opt / e_sw if e_sw > 0 else math.inf,
+    return BayesWelfareReport(e_opt, e_sw, e_opt / e_sw if e_sw > 0 else None,
                               avg_gaps, max_gap, eps, max_gap <= eps + PROB_TOL,
                               step, bound_general, general_ok,
                               beta, product, bound_beta, beta_ok, skipped)

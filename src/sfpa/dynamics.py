@@ -141,14 +141,17 @@ def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarr
     """Categorical draw along the last axis of `probs` from pre-drawn uniforms
     `u`, clamped to each row's `last` valid level: rounding can leave the
     cumulative sum below 1 - 2**-53, the largest uniform a generator draws."""
-    return np.minimum((u[..., None] > probs.cumsum(axis=-1)).sum(axis=-1), last)
+    return np.minimum(np.add.reduce(u[..., None] > probs.cumsum(axis=-1), axis=-1), last)
 
 
 def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     """Run multiplicative weights for `rounds` rounds; T = 0 is rejected.
     All players' factors share one padded (factor, level) block; gains are
     scored on the real levels only, entry e being one level of a factor of
-    player[e], with bid row rows[e] on the items support[e]."""
+    player[e], with bid row rows[e]. Scoring is slot-major: slot s of entry
+    e bids amount[s, e] on item[s, e], its support items ascending, then
+    dead slots (`live` False) bidding 0: the loop scores each entry's
+    support items against the full value table."""
     if rounds < 1:
         raise ValueError("need at least one round")
     n, m = len(game.vals), game.vals[0].m
@@ -173,6 +176,11 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     rows = np.concatenate([r for _, r, _ in flat])  # (N, m)
     support = np.concatenate([np.broadcast_to(s, r.shape) for _, r, s in flat])
     player = np.concatenate([np.full(len(r), i) for i, r, _ in flat])
+    # S = the largest support: 1 for separable grids, m once a player has explicit actions
+    item = np.argsort(~support, axis=1, kind="stable")[:, :support.sum(axis=1).max()].T.copy()
+    live = np.take_along_axis(support.T, item, axis=0)  # (S, N): support items ascending first
+    amount = np.where(live, np.take_along_axis(rows.T, item, axis=0), 0.0)
+    at, bits = player * m + item, 1 << item  # each slot's place in an (n, m) profile, its bit
     table_at = player << m  # every player's 2^m value table, end to end
     table = np.concatenate([v.as_table() for v in game.vals])
     slot = np.concatenate([k * W + np.arange(len(r)) for k, (_, r, _) in enumerate(flat)])
@@ -199,18 +207,18 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
         u[:, real] = rng.random((len(u), draws))  # per round, in player order
         for t, u_t in enumerate(u, block.start):
             w = np.exp(step[t] * (cum - top) / vmax)
-            probs = w / w.sum(axis=2, keepdims=True)
+            probs = w / np.add.reduce(w, axis=2, keepdims=True)
             chosen = entry.take(base + _level_index(u_t, probs, last))  # (n, F) entries drawn
-            bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
+            np.add.reduce(rows.take(chosen, axis=0), axis=1, out=bids_out[t])
 
             beat, ahead = price_to_beat(bids_out[t], ranks)
-            won = wins(rows, beat.take(player, axis=0), ahead.take(player, axis=0)) & support
-            value = table.take(table_at | bundle_masks(won))
-            gain = value - paid(won, rows)
+            won = wins(amount, beat.take(at), ahead.take(at)) & live
+            value = table.take(table_at | bundle_masks(won.T, bits.T))
+            gain = value - paid(won.T, amount.T)
             cum_flat[slot] += gain
-            gains[t] = gain.take(chosen)
-            values[t] = value.take(chosen)
-            top = cum.max(axis=2, out=tops[t])[:, :, None]
+            gain.take(chosen, out=gains[t], mode="clip")  # in range: "clip" skips a copy
+            value.take(chosen, out=values[t], mode="clip")
+            top = np.maximum.reduce(cum, axis=2, out=tops[t])[:, :, None]
 
     util = gains.sum(axis=2)  # each round's orders: over factors; over players, then factors
     cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
@@ -225,9 +233,10 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
     Every factor of every family takes one path: its rows are scored on its
     own items, against the value restricted to them, by `bid_utilities`, a
     block of rounds at a time, and the rounds are added in order.
-    `run_no_regret` instead masks wins by support over the full value table,
-    so the two agree only if the factorization is right. Returns the largest
-    discrepancy over the finite stored sums (0.0 when they agree).
+    `run_no_regret` instead scores each entry's support items against the
+    full value table, so the two agree only if the factorization is right.
+    Returns the largest discrepancy over the finite stored sums (0.0 when
+    they agree).
     """
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
@@ -278,7 +287,7 @@ class CceWelfareReport:
 
     opt: float
     welfare: float
-    ratio: float
+    ratio: float | None  # None when the empirical welfare is zero
     regret_per_round: tuple
     slack: float
     beta: float | None
@@ -310,7 +319,7 @@ def ccqe_welfare_ratio(trace: LearningTrace, beta: float | None = None) -> CceWe
         beta_ok = opt <= bound_beta + 1e-12
     else:
         slack, bound_beta, beta_ok = 2.0 * sum(reg) + m * game.grid_step * n, None, None
-    return CceWelfareReport(opt, emp, opt / emp if emp > 0 else math.inf, reg, slack,
+    return CceWelfareReport(opt, emp, opt / emp if emp > 0 else None, reg, slack,
                             beta, bound_beta, beta_ok, bound_general,
                             opt <= bound_general + 1e-12, trace_decomposition(trace))
 

@@ -2,22 +2,32 @@
 formulas, the scalar first-price allocation and outcome, a structural check
 of the symmetric single-minded instances, the triangle's bid distribution,
 the whole-array forms of the blocked Monte Carlo loops, the exhaustive
-check of an XOS certificate and best-response iteration for building
-Bayesian equilibria to verify."""
+check of an XOS certificate, best-response iteration for building
+Bayesian equilibria to verify, and the dense (entry, item) learning round.
+`examples` sizes the property tests."""
 
 import math
+import os
 
 import numpy as np
 
-from sfpa.auction import TIE_TOL, Allocation, PriorityRule, check_bids
+from sfpa.auction import (TIE_TOL, Allocation, PriorityRule, blocks, bundle_masks, check_bids,
+                          price_to_beat, priority_ranks, wins)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, check_strategies
 from sfpa.closedform import (CDF_TOL, Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              WelfareEstimate)
+from sfpa.dynamics import FiniteGame, LearningTrace
 from sfpa.rng import rng_for
 from sfpa.sets import full_set, is_subset, members
 from sfpa.valuations import (MONEY_TOL, AdditiveValuation, AndValuation, BetaCertificate,
                              OrValuation, SingleMindedValuation, TableValuation, Valuation,
-                             XosValuation, bit_matrix)
+                             XosValuation, bit_matrix, paid)
+
+
+def examples(n: int) -> int:
+    """A property test's example count: n, or 10 n under SFPA_DEEP=1, the
+    deeper run to make by hand before a merge."""
+    return 10 * n if os.environ.get("SFPA_DEEP") == "1" else n
 
 
 def value_formula(v: Valuation, s: int) -> float:
@@ -153,3 +163,69 @@ def best_response_strategies(bg: FiniteBayesianGame, strategies: list,
         if not changed:
             return strategies, True
     return strategies, False
+
+
+def run_no_regret_dense(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
+    """dynamics.run_no_regret with every entry scored on all m items: wins
+    over the dense (N, m) bid rows, masked by each entry's support. The
+    off-support terms of the payment fold are exact zeros, so the slot-major
+    loop must give these bits."""
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    n, m = len(game.vals), game.vals[0].m
+    rng = rng_for(seed, "no-regret")
+    ranks = priority_ranks(game.rule, n, m)
+    vmax = max(v.value_max() for v in game.vals)
+    payoff_range = np.array([v.value_max() + sp.max_spend()
+                             for v, sp in zip(game.vals, game.spaces)])
+    ln_k = np.array([math.log(sp.count) for sp in game.spaces])
+    eta_base = np.where(ln_k > 0, np.sqrt(ln_k) / (payoff_range / vmax), 1.0)[:, None, None]
+
+    factors = [sp.factors(m) for sp in game.spaces]
+    nf = np.array([len(fs) for fs in factors])
+    F = int(nf.max())
+    filler = (np.zeros((1, m)), np.zeros(m, dtype=bool))
+    flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + [filler] * (F - len(fs))]
+    W = max(len(r) for _, r, _ in flat)
+    rows = np.concatenate([r for _, r, _ in flat])  # (N, m)
+    support = np.concatenate([np.broadcast_to(s, r.shape) for _, r, s in flat])
+    player = np.concatenate([np.full(len(r), i) for i, r, _ in flat])
+    table_at = player << m
+    table = np.concatenate([v.as_table() for v in game.vals])
+    slot = np.concatenate([k * W + np.arange(len(r)) for k, (_, r, _) in enumerate(flat)])
+    entry = np.full(n * F * W, -1)
+    entry[slot] = np.arange(slot.size)
+    valid = (entry >= 0).reshape(n, F, W)
+    last = valid.sum(axis=2) - 1
+    real = np.arange(F) < nf[:, None]
+    base = np.arange(n * F).reshape(n, F) * W
+
+    cum = np.where(valid, 0.0, -np.inf)
+    cum_flat, draws = cum.reshape(-1), int(nf.sum())
+    bids_out = np.empty((rounds, n, m))
+    gains, values, tops = np.empty((3, rounds, n, F))
+    step = eta_base / np.sqrt(np.arange(1.0, rounds + 1))[:, None, None, None]
+    top = cum.max(axis=2, keepdims=True)
+    for block in blocks(rounds, draws):
+        u = np.zeros((block.stop - block.start, n, F))
+        u[:, real] = rng.random((len(u), draws))
+        for t, u_t in enumerate(u, block.start):
+            w = np.exp(step[t] * (cum - top) / vmax)
+            probs = w / w.sum(axis=2, keepdims=True)
+            level = np.minimum((u_t[..., None] > probs.cumsum(axis=-1)).sum(axis=-1), last)
+            chosen = entry.take(base + level)
+            bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
+
+            beat, ahead = price_to_beat(bids_out[t], ranks)
+            won = wins(rows, beat.take(player, axis=0), ahead.take(player, axis=0)) & support
+            value = table.take(table_at | bundle_masks(won))
+            gain = value - paid(won, rows)
+            cum_flat[slot] += gain
+            gains[t] = gain.take(chosen)
+            values[t] = value.take(chosen)
+            top = cum.max(axis=2, out=tops[t])[:, :, None]
+
+    util = gains.sum(axis=2)
+    cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
+    return LearningTrace(game, rounds, bids_out, util, values.sum(axis=1).sum(axis=1),
+                         tops.sum(axis=2) - np.cumsum(util, axis=0), cum_out, ln_k, payoff_range)

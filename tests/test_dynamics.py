@@ -14,7 +14,7 @@ from sfpa.rng import rng_for
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              TableValuation)
 
-from oracles import triangle_cdf
+from oracles import examples, run_no_regret_dense, triangle_cdf
 
 
 def single_item_game(values=(1.0, 2.0), step=0.1):
@@ -225,15 +225,18 @@ def test_andor_report_fields():
     assert all(r <= e for r, e in zip(rep["regret"], rep["regret_envelope"]))
 
 
-def _random_player(rng, m):
-    """An additive bidder on a separable grid whose items have 1-4 levels,
-    or an AND, OR or monotone-table bidder on 1-5 explicit bid vectors.
-    Bids sit on a 0.25 lattice, so they tie exactly; values sit on a 0.1
-    lattice, so sums of utilities round and their order shows."""
-    kind = rng.integers(4)
-    if kind == 0:
-        grid = SeparableGrid([0.25 * np.arange(rng.integers(1, 5)) for _ in range(m)])
-        return AdditiveValuation(tuple(0.1 * rng.integers(3, 13, m))), grid
+def _random_player(rng, m, kind=None, step=0.25):
+    """An additive bidder on a separable grid whose items have 1-4 levels
+    (kind 0), or an AND, OR, monotone-table or additive bidder (kinds 1-4)
+    on 1-5 explicit bid vectors; kind 0-3 at random if not given. Bids sit
+    on a lattice of `step`, so they tie exactly; values sit on a 0.1
+    lattice, so sums of utilities round and their order shows (and so do
+    sums of bids, at step 0.1)."""
+    kind = rng.integers(4) if kind is None else kind
+    if kind in (0, 4):
+        val = AdditiveValuation(tuple(0.1 * rng.integers(3, 13, m)))
+        if kind == 0:
+            return val, SeparableGrid([step * np.arange(rng.integers(1, 5)) for _ in range(m)])
     if kind == 3:
         table = 0.1 * rng.integers(0, 13, 1 << m)
         table[0] = 0.0
@@ -243,14 +246,14 @@ def _random_player(rng, m):
             table[has] = np.maximum(table[has], table[has ^ 1 << j])
         table[-1] += 0.1  # a positive full-bundle value, as normalization needs
         val = TableValuation(m, tuple(table))
-    else:
+    elif kind in (1, 2):
         val = (AndValuation, OrValuation)[kind - 1](m, 0.1 * rng.integers(3, 13))
-    return val, ExplicitActions(0.25 * rng.integers(0, 5, (rng.integers(1, 6), m)))
+    return val, ExplicitActions(step * rng.integers(0, 5, (rng.integers(1, 6), m)))
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
        st.sampled_from([1, 5, 64, auction.BLOCK]))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_factored_loop_matches_reference(n, m, seed, block):
     """Any mix of the action families, n = 1 included, under a random
     priority rule: the counterfactuals recompute exactly (verify_cce, in
@@ -276,3 +279,39 @@ def test_factored_loop_matches_reference(n, m, seed, block):
                 assert ((sp.levels == bid[:, None]) & sp.valid).any(axis=1).all()
             else:
                 assert (sp.vectors == bid).all(axis=1).any()
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(["separable", "explicit", "mixed"]),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 5, 64, auction.BLOCK]))
+@settings(max_examples=examples(100), deadline=None, derandomize=True)
+def test_slot_major_round_matches_dense_oracle(n, m, family, seed, block):
+    """The slot-major round gives every byte of the dense (entry, item)
+    round of tests/oracles.py: separable, explicit (additive, AND, OR and
+    table bidders) and mixed families under a random priority rule, with
+    the uniforms drawn in blocks of any size. Bids on a 0.1 lattice make
+    the order in which a payment adds its items show."""
+    rng = np.random.default_rng(seed)
+    kinds = {"separable": [0] * n, "explicit": rng.integers(1, 5, n),
+             "mixed": rng.permutation([0, *rng.integers(1, 5, n - 1)])}[family]
+    vals, spaces = zip(*(_random_player(rng, m, kind, 0.1) for kind in kinds))
+    rule = PriorityRule(tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m)))
+    game = FiniteGame(list(vals), list(spaces), rule)
+    ref = run_no_regret_dense(game, 40, seed)
+    saved, auction.BLOCK = auction.BLOCK, block
+    try:
+        got = run_no_regret(game, 40, seed)
+    finally:
+        auction.BLOCK = saved
+    def arrays(tr):
+        return [tr.bids, tr.utilities, tr.welfare, tr.regret, *tr.cum_counterfactual, tr.ln_k,
+                tr.payoff_range]
+
+    assert [a.tobytes() for a in arrays(got)] == [a.tobytes() for a in arrays(ref)]
+
+
+def test_zero_welfare_ratio_is_null():
+    # player 0 always outbids player 1 for the one item and values it at 0
+    game = FiniteGame([AdditiveValuation((0.0,)), AdditiveValuation((1.0,))],
+                      [ExplicitActions([[0.5]]), ExplicitActions([[0.0]])])
+    rep = ccqe_welfare_ratio(run_no_regret(game, 5, seed=0))
+    assert rep.welfare == 0.0 and rep.ratio is None

@@ -5,7 +5,8 @@ the object's `sfpa.valuations.SCHEMA` entry does not allow is inserted, a
 key it requires is deleted, or a number is replaced by a string or a
 boolean. The keys come from SCHEMA, which the loaders validate against.
 Every mutation must exit 2 with a message that starts with the mutated
-dotted field.
+dotted field. So must a value of the right type but the wrong shape or
+sign, which the loaders pass on and the game's own checks refuse.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import copy
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfpa.cli import main
@@ -126,3 +128,29 @@ def test_one_mutation_exits_2_naming_its_field(tmp_path_factory, data):
     code, err = run([*argv, str(path)])
     assert code == 2, (how, field, err)
     assert json.loads(err)["error"]["message"].startswith(f"{field}:"), (how, field, err)
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("prior", [[0.5]], "prior"),  # one type profile for 1 x 2 types
+    ("actions", [[[-1.0, 0.0]], BAYES["actions"][1]], "actions[0]"),
+])
+def test_shape_mutation_exits_2_naming_its_field(tmp_path, key, value, field):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps({**BAYES, key: value}))
+    code, err = run(["bayes", "--file", str(path)])
+    assert code == 2, err
+    assert json.loads(err)["error"]["message"].startswith(f"{field}:"), err
+
+
+def test_zero_welfare_bayes_ratio_is_null(tmp_path):
+    """Strategies with zero expected welfare report the ratio as null, not
+    as an infinity JSON cannot hold."""
+    doc = copy.deepcopy(BAYES)
+    doc["types"][1][1]["weights"] = [0, 0.25]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bayes", "--file", str(path)]) == 0
+    welfare = json.loads(out.getvalue())["result"]["welfare"]
+    assert welfare["expected_welfare"] == 0.0 and welfare["ratio"] is None
