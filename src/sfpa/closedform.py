@@ -24,15 +24,15 @@ equilibrium itself is tie-rule independent; the convention only fixes
 bookkeeping on zero bids).
 
 Monte Carlo runs in the slices of `sfpa.auction.blocks`, BLOCK trials
-(or draws) each: each block draws its uniforms from the one generator,
-in order, and writes its per-trial values into one array preallocated
-for all trials. Successive draws from a generator continue one stream,
-so the blocks see the very doubles a single draw of every trial would,
-and the mean and CI are reduced over the whole per-trial array as
-before: the results are bit for bit those of the one-shot form, while
-the temporaries shrink to one block. Trial and sample counts whose
-arrays would pass MC_BYTE_LIMIT bytes are refused before anything is
-drawn.
+(or draws) each: each block draws its uniforms from the one generator, in
+order, and is scored and reduced to its per-trial values while its draws
+are in cache, so no array of all the trials' bids is ever built. Successive
+draws from a generator continue one stream, so the blocks see the very
+doubles a single draw of every trial would. Only the per-trial values (and
+the OR items, which must come from one `rng.integers` call) live for the
+whole run, and `mean_ci99` reduces them in place: the results are bit for
+bit those of the one-shot form. Trial and sample counts whose arrays would
+pass MC_BYTE_LIMIT bytes are refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ MC_BYTE_LIMIT = 2 ** 31  # largest estimated working set of a Monte Carlo run or
 def check_count(count, field: str = "trials", least: int = 2, per_unit: int = 40) -> None:
     """Refuse a trial or sample count that is not an integer >= least, or
     whose arrays, at about per_unit bytes each, would pass MC_BYTE_LIMIT.
-    The default bounds a Monte Carlo trial: at most four per-trial arrays
-    (bids, OR items, per-trial values) and the temporary of their std."""
+    The default bounds a Monte Carlo trial with room to spare: it holds at
+    most two per-trial arrays (the per-trial values and the OR items)."""
     if not isinstance(count, (int, np.integer)) or count < least:
-        raise ValueError(f"{field} must be an integer >= {least}, got {count!r}")
+        raise ValueError(f"{field}: must be an integer >= {least}, got {count!r}")
     if count * per_unit > MC_BYTE_LIMIT:
         raise ValueError(f"{field}: {count} would take about {count * per_unit} bytes, over "
                          f"the {MC_BYTE_LIMIT}-byte limit; use at most {MC_BYTE_LIMIT // per_unit}")
@@ -128,19 +128,20 @@ class AtomicCDF:
         if not self.atoms:  # cont_mass is 1, so u is already clipped to it
             out = self.cont_quantile(u)
             return float(out[0]) if scalar else out
-        out = np.empty(u.shape)
-        unset = np.ones(u.shape, dtype=bool)
-        acc = 0.0
+        # per atom, in order: the continuous mass below it, then the atom; writing
+        # the later segments first leaves each u in the first segment it reaches
+        acc, segments = 0.0, []
         for p, mass in self.atoms:
             before = float(self._cc(p)) + acc
-            take = unset & (u <= before)
-            out[take] = self.cont_quantile(np.clip(u[take] - acc, 0.0, self.cont_mass))
-            unset &= ~take
-            take = unset & (u <= before + mass)
-            out[take] = p
-            unset &= ~take
+            segments.append((before, acc, before + mass, p))
             acc += mass
-        out[unset] = self.cont_quantile(np.clip(u[unset] - acc, 0.0, self.cont_mass))
+        out = self.cont_quantile(np.clip(u - acc, 0.0, self.cont_mass))
+        for before, below, through, p in reversed(segments):
+            out = np.where(u <= through, p, out)
+            hit = u <= before
+            if hit.any():
+                out = np.where(hit, self.cont_quantile(np.clip(u - below, 0.0, self.cont_mass)),
+                               out)
         return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -156,11 +157,17 @@ def _point_mass(at: float) -> AtomicCDF:
                      lambda u: np.full(np.shape(u), at))
 
 
+def _check_m_v(m: int, v: float) -> None:
+    if m < 2:
+        raise ValueError(f"m: need m >= 2, got {m}")
+    if not 1.0 / m - CDF_TOL <= v < math.inf:
+        raise ValueError(f"v: must be finite and >= 1/m, got v={v}, m={m}")
+
+
 def and_bid_cdf(m: int, v: float) -> AtomicCDF:
     """F(y) = (v - 1/m)/(v - y) on [0, 1/m], atom at 0 of mass 1 - 1/(m v)."""
+    _check_m_v(m, v)
     top = 1.0 / m
-    if not top - CDF_TOL <= v < math.inf:
-        raise ValueError(f"v must be finite and >= 1/m, got v={v}, m={m}")
     if v <= top + CDF_TOL:
         return _point_mass(top)
     a0 = 1.0 - 1.0 / (m * v)
@@ -172,7 +179,7 @@ def and_bid_cdf(m: int, v: float) -> AtomicCDF:
 def or_bid_cdf(m: int) -> AtomicCDF:
     """G(x) = (m-1) x / (1 - x) on [0, 1/m]; atomless."""
     if m < 2:
-        raise ValueError("the OR bid distribution needs m >= 2")
+        raise ValueError(f"m: need m >= 2, got {m}")
     return AtomicCDF(0.0, 1.0 / m, (),
                      lambda x: (m - 1) * x / (1.0 - x),
                      lambda u: u / (m - 1.0 + u))
@@ -186,10 +193,7 @@ class AndOrStrategyPair:
     v: float
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("need m >= 2")
-        if not 1.0 / self.m - CDF_TOL <= self.v < math.inf:
-            raise ValueError(f"v must be finite and >= 1/m, got v={self.v}, m={self.m}")
+        _check_m_v(self.m, self.v)
 
     @property
     def top(self) -> float:
@@ -206,13 +210,20 @@ class AndOrStrategyPair:
     def in_cube(self, bids) -> bool:
         return bool(np.max(bids) <= self.top + CDF_TOL)
 
-    def sample_and_bids(self, rng, size: int) -> np.ndarray:
-        """Common bid placed on every item."""
+    def sample_and_bids(self, rng, size: int, start: int = 0) -> np.ndarray:
+        """Common bid placed on every item in trials start, ..., start + size - 1;
+        `start` lets a subclass fix draws by trial index, the draws ignore it."""
         return self.F.sample(rng, size)
 
     def sample_or_bids(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(item index, bid on it); all other items get bid 0."""
-        return rng.integers(0, self.m, size), self.G.sample(rng, size)
+        """(item index, bid on it); all other items get bid 0. The items come
+        first, from one `rng.integers` call."""
+        return rng.integers(0, self.m, size), self.sample_or_item_bids(rng, size)
+
+    def sample_or_item_bids(self, rng, size: int, start: int = 0) -> np.ndarray:
+        """The OR bid on its item in trials start, ..., start + size - 1, drawn
+        after all the trials' items; `start` as in `sample_and_bids`."""
+        return self.G.sample(rng, size)
 
 
 def andor_utility_and(pair: AndOrStrategyPair, bids):
@@ -266,6 +277,16 @@ class WelfareEstimate:
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
+def mean_ci99(v: np.ndarray) -> tuple[float, float]:
+    """(v.mean(), Z99 * v.std(ddof=1) / sqrt(n)) of a float64 array bit for bit,
+    by numpy's own steps done in place: v ends as its squared deviations."""
+    n = v.size
+    mean = np.add.reduce(v) / n
+    v -= mean
+    np.square(v, out=v)
+    return float(mean), Z99 * math.sqrt(np.add.reduce(v) / (n - 1)) / math.sqrt(n)
+
+
 def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -> WelfareEstimate:
     """Monte Carlo welfare of the AND-OR equilibrium (AND value 1, OR value v).
 
@@ -275,15 +296,16 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
     """
     check_count(trials)
     rng = rng_for(seed, "andor-welfare", pair.m)
-    y = pair.sample_and_bids(rng, trials)
-    x = pair.sample_or_bids(rng, trials)[1]  # not holding the items: one array less at the peak
-    welfare = np.empty(trials)
+    welfare = pair.sample_and_bids(rng, trials)  # each block's AND bids become its welfare
+    rng.integers(0, pair.m, trials)  # the OR items: unread, but drawn as sample_or_bids does
+    zeros = 0
     for s in blocks(trials):
-        welfare[s] = np.where(y[s] > x[s], 1.0, pair.v)  # exact float tie y == x is AND-first
-    est = float(welfare.mean())
-    ci = Z99 * float(welfare.std(ddof=1)) / math.sqrt(trials)
+        x = pair.sample_or_item_bids(rng, s.stop - s.start, s.start)
+        zeros += np.count_nonzero(welfare[s] == 0.0)
+        welfare[s] = np.where(welfare[s] > x, 1.0, pair.v)  # exact float tie y == x is AND-first
+    est, ci = mean_ci99(welfare)
     atom_prob = 0.0 if pair.v <= pair.top + CDF_TOL else 1.0 - 1.0 / (pair.m * pair.v)
-    return WelfareEstimate(est, ci, trials, seed, float(np.mean(y == 0.0)), atom_prob)
+    return WelfareEstimate(est, ci, trials, seed, zeros / trials, atom_prob)
 
 
 def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
@@ -311,21 +333,20 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
     rng = rng_for(seed, "andor-mc", role)
     u = np.empty(trials)
     if role == "and":
-        items, g = pair.sample_or_bids(rng, trials)
+        items = rng.integers(0, pair.m, trials)  # as sample_or_bids draws them
         win = ~np.eye(pair.m + 1, pair.m, dtype=bool)
         table = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
         for s in blocks(trials):
-            u[s] = table.take(np.where((x.take(items[s]) > g[s]) | (g[s] == 0.0),
-                                       pair.m, items[s]))
+            g = pair.sample_or_item_bids(rng, s.stop - s.start, s.start)
+            u[s] = table.take(np.where((x.take(items[s]) > g) | (g == 0.0), pair.m, items[s]))
     else:
-        y = pair.sample_and_bids(rng, trials)
         cuts = np.sort(x)
         win = x[None, :] >= np.append(cuts, np.inf)[:, None]
         table = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
         for s in blocks(trials):
-            u[s] = table.take(cuts.searchsorted(y[s], side="right"))
-    half = Z99 * float(u.std(ddof=1)) / math.sqrt(trials)
-    return float(u.mean()), half
+            y = pair.sample_and_bids(rng, s.stop - s.start, s.start)
+            u[s] = table.take(cuts.searchsorted(y, side="right"))
+    return mean_ci99(u)
 
 
 def triangle_utility(y: float, z: float) -> float:
@@ -349,11 +370,11 @@ class SingleMindedSymmetric:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("bundle size k must be >= 2 (exponent undefined at k=1)")
+            raise ValueError(f"k: bundle size must be >= 2, got {self.k}")
         if self.d < 2:
-            raise ValueError("per-item demand d must be >= 2")
+            raise ValueError(f"d: per-item demand must be >= 2, got {self.d}")
         if self.value <= 0:
-            raise ValueError("bundle value must be positive")
+            raise ValueError(f"value: bundle value must be positive, got {self.value}")
 
     @property
     def top(self) -> float:

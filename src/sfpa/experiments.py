@@ -214,14 +214,13 @@ def grid_game_report(side: int, trials: int, seed: int) -> dict:
     opt, _ = optimal_welfare(vals)
     sm = cf.SingleMindedSymmetric(side, 2, value=float(side))
     rng = rng_for(seed, "grid-game", side)
-    satisfied = np.empty(trials, dtype=np.int64)
-    for s in blocks(trials):  # a block's 2 * side draws per trial, as one draw would give them
+    satisfied = np.empty(trials)  # counts as float64: sums of small integers are exact
+    for s in blocks(trials, 2 * side):  # a block's 2 * side draws per trial, as one draw gives them
         draws = sm.cdf.sample(rng, 2 * side * (s.stop - s.start)).reshape(-1, 2 * side)
-        rows, cols = draws[:, :side], draws[:, side:]
-        satisfied[s] = ((rows > cols.max(axis=1, keepdims=True)).sum(axis=1)
-                        + (cols > rows.max(axis=1, keepdims=True)).sum(axis=1))
-    mean = float(satisfied.mean())
-    ci = cf.Z99 * float(satisfied.std(ddof=1)) / math.sqrt(trials)
+        rows, cols = np.split(np.ascontiguousarray(draws.T), 2)  # (side, B) each
+        np.add(np.add.reduce(rows > np.maximum.reduce(cols), dtype=float),
+               np.add.reduce(cols > np.maximum.reduce(rows), dtype=float), out=satisfied[s])
+    mean, ci = cf.mean_ci99(satisfied)
     welfare = side * mean
     return {"side": side, "m": m, "trials": trials, "seed": seed,
             "walrasian_exists": we is not None,

@@ -395,6 +395,17 @@ def test_poa_needs_two_trials(capsys):
         assert "trials" in precondition_message(code, err)
 
 
+def test_closedform_refusals_name_their_field(capsys):
+    for args, field in ((["poa", "--m", "1"], "m: "),
+                        (["sample", "--strategy", "andor", "--m", "1"], "m: "),
+                        (["poa", "--trials", "1"], "trials: "),
+                        (["verify", "--game", "andor", "--m", "2", "--trials", "1"], "trials: "),
+                        (["sample", "--strategy", "single_minded", "--k", "1"], "k: "),
+                        (["sample", "--strategy", "single_minded", "--d", "1"], "d: ")):
+        code, _, err = run_cli(args, capsys)
+        assert precondition_message(code, err).startswith(field), args
+
+
 def test_walrasian_tolerance_checked(capsys):
     for tol in ("-1", "nan"):
         code, _, err = run_cli(["walrasian", "--game", "andor", "--v", "0.4",
@@ -595,8 +606,8 @@ def test_cap_defaults_are_one_constant():
 def test_bad_flags_name_their_field(capsys):
     learn = ["--rounds", "10"]
     for args, field in ((["walrasian", "--game", "andor", "--v", "nan"], "value"),
-                        (["poa", "--v", "nan"], "v must"),
-                        (["dynamics", "--mode", "andor", "--v", "nan", *learn], "v must"),
+                        (["poa", "--v", "nan"], "v: "),
+                        (["dynamics", "--mode", "andor", "--v", "nan", *learn], "v: "),
                         (["dynamics", "--mode", "additive", "--n", "0", *learn], "n must"),
                         (["walrasian", "--game", "grid", "--l", "0"], "side"),
                         (["pure-nash", "--game", "grid", "--l", "0"], "side"),
@@ -606,7 +617,7 @@ def test_bad_flags_name_their_field(capsys):
                          "weights"),
                         (["dynamics", "--mode", "additive", "--grid-step", "0", *learn],
                          "grid step"),
-                        (["sample", "--strategy", "andor", "--count", "-1"], "count"),
+                        (["sample", "--strategy", "andor", "--count", "-1"], "count: "),
                         (["poa", "--sweep", "4,x", "--trials", "1000"], "sweep"),
                         (["poa", "--sweep", "4,,9", "--trials", "1000"], "sweep"),
                         (["poa", "--sweep", "0", "--trials", "1000"], "sweep"),

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from sfpa import auction, closedform as cf
@@ -16,7 +16,8 @@ from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymm
                              singleminded_utility, triangle_utility)
 from sfpa.rng import rng_for
 
-from oracles import andor_welfare, grid_satisfied, triangle_cdf, validate_symmetric_instance
+from oracles import (andor_welfare, examples, grid_satisfied, triangle_cdf,
+                     validate_symmetric_instance)
 
 
 def test_atom_mass_and_endpoints():
@@ -51,7 +52,7 @@ def test_degenerate_point_mass():
 
 
 @given(st.floats(0.0, 1.0), st.integers(2, 6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_quantile_is_generalized_inverse(u, m):
     f = and_bid_cdf(m, 1.0)
     x = f.quantile(u)
@@ -72,7 +73,7 @@ def test_invalid_cdf_rejected():
         AtomicCDF(0.0, 1.0, (), lambda x: np.asarray(x) * np.nan, lambda u: np.asarray(u))
     for v in (math.nan, math.inf):
         for build in (and_bid_cdf, AndOrStrategyPair):
-            with pytest.raises(ValueError, match="^v must be finite"):
+            with pytest.raises(ValueError, match="^v: must be finite"):
                 build(2, v)
 
 
@@ -117,7 +118,7 @@ def test_andor_utility_or_values():
 
 
 @given(st.integers(2, 4), st.integers(0, 10 ** 6))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_or_keep_max_dominance(m, seed):
     rng = np.random.default_rng(seed)
     pair = AndOrStrategyPair(m, 1.0)
@@ -128,7 +129,7 @@ def test_or_keep_max_dominance(m, seed):
 
 
 @given(st.integers(2, 8), st.integers(0, 2), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_andor_rows_match_one_row_calls(m, which, count, seed):
     # v = 1/m (the AND point mass), 2/m, or 1; bids tie at 0 and 1/m and leave the cube
     pair = AndOrStrategyPair(m, (1.0 / m, 2.0 / m, 1.0)[which])
@@ -174,21 +175,24 @@ def _mc_oracle(pair, role, bids, trials, seed):
 
 @dataclass(frozen=True)
 class _SnappedPair(AndOrStrategyPair):
-    """Every third opponent draw replaced by one of `levels`, so that the
-    opponent ties the deviation's bids, and bids 0, exactly."""
+    """The opponent's draws in trials 0, 3, 6, ... replaced by levels[0],
+    levels[1], ... in turn, so that the opponent ties the deviation's bids,
+    and bids 0, exactly. Trials are placed by their global index, so a block
+    snaps the trials the whole-array draw would."""
 
     levels: tuple = (0.0,)
 
-    def _snap(self, draws):
-        draws[::3] = np.resize(self.levels, draws[::3].shape)
+    def _snap(self, draws, start):
+        first = -start % 3
+        turn = (start + first) // 3 + np.arange(draws[first::3].size)
+        draws[first::3] = np.take(self.levels, turn, mode="wrap")
         return draws
 
-    def sample_and_bids(self, rng, size):
-        return self._snap(super().sample_and_bids(rng, size))
+    def sample_and_bids(self, rng, size, start=0):
+        return self._snap(super().sample_and_bids(rng, size, start), start)
 
-    def sample_or_bids(self, rng, size):
-        items, g = super().sample_or_bids(rng, size)
-        return items, self._snap(g)
+    def sample_or_item_bids(self, rng, size, start=0):
+        return self._snap(super().sample_or_item_bids(rng, size, start), start)
 
 
 @st.composite
@@ -207,7 +211,7 @@ def _mc_cases(draw):
 
 
 @given(_mc_cases(), st.integers(0, 2 ** 32))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_andor_utility_mc_matches_oracle(case, seed):
     pair, bids, role = case
     assert andor_utility_mc(pair, role, bids, 3_000, seed) == \
@@ -238,7 +242,7 @@ _SAMPLED = (or_bid_cdf(3), and_bid_cdf(3, 1.0), and_bid_cdf(3, 1.0 / 3),
 
 @given(st.sampled_from(_BLOCK_SIZES), st.sampled_from(range(len(_SAMPLED))),
        st.integers(0, 3), st.integers(-1, 1), st.integers(0, 2 ** 32))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 def test_sample_blocks_match_one_draw(block, which, blocks, offset, seed):
     cdf, size = _SAMPLED[which], max(0, blocks * block + offset)
     one = rng_for(seed, "blocks")
@@ -252,7 +256,7 @@ def test_sample_blocks_match_one_draw(block, which, blocks, offset, seed):
 
 
 @given(st.sampled_from(_BLOCK_SIZES), _mc_cases(), st.integers(2, 200), st.integers(0, 2 ** 32))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_mc_blocks_match_unblocked(block, case, trials, seed):
     pair, bids, role = case
 
@@ -291,10 +295,42 @@ def _peak_bytes_per_trial(run, small=200_000, large=600_000):
 
 
 def test_blocked_monte_carlo_memory_per_trial():
-    # the whole-array forms grew by about 95 (grid game), 24 (G) and 26 (F) bytes per trial
+    # the whole-array forms grew by about 95 (grid game), 24 (G) and 26 (F) bytes per trial;
+    # drawing all the opponent's bids before scoring them, the AND-OR estimators grew by
+    # 32 (AND deviation), 24 (OR deviation) and 32 (welfare)
     for cdf in (or_bid_cdf(3), and_bid_cdf(3, 1.0)):
         assert _peak_bytes_per_trial(lambda n: cdf.sample(rng_for(0, "memory"), n)) <= 16
     assert _peak_bytes_per_trial(lambda n: grid_game_report(3, n, 0)) <= 16
+    pair, bids = AndOrStrategyPair(3, 1.0), [0.1, 0.2, 0.0]
+    # the per-trial values, plus the OR items for the AND role
+    assert _peak_bytes_per_trial(lambda n: andor_utility_mc(pair, "and", bids, n, 0)) <= 16
+    assert _peak_bytes_per_trial(lambda n: andor_utility_mc(pair, "or", bids, n, 0)) <= 8
+    assert _peak_bytes_per_trial(lambda n: andor_equilibrium_welfare(pair, n, 0)) < 32
+
+
+# numpy sums a contiguous float64 array pairwise, over 8-way unrolled leaves
+# of at most 128 entries, and buffers a cast reduction in chunks of 8192
+@given(st.one_of(st.integers(2, 3 * 8192 + 9),
+                 st.sampled_from([127, 128, 129, 8191, 8192, 8193, 16385, 24575, 24577])),
+       st.booleans(), st.integers(0, 2 ** 32))
+@example(1_000_000, False, 0)
+@example(1_000_000, True, 0)
+@settings(max_examples=examples(60), derandomize=True, deadline=None)
+def test_mean_ci99_matches_numpy(n, counts, seed):
+    """The in-place reducer gives numpy's mean and std-based CI byte for
+    byte: on float arrays, and on small-integer counts held as float64
+    against the same counts as int64 (the grid game's)."""
+    rng = rng_for(seed, "mean-ci99")
+    if counts:
+        ints = rng.integers(0, 7, n)
+        v, want = ints.astype(np.float64), ints
+    else:
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) + rng.uniform(-2.0, 2.0)
+        want = v.copy()
+    expected = (float(want.mean()), Z99 * float(want.std(ddof=1)) / math.sqrt(n))
+    got = cf.mean_ci99(v)
+    assert all(isinstance(t, float) for t in got)
+    assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 def test_distributions_built_once_per_object():
@@ -309,13 +345,14 @@ def test_check_count_refuses_at_the_byte_limit():
     cf.check_count(most)
     with pytest.raises(ValueError, match=f"^trials: {most + 1} would take"):
         cf.check_count(most + 1)
-    with pytest.raises(ValueError, match="^count must be an integer >= 0"):
+    with pytest.raises(ValueError, match="^count: must be an integer >= 0"):
         cf.check_count(-1, "count", 0, 160)
 
 
 def _masked_quantile(cdf, u):
-    """AtomicCDF.quantile's atom-by-atom mask-and-scatter loop, run on every
-    distribution (the reference for its atomless shortcut)."""
+    """AtomicCDF.quantile as an atom-by-atom mask-and-scatter loop, run on
+    every distribution: the reference for its np.where segments and its
+    atomless shortcut."""
     u = np.atleast_1d(np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0))
     out = np.empty(u.shape)
     unset = np.ones(u.shape, dtype=bool)
@@ -333,18 +370,47 @@ def _masked_quantile(cdf, u):
     return out
 
 
-def test_atomless_quantile_matches_masked_path():
-    u = np.concatenate([[0.0, 1.0, -0.0, -0.5, 1.5, 1e-300, 1.0 - 2 ** -53, np.inf, -np.inf],
-                        rng_for(5, "quantile").random(10_000)])
+def _atom_boundaries(cdf):
+    """Each atom's `before` and `before + mass`, as quantile computes them,
+    and their neighbouring doubles."""
+    acc, out = 0.0, []
+    for p, mass in cdf.atoms:
+        before = float(cdf._cc(p)) + acc
+        for b in (before, before + mass):
+            out += [np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
+        acc += mass
+    return out
+
+
+def test_quantile_matches_masked_path():
+    # at each atom boundary the continuous quantile rounds away from the atom's point,
+    # so a boundary given to the wrong segment changes bits
+    two = AtomicCDF(0.0, 1.0, ((0.45, 0.2), (0.6, 2.0 / 3.0 - 0.2)),
+                    lambda x: np.asarray(x) / 3.0, lambda c: 3.0 * np.asarray(c))
     for cdf in (or_bid_cdf(2), or_bid_cdf(16), triangle_cdf(),
-                SingleMindedSymmetric(3, 3, value=3.0).cdf):
-        assert not cdf.atoms
-        got = cdf.quantile(u)
-        assert got.view(np.int64).tolist() == _masked_quantile(cdf, u).view(np.int64).tolist()
-        for s in u[:9]:
+                SingleMindedSymmetric(3, 3, value=3.0).cdf) + _SAMPLED + (two,):
+        edges = [0.0, 1.0, -0.0, -0.5, 1.5, 1e-300, 1.0 - 2 ** -53, np.inf, -np.inf,
+                 *_atom_boundaries(cdf)]
+        u = np.concatenate([edges, rng_for(5, "quantile").random(10_000)])
+        want = _masked_quantile(cdf, u)
+        assert cdf.quantile(u).view(np.int64).tolist() == want.view(np.int64).tolist()
+        for s, w in zip(edges, want):
             got = cdf.quantile(s)
-            assert isinstance(got, float)
-            assert np.float64(got).view(np.int64) == _masked_quantile(cdf, s).view(np.int64)[0]
+            assert isinstance(got, float) and np.float64(got).view(np.int64) == w.view(np.int64)
+
+
+def test_refusals_name_their_field():
+    for build, field in ((lambda: cf.check_count(1), "trials"),
+                         (lambda: cf.check_count(-1, "count", 0), "count"),
+                         (lambda: and_bid_cdf(1, 1.0), "m"), (lambda: and_bid_cdf(2, 0.1), "v"),
+                         (lambda: or_bid_cdf(1), "m"),
+                         (lambda: AndOrStrategyPair(1, 1.0), "m"),
+                         (lambda: AndOrStrategyPair(2, 0.1), "v"),
+                         (lambda: SingleMindedSymmetric(1, 2), "k"),
+                         (lambda: SingleMindedSymmetric(2, 1), "d"),
+                         (lambda: SingleMindedSymmetric(2, 2, value=0.0), "value")):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            build()
 
 
 def test_welfare_degenerate_pure_case():
