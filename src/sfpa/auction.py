@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .sets import MAX_ITEMS, members
-from .valuations import MONEY_TOL, SCHEMA, Valuation, entries, fields, numbers, paid
+from .valuations import (MONEY_TOL, SCHEMA, Valuation, check_probs, entries, fields, numbers,
+                         paid)
 
 TIE_TOL = 1e-12  # bids this close count as tied
 MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
@@ -47,32 +48,19 @@ class PriorityRule:
                 raise ValueError(f"tie_rule: item priority {perm} is not a permutation "
                                  f"of 0..{n - 1}")
 
-    def to_json(self) -> dict:
-        if self.order is None:
-            return {"kind": "index"}
-        return {"kind": "priority", "order": [list(p) for p in self.order]}
-
 
 @dataclass(frozen=True)
 class RandomizedRule:
-    """Mixture over deterministic rules; probabilities sum to 1 within 1e-12."""
+    """Mixture over deterministic rules; probabilities sum to 1 within PROB_TOL."""
 
     mixture: tuple  # of (probability, PriorityRule)
 
     def __post_init__(self):
-        if not all(p >= 0 for p, _ in self.mixture):
-            raise ValueError("tie_rule: mixture probabilities must be nonnegative numbers")
-        total = sum(p for p, _ in self.mixture)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"tie_rule: mixture probabilities sum to {total}, need 1")
+        check_probs([p for p, _ in self.mixture], "tie_rule")
 
     def validate(self, n: int, m: int) -> None:
         for _, rule in self.mixture:
             rule.validate(n, m)
-
-    def to_json(self) -> dict:
-        return {"kind": "randomized",
-                "mixture": [{"prob": p, "rule": r.to_json()} for p, r in self.mixture]}
 
 
 def rule_from_json(d, field: str = "tie_rule"):
@@ -112,9 +100,11 @@ class Allocation:
 
 
 def check_bids(bids, field: str = "bids") -> np.ndarray:
+    """`bids` as a float64 matrix of finite, nonnegative bid rows; a
+    ValueError names `field`."""
     b = np.asarray(bids, dtype=np.float64)
     if b.ndim != 2:
-        raise ValueError(f"{field}: must be an (n, m) matrix")
+        raise ValueError(f"{field}: must be a matrix of bid rows")
     if not np.isfinite(b).all() or (b < 0).any():
         raise ValueError(f"{field}: must be finite and nonnegative")
     return b
@@ -269,15 +259,6 @@ class Outcome:
     welfare: float
     revenue: float
     branches: tuple = ()
-
-    def to_json(self, n: int) -> dict:
-        out = {"utilities": list(self.utilities), "item_prices": list(self.item_prices),
-               "welfare": self.welfare, "revenue": self.revenue}
-        if self.allocation is not None:
-            out["allocation"] = self.allocation.to_json(n)
-        if self.branches:
-            out["branches"] = [{"prob": p, "outcome": o.to_json(n)} for p, o in self.branches]
-        return out
 
 
 def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:

@@ -18,9 +18,8 @@ import numpy as np
 from .auction import (PriorityRule, bundle_masks, check_bids, expected_utilities,
                       optimal_welfare, price_to_beat, priority_ranks, product_play, rival_play,
                       rule_from_json, weighted_sum, wins)
-from .valuations import SCHEMA, entries, fields, numbers, valuations_from_json
-
-PROB_TOL = 1e-12
+from .valuations import (PROB_TOL, SCHEMA, check_probs, entries, fields, numbers,
+                         valuations_from_json)
 
 
 @dataclass
@@ -40,9 +39,7 @@ class FiniteBayesianGame:
         shape = tuple(len(ts) for ts in self.type_vals)
         if self.prior.shape != shape:
             raise ValueError(f"prior: shape {self.prior.shape} != type counts {shape}")
-        if (not np.isfinite(self.prior).all() or abs(self.prior.sum() - 1.0) > PROB_TOL
-                or (self.prior < -PROB_TOL).any()):
-            raise ValueError("prior: must be a finite probability table")
+        check_probs(self.prior.ravel(), "prior")
         for i, vs in enumerate(self.type_vals):
             if any(v.m != self.m for v in vs):
                 raise ValueError(f"types[{i}]: every type must cover m={self.m} items")
@@ -66,12 +63,12 @@ class FiniteBayesianGame:
         axes = tuple(k for k in range(self.n) if k != player)
         return self.prior.sum(axis=axes)
 
-    def is_product(self, tol: float = PROB_TOL) -> bool:
-        """Does the prior factor into its per-player marginals?"""
+    def is_product(self) -> bool:
+        """Does the prior factor into its per-player marginals, within PROB_TOL?"""
         outer = np.ones(())
         for i in range(self.n):
             outer = np.multiply.outer(outer, self.type_marginal(i))
-        return bool(np.abs(outer - self.prior).max() <= tol)
+        return bool(np.abs(outer - self.prior).max() <= PROB_TOL)
 
     def grid_step(self) -> float:
         """Largest spacing between adjacent per-item bid levels on offer."""
@@ -96,10 +93,7 @@ def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
         want = (len(bg.type_vals[i]), bg.actions[i].shape[0])
         if s.shape != want:
             raise ValueError(f"strategies[{i}]: shape {s.shape}, want {want}")
-        if (not np.isfinite(s).all() or (s < -PROB_TOL).any()
-                or np.abs(s.sum(axis=1) - 1.0).max() > PROB_TOL):
-            raise ValueError(f"strategies[{i}]: rows must be finite distributions")
-        out.append(s)
+        out.append(check_probs(s, f"strategies[{i}]"))
     return out
 
 
@@ -206,12 +200,11 @@ def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
 
     `eps` is the claimed equilibrium quality; measured gaps above it flag
     the report's gap precondition."""
-    strategies = check_strategies(bg, strategies)
+    e_sw = expected_welfare(bg, strategies)  # it and bayes_deviation_gap check the strategies
+    gaps = bayes_deviation_gap(bg, strategies)
     e_opt = 0.0
     for q, types in _type_profiles(bg):
         e_opt += q * optimal_welfare([bg.type_vals[i][t] for i, t in enumerate(types)])[0]
-    e_sw = expected_welfare(bg, strategies)
-    gaps = bayes_deviation_gap(bg, strategies)
     avg_gaps = tuple(float(np.dot(bg.type_marginal(i), np.maximum(gaps[i], 0.0)))
                      for i in range(bg.n))
     max_gap = max(float(g.max()) for g in gaps)

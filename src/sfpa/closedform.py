@@ -21,7 +21,9 @@ Utility evaluators are exact expectations against these distributions.
 Ties at bid 0 between the AND atom and the OR player's untouched items
 are broken in favor of the AND bidder (the OR side is atomless, so the
 equilibrium itself is tie-rule independent; the convention only fixes
-bookkeeping on zero bids).
+bookkeeping on zero bids). In Monte Carlo a deviator loses an exact tie,
+as `prob_lt` counts it, the OR bidder takes its item on an exact tie in
+the equilibrium welfare, and zero-bid ties on its other items go to AND.
 
 Monte Carlo runs in the slices of `sfpa.auction.blocks`, BLOCK trials
 (or draws) each: each block draws its uniforms from the one generator, in
@@ -46,14 +48,15 @@ import numpy as np
 
 from .auction import blocks
 from .rng import rng_for
+from .valuations import MONEY_TOL
 
 CDF_TOL = 1e-12
 MC_BYTE_LIMIT = 2 ** 31  # largest estimated working set of a Monte Carlo run or sample
 
 
 def check_count(count, field: str = "trials", least: int = 2, per_unit: int = 40) -> None:
-    """Refuse a trial or sample count that is not an integer >= least, or
-    whose arrays, at about per_unit bytes each, would pass MC_BYTE_LIMIT.
+    """Refuse a trial, sample or round count that is not an integer >= least,
+    or whose arrays, at about per_unit bytes each, would pass MC_BYTE_LIMIT.
     The default bounds a Monte Carlo trial with room to spare: it holds at
     most two per-trial arrays (the per-trial values and the OR items)."""
     if not isinstance(count, (int, np.integer)) or count < least:
@@ -302,7 +305,7 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
     for s in blocks(trials):
         x = pair.sample_or_item_bids(rng, s.stop - s.start, s.start)
         zeros += np.count_nonzero(welfare[s] == 0.0)
-        welfare[s] = np.where(welfare[s] > x, 1.0, pair.v)  # exact float tie y == x is AND-first
+        welfare[s] = np.where(welfare[s] > x, 1.0, pair.v)  # an exact tie y == x goes to OR
     est, ci = mean_ci99(welfare)
     atom_prob = 0.0 if pair.v <= pair.top + CDF_TOL else 1.0 - 1.0 / (pair.m * pair.v)
     return WelfareEstimate(est, ci, trials, seed, zeros / trials, atom_prob)
@@ -410,15 +413,11 @@ def singleminded_utility(sm: SingleMindedSymmetric, bids):
     return u if np.ndim(u) else float(u)
 
 
-def and_support_sum_check(support, value_full: float, tol: float = 1e-9):
+def and_support_sum_check(support, value_full: float):
     """Verify that no AND bid vector of `support` (one per row, or a single
     vector) sums above the full-set value. Returns None when the check
-    passes, else a witness bid vector."""
-    vecs = np.asarray(support, dtype=np.float64)
-    if vecs.ndim == 1:
-        vecs = vecs[None, :]
+    passes, else a witness bid vector. Sums may pass the value by MONEY_TOL."""
+    vecs = np.atleast_2d(np.asarray(support, dtype=np.float64))
     sums = vecs.sum(axis=1)
     bad = int(np.argmax(sums))
-    if sums[bad] > value_full + tol:
-        return vecs[bad]
-    return None
+    return vecs[bad] if sums[bad] > value_full + MONEY_TOL else None

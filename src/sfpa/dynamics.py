@@ -24,18 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auction import (CapExceeded, PriorityRule, bid_utilities, blocks, bundle_masks,
+from .auction import (CapExceeded, PriorityRule, bid_utilities, blocks, bundle_masks, check_bids,
                       optimal_welfare, price_to_beat, priority_ranks, weighted_sum, wins)
-from .closedform import AtomicCDF
+from .closedform import AtomicCDF, check_count
 from .rng import rng_for
 from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid
 
 
 class ExplicitActions:
     def __init__(self, vectors):
-        self.vectors = np.asarray(vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValueError("actions must be a (K, m) matrix")
+        self.vectors = check_bids(vectors, "actions")
 
     @property
     def count(self) -> int:
@@ -66,6 +64,7 @@ class SeparableGrid:
         for j, a in enumerate(arrs):
             self.levels[j, :a.size] = a
             self.valid[j, :a.size] = True
+        check_bids(self.levels, "levels")
 
     @property
     def count(self) -> int:
@@ -145,17 +144,15 @@ def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarr
 
 
 def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
-    """Run multiplicative weights for `rounds` rounds; T = 0 is rejected.
+    """Run multiplicative weights for `rounds` rounds. Fewer than one round, or
+    records past closedform.MC_BYTE_LIMIT bytes, are refused before any is made.
     All players' factors share one padded (factor, level) block; gains are
     scored on the real levels only, entry e being one level of a factor of
     player[e], with bid row rows[e]. Scoring is slot-major: slot s of entry
     e bids amount[s, e] on item[s, e], its support items ascending, then
     dead slots (`live` False) bidding 0: the loop scores each entry's
     support items against the full value table."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
     n, m = len(game.vals), game.vals[0].m
-    rng = rng_for(seed, "no-regret")
     ranks = priority_ranks(game.rule, n, m)
     vmax = max(v.value_max() for v in game.vals)
     if vmax <= 0:
@@ -169,6 +166,8 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     factors = [sp.factors(m) for sp in game.spaces]
     nf = np.array([len(fs) for fs in factors])
     F = int(nf.max())
+    # per round: the bids, each factor's chosen gain, chosen value and best sum, the steps
+    check_count(rounds, "rounds", 1, 8 * (n * m + 3 * n * F + n))
     # players with fewer factors get one-level, zero-bid, zero-gain fillers
     filler = (np.zeros((1, m)), np.zeros(m, dtype=bool))
     flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + [filler] * (F - len(fs))]
@@ -193,15 +192,12 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
 
     cum = np.where(valid, 0.0, -np.inf)
     cum_flat, draws = cum.reshape(-1), int(nf.sum())
-    try:  # per round: the bids, each factor's chosen gain, chosen value and best sum, the steps
-        bids_out = np.empty((rounds, n, m))
-        gains, values, tops = np.empty((3, rounds, n, F))
-        step = eta_base / np.sqrt(np.arange(1.0, rounds + 1))[:, None, None, None]
-    except MemoryError:
-        raise ValueError(f"rounds: {rounds} rounds need "
-                         f"{8 * rounds * (n * m + 3 * n * F + n)} bytes of records") from None
+    bids_out = np.empty((rounds, n, m))
+    gains, values, tops = np.empty((3, rounds, n, F))
+    step = eta_base / np.sqrt(np.arange(1.0, rounds + 1))[:, None, None, None]
     top = cum.max(axis=2, keepdims=True)
 
+    rng = rng_for(seed, "no-regret")
     for block in blocks(rounds, draws):  # a bulk draw gives the doubles of successive ones
         u = np.zeros((block.stop - block.start, n, F))  # filler factors draw nothing: 0
         u[:, real] = rng.random((len(u), draws))  # per round, in player order
@@ -226,7 +222,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
                          tops.sum(axis=2) - np.cumsum(util, axis=0), cum_out, ln_k, payoff_range)
 
 
-def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
+def verify_cce(trace: LearningTrace) -> float:
     """Recompute counterfactual sums from the stored bids and confirm the
     empirical play distribution is a (max_i regret_i / T)-approximate CCE.
 
@@ -257,7 +253,7 @@ def verify_cce(trace: LearningTrace, tol: float = 1e-7) -> float:
         finite = np.isfinite(stored)
         gap = float(np.abs(sp.unpack(sums)[finite] - stored[finite]).max())
         worst = max(worst, gap)
-        if gap > tol * max(1.0, trace.rounds):
+        if gap > 1e-7 * max(1.0, trace.rounds):  # 1e-7 of drift a round
             raise RuntimeError(f"counterfactual recomputation drifted by {gap}")
     return worst
 

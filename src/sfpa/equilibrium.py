@@ -26,12 +26,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, blocks,
+from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, blocks, check_bids,
                       expected_utilities, optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import LpError, feasible_point
 from .rng import rng_for
 from .sets import full_set, members
-from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs
+from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs, check_probs
 
 GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
 MESH_CAP = 500_000  # price vectors the common-price scan may hold
@@ -162,35 +162,47 @@ class BidGrid:
         if self.family not in ("full", "uniform_on_bundle", "single_item"):
             raise ValueError(f"unknown grid family {self.family!r}")
 
-    def points(self) -> np.ndarray:
+    def levels(self) -> int:
+        """L, the number of grid levels, refused past GRID_CAP before allocating."""
         span = self.upper / self.step + 1e-9
-        if span >= GRID_CAP:  # also an infinite span; refused before allocating
+        if span >= GRID_CAP:  # also an infinite span
             raise CapExceeded(f"grid_step: {self.step!r} up to {self.upper!r} is over {GRID_CAP} "
                               f"levels; grid_step >= {self.upper / (GRID_CAP - 1)!r} fits")
-        return self.step * np.arange(math.floor(span) + 1)
+        return math.floor(span) + 1
+
+    def points(self) -> np.ndarray:
+        return self.step * np.arange(self.levels())
+
+    def count(self, m: int) -> int:
+        """K, the number of one player's bid vectors over m items: L^m, L or
+        m L by family; a full grid past GRID_CAP is refused."""
+        levels = self.levels()
+        if self.family == "uniform_on_bundle":
+            return levels
+        if self.family == "single_item":
+            return m * levels
+        if levels ** m > GRID_CAP:  # name the most levels that fit; one needs a step past the top
+            fit = int(GRID_CAP ** (1 / m) + 1e-9)
+            raise CapExceeded(f"grid_step: full product grid {levels}^{m} exceeds {GRID_CAP} bid "
+                              f"vectors; {fit} levels per item fit: grid_step >= "
+                              f"{self.upper / max(fit - 1, 0.5)!r} (sfpa pure-nash --grid-step), "
+                              "or lower --max or change --family")
+        return levels ** m
 
     def actions_for(self, m: int, bundle: int | None = None) -> np.ndarray:
         """(K, m) matrix of allowed bid vectors for one player."""
+        self.count(m)  # refuses a full grid past GRID_CAP before building it
         pts = self.points()
         if self.family == "uniform_on_bundle":
-            if bundle is None:
-                bundle = full_set(m)
             out = np.zeros((pts.size, m))
-            out[:, members(bundle)] = pts[:, None]
+            out[:, members(full_set(m) if bundle is None else bundle)] = pts[:, None]
             return out
         if self.family == "single_item":
             out = np.zeros((m * pts.size, m))
             for j in range(m):
                 out[j * pts.size:(j + 1) * pts.size, j] = pts
             return out
-        if pts.size ** m > GRID_CAP:  # name the most levels that fit; one needs a step past the top
-            fit = int(GRID_CAP ** (1 / m) + 1e-9)
-            raise CapExceeded(f"grid_step: full product grid {pts.size}^{m} exceeds {GRID_CAP} bid "
-                              f"vectors; {fit} levels per item fit: grid_step >= "
-                              f"{self.upper / max(fit - 1, 0.5)!r} (sfpa pure-nash --grid-step), "
-                              "or lower --max or change --family")
-        grids = np.meshgrid(*([pts] * m), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return np.stack(np.meshgrid(*[pts] * m, indexing="ij"), axis=-1).reshape(-1, m)
 
 
 @dataclass(frozen=True)
@@ -208,12 +220,12 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     if not eps >= 0:
         raise ValueError(f"epsilon must be >= 0, got {eps!r}")
     n, m = len(vals), vals[0].m
-    actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
-    sizes = [a.shape[0] for a in actions]
-    total = math.prod(sizes)
+    total = grid.count(m) ** n  # counted before any action matrix is built
     if total > cap:
         raise CapExceeded(f"{total} grid profiles exceed cap {cap}; raise cap= to {total} "
                           f"or coarsen the grid (sfpa pure-nash --grid-step)")
+    actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
+    sizes = [a.shape[0] for a in actions]
     tables = [v.as_table() for v in vals]
     pure = {i: (np.ones(len(a)), a) for i, a in enumerate(actions)}
     best = []  # player i's best deviation against each profile of its rivals
@@ -299,11 +311,8 @@ class FiniteSupportStrategy:
     atoms: tuple  # of (probability, bid tuple)
 
     def __post_init__(self):
-        if not all(p >= 0 for p, _ in self.atoms):
-            raise ValueError("probabilities must be nonnegative numbers")
-        total = sum(p for p, _ in self.atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total}")
+        check_probs([p for p, _ in self.atoms], "atoms")
+        check_bids([b for _, b in self.atoms], "atoms")
 
     def support_vectors(self) -> np.ndarray:
         return np.array([b for _, b in self.atoms], dtype=np.float64)

@@ -16,8 +16,7 @@ import numpy as np
 from . import __version__, closedform as cf
 from .auction import (CapExceeded, PriorityRule, blocks, expected_utilities, optimal_welfare,
                       rival_play, rule_from_json)
-from .bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
-                    check_strategies)
+from .bayes import FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds
 from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_ratio,
                        ks_distance, run_no_regret, verify_cce)
 from .equilibrium import (GRID_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
@@ -90,16 +89,16 @@ def build_game(name: str, m: int = 2, v: float = 1.0, k: int = 2, d: int = 2,
 # ---------------------------------------------------------------------------
 # Closed-form verification
 
-def verify_andor(m: int, v: float, grid_step: float = 1e-3, upper: float = 1.0,
-                 trials: int = 0, seed: int = 0, mc_points: int = 2) -> dict:
-    """Best-response gaps for both AND-OR players; optional Monte Carlo
-    cross-check of the analytic utilities at sampled deviation bids."""
+def verify_andor(m: int, v: float, grid_step: float = 1e-3, trials: int = 0, seed: int = 0,
+                 mc_points: int = 2) -> dict:
+    """Best-response gaps for both AND-OR players over bids in [0, 1]; optional
+    Monte Carlo cross-check of the analytic utilities at sampled deviation bids."""
     if trials:
         cf.check_count(trials)
     pair = cf.AndOrStrategyPair(m, v)
     vals = andor_game(m, v)
     strategies = [AndOrRole(pair, "and"), AndOrRole(pair, "or")]
-    grid = BidGrid(grid_step, upper)
+    grid = BidGrid(grid_step, 1.0)
     g_and = best_response_gap(vals, strategies, 0, grid)
     g_or = best_response_gap(vals, strategies, 1, grid)
     out = {"m": m, "v": v, "grid_step": grid_step,
@@ -142,10 +141,11 @@ def verify_triangle(points: int = 500) -> dict:
             "max_abs_on_diagonal": float(np.abs(np.diagonal(net)).max())}
 
 
-def verify_single_minded(k: int, d: int, points: int = 97) -> dict:
+def verify_single_minded(k: int, d: int) -> dict:
     """Sign and diagonal-equality structure of the symmetric single-minded
-    deviation utility on a points^k grid."""
+    deviation utility on a 97^k grid."""
     sm = cf.SingleMindedSymmetric(k, d)
+    points = 97
     if points ** min(k, 64) > GRID_CAP:  # 2^64 already exceeds it; a huge k skips the power
         raise CapExceeded(f"k: the {points}^{k}-point bid grid exceeds {GRID_CAP} bid vectors; "
                           "lower --k")
@@ -183,8 +183,8 @@ def poa_report(m: int, v: float, trials: int, seed: int) -> dict:
             "series": [_cdf_series("and_cdf", pair.F), _cdf_series("or_cdf", pair.G)]}
 
 
-def _cdf_series(name: str, cdf: cf.AtomicCDF, points: int = 200) -> dict:
-    xs = np.linspace(cdf.lo, cdf.hi, points)
+def _cdf_series(name: str, cdf: cf.AtomicCDF) -> dict:
+    xs = np.linspace(cdf.lo, cdf.hi, 200)
     return {"name": name, "points": [[float(x), float(cdf.cdf(x))] for x in xs]}
 
 
@@ -314,16 +314,11 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
                              grid_step: float = 0.05) -> dict:
     """Multiplicative weights on a random additive-valuation game; regret
     envelope and the beta = 1 welfare bound with explicit slack."""
-    if not 0 < grid_step < math.inf:
-        raise ValueError(f"grid step must be finite and > 0, got {grid_step!r}")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
-    top = float(weights.max(initial=0.0)) + 1e-12
-    if top / grid_step >= GRID_CAP:  # refused before allocating
-        raise CapExceeded(f"grid_step: {grid_step!r} needs more than {GRID_CAP} bid levels "
-                          f"per item; grid_step >= {top / (GRID_CAP - 1)!r} fits")
     vals = [AdditiveValuation(tuple(map(float, w))) for w in weights]
-    spaces = [SeparableGrid([np.arange(0.0, wij + 1e-12, grid_step) for wij in w])
+    BidGrid(grid_step, float(weights.max(initial=0.0))).levels()  # a refusal names a step for all
+    spaces = [SeparableGrid([BidGrid(grid_step, float(wij)).points() for wij in w])
               for w in weights]
     game = FiniteGame(vals, spaces, grid_step=grid_step)
     trace = run_no_regret(game, rounds, seed)
@@ -341,11 +336,11 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
                        for i in range(n)]}
 
 
-def _thin(count: int, keep: int = 200):
-    """Indices of at most `keep` evenly spaced points out of `count`."""
-    if count <= keep:
+def _thin(count: int):
+    """Indices of at most 200 evenly spaced points out of `count`."""
+    if count <= 200:
         return range(count)
-    return np.linspace(0, count - 1, keep).astype(int)
+    return np.linspace(0, count - 1, 200).astype(int)
 
 
 def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,

@@ -27,6 +27,17 @@ from .lp import LpError, feasible_point
 from .sets import MAX_ITEMS, from_items, full_set, is_subset, members, subsets
 
 MONEY_TOL = 1e-9
+PROB_TOL = 1e-12  # how far a probability vector's sum may stray from 1
+
+
+def check_probs(probs, field: str) -> np.ndarray:
+    """`probs` as float64 probability vectors along the last axis: finite,
+    every entry >= 0, each vector summing to 1 within PROB_TOL. A ValueError
+    names `field`."""
+    p = np.asarray(probs, dtype=np.float64)
+    if not np.isfinite(p).all() or (p < 0).any() or (abs(p.sum(axis=-1) - 1) > PROB_TOL).any():
+        raise ValueError(f"{field}: probabilities must be finite, nonnegative and sum to 1")
+    return p
 
 
 def bit_matrix(m: int) -> np.ndarray:
@@ -83,9 +94,6 @@ class Valuation:
     def _table(self) -> np.ndarray:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 def _check_m(m: int) -> None:
     if m < 1:
@@ -116,9 +124,6 @@ class TableValuation(Valuation):
     def _table(self) -> np.ndarray:
         return np.array(self.table)
 
-    def to_json(self) -> dict:
-        return {"kind": "table", "m": self.m, "values": list(self.table)}
-
 
 @dataclass(frozen=True)
 class AdditiveValuation(Valuation):
@@ -135,9 +140,6 @@ class AdditiveValuation(Valuation):
 
     def _table(self) -> np.ndarray:
         return bundle_costs(np.array(self.weights))
-
-    def to_json(self) -> dict:
-        return {"kind": "additive", "m": self.m, "weights": list(self.weights)}
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,6 @@ class SingleMindedValuation(Valuation):
         s = np.arange(1 << self.m)
         return np.where((s & self.bundle) == self.bundle, self.amount, 0.0)
 
-    def to_json(self) -> dict:
-        return {"kind": "single_minded", "m": self.m, "items": members(self.bundle),
-                "value": self.amount}
-
 
 @dataclass(frozen=True)
 class AndValuation(Valuation):
@@ -180,9 +178,6 @@ class AndValuation(Valuation):
         table = np.zeros(1 << self.m)
         table[-1] = self.amount
         return table
-
-    def to_json(self) -> dict:
-        return {"kind": "and", "m": self.m, "value": self.amount}
 
 
 @dataclass(frozen=True)
@@ -204,12 +199,6 @@ class OrValuation(Valuation):
 
     def _table(self) -> np.ndarray:
         return np.where(np.arange(1 << self.m) & self.items, self.amount, 0.0)
-
-    def to_json(self) -> dict:
-        out = {"kind": "or", "m": self.m, "value": self.amount}
-        if self.items != full_set(self.m):
-            out["items"] = members(self.items)
-        return out
 
 
 @dataclass(frozen=True)
@@ -234,9 +223,6 @@ class XosValuation(Valuation):
 
     def _table(self) -> np.ndarray:
         return bundle_costs(np.array(self.clauses).T).max(axis=1)
-
-    def to_json(self) -> dict:
-        return {"kind": "xos", "m": self.m, "clauses": [list(c) for c in self.clauses]}
 
 
 SCHEMA = {  # each input object's (required, optional) keys; by kind, besides "kind", if kinded
@@ -351,23 +337,23 @@ class Violation:
     value_large: float
 
 
-def check_valid(v: Valuation, tol: float = MONEY_TOL) -> Violation | None:
+def check_valid(v: Valuation) -> Violation | None:
     """Verify v(empty)=0, nonnegativity, and monotonicity on adjacent pairs.
 
     Scans all (S, S+{j}) pairs on the dense table; returns the first
     violating pair, or None if the valuation is valid.
     """
     t = v.as_table()
-    if abs(t[0]) > tol:
+    if abs(t[0]) > MONEY_TOL:
         return Violation("empty_nonzero", 0, 0, float(t[0]), float(t[0]))
-    neg = np.flatnonzero(t < -tol)
+    neg = np.flatnonzero(t < -MONEY_TOL)
     if neg.size:
         s = int(neg[0])
         return Violation("negative", s, s, float(t[s]), float(t[s]))
     s = np.arange(1 << v.m)
     for j in range(v.m):
         without = np.flatnonzero((s & (1 << j)) == 0)
-        bad = np.flatnonzero(t[without | (1 << j)] < t[without] - tol)
+        bad = np.flatnonzero(t[without | (1 << j)] < t[without] - MONEY_TOL)
         if bad.size:
             lo = int(without[bad[0]])
             hi = lo | (1 << j)
@@ -375,7 +361,7 @@ def check_valid(v: Valuation, tol: float = MONEY_TOL) -> Violation | None:
     return None
 
 
-def xos_supporting_clause(v: Valuation, target: int, tol: float = MONEY_TOL) -> np.ndarray:
+def xos_supporting_clause(v: Valuation, target: int) -> np.ndarray:
     """Additive vector a, zero off `target`, with a(S) <= v(S) for every S
     and a(target) maximal.
 
@@ -406,7 +392,7 @@ def xos_supporting_clause(v: Valuation, target: int, tol: float = MONEY_TOL) -> 
         raise LpError(f"supporting-clause LP infeasible at target {target:b}")
     a[idx] = np.maximum(x, 0.0)  # clip solver dust below 0
     # feasibility can be off by solver tolerance only; verify on target's subsets
-    bad = sub[bundle_costs(a)[sub] > t[sub] + tol]
+    bad = sub[bundle_costs(a)[sub] > t[sub] + MONEY_TOL]
     if bad.size:
         raise RuntimeError(f"LP clause infeasible at set {int(bad[0]):b}")
     return a
@@ -425,7 +411,7 @@ class BetaCertificate:
     clauses: dict = field(repr=False)  # target bitmask -> weight array
 
 
-def beta_of(v: Valuation, tol: float = MONEY_TOL) -> BetaCertificate:
+def beta_of(v: Valuation) -> BetaCertificate:
     """XOS approximation factor via one supporting-clause LP per subset (m <= 12)."""
     if v.m > 12:
         raise ValueError("beta_of enumerates one LP per subset; capped at m <= 12")
@@ -436,8 +422,8 @@ def beta_of(v: Valuation, tol: float = MONEY_TOL) -> BetaCertificate:
         a = xos_supporting_clause(v, target)
         clauses[target] = a
         vt = t[target]
-        if vt <= tol:
+        if vt <= MONEY_TOL:
             continue
         got = bundle_costs(a[members(target)])[-1]  # the sum of a over target
-        beta = max(beta, math.inf if got <= tol else vt / got)
+        beta = max(beta, math.inf if got <= MONEY_TOL else vt / got)
     return BetaCertificate(beta, clauses)

@@ -11,7 +11,7 @@ from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation, bit_matrix,
                              bundle_costs, paid)
 
-from oracles import allocate_reference, outcome_utilities
+from oracles import allocate_reference, examples, outcome_utilities
 
 
 def test_allocate_strict_max():
@@ -73,7 +73,7 @@ def test_outcome_randomized_expectation():
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_outcome_invariants(n, m, seed):
     rng = np.random.default_rng(seed)
     vals = [AdditiveValuation(tuple(rng.uniform(0, 2, m))) for _ in range(n)]
@@ -101,7 +101,7 @@ def _monotone_table(rng, m, lattice=False):
 
 @given(st.integers(1, 4), st.integers(1, 9), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_first_price_kernel_matches_reference(n, m, priority, additive, seed):
     """The batched kernel and `allocate`/`outcome` against the scalar
     reference in tests/oracles.py: winners of every profile, and every
@@ -151,7 +151,7 @@ def test_walrasian_outcome_welfare_is_the_optimum():
 
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2), st.booleans(),
        st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_price_to_beat_matches_player_loop(n, m, lead, priority, seed):
     """The rival gather against a per-player scalar loop over 0-2 leading
     axes: beat is the highest other bid, and ahead the highest bid of a
@@ -240,7 +240,7 @@ def test_optimal_welfare_grid_game():
 
 
 @given(st.integers(1, 4), st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_optimal_welfare_matches_dp(n, m, lattice, seed):
     """The subset DP against the enumeration, exactly: the value, the
     lexicographically first maximizer, and the ordered list of maximizers
@@ -293,24 +293,28 @@ def test_cap_enforced():
         optimal_welfare(vals, cap=1000)
 
 
-def test_outcome_json_with_branch_detail():
+def test_outcome_with_branch_detail():
     vals = [AdditiveValuation((1.0,)), AdditiveValuation((2.0,))]
     rule = RandomizedRule(((0.5, PriorityRule(((0, 1),))),
                            (0.5, PriorityRule(((1, 0),)))))
-    doc = outcome(vals, [[1.0], [1.0]], rule).to_json(2)
-    assert doc["welfare"] == pytest.approx(1.5)
-    assert len(doc["branches"]) == 2
-    assert doc["branches"][0]["outcome"]["allocation"] == [[0], []]
-    det = outcome(vals, [[1.0], [1.5]]).to_json(2)
-    assert det["allocation"] == [[], [0]]
-    assert "branches" not in det
+    out = outcome(vals, [[1.0], [1.0]], rule)
+    assert out.welfare == pytest.approx(1.5) and out.allocation is None
+    assert len(out.branches) == 2
+    assert out.branches[0][1].allocation.winners == (0,)
+    det = outcome(vals, [[1.0], [1.5]])
+    assert det.allocation.winners == (1,)
+    assert det.branches == ()
 
 
 def test_rule_json_roundtrip():
-    rules = [PriorityRule(), PriorityRule(((1, 0), (0, 1))),
-             RandomizedRule(((0.5, PriorityRule()), (0.5, PriorityRule(((1, 0),)))))]
-    for r in rules:
-        assert rule_from_json(r.to_json()) == r
+    """Each kind of tie rule is read from its literal JSON object."""
+    index, order = {"kind": "index"}, {"kind": "priority", "order": [[1, 0], [0, 1]]}
+    docs = [(index, PriorityRule()), (order, PriorityRule(((1, 0), (0, 1)))),
+            ({"kind": "randomized", "mixture": [{"prob": 0.5, "rule": index},
+                                                {"prob": 0.5, "rule": order}]},
+             RandomizedRule(((0.5, PriorityRule()), (0.5, PriorityRule(((1, 0), (0, 1)))))))]
+    for doc, rule in docs:
+        assert rule_from_json(doc) == rule
 
 
 def test_bid_validation():

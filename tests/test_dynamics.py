@@ -25,8 +25,38 @@ def single_item_game(values=(1.0, 2.0), step=0.1):
 
 
 def test_zero_rounds_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rounds: must be an integer >= 1"):
         run_no_regret(single_item_game(), 0, seed=1)
+
+
+def test_rounds_over_the_byte_limit_refused_before_allocating(monkeypatch):
+    """Records past MC_BYTE_LIMIT are refused by their size, on every machine,
+    before np.empty is asked for them: 8 (n m + 3 n F + n) bytes a round,
+    here 8 (2 + 6 + 2) = 80 for two one-item players, so 26,843,545 rounds
+    fit and one more does not."""
+    game = single_item_game()
+
+    def empty(*args, **kwargs):
+        raise AssertionError("allocated before the size was checked")
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(ValueError, match="^rounds: 26843546 would take about 2147483680 "
+                                         "bytes.*use at most 26843545$"):
+        run_no_regret(game, 2 ** 31 // 80 + 1, seed=1)
+    with pytest.raises(AssertionError, match="allocated"):
+        run_no_regret(game, 2 ** 31 // 80, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.3])
+def test_explicit_actions_refuse_bad_bids(bad):
+    with pytest.raises(ValueError, match="^actions: must be finite and nonnegative"):
+        ExplicitActions([[0.0], [bad]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -0.5])
+def test_separable_levels_refuse_bad_bids(bad):
+    with pytest.raises(ValueError, match="^levels: must be finite and nonnegative"):
+        SeparableGrid([[0.0, 0.1], [0.0, bad]])
 
 
 def test_determinism():

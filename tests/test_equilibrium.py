@@ -26,6 +26,8 @@ from sfpa.rng import rng_for
 from sfpa.sets import members
 from sfpa.valuations import AdditiveValuation, TableValuation, XosValuation, bit_matrix
 
+from oracles import examples
+
 
 def single_item(values=(1.0, 2.0)):
     return [AdditiveValuation((float(x),)) for x in values]
@@ -121,7 +123,7 @@ def exactly_walrasian(vals, we) -> bool:
     return True
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
 @example(seed=97875, n=3, m=3)  # prices (2/3, 2/3, 1/6): two bundles tie, but not in floats
 def test_walrasian_search_matches_all_maximizer_oracle(seed, n, m):
@@ -221,6 +223,27 @@ def test_pure_nash_cap():
     vals = single_item((1.0, 2.0))
     with pytest.raises(CapExceeded):
         pure_nash_search(vals, BidGrid(0.0001, 2.0), cap=1000)
+
+
+def test_pure_nash_profiles_counted_before_allocating(monkeypatch):
+    """The profile count, (m L)^n for single-item bids, is refused before
+    any player's action matrix is built: here 2 x 302 MiB of them."""
+    vals = andor_game(20, 1.0)
+    grid = BidGrid(1.0101e-5, 1.0, "single_item")
+
+    def zeros(*args, **kwargs):
+        raise AssertionError("allocated before the profile count was checked")
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(CapExceeded, match=f"^{(20 * 99001) ** 2} grid profiles exceed cap"):
+        pure_nash_search(vals, grid)
+    assert grid.count(20) == 20 * 99001
+
+
+def test_finite_support_refuses_bad_bids():
+    for bad in (np.nan, np.inf, -0.3):
+        with pytest.raises(ValueError, match="^atoms: must be finite and nonnegative"):
+            FiniteSupportStrategy(((0.5, (0.0,)), (0.5, (bad,))))
 
 
 def _step_that_fits(exc) -> float:
@@ -440,7 +463,7 @@ def test_common_price_scan_matches_gap():
         assert walrasian_near(vals, eq.allocation, eq.prices, grid.step + 1e-9)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
 def test_common_price_scan_hits_are_walrasian(seed, n, m):
     rng = rng_for(seed, "scan-oracle")
@@ -451,7 +474,7 @@ def test_common_price_scan_hits_are_walrasian(seed, n, m):
         assert walrasian_near(vals, eq.allocation, eq.prices, 1e-9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
        points=st.integers(1, 5))
 def test_demand_matches_bundle_loop(seed, n, m, points):
@@ -504,6 +527,10 @@ def test_bidgrid_families():
     assert np.all(uni[:, 1] == 0)
     single = BidGrid(0.25, 1.0, "single_item").actions_for(2)
     assert single.shape == (10, 2)
+    for family in ("full", "uniform_on_bundle", "single_item"):
+        for m in (1, 2, 3):
+            grid = BidGrid(0.25, 1.0, family)
+            assert grid.count(m) == len(grid.actions_for(m))
 
 
 def test_correspondence_random_instances():

@@ -13,7 +13,8 @@ the LP-backed ones were first taken with scipy 1.17's HiGHS, and the
 in-library simplex of `sfpa.lp` gives the same bytes). Additive and XOS
 value tables are sums formed by `bundle_costs` in ascending item order, not
 by a BLAS dot product, so they no longer depend on the BLAS kernel's
-summation order.
+summation order. They also hold with numpy's AVX-512 kernels disabled, as
+a fresh process checks on a CPU that has them.
 """
 
 import hashlib
@@ -196,18 +197,50 @@ print(json.dumps(digests))
 """
 
 
+def _fresh(script: str, env: dict, *args: str) -> subprocess.Popen:
+    """`script` started in a fresh interpreter, in tests/, with sfpa and the
+    tests importable and `env` added to the environment."""
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(pathlib.Path(xp.__file__).resolve().parents[1]), str(tests)])
+    return subprocess.Popen([sys.executable, "-c", script, *args], cwd=tests,
+                            env={**os.environ, "PYTHONPATH": path, **env},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _digests(procs: list) -> list:
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    return [json.loads(out) for out, _ in outs]
+
+
 def test_scipy_never_loads_and_digests_hold_across_hash_seeds():
     """Two fresh processes, under PYTHONHASHSEED 0 and 1 and run side by
     side, give every pinned digest without loading scipy.optimize: the LPs
     are solved in-library."""
-    tests = pathlib.Path(__file__).resolve().parent
-    path = os.pathsep.join([str(pathlib.Path(xp.__file__).resolve().parents[1]), str(tests)])
-    procs = [subprocess.Popen([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tests,
-                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for seed in ("0", "1")]
-    outs = [proc.communicate(timeout=120) for proc in procs]
-    for proc, (_, err) in zip(procs, outs):
-        assert proc.returncode == 0, err
-    digests = [json.loads(out) for out, _ in outs]
+    digests = _digests([_fresh(NO_SCIPY_SCRIPT, {"PYTHONHASHSEED": seed}) for seed in ("0", "1")])
     assert digests[0] == digests[1] == GOLDEN
+
+
+# Run with the named numpy dispatch targets switched off; fails if any stays on.
+NO_AVX512_SCRIPT = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+import test_golden
+assert not any(__cpu_features__[t] for t in sys.argv[1:]), "a disabled target stayed on"
+print(json.dumps({name: test_golden.digest(name) for name in sorted(test_golden.PAYLOADS)}))
+"""
+
+
+def test_digests_hold_without_avx512_kernels():
+    """numpy picks its SIMD kernels by CPU. A fresh process with every
+    AVX-512 target numpy dispatches on this CPU disabled
+    (NPY_DISABLE_CPU_FEATURES) gives every pinned digest."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [t for t in __cpu_dispatch__
+               if (t.startswith("AVX512") or t == "X86_V4") and __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU: none to disable")
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    assert _digests([_fresh(NO_AVX512_SCRIPT, env, *targets)]) == [GOLDEN]

@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from sfpa.cli import main
 from sfpa.valuations import SCHEMA
 
+from oracles import examples
+
 VALUATIONS = [  # one valid valuation of each kind on 2 items, optional keys given
     {"kind": "table", "m": 2, "values": [0.0, 0.5, 0.25, 1.0]},
     {"kind": "additive", "m": 2, "weights": [0.5, 0.25]},
@@ -102,7 +104,7 @@ def test_valid_files_run(tmp_path):
         assert run([*argv, str(path)]) == (0, "")
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=examples(60), derandomize=True, deadline=None)
 @given(st.data())
 def test_one_mutation_exits_2_naming_its_field(tmp_path_factory, data):
     doc, root, entry, argv = data.draw(st.sampled_from(FILES))

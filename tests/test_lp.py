@@ -10,6 +10,8 @@ from scipy.optimize import linprog
 
 from sfpa.lp import LpError, feasible_point
 
+from oracles import examples
+
 
 def highs(a, b, c):
     """"infeasible", "unbounded" or the optimal value of min c.x subject to
@@ -37,7 +39,7 @@ def lps(draw):
             sign * 0.25 * np.array(c, dtype=np.float64))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=examples(200), derandomize=True, deadline=None)
 @given(lp=lps())
 # primal and dual both infeasible: x1 - x2 <= -1 and x2 - x1 <= -1
 @example(lp=(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-1.0, -1.0]), np.array([-1.0, -1.0])))

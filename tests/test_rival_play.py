@@ -25,7 +25,7 @@ from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, best_response_gap,
                               demand, limit_equilibrium_check, pure_nash_search)
 from sfpa.valuations import TableValuation
 
-from oracles import allocate_reference
+from oracles import allocate_reference, examples
 
 
 def _ranked_rules(rule, n, m):
@@ -206,7 +206,7 @@ def block_size(entries):
         auction.BLOCK = saved
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(game=small_games, randomized=st.booleans(), eps=st.sampled_from([0.0, 0.05, 0.2]),
        grid=st.sampled_from([(0.5, 1.0), (0.3, 0.6), (0.25, 0.5), (0.1, 0.2)]),
        block=block_entries)
@@ -221,7 +221,7 @@ def test_pure_nash_search_matches_profile_loop(game, randomized, eps, grid, bloc
     assert got == [(b, bits(g)) for b, g in pure_nash_loop(vals, grid, rule, eps)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(game=small_games, randomized=st.booleans(),
        eps_list=st.sampled_from([(0.1,), (0.25, 0.05), (0.3,)]), block=block_entries)
 def test_limit_check_matches_ball_loop(game, randomized, eps_list, block):
@@ -237,7 +237,7 @@ def test_limit_check_matches_ball_loop(game, randomized, eps_list, block):
     assert got == limit_loop(vals, cand, rule, eps_list, cap)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(game=small_games, randomized=st.booleans(),
        grid=st.sampled_from([(0.5, 1.5), (0.3, 0.9), (0.1, 0.6)]), block=block_entries)
 def test_exact_gap_matches_atom_loop(game, randomized, grid, block):
@@ -257,7 +257,7 @@ def test_exact_gap_matches_atom_loop(game, randomized, grid, block):
             (bits(gap), bits(base), dev)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(game=small_games, types=st.lists(st.integers(1, 2), min_size=3, max_size=3),
        correlated=st.booleans(), block=block_entries)
 def test_bayesian_utilities_match_joint_play_loop(game, types, correlated, block):

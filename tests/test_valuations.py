@@ -10,7 +10,7 @@ from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              beta_of, bit_matrix, check_valid, numbers,
                              valuation_from_json, xos_supporting_clause)
 
-from oracles import value_formula, verify_beta_certificate
+from oracles import examples, value_formula, verify_beta_certificate
 
 
 def brute_force_monotone(v):
@@ -50,7 +50,7 @@ def test_check_valid_rejects_bad_empty_and_negative():
 
 
 @given(st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_monotone_closure_tables_are_valid(m, seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0, 2, size=1 << m)
@@ -96,7 +96,7 @@ def valuations(draw):
 
 
 @given(valuations())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_table_is_the_scalar_formula(v):
     """The dense table, every class's one evaluator, equals the per-class
     formula of tests/oracles.py bit for bit on every bundle."""
@@ -195,17 +195,21 @@ def test_beta_certificate_inequalities():
 
 
 def test_json_roundtrip():
-    vals = [
-        AdditiveValuation((0.5, 1.5)),
-        SingleMindedValuation(3, 0b101, 2.0),
-        AndValuation(2, 1.0),
-        OrValuation(3, 0.8, 0b011),
-        XosValuation(((1.0, 0.0), (0.4, 0.5))),
-        TableValuation(2, (0.0, 1.0, 1.0, 1.0)),
+    """Each kind of valuation is read from its literal JSON object."""
+    docs = [
+        ({"kind": "additive", "m": 2, "weights": [0.5, 1.5]}, AdditiveValuation((0.5, 1.5))),
+        ({"kind": "single_minded", "m": 3, "items": [0, 2], "value": 2.0},
+         SingleMindedValuation(3, 0b101, 2.0)),
+        ({"kind": "and", "m": 2, "value": 1.0}, AndValuation(2, 1.0)),
+        ({"kind": "or", "m": 3, "value": 0.8, "items": [0, 1]}, OrValuation(3, 0.8, 0b011)),
+        ({"kind": "or", "m": 2, "value": 0.8}, OrValuation(2, 0.8)),
+        ({"kind": "xos", "m": 2, "clauses": [[1.0, 0.0], [0.4, 0.5]]},
+         XosValuation(((1.0, 0.0), (0.4, 0.5)))),
+        ({"kind": "table", "m": 2, "values": [0.0, 1.0, 1.0, 1.0]},
+         TableValuation(2, (0.0, 1.0, 1.0, 1.0))),
     ]
-    for v in vals:
-        back = valuation_from_json(v.to_json())
-        assert back == v
+    for doc, v in docs:
+        assert valuation_from_json(doc) == v
 
 
 def test_numbers_reads_only_numbers():
