@@ -17,7 +17,10 @@ Three families:
   item; uniform bundle bids drawn from G(x) = (k x)^(1/((d-1)(k-1))) on
   [0, 1/k] (scaled by the common bundle value). The triangle is k=2, d=2.
 
-Utility evaluators are exact expectations against these distributions.
+Each distribution is an `AtomicCDF`: a continuous part plus one atom at
+the bottom of its support, of mass 1 - 1/(m v) for the AND bid, 1 for its
+point mass and 0 for the others. Utility evaluators are exact
+expectations against these distributions.
 Ties at bid 0 between the AND atom and the OR player's untouched items
 are broken in favor of the AND bidder (the OR side is atomless, so the
 equilibrium itself is tie-rule independent; the convention only fixes
@@ -68,42 +71,33 @@ def check_count(count, field: str = "trials", least: int = 2, per_unit: int = 40
 
 @dataclass(frozen=True)
 class AtomicCDF:
-    """Distribution on [lo, hi]: a continuous CDF part plus point atoms.
+    """Distribution on [lo, hi]: an atom of mass `atom` at lo plus a
+    continuous part.
 
     `cont_cdf` maps x in [lo, hi] to the continuous mass on [lo, x] and
-    `cont_quantile` inverts it on [0, 1 - total atom mass]. Both must
-    accept numpy arrays. Construction validates total mass, monotonicity,
-    and endpoints.
+    `cont_quantile` inverts it on [0, 1 - atom]. Both must accept numpy
+    arrays. Construction validates total mass, monotonicity, and endpoints.
     """
 
     lo: float
     hi: float
-    atoms: tuple  # of (point, mass), ascending points
+    atom: float  # the mass at lo
     cont_cdf: Callable
     cont_quantile: Callable
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("domain is empty")
-        atom_mass = sum(m for _, m in self.atoms)
-        if any(m < 0 for _, m in self.atoms):
-            raise ValueError("atom masses must be nonnegative")
-        if any(not self.lo <= p <= self.hi for p, _ in self.atoms):
-            raise ValueError("atoms must lie in the domain")
-        if list(self.atoms) != sorted(self.atoms):
-            raise ValueError("atoms must be sorted by point")
+        if self.atom < 0:
+            raise ValueError("atom mass must be nonnegative")
         cont = float(self.cont_cdf(np.float64(self.hi)))
-        if not abs(atom_mass + cont - 1.0) <= CDF_TOL:  # NaN fails it too
-            raise ValueError(f"total mass {atom_mass + cont} != 1")
+        if not abs(self.atom + cont - 1.0) <= CDF_TOL:  # NaN fails it too
+            raise ValueError(f"total mass {self.atom + cont} != 1")
         if abs(float(self.cont_cdf(np.float64(self.lo)))) > CDF_TOL:
             raise ValueError("continuous part must start at 0")
         grid = np.linspace(self.lo, self.hi, 257)
         if np.diff(self.cont_cdf(grid)).min(initial=0.0) < -CDF_TOL:
             raise ValueError("continuous part must be nondecreasing")
-
-    @property
-    def cont_mass(self) -> float:
-        return 1.0 - sum(m for _, m in self.atoms)
 
     def _cc(self, x):
         """Continuous mass on [lo, x], clamped outside the domain."""
@@ -112,39 +106,29 @@ class AtomicCDF:
 
     def cdf(self, x):
         """Pr[X <= x]."""
-        out = self._cc(x)
-        for p, mass in self.atoms:
-            out = out + mass * (np.asarray(x) >= p)
+        out = self._cc(x) + self.atom * (np.asarray(x) >= self.lo)
         return out if out.ndim else float(out)
 
     def prob_lt(self, x):
-        """Pr[X < x]; differs from cdf only at atom points."""
-        out = self._cc(x)
-        for p, mass in self.atoms:
-            out = out + mass * (np.asarray(x) > p)
+        """Pr[X < x]; differs from cdf only at lo."""
+        out = self._cc(x) + self.atom * (np.asarray(x) > self.lo)
         return out if out.ndim else float(out)
 
     def quantile(self, u):
-        """Generalized inverse min{x : cdf(x) >= u}, honoring atoms."""
+        """Generalized inverse min{x : cdf(x) >= u}, honoring the atom."""
         scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0))
-        if not self.atoms:  # cont_mass is 1, so u is already clipped to it
+        if not self.atom:  # u is already clipped to the continuous mass
             out = self.cont_quantile(u)
             return float(out[0]) if scalar else out
-        # per atom, in order: the continuous mass below it, then the atom; writing
-        # the later segments first leaves each u in the first segment it reaches
-        acc, segments = 0.0, []
-        for p, mass in self.atoms:
-            before = float(self._cc(p)) + acc
-            segments.append((before, acc, before + mass, p))
-            acc += mass
-        out = self.cont_quantile(np.clip(u - acc, 0.0, self.cont_mass))
-        for before, below, through, p in reversed(segments):
-            out = np.where(u <= through, p, out)
-            hit = u <= before
-            if hit.any():
-                out = np.where(hit, self.cont_quantile(np.clip(u - below, 0.0, self.cont_mass)),
-                               out)
+        # cont_cdf(lo) is 0 only within CDF_TOL: u at or below it keeps the
+        # continuous quantile, u through the atom gives lo
+        before, rest = float(self._cc(self.lo)), 1.0 - self.atom
+        out = np.where(u <= before + self.atom, self.lo,
+                       self.cont_quantile(np.clip(u - self.atom, 0.0, rest)))
+        hit = u <= before
+        if hit.any():
+            out = np.where(hit, self.cont_quantile(np.clip(u, 0.0, rest)), out)
         return float(out[0]) if scalar else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -152,12 +136,6 @@ class AtomicCDF:
         for s in blocks(size):
             out[s] = self.quantile(rng.random(s.stop - s.start))
         return out
-
-
-def _point_mass(at: float) -> AtomicCDF:
-    return AtomicCDF(at, at, ((at, 1.0),),
-                     lambda x: np.zeros(np.shape(x)),
-                     lambda u: np.full(np.shape(u), at))
 
 
 def _check_m_v(m: int, v: float) -> None:
@@ -171,10 +149,11 @@ def and_bid_cdf(m: int, v: float) -> AtomicCDF:
     """F(y) = (v - 1/m)/(v - y) on [0, 1/m], atom at 0 of mass 1 - 1/(m v)."""
     _check_m_v(m, v)
     top = 1.0 / m
-    if v <= top + CDF_TOL:
-        return _point_mass(top)
+    if v <= top + CDF_TOL:  # all mass at 1/m
+        return AtomicCDF(top, top, 1.0, lambda x: np.zeros(np.shape(x)),
+                         lambda u: np.full(np.shape(u), top))
     a0 = 1.0 - 1.0 / (m * v)
-    return AtomicCDF(0.0, top, ((0.0, a0),),
+    return AtomicCDF(0.0, top, a0,
                      lambda y: (v - top) / (v - y) - a0,
                      lambda c: v - (v - top) / (c + a0))
 
@@ -183,7 +162,7 @@ def or_bid_cdf(m: int) -> AtomicCDF:
     """G(x) = (m-1) x / (1 - x) on [0, 1/m]; atomless."""
     if m < 2:
         raise ValueError(f"m: need m >= 2, got {m}")
-    return AtomicCDF(0.0, 1.0 / m, (),
+    return AtomicCDF(0.0, 1.0 / m, 0.0,
                      lambda x: (m - 1) * x / (1.0 - x),
                      lambda u: u / (m - 1.0 + u))
 
@@ -307,7 +286,7 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
         zeros += np.count_nonzero(welfare[s] == 0.0)
         welfare[s] = np.where(welfare[s] > x, 1.0, pair.v)  # an exact tie y == x goes to OR
     est, ci = mean_ci99(welfare)
-    atom_prob = 0.0 if pair.v <= pair.top + CDF_TOL else 1.0 - 1.0 / (pair.m * pair.v)
+    atom_prob = pair.F.atom if pair.F.lo == 0.0 else 0.0  # a point mass at 1/m bids no zeros
     return WelfareEstimate(est, ci, trials, seed, zeros / trials, atom_prob)
 
 
@@ -386,7 +365,7 @@ class SingleMindedSymmetric:
     @cached_property
     def cdf(self) -> AtomicCDF:
         e = (self.d - 1) * (self.k - 1)
-        return AtomicCDF(0.0, self.top, (),
+        return AtomicCDF(0.0, self.top, 0.0,
                          lambda x: (self.k * x / self.value) ** (1.0 / e),
                          lambda u: self.value * u ** float(e) / self.k)
 

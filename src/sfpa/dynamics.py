@@ -102,8 +102,12 @@ class FiniteGame:
             raise ValueError("one action space per player")
         priority_ranks(self.rule, n, m)  # a deterministic rule, valid for n and m
         for i, sp in enumerate(self.spaces):
-            if isinstance(sp, SeparableGrid) and not isinstance(self.vals[i], AdditiveValuation):
+            separable = isinstance(sp, SeparableGrid)
+            if separable and not isinstance(self.vals[i], AdditiveValuation):
                 raise ValueError("separable grids factorize only for additive valuations")
+            items = sp.levels.shape[0] if separable else sp.vectors.shape[1]
+            if items != m:
+                raise ValueError(f"spaces[{i}]: bids on {items} items, the game has {m}")
         try:
             self.optimum = optimal_welfare(self.vals)
         except CapExceeded as exc:  # learning has no cap knob: name the size instead

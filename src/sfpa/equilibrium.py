@@ -140,6 +140,13 @@ def walrasian_search(vals: list[Valuation], cap: int = CAP,
     return we
 
 
+def _fit_hint(cap: int, m: int, upper: float) -> str:
+    """The most levels per item whose m-th power fits cap, and the grid step
+    up to `upper` that gives them; a single level needs a step past the top."""
+    fit = int(cap ** (1 / m) + 1e-9)
+    return f"{fit} levels per item fit: grid_step >= {upper / max(fit - 1, 0.5)!r}"
+
+
 @dataclass(frozen=True)
 class BidGrid:
     """Finite bid lattice {0, step, 2 step, ...} up to `upper`, with a family
@@ -181,12 +188,10 @@ class BidGrid:
             return levels
         if self.family == "single_item":
             return m * levels
-        if levels ** m > GRID_CAP:  # name the most levels that fit; one needs a step past the top
-            fit = int(GRID_CAP ** (1 / m) + 1e-9)
+        if levels ** m > GRID_CAP:
             raise CapExceeded(f"grid_step: full product grid {levels}^{m} exceeds {GRID_CAP} bid "
-                              f"vectors; {fit} levels per item fit: grid_step >= "
-                              f"{self.upper / max(fit - 1, 0.5)!r} (sfpa pure-nash --grid-step), "
-                              "or lower --max or change --family")
+                              f"vectors; {_fit_hint(GRID_CAP, m, self.upper)} (sfpa pure-nash "
+                              "--grid-step), or lower --max or change --family")
         return levels ** m
 
     def actions_for(self, m: int, bundle: int | None = None) -> np.ndarray:
@@ -266,10 +271,10 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
     attained under a favoring tie). "inconclusive" reports a ball too large
     to enumerate, as distinct from an exhaustive search that found nothing.
     """
-    cand = np.asarray(candidate, dtype=np.float64)
+    cand = check_bids(candidate, "candidate")
     n, m = cand.shape
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
+    if not all(0 < e < math.inf for e in eps_list):  # NaN fails it too
+        raise ValueError(f"eps_list: values must be finite and > 0, got {eps_list!r}")
     tables = [v.as_table() for v in vals]
     results = []
     for eps in eps_list:
@@ -367,7 +372,11 @@ class BestResponseGap:
     best_deviation: tuple = ()
 
 
-def _andor_gap_analytic(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestResponseGap:
+def andor_gap(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestResponseGap:
+    """Best-response gap of the AND or the OR side of the closed-form AND-OR
+    equilibrium over the grid's bid vectors, from its exact utility."""
+    if role not in ("and", "or"):
+        raise ValueError(f"role: must be 'and' or 'or', got {role!r}")
     axis = grid.points()
     rows = np.zeros((axis.size, pair.m))
     and_base, or_base = cf.andor_equilibrium_utilities(pair)
@@ -384,21 +393,6 @@ def _andor_gap_analytic(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) ->
     best = int(np.argmax(util))
     return BestResponseGap(max(float(util[best]) - base, 0.0), 0.0, "analytic", base,
                            tuple(rows[best]))
-
-
-def _singleminded_gap_analytic(role: SingleMindedRole, grid: BidGrid) -> BestResponseGap:
-    # Deviations scan the player's own bundle only: off-bundle bids win only
-    # worthless items at positive cost, and bids above the support top always
-    # win but pay more than the top would.
-    sm = role.strategy
-    axis = grid.points()
-    axis = axis[axis <= sm.top + TIE_TOL]
-    util = cf.singleminded_utility(sm, np.ix_(*[axis] * sm.k))
-    best = np.unravel_index(int(np.argmax(util)), util.shape)
-    dev = np.zeros(role.m)
-    dev[members(role.bundle)] = axis[list(best)]
-    return BestResponseGap(max(float(util[best]), 0.0), 0.0, "analytic", 0.0,
-                           tuple(dev))
 
 
 def _exact_gap(vals, strategies, player, grid: BidGrid, rule,
@@ -449,22 +443,10 @@ def best_response_gap(vals: list[Valuation], strategies: list, player: int,
                       grid: BidGrid, rule=PriorityRule(), trials: int = 100_000,
                       seed: int = 0, bundle: int | None = None) -> BestResponseGap:
     """Largest improvement available to `player` over its strategy by any
-    grid deviation, against the others' mixed strategies.
-
-    Analytic for the closed-form profiles, exact enumeration when all
-    opponents have finite support, Monte Carlo (with a 99% CI on the gap)
-    otherwise.
+    grid deviation, against the others' mixed strategies: exact enumeration
+    when every strategy has finite support, Monte Carlo (with a 99% CI on
+    the gap) otherwise. `andor_gap` scores the closed-form AND-OR pair.
     """
-    opp = [s for k, s in enumerate(strategies) if k != player]
-    own = strategies[player]
-    if (isinstance(own, AndOrRole) and len(opp) == 1
-            and isinstance(opp[0], AndOrRole) and opp[0].pair == own.pair
-            and opp[0].role != own.role):
-        return _andor_gap_analytic(own.pair, own.role, grid)
-    if (isinstance(own, SingleMindedRole)
-            and all(isinstance(s, SingleMindedRole) and s.strategy == own.strategy
-                    for s in opp)):
-        return _singleminded_gap_analytic(own, grid)
     if all(isinstance(s, FiniteSupportStrategy) for s in strategies):
         return _exact_gap(vals, strategies, player, grid, rule, bundle)
     return _mc_gap(vals, strategies, player, grid, rule, bundle, trials, seed)
@@ -494,10 +476,9 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     """
     n, m = len(vals), vals[0].m
     pts = grid.points()
-    if pts.size ** m > MESH_CAP:  # name the most levels that fit; one needs a step past the top
-        fit = int(MESH_CAP ** (1 / m) + 1e-9)
-        raise CapExceeded(f"grid_step: price mesh {pts.size}^{m} exceeds {MESH_CAP}; {fit} levels "
-                          f"per item fit: grid_step >= {grid.upper / max(fit - 1, 0.5)!r}")
+    if pts.size ** m > MESH_CAP:
+        raise CapExceeded(f"grid_step: price mesh {pts.size}^{m} exceeds {MESH_CAP}; "
+                          f"{_fit_hint(MESH_CAP, m, grid.upper)}")
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)

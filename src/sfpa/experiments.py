@@ -19,7 +19,7 @@ from .auction import (CapExceeded, PriorityRule, blocks, expected_utilities, opt
 from .bayes import FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds
 from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_ratio,
                        ks_distance, run_no_regret, verify_cce)
-from .equilibrium import (GRID_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
+from .equilibrium import (GRID_CAP, BidGrid, FiniteSupportStrategy, andor_gap,
                           best_response_gap, common_price_gap, common_price_scan,
                           walrasian_search)
 from .rng import rng_for
@@ -96,11 +96,8 @@ def verify_andor(m: int, v: float, grid_step: float = 1e-3, trials: int = 0, see
     if trials:
         cf.check_count(trials)
     pair = cf.AndOrStrategyPair(m, v)
-    vals = andor_game(m, v)
-    strategies = [AndOrRole(pair, "and"), AndOrRole(pair, "or")]
     grid = BidGrid(grid_step, 1.0)
-    g_and = best_response_gap(vals, strategies, 0, grid)
-    g_or = best_response_gap(vals, strategies, 1, grid)
+    g_and, g_or = andor_gap(pair, "and", grid), andor_gap(pair, "or", grid)
     out = {"m": m, "v": v, "grid_step": grid_step,
            "and_gap": g_and.gap, "or_gap": g_or.gap,
            "equilibrium_utilities": list(cf.andor_equilibrium_utilities(pair)),

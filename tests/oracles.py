@@ -97,7 +97,7 @@ def validate_symmetric_instance(bundles: list[int], m: int) -> tuple[int, int]:
 
 def triangle_cdf() -> AtomicCDF:
     """F(x) = 2x on [0, 1/2]; atomless."""
-    return AtomicCDF(0.0, 0.5, (), lambda x: 2.0 * x, lambda u: u / 2.0)
+    return AtomicCDF(0.0, 0.5, 0.0, lambda x: 2.0 * x, lambda u: u / 2.0)
 
 
 def grid_satisfied(side: int, trials: int, seed: int) -> tuple[float, float]:

@@ -20,12 +20,16 @@ def _tracer_targets() -> list:
 
 
 def test_tracer_targets_resolve():
+    """A `Class.method` target is read from the class's own `__dict__`, so a
+    method inherited from a base class does not resolve."""
     targets = _tracer_targets()
     assert targets
     for module, path, _, _ in targets:
         owner = importlib.import_module(module)
         for part in path.split("."):
             assert hasattr(owner, part), f"{module}.{path}"
+            if isinstance(owner, type):
+                assert part in vars(owner), f"{module}.{path}: not defined on the class itself"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{path}"
 

@@ -63,14 +63,14 @@ def test_quantile_is_generalized_inverse(u, m):
 
 def test_invalid_cdf_rejected():
     with pytest.raises(ValueError):
-        AtomicCDF(0.0, 1.0, ((0.0, 0.5),), lambda x: np.asarray(x),
+        AtomicCDF(0.0, 1.0, 0.5, lambda x: np.asarray(x),
                   lambda u: np.asarray(u))  # total mass 1.5
     with pytest.raises(ValueError):
-        AtomicCDF(0.0, 1.0, (), lambda x: -np.asarray(x), lambda u: -np.asarray(u))
+        AtomicCDF(0.0, 1.0, 0.0, lambda x: -np.asarray(x), lambda u: -np.asarray(u))
     with pytest.raises(ValueError):
         and_bid_cdf(4, 0.2)  # v < 1/m
     with pytest.raises(ValueError, match="^total mass"):  # NaN fails every comparison
-        AtomicCDF(0.0, 1.0, (), lambda x: np.asarray(x) * np.nan, lambda u: np.asarray(u))
+        AtomicCDF(0.0, 1.0, 0.0, lambda x: np.asarray(x) * np.nan, lambda u: np.asarray(u))
     for v in (math.nan, math.inf):
         for build in (and_bid_cdf, AndOrStrategyPair):
             with pytest.raises(ValueError, match="^v: must be finite"):
@@ -350,45 +350,37 @@ def test_check_count_refuses_at_the_byte_limit():
 
 
 def _masked_quantile(cdf, u):
-    """AtomicCDF.quantile as an atom-by-atom mask-and-scatter loop, run on
-    every distribution: the reference for its np.where segments and its
-    atomless shortcut."""
+    """AtomicCDF.quantile as a mask-and-scatter pass, run on every
+    distribution: the reference for its np.where steps and its atomless
+    shortcut. At or below cont_cdf(lo) the continuous quantile, then lo
+    through the atom, then the continuous quantile past it."""
     u = np.atleast_1d(np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0))
     out = np.empty(u.shape)
-    unset = np.ones(u.shape, dtype=bool)
-    acc = 0.0
-    for p, mass in cdf.atoms:
-        before = float(cdf._cc(p)) + acc
-        take = unset & (u <= before)
-        out[take] = cdf.cont_quantile(np.clip(u[take] - acc, 0.0, cdf.cont_mass))
-        unset &= ~take
-        take = unset & (u <= before + mass)
-        out[take] = p
-        unset &= ~take
-        acc += mass
-    out[unset] = cdf.cont_quantile(np.clip(u[unset] - acc, 0.0, cdf.cont_mass))
+    before, rest = float(cdf._cc(cdf.lo)), 1.0 - cdf.atom
+    low = u <= before
+    at = ~low & (u <= before + cdf.atom)
+    high = ~(low | at)
+    out[low] = cdf.cont_quantile(np.clip(u[low], 0.0, rest))
+    out[at] = cdf.lo
+    out[high] = cdf.cont_quantile(np.clip(u[high] - cdf.atom, 0.0, rest))
     return out
 
 
 def _atom_boundaries(cdf):
-    """Each atom's `before` and `before + mass`, as quantile computes them,
+    """The atom's `before` and `before + atom`, as quantile computes them,
     and their neighbouring doubles."""
-    acc, out = 0.0, []
-    for p, mass in cdf.atoms:
-        before = float(cdf._cc(p)) + acc
-        for b in (before, before + mass):
-            out += [np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
-        acc += mass
-    return out
+    before = float(cdf._cc(cdf.lo))
+    return [f(b) for b in (before, before + cdf.atom)
+            for f in (lambda b: np.nextafter(b, -np.inf), float, lambda b: np.nextafter(b, np.inf))]
 
 
 def test_quantile_matches_masked_path():
-    # at each atom boundary the continuous quantile rounds away from the atom's point,
-    # so a boundary given to the wrong segment changes bits
-    two = AtomicCDF(0.0, 1.0, ((0.45, 0.2), (0.6, 2.0 / 3.0 - 0.2)),
-                    lambda x: np.asarray(x) / 3.0, lambda c: 3.0 * np.asarray(c))
+    # the continuous quantile at 0 rounds away from lo (0.15 * 3.0 < 0.45), so
+    # a boundary given to the wrong step changes bits
+    off = AtomicCDF(0.45, 1.35, 0.7, lambda x: np.asarray(x) / 3.0 - 0.15,
+                    lambda c: (np.asarray(c) + 0.15) * 3.0)
     for cdf in (or_bid_cdf(2), or_bid_cdf(16), triangle_cdf(),
-                SingleMindedSymmetric(3, 3, value=3.0).cdf) + _SAMPLED + (two,):
+                SingleMindedSymmetric(3, 3, value=3.0).cdf) + _SAMPLED + (off,):
         edges = [0.0, 1.0, -0.0, -0.5, 1.5, 1e-300, 1.0 - 2 ** -53, np.inf, -np.inf,
                  *_atom_boundaries(cdf)]
         u = np.concatenate([edges, rng_for(5, "quantile").random(10_000)])

@@ -158,6 +158,11 @@ def test_game_input_checked():
     game.rule = rule  # reassigned after construction: refused where it is used
     with pytest.raises(ValueError, match="^tie_rule:"):
         run_no_regret(game, 10, seed=1)
+    vals = [AdditiveValuation((1.0, 0.5)), AdditiveValuation((0.5, 1.0))]
+    two = ExplicitActions([[0.0, 0.0], [0.5, 0.5]])
+    for short in (SeparableGrid([[0.0, 0.5]]), ExplicitActions([[0.0], [0.5]])):
+        with pytest.raises(ValueError, match=r"^spaces\[1\]: bids on 1 items, the game has 2"):
+            FiniteGame(vals, [two, short])
 
 
 def test_separable_grid_requires_additive():

@@ -10,11 +10,10 @@ from scipy.optimize import linprog
 from sfpa import auction, equilibrium, experiments as xp
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, optimal_welfare, outcome)
-from sfpa.closedform import (AndOrStrategyPair, SingleMindedSymmetric,
-                             andor_equilibrium_utilities, andor_utility_and,
-                             andor_utility_or)
+from sfpa.closedform import (AndOrStrategyPair, andor_equilibrium_utilities,
+                             andor_utility_and, andor_utility_or)
 from sfpa.equilibrium import (GRID_CAP, MESH_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
-                              SingleMindedRole, WalrasianEquilibrium, _support_prices,
+                              WalrasianEquilibrium, _support_prices, andor_gap,
                               best_response_gap, bundle_costs, common_price_gap,
                               common_price_scan, demand, limit_equilibrium_check,
                               pure_nash_search, walrasian_check, walrasian_near,
@@ -334,6 +333,14 @@ def test_limit_equilibrium_examples():
     assert all(r.status == "failure" for r in bad)
 
 
+def test_limit_equilibrium_refuses_nan():
+    vals = single_item()
+    with pytest.raises(ValueError, match="^eps_list: "):
+        limit_equilibrium_check(vals, [[1.0], [1.0]], eps_list=(float("nan"),))
+    with pytest.raises(ValueError, match="^candidate: "):
+        limit_equilibrium_check(vals, [[float("nan")], [1.0]])
+
+
 def test_limit_equilibrium_walrasian_candidate():
     # all players bid the Walrasian prices; winners can lift by eps
     vals = single_item()
@@ -350,17 +357,17 @@ def test_limit_equilibrium_inconclusive_on_large_ball():
     assert res[0].status == "inconclusive"
 
 
-def test_best_response_gap_andor_analytic():
+def test_andor_gap_closes_at_the_equilibrium():
     for m in (2, 3):
         for v in (1.0 / m, 1.0):
-            vals = andor_game(m, v)
             pair = AndOrStrategyPair(m, v)
-            roles = [AndOrRole(pair, "and"), AndOrRole(pair, "or")]
             grid = BidGrid(1e-3, 1.0)
-            for player in (0, 1):
-                res = best_response_gap(vals, roles, player, grid)
+            for role in ("and", "or"):
+                res = andor_gap(pair, role, grid)
                 assert res.method == "analytic"
                 assert res.gap <= 1e-9
+    with pytest.raises(ValueError, match="^role: "):
+        andor_gap(AndOrStrategyPair(2, 1.0), "xor", BidGrid(0.5, 1.0))
 
 
 def test_andor_analytic_gap_matches_full_grid():
@@ -369,22 +376,14 @@ def test_andor_analytic_gap_matches_full_grid():
         rows = BidGrid(0.05, 1.0).actions_for(m)
         for v in (1.0 / m, 2.0 / m, 1.0):
             pair = AndOrStrategyPair(m, v)
-            roles = [AndOrRole(pair, "and"), AndOrRole(pair, "or")]
             bases = andor_equilibrium_utilities(pair)
-            for player, evaluate in enumerate((andor_utility_and, andor_utility_or)):
-                res = best_response_gap(andor_game(m, v), roles, player, BidGrid(0.05, 1.0))
+            for player, role, evaluate in ((0, "and", andor_utility_and),
+                                           (1, "or", andor_utility_or)):
+                res = andor_gap(pair, role, BidGrid(0.05, 1.0))
                 best = evaluate(pair, rows).max()
                 assert res.baseline == bases[player]
                 assert abs(evaluate(pair, res.best_deviation) - best) <= 1e-15
                 assert abs(res.gap - max(best - bases[player], 0.0)) <= 1e-15
-
-
-def test_best_response_gap_triangle_analytic():
-    vals, bundles = triangle_game()
-    sm = SingleMindedSymmetric(2, 2)
-    roles = [SingleMindedRole(sm, b, 3) for b in bundles]
-    res = best_response_gap(vals, roles, 0, BidGrid(1e-3, 0.5))
-    assert res.gap <= 1e-9
 
 
 def test_best_response_gap_trivial_finite_support():
