@@ -36,8 +36,11 @@ draws from a generator continue one stream, so the blocks see the very
 doubles a single draw of every trial would. Only the per-trial values (and
 the OR items, which must come from one `rng.integers` call) live for the
 whole run, and `mean_ci99` reduces them in place: the results are bit for
-bit those of the one-shot form. Trial and sample counts whose arrays would
-pass MC_BYTE_LIMIT bytes are refused before anything is drawn.
+bit those of the one-shot form. Sampling is by inversion, so the OR
+deviator of `andor_utility_mc` is scored on its uniforms against
+thresholds found once per call, and computes no AND bid at all.
+Trial and sample counts whose arrays would pass MC_BYTE_LIMIT bytes are
+refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -121,15 +124,23 @@ class AtomicCDF:
         if not self.atom:  # u is already clipped to the continuous mass
             out = self.cont_quantile(u)
             return float(out[0]) if scalar else out
-        # cont_cdf(lo) is 0 only within CDF_TOL: u at or below it keeps the
-        # continuous quantile, u through the atom gives lo
-        before, rest = float(self._cc(self.lo)), 1.0 - self.atom
-        out = np.where(u <= before + self.atom, self.lo,
+        before, join = self.atom_span
+        rest = 1.0 - self.atom
+        out = np.where(u <= join, self.lo,
                        self.cont_quantile(np.clip(u - self.atom, 0.0, rest)))
         hit = u <= before
         if hit.any():
             out = np.where(hit, self.cont_quantile(np.clip(u, 0.0, rest)), out)
         return float(out[0]) if scalar else out
+
+    @cached_property
+    def atom_span(self) -> tuple[float, float]:
+        """(before, join): `quantile` gives lo to the u in (before, join] and
+        the continuous quantile to the rest. before = cont_cdf(lo) is 0 only
+        within CDF_TOL, so u at or below it keeps the continuous quantile;
+        join = before + atom."""
+        before = float(self._cc(self.lo))
+        return before, before + self.atom
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty(size)
@@ -192,9 +203,8 @@ class AndOrStrategyPair:
     def in_cube(self, bids) -> bool:
         return bool(np.max(bids) <= self.top + CDF_TOL)
 
-    def sample_and_bids(self, rng, size: int, start: int = 0) -> np.ndarray:
-        """Common bid placed on every item in trials start, ..., start + size - 1;
-        `start` lets a subclass fix draws by trial index, the draws ignore it."""
+    def sample_and_bids(self, rng, size: int) -> np.ndarray:
+        """Common bid placed on every item."""
         return self.F.sample(rng, size)
 
     def sample_or_bids(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +212,8 @@ class AndOrStrategyPair:
         first, from one `rng.integers` call."""
         return rng.integers(0, self.m, size), self.sample_or_item_bids(rng, size)
 
-    def sample_or_item_bids(self, rng, size: int, start: int = 0) -> np.ndarray:
-        """The OR bid on its item in trials start, ..., start + size - 1, drawn
-        after all the trials' items; `start` as in `sample_and_bids`."""
+    def sample_or_item_bids(self, rng, size: int) -> np.ndarray:
+        """The OR bid on its item, drawn after all the trials' items."""
         return self.G.sample(rng, size)
 
 
@@ -280,11 +289,12 @@ def andor_equilibrium_welfare(pair: AndOrStrategyPair, trials: int, seed: int) -
     rng = rng_for(seed, "andor-welfare", pair.m)
     welfare = pair.sample_and_bids(rng, trials)  # each block's AND bids become its welfare
     rng.integers(0, pair.m, trials)  # the OR items: unread, but drawn as sample_or_bids does
+    outcome = np.array([pair.v, 1.0])  # an exact tie y == x goes to OR
     zeros = 0
     for s in blocks(trials):
-        x = pair.sample_or_item_bids(rng, s.stop - s.start, s.start)
+        x = pair.sample_or_item_bids(rng, s.stop - s.start)
         zeros += np.count_nonzero(welfare[s] == 0.0)
-        welfare[s] = np.where(welfare[s] > x, 1.0, pair.v)  # an exact tie y == x goes to OR
+        outcome.take((welfare[s] > x).view(np.int8), out=welfare[s], mode="clip")
     est, ci = mean_ci99(welfare)
     atom_prob = pair.F.atom if pair.F.lo == 0.0 else 0.0  # a point mass at 1/m bids no zeros
     return WelfareEstimate(est, ci, trials, seed, zeros / trials, atom_prob)
@@ -303,7 +313,18 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
     ties go to AND). Against the common AND bid y the OR deviator wins the
     items bid above y, fixed by the number c of its bids at or below y (row
     c wins the items bid at least the (c + 1)-th smallest bid; row m wins
-    none; ties, including the 0 atom, go to AND)."""
+    none; ties, including the 0 atom, go to AND).
+
+    Both lookups are gathers with no data-dependent select. The AND
+    deviator's index is k + m [won], into a 2m-entry table. The OR
+    deviator's c comes from the uniform r that `F.quantile` would turn
+    into y, with no y computed: c is the number of its bids <= lo when r
+    is in the atom's span (before, join], and otherwise the number of
+    thresholds `_first_reaching(F, ...)` at or below r. Only the draws
+    with r <= before (probability at most CDF_TOL) go through `quantile`.
+    G's u/(m - 1 + u) is not monotone in floating point (the rounded
+    denominator can leave a larger u an ulp lower; on adjacent doubles this
+    happens for every m from 2 to 16), so the AND deviator keeps computing g."""
     if role not in ("and", "or"):
         raise ValueError(f"role must be 'and' or 'or', got {role!r}")
     x = np.asarray(bids, dtype=np.float64)
@@ -313,22 +334,62 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
         raise ValueError("bids must be finite and >= 0")
     check_count(trials)
     rng = rng_for(seed, "andor-mc", role)
-    u = np.empty(trials)
+    m, u = pair.m, np.empty(trials)
     if role == "and":
-        items = rng.integers(0, pair.m, trials)  # as sample_or_bids draws them
-        win = ~np.eye(pair.m + 1, pair.m, dtype=bool)
+        items = rng.integers(0, m, trials)  # as sample_or_bids draws them
+        win = ~np.eye(m + 1, m, dtype=bool)
         table = np.where(win.all(axis=1), 1.0, 0.0) - (win * x[None, :]).sum(axis=1)
+        table = np.append(table[:m], np.full(m, table[m]))  # entry k + m: won everything
         for s in blocks(trials):
-            g = pair.sample_or_item_bids(rng, s.stop - s.start, s.start)
-            u[s] = table.take(np.where((x.take(items[s]) > g) | (g == 0.0), pair.m, items[s]))
+            g, it = pair.sample_or_item_bids(rng, s.stop - s.start), items[s]
+            won = x.take(it) > g
+            if not g.all():  # a zero tie goes to AND
+                won |= g == 0.0
+            u[s] = table.take(it + m * won)
     else:
-        cuts = np.sort(x)
+        F, cuts = pair.F, np.sort(x)
         win = x[None, :] >= np.append(cuts, np.inf)[:, None]
         table = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
+        before, join = F.atom_span
+        reach = _first_reaching(F, cuts)  # r >= reach[j] iff y >= cuts[j], for r > join
+        steps = np.unique(reach[reach < 1.0])  # a uniform is < 1: the rest are never reached
+        # entry i: i steps reached; the last, which mode="wrap" reads for row -1
+        # (r <= join): y = lo
+        lookup = table.take(np.concatenate(
+            [[0], reach.searchsorted(steps, side="right"), [cuts.searchsorted(F.lo, side="right")]]))
         for s in blocks(trials):
-            y = pair.sample_and_bids(rng, s.stop - s.start, s.start)
-            u[s] = table.take(cuts.searchsorted(y, side="right"))
+            r, out = rng.random(s.stop - s.start), u[s]
+            row = np.zeros(r.size, np.intp)
+            for t in steps:
+                row += r >= t
+            row -= r <= join
+            lookup.take(row, out=out, mode="wrap")
+            low = r <= before
+            if low.any():
+                out[low] = table.take(cuts.searchsorted(F.quantile(r[low]), side="right"))
     return mean_ci99(u)
+
+
+def _first_reaching(F: AtomicCDF, cuts: np.ndarray) -> np.ndarray:
+    """For each cut, the smallest double r > join (`F.atom_span`) with
+    F.quantile(r) >= cut, or 1.0 when no double below 1 has one.
+
+    Past join, F.quantile(r) is v - (v - top)/(clip(r - atom, 0, rest) + a0)
+    for the AND bid (a constant for its point mass): a chain of IEEE
+    operations on one varying input each, every one rounded and
+    nondecreasing in it, so the quantile is nondecreasing in r in floating
+    point too, and one threshold per cut decides y >= cut exactly. Bisection
+    over the bit patterns of the doubles in (join, 1], which order as int64.
+    """
+    join = F.atom_span[1]
+    lo = np.full(cuts.shape, max(np.nextafter(join, np.inf), 0.0)).view(np.int64)
+    hi = np.full(cuts.shape, 1.0).view(np.int64)
+    while (open_ := lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        ok = F.quantile(mid.view(np.float64)) >= cuts
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid + 1, lo)
+    return hi.view(np.float64)
 
 
 def triangle_utility(y: float, z: float) -> float:

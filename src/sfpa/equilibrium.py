@@ -272,7 +272,10 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
     to enumerate, as distinct from an exhaustive search that found nothing.
     """
     cand = check_bids(candidate, "candidate")
-    n, m = cand.shape
+    n, m = len(vals), vals[0].m
+    if cand.shape != (n, m):
+        raise ValueError(f"candidate: need one row of {m} bids per player, {n} x {m}, "
+                         f"got {cand.shape[0]} x {cand.shape[1]}")
     if not all(0 < e < math.inf for e in eps_list):  # NaN fails it too
         raise ValueError(f"eps_list: values must be finite and > 0, got {eps_list!r}")
     tables = [v.as_table() for v in vals]
@@ -420,6 +423,8 @@ def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
     draws = [strategies[k].sample(rng, trials) for k in range(n) if k != player]
     own = strategies[player].sample(rng, trials)
     draws.insert(player, own)
+    for k, d in enumerate(draws):
+        _check_width(k, d, m)
     play = rival_play(np.stack(draws, axis=1), rule)
     actions = grid.actions_for(m, bundle)
     table = vals[player].as_table()
@@ -439,6 +444,12 @@ def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
                            "monte_carlo", base, tuple(actions[k]))
 
 
+def _check_width(k: int, bids: np.ndarray, m: int) -> None:
+    """Refuse strategy k's bid rows unless they bid on the game's m items."""
+    if bids.shape[-1] != m:
+        raise ValueError(f"strategies[{k}]: bids on {bids.shape[-1]} items, the game has {m}")
+
+
 def best_response_gap(vals: list[Valuation], strategies: list, player: int,
                       grid: BidGrid, rule=PriorityRule(), trials: int = 100_000,
                       seed: int = 0, bundle: int | None = None) -> BestResponseGap:
@@ -447,7 +458,11 @@ def best_response_gap(vals: list[Valuation], strategies: list, player: int,
     when every strategy has finite support, Monte Carlo (with a 99% CI on
     the gap) otherwise. `andor_gap` scores the closed-form AND-OR pair.
     """
+    if len(strategies) != len(vals):
+        raise ValueError(f"strategies: need one per player ({len(vals)}), got {len(strategies)}")
     if all(isinstance(s, FiniteSupportStrategy) for s in strategies):
+        for k, s in enumerate(strategies):
+            _check_width(k, s.support_vectors(), vals[0].m)
         return _exact_gap(vals, strategies, player, grid, rule, bundle)
     return _mc_gap(vals, strategies, player, grid, rule, bundle, trials, seed)
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -173,28 +172,6 @@ def _mc_oracle(pair, role, bids, trials, seed):
     return float(u.mean()), half
 
 
-@dataclass(frozen=True)
-class _SnappedPair(AndOrStrategyPair):
-    """The opponent's draws in trials 0, 3, 6, ... replaced by levels[0],
-    levels[1], ... in turn, so that the opponent ties the deviation's bids,
-    and bids 0, exactly. Trials are placed by their global index, so a block
-    snaps the trials the whole-array draw would."""
-
-    levels: tuple = (0.0,)
-
-    def _snap(self, draws, start):
-        first = -start % 3
-        turn = (start + first) // 3 + np.arange(draws[first::3].size)
-        draws[first::3] = np.take(self.levels, turn, mode="wrap")
-        return draws
-
-    def sample_and_bids(self, rng, size, start=0):
-        return self._snap(super().sample_and_bids(rng, size, start), start)
-
-    def sample_or_item_bids(self, rng, size, start=0):
-        return self._snap(super().sample_or_item_bids(rng, size, start), start)
-
-
 @st.composite
 def _mc_cases(draw):
     m = draw(st.integers(2, 16))
@@ -205,17 +182,80 @@ def _mc_cases(draw):
     pool = [0.0, top, top / 2, top / 3, 1.5 * top, 1.0]
     level = st.one_of(st.sampled_from(pool), st.floats(0.0, 1.5))
     bids = draw(st.lists(level, min_size=m, max_size=m))
-    pair = (_SnappedPair(m, v, tuple(bids) + (0.0,)) if draw(st.booleans())
-            else AndOrStrategyPair(m, v))
-    return pair, bids, draw(st.sampled_from(["and", "or"]))
+    return AndOrStrategyPair(m, v), bids, draw(st.sampled_from(["and", "or"]))
 
 
-@given(_mc_cases(), st.integers(0, 2 ** 32))
+def _stream_ties(pair, role, trials, seed):
+    """Bids that tie the opponent's play in the stream andor_utility_mc draws:
+    its first 20 bids, drawn as that function draws them, and for the OR
+    deviator the AND bids at each threshold of those, 0, top and 1.5 top,
+    and at the double below each threshold."""
+    rng = rng_for(seed, "andor-mc", role)
+    if role == "and":
+        rng.integers(0, pair.m, trials)
+        return pair.G.quantile(rng.random(trials))[:20].tolist()
+    opp = pair.F.quantile(rng.random(trials))[:20]
+    reach = cf._first_reaching(pair.F, np.sort(np.append(opp, [0.0, pair.top, 1.5 * pair.top])))
+    edges = pair.F.quantile(np.append(reach, np.nextafter(reach, 0.0)))
+    return np.maximum(np.append(opp, edges), 0.0).tolist()  # F.quantile can round below 0
+
+
+class _ZeroedPair(AndOrStrategyPair):
+    """OR bids below top / 4 set to 0, by value, so that the AND deviator
+    meets zero ties in every block and the oracle meets the same ones."""
+
+    def sample_or_item_bids(self, rng, size: int) -> np.ndarray:
+        g = super().sample_or_item_bids(rng, size)
+        g[g < self.top / 4] = 0.0
+        return g
+
+
+@given(_mc_cases(), st.booleans(), st.sampled_from((7, 64, auction.BLOCK)),
+       st.integers(0, 2 ** 32), st.data())
 @settings(max_examples=examples(150), deadline=None)
-def test_andor_utility_mc_matches_oracle(case, seed):
+def test_andor_utility_mc_matches_oracle(case, zeroed, block, seed, data):
     pair, bids, role = case
-    assert andor_utility_mc(pair, role, bids, 3_000, seed) == \
-        _mc_oracle(pair, role, bids, 3_000, seed)
+    ties = _stream_ties(pair, role, 3_000, seed)
+    bids = [data.draw(st.one_of(st.just(b), st.sampled_from(ties))) for b in bids]
+    if role == "and" and zeroed:  # a zero OR bid against a zero deviation bid goes to AND
+        pair = _ZeroedPair(pair.m, pair.v)
+        bids[data.draw(st.integers(0, pair.m - 1))] = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auction, "BLOCK", block)
+        assert andor_utility_mc(pair, role, bids, 3_000, seed) == \
+            _mc_oracle(pair, role, bids, 3_000, seed)
+
+
+@given(st.integers(2, 16), st.one_of(st.just(None), st.floats(0.0, 1.0)),
+       st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1.5, 1e-300]), st.floats(0.0, 1.5),
+                          st.floats(0.0, 1.0).map(lambda u: -u)), min_size=1, max_size=16),
+       st.sampled_from((1, 7, 64, auction.BLOCK)), st.integers(2, 300), st.integers(0, 2 ** 32))
+@settings(max_examples=examples(100), deadline=None)
+@example(3, 0.03125, [0.0], 1, 2, 0)  # F.quantile(0.0) rounds to -5.6e-17 here
+@example(200, 0.0025, [i / 80 for i in range(97)], 64, 3_000, 5)  # some 80 distinct thresholds
+def test_first_reaching_is_the_threshold(m, t, picks, block, trials, seed):
+    """Each threshold is the first double past the atom whose AND bid
+    reaches its cut, and the OR deviator scores bids at the thresholds as
+    the oracle does in every block size. A pick p >= 0 is a cut p / m (in
+    and above the cube), -u the cut F.quantile(u); v = 1/m when t is None
+    (the point mass), else 1/m + t (2 - 1/m)."""
+    top = 1.0 / m
+    pair = AndOrStrategyPair(m, top if t is None else top + t * (2.0 - top))
+    F = pair.F
+    join = F.atom_span[1]
+    cuts = np.sort([float(F.quantile(-p)) if p < 0 else p * top for p in picks])
+    reach = cf._first_reaching(F, cuts)
+    for r, cut in zip(reach, cuts):
+        below = np.nextafter(r, 0.0)
+        if r < 1.0:
+            assert r > join and F.quantile(r) >= cut
+        assert below <= join or F.quantile(below) < cut
+    edges = F.quantile(np.concatenate([reach, np.nextafter(reach, 0.0), cuts]))
+    bids = np.maximum(np.resize(edges, m), 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auction, "BLOCK", block)
+        assert andor_utility_mc(pair, "or", bids, trials, seed) == \
+            _mc_oracle(pair, "or", bids, trials, seed)
 
 
 def test_andor_utility_mc_checks_input(monkeypatch):

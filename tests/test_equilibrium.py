@@ -341,6 +341,14 @@ def test_limit_equilibrium_refuses_nan():
         limit_equilibrium_check(vals, [[float("nan")], [1.0]])
 
 
+def test_limit_equilibrium_refuses_a_misshapen_candidate():
+    # one row used to return "failure" without scoring player 1; two columns
+    # or three rows failed with a bare IndexError
+    for cand in ([[1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0], [1.0], [1.0]]):
+        with pytest.raises(ValueError, match="^candidate: need one row of 1 bids per player"):
+            limit_equilibrium_check(single_item(), cand, eps_list=(0.1,))
+
+
 def test_limit_equilibrium_walrasian_candidate():
     # all players bid the Walrasian prices; winners can lift by eps
     vals = single_item()
@@ -433,6 +441,18 @@ class _Sampled:
 
     def sample(self, rng, size):
         return self.strategy.sample(rng, size)
+
+
+def test_best_response_gap_refuses_misfit_strategies():
+    # two-item bids in a one-item game failed inside numpy, naming no field
+    vals, grid = single_item(), BidGrid(0.5, 1.0)
+    wide, one = FiniteSupportStrategy(((1.0, (0.0, 0.0)),)), FiniteSupportStrategy(((1.0, (0.0,)),))
+    for strategies, field in (([wide, wide], "strategies[0]"), ([one, wide], "strategies[1]"),
+                              ([_Sampled(one), wide], "strategies[1]"),
+                              ([one, _Sampled(wide)], "strategies[1]"),
+                              ([one], "strategies"), ([one] * 3, "strategies")):
+        with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
+            best_response_gap(vals, strategies, 0, grid, trials=10)
 
 
 def test_best_response_gap_randomized_rule():
