@@ -102,8 +102,11 @@ class Allocation:
 def check_bids(bids, field: str = "bids") -> np.ndarray:
     """`bids` as a float64 matrix of finite, nonnegative bid rows; a
     ValueError names `field`."""
-    b = np.asarray(bids, dtype=np.float64)
-    if b.ndim != 2:
+    try:
+        b = np.asarray(bids, dtype=np.float64)
+    except ValueError:  # ragged rows
+        b = None
+    if b is None or b.ndim != 2:
         raise ValueError(f"{field}: must be a matrix of bid rows")
     if not np.isfinite(b).all() or (b < 0).any():
         raise ValueError(f"{field}: must be finite and nonnegative")

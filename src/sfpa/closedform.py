@@ -19,8 +19,9 @@ Three families:
 
 Each distribution is an `AtomicCDF`: a continuous part plus one atom at
 the bottom of its support, of mass 1 - 1/(m v) for the AND bid, 1 for its
-point mass and 0 for the others. Utility evaluators are exact
-expectations against these distributions.
+point mass and 0 for the others. Its quantile gives the bottom to every
+uniform up to the CDF there, so no draw falls below the support. Utility
+evaluators are exact expectations against these distributions.
 Ties at bid 0 between the AND atom and the OR player's untouched items
 are broken in favor of the AND bidder (the OR side is atomless, so the
 equilibrium itself is tie-rule independent; the convention only fixes
@@ -28,15 +29,18 @@ bookkeeping on zero bids). In Monte Carlo a deviator loses an exact tie,
 as `prob_lt` counts it, the OR bidder takes its item on an exact tie in
 the equilibrium welfare, and zero-bid ties on its other items go to AND.
 
-Monte Carlo runs in the slices of `sfpa.auction.blocks`, BLOCK trials
-(or draws) each: each block draws its uniforms from the one generator, in
-order, and is scored and reduced to its per-trial values while its draws
-are in cache, so no array of all the trials' bids is ever built. Successive
-draws from a generator continue one stream, so the blocks see the very
-doubles a single draw of every trial would. Only the per-trial values (and
-the OR items, which must come from one `rng.integers` call) live for the
-whole run, and `mean_ci99` reduces them in place: the results are bit for
-bit those of the one-shot form. Sampling is by inversion, so the OR
+Each Monte Carlo estimator here cross-checks a closed form:
+`andor_utility_mc` the AND-OR utilities and `andor_equilibrium_welfare`
+the welfare construction (the best-response gaps of `sfpa.equilibrium`
+are exact). Monte Carlo runs in the slices of `sfpa.auction.blocks`,
+BLOCK trials (or draws) each: each block draws its uniforms from the one
+generator, in order, and is scored and reduced to its per-trial values
+while its draws are in cache, so no array of all the trials' bids is ever
+built. Successive draws from a generator continue one stream, so the
+blocks see the very doubles a single draw of every trial would. Only the
+per-trial values (and the OR items, which must come from one
+`rng.integers` call) live for the whole run, and `mean_ci99` reduces them
+in place: the results are bit for bit those of the one-shot form. Sampling is by inversion, so the OR
 deviator of `andor_utility_mc` is scored on its uniforms against
 thresholds found once per call, and computes no AND bid at all.
 Trial and sample counts whose arrays would pass MC_BYTE_LIMIT bytes are
@@ -124,23 +128,16 @@ class AtomicCDF:
         if not self.atom:  # u is already clipped to the continuous mass
             out = self.cont_quantile(u)
             return float(out[0]) if scalar else out
-        before, join = self.atom_span
-        rest = 1.0 - self.atom
-        out = np.where(u <= join, self.lo,
-                       self.cont_quantile(np.clip(u - self.atom, 0.0, rest)))
-        hit = u <= before
-        if hit.any():
-            out = np.where(hit, self.cont_quantile(np.clip(u, 0.0, rest)), out)
+        out = np.where(u <= self.atom_span, self.lo,
+                       self.cont_quantile(np.clip(u - self.atom, 0.0, 1.0 - self.atom)))
         return float(out[0]) if scalar else out
 
     @cached_property
-    def atom_span(self) -> tuple[float, float]:
-        """(before, join): `quantile` gives lo to the u in (before, join] and
-        the continuous quantile to the rest. before = cont_cdf(lo) is 0 only
-        within CDF_TOL, so u at or below it keeps the continuous quantile;
-        join = before + atom."""
-        before = float(self._cc(self.lo))
-        return before, before + self.atom
+    def atom_span(self) -> float:
+        """join = cdf(lo), the top of the uniforms `quantile` maps to lo: every
+        u <= join has cdf(lo) >= u, even where cont_cdf(lo) is not 0 but within
+        CDF_TOL of it, and the continuous quantile takes the rest."""
+        return self.cdf(self.lo)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty(size)
@@ -319,12 +316,11 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
     deviator's index is k + m [won], into a 2m-entry table. The OR
     deviator's c comes from the uniform r that `F.quantile` would turn
     into y, with no y computed: c is the number of its bids <= lo when r
-    is in the atom's span (before, join], and otherwise the number of
-    thresholds `_first_reaching(F, ...)` at or below r. Only the draws
-    with r <= before (probability at most CDF_TOL) go through `quantile`.
-    G's u/(m - 1 + u) is not monotone in floating point (the rounded
-    denominator can leave a larger u an ulp lower; on adjacent doubles this
-    happens for every m from 2 to 16), so the AND deviator keeps computing g."""
+    is at or below join (`F.atom_span`), and otherwise the number of
+    thresholds `_first_reaching(F, ...)` at or below r. G's u/(m - 1 + u)
+    is not monotone in floating point (the rounded denominator can leave a
+    larger u an ulp lower; on adjacent doubles this happens for every m
+    from 2 to 16), so the AND deviator keeps computing g."""
     if role not in ("and", "or"):
         raise ValueError(f"role must be 'and' or 'or', got {role!r}")
     x = np.asarray(bids, dtype=np.float64)
@@ -350,7 +346,7 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
         F, cuts = pair.F, np.sort(x)
         win = x[None, :] >= np.append(cuts, np.inf)[:, None]
         table = pair.v * win.any(axis=1) - (win * x[None, :]).sum(axis=1)
-        before, join = F.atom_span
+        join = F.atom_span
         reach = _first_reaching(F, cuts)  # r >= reach[j] iff y >= cuts[j], for r > join
         steps = np.unique(reach[reach < 1.0])  # a uniform is < 1: the rest are never reached
         # entry i: i steps reached; the last, which mode="wrap" reads for row -1
@@ -358,15 +354,12 @@ def andor_utility_mc(pair: AndOrStrategyPair, role: str, bids, trials: int,
         lookup = table.take(np.concatenate(
             [[0], reach.searchsorted(steps, side="right"), [cuts.searchsorted(F.lo, side="right")]]))
         for s in blocks(trials):
-            r, out = rng.random(s.stop - s.start), u[s]
+            r = rng.random(s.stop - s.start)
             row = np.zeros(r.size, np.intp)
             for t in steps:
                 row += r >= t
             row -= r <= join
-            lookup.take(row, out=out, mode="wrap")
-            low = r <= before
-            if low.any():
-                out[low] = table.take(cuts.searchsorted(F.quantile(r[low]), side="right"))
+            lookup.take(row, out=u[s], mode="wrap")
     return mean_ci99(u)
 
 
@@ -381,7 +374,7 @@ def _first_reaching(F: AtomicCDF, cuts: np.ndarray) -> np.ndarray:
     point too, and one threshold per cut decides y >= cut exactly. Bisection
     over the bit patterns of the doubles in (join, 1], which order as int64.
     """
-    join = F.atom_span[1]
+    join = F.atom_span
     lo = np.full(cuts.shape, max(np.nextafter(join, np.inf), 0.0)).view(np.int64)
     hi = np.full(cuts.shape, 1.0).view(np.int64)
     while (open_ := lo < hi).any():

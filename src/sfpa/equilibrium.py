@@ -26,15 +26,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, blocks, check_bids,
+from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, check_bids,
                       expected_utilities, optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import LpError, feasible_point
-from .rng import rng_for
 from .sets import full_set, members
 from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs, check_probs
 
 GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
 MESH_CAP = 500_000  # price vectors the common-price scan may hold
+BALL_CAP = 200_000  # profiles the limit check's grid ball may hold before it is inconclusive
 
 
 @dataclass(frozen=True)
@@ -261,15 +261,16 @@ class LimitCheckResult:
 
 
 def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(),
-                            eps_list=(0.1, 0.01), cap: int = 200_000) -> list[LimitCheckResult]:
+                            eps_list=(0.1, 0.01)) -> list[LimitCheckResult]:
     """Is the candidate a limit of eps-equilibria?
 
     For each eps, scans the grid ball of radius eps (step eps/m) around the
     candidate, in lexicographic blocks, for the first profile no player can
     improve by more than eps against. Deviations range over the continuum: a
     player's best is its demand at prices max(beat, 0), approachable (or
-    attained under a favoring tie). "inconclusive" reports a ball too large
-    to enumerate, as distinct from an exhaustive search that found nothing.
+    attained under a favoring tie). "inconclusive" reports a ball of more
+    than BALL_CAP profiles, as distinct from an exhaustive search that found
+    nothing.
     """
     cand = check_bids(candidate, "candidate")
     n, m = len(vals), vals[0].m
@@ -284,7 +285,7 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
         step = eps / m
         offsets = step * np.arange(-m, m + 1)
         total = (2 * m + 1) ** (n * m)
-        if total > cap:
+        if total > BALL_CAP:
             results.append(LimitCheckResult(eps, "inconclusive"))
             continue
         ball = np.stack(np.meshgrid(*[offsets] * m, indexing="ij"), axis=-1).reshape(-1, m)
@@ -325,52 +326,11 @@ class FiniteSupportStrategy:
     def support_vectors(self) -> np.ndarray:
         return np.array([b for _, b in self.atoms], dtype=np.float64)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        probs = np.array([p for p, _ in self.atoms])
-        idx = rng.choice(len(self.atoms), size=size, p=probs / probs.sum())
-        return self.support_vectors()[idx]
-
-
-@dataclass(frozen=True)
-class AndOrRole:
-    """One side of the closed-form AND-OR equilibrium."""
-
-    pair: cf.AndOrStrategyPair
-    role: str  # "and" | "or"
-
-    def __post_init__(self):
-        if self.role not in ("and", "or"):
-            raise ValueError("role must be 'and' or 'or'")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        m = self.pair.m
-        if self.role == "and":
-            return np.repeat(self.pair.sample_and_bids(rng, size)[:, None], m, axis=1)
-        items, x = self.pair.sample_or_bids(rng, size)
-        out = np.zeros((size, m))
-        out[np.arange(size), items] = x
-        return out
-
-
-@dataclass(frozen=True)
-class SingleMindedRole:
-    """Uniform bundle bid drawn from the symmetric single-minded CDF."""
-
-    strategy: cf.SingleMindedSymmetric
-    bundle: int
-    m: int
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.zeros((size, self.m))
-        out[:, members(self.bundle)] = self.strategy.cdf.sample(rng, size)[:, None]
-        return out
-
 
 @dataclass(frozen=True)
 class BestResponseGap:
     gap: float
-    ci99: float
-    method: str  # "analytic" | "exact" | "monte_carlo"
+    method: str  # "analytic" | "exact"
     baseline: float
     best_deviation: tuple = ()
 
@@ -394,77 +354,39 @@ def andor_gap(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestRespo
         rows[:, 0] = axis
         util, base = cf.andor_utility_or(pair, rows), or_base
     best = int(np.argmax(util))
-    return BestResponseGap(max(float(util[best]) - base, 0.0), 0.0, "analytic", base,
-                           tuple(rows[best]))
+    return BestResponseGap(max(float(util[best]) - base, 0.0), "analytic", base, tuple(rows[best]))
 
 
-def _exact_gap(vals, strategies, player, grid: BidGrid, rule,
-               bundle) -> BestResponseGap:
+def best_response_gap(vals: list[Valuation], strategies: list, player: int,
+                      grid: BidGrid, rule=PriorityRule()) -> BestResponseGap:
+    """Largest improvement available to `player` over its strategy by any
+    grid deviation, against the others' finite-support mixtures, by exact
+    enumeration: the rivals' atoms are scored as one weighted stack.
+    `andor_gap` scores the closed-form AND-OR pair."""
     n, m = len(vals), vals[0].m
-    actions = grid.actions_for(m, bundle)
+    if len(strategies) != n:
+        raise ValueError(f"strategies: need one per player ({n}), got {len(strategies)}")
+    probs, support = [], []
+    for k, s in enumerate(strategies):
+        if not isinstance(s, FiniteSupportStrategy):
+            raise ValueError(f"strategies[{k}]: need a FiniteSupportStrategy, "
+                             f"got {type(s).__name__}")
+        support.append(s.support_vectors())
+        if support[k].shape[1] != m:
+            raise ValueError(f"strategies[{k}]: bids on {support[k].shape[1]} items, "
+                             f"the game has {m}")
+        probs.append(np.array([p for p, _ in s.atoms]))
+    actions = grid.actions_for(m)
     table = vals[player].as_table()
-    own = strategies[player]
-    probs = [np.array([p for p, _ in s.atoms]) for s in strategies]
-    rivals = {k: (probs[k], s.support_vectors()) for k, s in enumerate(strategies) if k != player}
+    rivals = {k: (probs[k], support[k]) for k in range(n) if k != player}
     dev, base = np.zeros(actions.shape[0]), 0.0
     for weights, bids in product_play(n, m, rivals, actions.size):
         play = rival_play(bids[:, None], rule)  # (S, 1) profiles: (S, K) utilities
         dev = weighted_sum(dev, weights, expected_utilities(table, actions, play, player))
-        payoff = expected_utilities(table, own.support_vectors(), play, player)
+        payoff = expected_utilities(table, support[player], play, player)
         base = weighted_sum(base, weights, np.vecdot(payoff, probs[player]))
     k = int(np.argmax(dev))
-    return BestResponseGap(float(dev[k] - base), 0.0, "exact", float(base), tuple(actions[k]))
-
-
-def _mc_gap(vals, strategies, player, grid: BidGrid, rule,
-            bundle, trials: int, seed: int) -> BestResponseGap:
-    n, m = len(vals), vals[0].m
-    rng = rng_for(seed, "brgap", player)
-    draws = [strategies[k].sample(rng, trials) for k in range(n) if k != player]
-    own = strategies[player].sample(rng, trials)
-    draws.insert(player, own)
-    for k, d in enumerate(draws):
-        _check_width(k, d, m)
-    play = rival_play(np.stack(draws, axis=1), rule)
-    actions = grid.actions_for(m, bundle)
-    table = vals[player].as_table()
-    dev_mean, dev_var = [], []
-    for s in blocks(len(actions), trials * m):
-        # (B, 1, m) rows against the trials: one contiguous row of trials per
-        # action, reduced as a lone row would be
-        u = expected_utilities(table, actions[s, None], play, player)
-        dev_mean.append(u.mean(axis=1))
-        dev_var.append(u.var(axis=1, ddof=1))
-    dev_mean, dev_var = np.concatenate(dev_mean), np.concatenate(dev_var)
-    base_u = expected_utilities(table, own, play, player)
-    base = float(base_u.mean())
-    k = int(np.argmax(dev_mean))
-    var = dev_var[k] / trials + base_u.var(ddof=1) / trials
-    return BestResponseGap(float(dev_mean[k]) - base, cf.Z99 * math.sqrt(var),
-                           "monte_carlo", base, tuple(actions[k]))
-
-
-def _check_width(k: int, bids: np.ndarray, m: int) -> None:
-    """Refuse strategy k's bid rows unless they bid on the game's m items."""
-    if bids.shape[-1] != m:
-        raise ValueError(f"strategies[{k}]: bids on {bids.shape[-1]} items, the game has {m}")
-
-
-def best_response_gap(vals: list[Valuation], strategies: list, player: int,
-                      grid: BidGrid, rule=PriorityRule(), trials: int = 100_000,
-                      seed: int = 0, bundle: int | None = None) -> BestResponseGap:
-    """Largest improvement available to `player` over its strategy by any
-    grid deviation, against the others' mixed strategies: exact enumeration
-    when every strategy has finite support, Monte Carlo (with a 99% CI on
-    the gap) otherwise. `andor_gap` scores the closed-form AND-OR pair.
-    """
-    if len(strategies) != len(vals):
-        raise ValueError(f"strategies: need one per player ({len(vals)}), got {len(strategies)}")
-    if all(isinstance(s, FiniteSupportStrategy) for s in strategies):
-        for k, s in enumerate(strategies):
-            _check_width(k, s.support_vectors(), vals[0].m)
-        return _exact_gap(vals, strategies, player, grid, rule, bundle)
-    return _mc_gap(vals, strategies, player, grid, rule, bundle, trials, seed)
+    return BestResponseGap(float(dev[k] - base), "exact", float(base), tuple(actions[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ def test_quantile_honors_atoms():
     assert f.quantile(0.5) == 0.0
     assert f.quantile(0.75) == pytest.approx(1.0 - 0.5 / 0.75)
     assert f.quantile(1.0) == pytest.approx(0.5)
+    # cont_cdf(lo) is exactly 0.0 here and the continuous quantile at 0
+    # rounds to -5.55e-17: u = 0 takes lo, as every u up to cdf(lo) does
+    f = and_bid_cdf(3, 1.0 / 3 + 0.03125 * (2 - 1.0 / 3))
+    assert f.cont_quantile(np.float64(0.0)) < 0.0
+    assert f.quantile(0.0) == f.lo == 0.0
+    assert (f.quantile(np.array([0.0, 1e-300, f.atom_span])) == 0.0).all()
 
 
 def test_degenerate_point_mass():
@@ -197,7 +203,7 @@ def _stream_ties(pair, role, trials, seed):
     opp = pair.F.quantile(rng.random(trials))[:20]
     reach = cf._first_reaching(pair.F, np.sort(np.append(opp, [0.0, pair.top, 1.5 * pair.top])))
     edges = pair.F.quantile(np.append(reach, np.nextafter(reach, 0.0)))
-    return np.maximum(np.append(opp, edges), 0.0).tolist()  # F.quantile can round below 0
+    return np.append(opp, edges).tolist()
 
 
 class _ZeroedPair(AndOrStrategyPair):
@@ -231,7 +237,7 @@ def test_andor_utility_mc_matches_oracle(case, zeroed, block, seed, data):
                           st.floats(0.0, 1.0).map(lambda u: -u)), min_size=1, max_size=16),
        st.sampled_from((1, 7, 64, auction.BLOCK)), st.integers(2, 300), st.integers(0, 2 ** 32))
 @settings(max_examples=examples(100), deadline=None)
-@example(3, 0.03125, [0.0], 1, 2, 0)  # F.quantile(0.0) rounds to -5.6e-17 here
+@example(3, 0.03125, [0.0], 1, 2, 0)  # cont_cdf(lo) is 0.0 and the continuous quantile -5.6e-17
 @example(200, 0.0025, [i / 80 for i in range(97)], 64, 3_000, 5)  # some 80 distinct thresholds
 def test_first_reaching_is_the_threshold(m, t, picks, block, trials, seed):
     """Each threshold is the first double past the atom whose AND bid
@@ -242,7 +248,7 @@ def test_first_reaching_is_the_threshold(m, t, picks, block, trials, seed):
     top = 1.0 / m
     pair = AndOrStrategyPair(m, top if t is None else top + t * (2.0 - top))
     F = pair.F
-    join = F.atom_span[1]
+    join = F.atom_span
     cuts = np.sort([float(F.quantile(-p)) if p < 0 else p * top for p in picks])
     reach = cf._first_reaching(F, cuts)
     for r, cut in zip(reach, cuts):
@@ -251,7 +257,7 @@ def test_first_reaching_is_the_threshold(m, t, picks, block, trials, seed):
             assert r > join and F.quantile(r) >= cut
         assert below <= join or F.quantile(below) < cut
     edges = F.quantile(np.concatenate([reach, np.nextafter(reach, 0.0), cuts]))
-    bids = np.maximum(np.resize(edges, m), 0.0)
+    bids = np.resize(edges, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(auction, "BLOCK", block)
         assert andor_utility_mc(pair, "or", bids, trials, seed) == \
@@ -391,24 +397,20 @@ def test_check_count_refuses_at_the_byte_limit():
 
 def _masked_quantile(cdf, u):
     """AtomicCDF.quantile as a mask-and-scatter pass, run on every
-    distribution: the reference for its np.where steps and its atomless
-    shortcut. At or below cont_cdf(lo) the continuous quantile, then lo
-    through the atom, then the continuous quantile past it."""
+    distribution: the reference for its np.where step and its atomless
+    shortcut. The continuous quantile past the atom; with an atom, lo to
+    every u up to cdf(lo) = cont_cdf(lo) + atom, even where cont_cdf(lo)
+    is not 0, so none falls below lo."""
     u = np.atleast_1d(np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0))
-    out = np.empty(u.shape)
-    before, rest = float(cdf._cc(cdf.lo)), 1.0 - cdf.atom
-    low = u <= before
-    at = ~low & (u <= before + cdf.atom)
-    high = ~(low | at)
-    out[low] = cdf.cont_quantile(np.clip(u[low], 0.0, rest))
-    out[at] = cdf.lo
-    out[high] = cdf.cont_quantile(np.clip(u[high] - cdf.atom, 0.0, rest))
+    out = cdf.cont_quantile(np.clip(u - cdf.atom, 0.0, 1.0 - cdf.atom))
+    if cdf.atom:
+        out[u <= float(cdf._cc(cdf.lo)) + cdf.atom] = cdf.lo
     return out
 
 
 def _atom_boundaries(cdf):
-    """The atom's `before` and `before + atom`, as quantile computes them,
-    and their neighbouring doubles."""
+    """cont_cdf(lo) and cdf(lo), where the atom starts and ends in the
+    uniforms, and their neighbouring doubles."""
     before = float(cdf._cc(cdf.lo))
     return [f(b) for b in (before, before + cdf.atom)
             for f in (lambda b: np.nextafter(b, -np.inf), float, lambda b: np.nextafter(b, np.inf))]

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from sfpa import auction, equilibrium, experiments as xp
+from sfpa import equilibrium, experiments as xp
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, optimal_welfare, outcome)
 from sfpa.closedform import (AndOrStrategyPair, andor_equilibrium_utilities,
                              andor_utility_and, andor_utility_or)
-from sfpa.equilibrium import (GRID_CAP, MESH_CAP, AndOrRole, BidGrid, FiniteSupportStrategy,
+from sfpa.equilibrium import (GRID_CAP, MESH_CAP, BidGrid, FiniteSupportStrategy,
                               WalrasianEquilibrium, _support_prices, andor_gap,
                               best_response_gap, bundle_costs, common_price_gap,
                               common_price_scan, demand, limit_equilibrium_check,
@@ -243,6 +243,9 @@ def test_finite_support_refuses_bad_bids():
     for bad in (np.nan, np.inf, -0.3):
         with pytest.raises(ValueError, match="^atoms: must be finite and nonnegative"):
             FiniteSupportStrategy(((0.5, (0.0,)), (0.5, (bad,))))
+    # ragged rows raised numpy's "inhomogeneous shape" error, naming no field
+    with pytest.raises(ValueError, match="^atoms: must be a matrix of bid rows"):
+        FiniteSupportStrategy(((0.5, (0.0,)), (0.5, (0.0, 0.0))))
 
 
 def _step_that_fits(exc) -> float:
@@ -361,7 +364,7 @@ def test_limit_equilibrium_walrasian_candidate():
 
 def test_limit_equilibrium_inconclusive_on_large_ball():
     vals = [AdditiveValuation(tuple(np.full(3, 1.0))) for _ in range(3)]
-    res = limit_equilibrium_check(vals, np.zeros((3, 3)), eps_list=(0.1,), cap=100)
+    res = limit_equilibrium_check(vals, np.zeros((3, 3)), eps_list=(0.1,))  # 7^9 > BALL_CAP
     assert res[0].status == "inconclusive"
 
 
@@ -410,49 +413,26 @@ def test_best_response_gap_monotone_in_grid():
     assert gaps[0] <= gaps[1] <= gaps[2]  # refining the grid cannot shrink the gap
 
 
-def test_best_response_gap_mc_matches_exact(monkeypatch):
-    """The Monte Carlo gap matches the closed form, and its bits do not
-    depend on how its 13 actions are split into blocks: at 2000 trials of
-    2 items an action, one action a block up to BLOCK = 64 entries, then
-    two (the last block one), then all 13."""
-    vals = andor_game(2, 1.0)
-    pair = AndOrStrategyPair(2, 1.0)
-    opp = AndOrRole(pair, "and")
-    own = FiniteSupportStrategy(((1.0, (0.0, 0.2)),))
-    grid = BidGrid(0.05, 0.6, "single_item")
-    res = best_response_gap(vals, [opp, own], 1, grid, trials=200_000, seed=3)
-    assert res.method == "monte_carlo"
-    assert res.baseline == pytest.approx(0.5, abs=res.ci99 + 0.01)
-    assert res.gap <= res.ci99 + 0.01  # the closed form leaves (almost) no gap
-    whole = best_response_gap(vals, [opp, own], 1, grid, trials=2000, seed=3)
-    for block in (1, 5, 64, 10_000, auction.BLOCK):
-        monkeypatch.setattr(auction, "BLOCK", block)
-        got = best_response_gap(vals, [opp, own], 1, grid, trials=2000, seed=3)
-        assert [np.float64(x).tobytes() for x in (got.gap, got.baseline, got.ci99)] == \
-            [np.float64(x).tobytes() for x in (whole.gap, whole.baseline, whole.ci99)], block
-        assert got.best_deviation == whole.best_deviation, block
-
-
 class _Sampled:
-    """A strategy known only through its sampler: forces the Monte Carlo path."""
+    """A strategy that is not a FiniteSupportStrategy, as one known only
+    through a sampler would be."""
 
     def __init__(self, strategy):
         self.strategy = strategy
-
-    def sample(self, rng, size):
-        return self.strategy.sample(rng, size)
 
 
 def test_best_response_gap_refuses_misfit_strategies():
     # two-item bids in a one-item game failed inside numpy, naming no field
     vals, grid = single_item(), BidGrid(0.5, 1.0)
     wide, one = FiniteSupportStrategy(((1.0, (0.0, 0.0)),)), FiniteSupportStrategy(((1.0, (0.0,)),))
-    for strategies, field in (([wide, wide], "strategies[0]"), ([one, wide], "strategies[1]"),
-                              ([_Sampled(one), wide], "strategies[1]"),
-                              ([one, _Sampled(wide)], "strategies[1]"),
-                              ([one], "strategies"), ([one] * 3, "strategies")):
-        with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
-            best_response_gap(vals, strategies, 0, grid, trials=10)
+    sampled = "need a FiniteSupportStrategy, got _Sampled"
+    for strategies, field in (([wide, wide], "strategies[0]: bids on 2 items"),
+                              ([one, wide], "strategies[1]: bids on 2 items"),
+                              ([_Sampled(one), wide], f"strategies[0]: {sampled}"),
+                              ([one, _Sampled(one)], f"strategies[1]: {sampled}"),
+                              ([one], "strategies: "), ([one] * 3, "strategies: ")):
+        with pytest.raises(ValueError, match="^" + re.escape(field)):
+            best_response_gap(vals, strategies, 0, grid)
 
 
 def test_best_response_gap_randomized_rule():
@@ -466,9 +446,6 @@ def test_best_response_gap_randomized_rule():
     assert res.method == "exact" and res.best_deviation == (0.75,)
     assert res.baseline == pytest.approx(base, abs=1e-12)
     assert res.gap == pytest.approx(max(expected.values()) - base, abs=1e-12)
-    mc = best_response_gap(vals, [_Sampled(half), half], 0, grid, rule, trials=1000)
-    assert mc.method == "monte_carlo" and mc.best_deviation == (0.75,)
-    assert mc.gap == pytest.approx(res.gap, abs=1e-12) and mc.ci99 == pytest.approx(0.0)
 
 
 def test_common_price_scan_matches_gap():

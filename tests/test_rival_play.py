@@ -14,9 +14,10 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa import auction
+from sfpa import auction, equilibrium
 from sfpa.auction import (BLOCK, PriorityRule, RandomizedRule, bid_utilities,
                           expected_utilities, price_to_beat, priority_ranks, product_play,
                           rival_play, weighted_sum)
@@ -231,9 +232,10 @@ def test_limit_check_matches_ball_loop(game, randomized, eps_list, block):
     rule = random_rule(rng, n, m, randomized)
     cand = 0.25 * rng.integers(0, 6, (n, m))
     cap = 700  # the n = 3, m = 2 ball (5^6 profiles) reports inconclusive on both sides
-    with block_size(block):
+    with block_size(block), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "BALL_CAP", cap)
         got = [(r.eps, r.status, r.witness)
-               for r in limit_equilibrium_check(vals, cand, rule, eps_list, cap)]
+               for r in limit_equilibrium_check(vals, cand, rule, eps_list)]
     assert got == limit_loop(vals, cand, rule, eps_list, cap)
 
 
