@@ -22,10 +22,11 @@ from .valuations import (PROB_TOL, SCHEMA, check_probs, entries, fields, numbers
                          valuations_from_json)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteBayesianGame:
     """Per-player type lists (a valuation per type), a prior over type
-    profiles, and per-player finite action lists."""
+    profiles, and per-player finite action lists. Frozen: it is checked
+    once, when it is built."""
 
     type_vals: list          # type_vals[i][t] is a Valuation
     prior: np.ndarray        # shape (T_1, ..., T_n), sums to 1
@@ -35,18 +36,19 @@ class FiniteBayesianGame:
     def __post_init__(self):
         if not self.type_vals:
             raise ValueError("types: need at least one player")
-        self.prior = np.asarray(self.prior, dtype=np.float64)
+        prior = np.asarray(self.prior, dtype=np.float64)
         shape = tuple(len(ts) for ts in self.type_vals)
-        if self.prior.shape != shape:
-            raise ValueError(f"prior: shape {self.prior.shape} != type counts {shape}")
-        check_probs(self.prior.ravel(), "prior")
+        if prior.shape != shape:
+            raise ValueError(f"prior: shape {prior.shape} != type counts {shape}")
+        object.__setattr__(self, "prior", check_probs(prior.ravel(), "prior").reshape(shape))
         for i, vs in enumerate(self.type_vals):
             if any(v.m != self.m for v in vs):
                 raise ValueError(f"types[{i}]: every type must cover m={self.m} items")
         if len(self.actions) != self.n:
             raise ValueError(f"actions: need one action list per player ({self.n})")
-        self.actions = [check_bids(a, f"actions[{i}]") for i, a in enumerate(self.actions)]
-        for i, a in enumerate(self.actions):
+        actions = [check_bids(a, f"actions[{i}]") for i, a in enumerate(self.actions)]
+        object.__setattr__(self, "actions", actions)
+        for i, a in enumerate(actions):
             if a.shape[1] != self.m:
                 raise ValueError(f"actions[{i}]: need {self.m} bids per vector, got {a.shape[1]}")
         priority_ranks(self.rule, self.n, self.m)  # a deterministic rule, valid for n and m
@@ -82,9 +84,7 @@ class FiniteBayesianGame:
 
 
 def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
-    """Normalize/validate strategies[i] as a (T_i, K_i) row-stochastic matrix,
-    and the tie rule again, as it may be reassigned after construction."""
-    priority_ranks(bg.rule, bg.n, bg.m)
+    """Normalize/validate strategies[i] as a (T_i, K_i) row-stochastic matrix."""
     if len(strategies) != bg.n:
         raise ValueError(f"strategies: need one per player ({bg.n}), got {len(strategies)}")
     out = []
@@ -194,12 +194,11 @@ def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
 
 
 def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
-                         beta: float | None = None,
-                         eps: float = PROB_TOL) -> BayesWelfareReport:
+                         beta: float | None = None) -> BayesWelfareReport:
     """Expected optimal vs equilibrium welfare with slack-aware bound checks.
 
-    `eps` is the claimed equilibrium quality; measured gaps above it flag
-    the report's gap precondition."""
+    The claimed equilibrium quality is exact, up to PROB_TOL (the report's
+    `eps`): measured gaps above it flag the report's gap precondition."""
     e_sw = expected_welfare(bg, strategies)  # it and bayes_deviation_gap check the strategies
     gaps = bayes_deviation_gap(bg, strategies)
     e_opt = 0.0
@@ -226,7 +225,7 @@ def bayes_welfare_bounds(bg: FiniteBayesianGame, strategies: list,
         bound_beta = 4.0 * beta * e_sw + 2.0 * beta * (sum(avg_gaps) + n * m * step)
         beta_ok = e_opt <= bound_beta + 1e-12
     return BayesWelfareReport(e_opt, e_sw, e_opt / e_sw if e_sw > 0 else None,
-                              avg_gaps, max_gap, eps, max_gap <= eps + PROB_TOL,
+                              avg_gaps, max_gap, PROB_TOL, max_gap <= 2 * PROB_TOL,
                               step, bound_general, general_ok,
                               beta, product, bound_beta, beta_ok, skipped)
 

@@ -195,7 +195,7 @@ def _run_command(args) -> dict:
                 "equilibria": [{"bids": [list(r) for r in e.bids], "gap": e.gap}
                                for e in eqs[:args.limit]]}
     if cmd == "poa":
-        if args.sweep:
+        if args.sweep is not None:
             ms = _number_list("sweep", args.sweep, int)
             return xp.andor_welfare_sweep(ms, args.trials, args.seed)
         return xp.poa_report(args.m, args.v, args.trials, args.seed)

@@ -84,9 +84,10 @@ class SeparableGrid:
         return block[:, :self.levels.shape[1]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteGame:
-    """Finite bid game: per-player action family, valuations, deterministic ties."""
+    """Finite bid game: per-player action family, valuations, deterministic
+    ties. Frozen: it is checked once, when it is built."""
 
     vals: list
     spaces: list
@@ -109,7 +110,7 @@ class FiniteGame:
             if items != m:
                 raise ValueError(f"spaces[{i}]: bids on {items} items, the game has {m}")
         try:
-            self.optimum = optimal_welfare(self.vals)
+            object.__setattr__(self, "optimum", optimal_welfare(self.vals))
         except CapExceeded as exc:  # learning has no cap knob: name the size instead
             reason = str(exc).split(";")[0].removeprefix("m: ")
             raise CapExceeded(f"m: {reason}; learn over fewer items") from None

@@ -127,8 +127,8 @@ def walrasian_search(vals: list[Valuation], cap: int = CAP,
     (lexicographic order), or None. One price LP decides existence: if any
     maximizer has supporting prices, every maximizer does. The lemma needs
     an exact maximizer; one a hair below the optimum can have none."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance: must be finite and >= 0, got {tol!r}")
     _, alloc = optimal_welfare(vals, cap)
     prices = _support_prices(vals, alloc)
     if prices is None:
@@ -217,18 +217,18 @@ class GridEquilibrium:
 
 
 def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
-                     eps: float = 0.0, cap: int = CAP,
-                     bundles: list[int] | None = None) -> list[GridEquilibrium]:
+                     eps: float = 0.0, bundles: list[int] | None = None) -> list[GridEquilibrium]:
     """All grid profiles where no player improves by more than eps with a
     grid deviation of its own family, in lexicographic order of the action
-    indices; a player's deviations are scored once per profile of its rivals."""
-    if not eps >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {eps!r}")
+    indices; a player's deviations are scored once per profile of its rivals.
+    More than CAP profiles are refused before any is built."""
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"epsilon: must be finite and >= 0, got {eps!r}")
     n, m = len(vals), vals[0].m
     total = grid.count(m) ** n  # counted before any action matrix is built
-    if total > cap:
-        raise CapExceeded(f"{total} grid profiles exceed cap {cap}; raise cap= to {total} "
-                          f"or coarsen the grid (sfpa pure-nash --grid-step)")
+    if total > CAP:
+        raise CapExceeded(f"grid_step: {total} grid profiles exceed {CAP}; coarsen sfpa "
+                          "pure-nash --grid-step, lower --max or change --family")
     actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
     sizes = [a.shape[0] for a in actions]
     tables = [v.as_table() for v in vals]

@@ -7,6 +7,7 @@ CLI wraps these; the acceptance suite calls them directly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -23,8 +24,8 @@ from .equilibrium import (GRID_CAP, BidGrid, FiniteSupportStrategy, andor_gap,
                           best_response_gap, common_price_gap, common_price_scan,
                           walrasian_search)
 from .rng import rng_for
-from .sets import full_set, members
-from .valuations import (SCHEMA, AdditiveValuation, AndValuation, OrValuation,
+from .sets import full_set
+from .valuations import (PROB_TOL, SCHEMA, AdditiveValuation, AndValuation, OrValuation,
                          SingleMindedValuation, TableValuation, Valuation, fields,
                          valuations_from_json)
 
@@ -104,24 +105,16 @@ def verify_andor(m: int, v: float, grid_step: float = 1e-3, trials: int = 0, see
            "mc_checks": []}
     if trials:
         rng = rng_for(seed, "verify-andor", m)
-        for p in range(mc_points):
-            y = float(rng.uniform(0, pair.top))
-            bids_and = np.full(m, y)
-            analytic = cf.andor_utility_and(pair, bids_and)
-            est, half = cf.andor_utility_mc(pair, "and", bids_and, trials,
-                                            seed + 101 * p)
-            out["mc_checks"].append({"player": "and", "bid": y, "analytic": analytic,
-                                     "estimate": est, "ci99": half,
-                                     "ok": abs(est - analytic) <= half})
-            x = float(rng.uniform(0, pair.top))
-            bids_or = np.zeros(m)
-            bids_or[p % m] = x
-            analytic = cf.andor_utility_or(pair, bids_or)
-            est, half = cf.andor_utility_mc(pair, "or", bids_or, trials,
-                                            seed + 211 * p)
-            out["mc_checks"].append({"player": "or", "bid": x, "analytic": analytic,
-                                     "estimate": est, "ci99": half,
-                                     "ok": abs(est - analytic) <= half})
+        for p in range(mc_points):  # the AND bid, then the OR bid on item p mod m
+            for role, salt, utility in (("and", 101, cf.andor_utility_and),
+                                        ("or", 211, cf.andor_utility_or)):
+                x = float(rng.uniform(0, pair.top))
+                bids = np.full(m, x) if role == "and" else np.where(np.arange(m) == p % m, x, 0.0)
+                analytic = utility(pair, bids)
+                est, half = cf.andor_utility_mc(pair, role, bids, trials, seed + salt * p)
+                out["mc_checks"].append({"player": role, "bid": x, "analytic": analytic,
+                                         "estimate": est, "ci99": half,
+                                         "ok": abs(est - analytic) <= half})
     return out
 
 
@@ -145,7 +138,7 @@ def verify_single_minded(k: int, d: int) -> dict:
     points = 97
     if points ** min(k, 64) > GRID_CAP:  # 2^64 already exceeds it; a huge k skips the power
         raise CapExceeded(f"k: the {points}^{k}-point bid grid exceeds {GRID_CAP} bid vectors; "
-                          "lower --k")
+                          f"k <= {int(math.log(GRID_CAP, points))} fits")
     axis = np.linspace(0.0, sm.top, points)
     util = cf.singleminded_utility(sm, np.ix_(*[axis] * k))
     diag = util[tuple(np.arange(points) for _ in range(k))]
@@ -245,14 +238,11 @@ def _random_lattice_valuation(rng: np.random.Generator, m: int) -> Valuation:
     if kind == "or":
         items = int(rng.integers(1, 1 << m))
         return OrValuation(m, float(rng.choice(_LATTICE)), items)
-    raw = rng.choice(_LATTICE, size=1 << m)
-    raw[0] = 0.0
-    table = np.zeros(1 << m)
-    for s in range(1, 1 << m):
-        best = raw[s]
-        for j in members(s):
-            best = max(best, table[s & ~(1 << j)])
-        table[s] = best  # monotone closure keeps values on the lattice
+    table = rng.choice(_LATTICE, size=1 << m)
+    table[0] = 0.0
+    for j in range(m):  # monotone closure, the max over subsets, keeps values on the lattice
+        pairs = table.reshape(-1, 2, 1 << j)  # [:, 1] holds item j, [:, 0] the same bundle without
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
     return TableValuation(m, tuple(float(x) for x in table))
 
 
@@ -307,6 +297,14 @@ def correspondence_suite(instances: int = 200, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Dynamics experiments
 
+def _learn(vals: list[Valuation], spaces: list, step: float, rounds: int, seed: int):
+    """Multiplicative weights on the game of `vals` over `spaces`: the trace,
+    and its final regrets beside their envelope as payload entries."""
+    trace = run_no_regret(FiniteGame(vals, spaces, grid_step=step), rounds, seed)
+    return trace, {"regret": [float(r) for r in trace.final_regret()],
+                   "regret_envelope": [float(e) for e in trace.regret_envelope()]}
+
+
 def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
                              grid_step: float = 0.05) -> dict:
     """Multiplicative weights on a random additive-valuation game; regret
@@ -317,16 +315,13 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
     BidGrid(grid_step, float(weights.max(initial=0.0))).levels()  # a refusal names a step for all
     spaces = [SeparableGrid([BidGrid(grid_step, float(wij)).points() for wij in w])
               for w in weights]
-    game = FiniteGame(vals, spaces, grid_step=grid_step)
-    trace = run_no_regret(game, rounds, seed)
-    drift = verify_cce(trace)
-    rep = ccqe_welfare_ratio(trace, beta=1.0)
-    regret = [float(r) for r in trace.final_regret()]
-    envelope = [float(e) for e in trace.regret_envelope()]
+    trace, regret = _learn(vals, spaces, grid_step, rounds, seed)
+    within = all(r <= e for r, e in zip(regret["regret"], regret["regret_envelope"]))
     return {"n": n, "m": m, "rounds": rounds, "seed": seed, "grid_step": grid_step,
-            "weights": weights.tolist(), "regret": regret, "regret_envelope": envelope,
-            "regret_within_envelope": all(r <= e for r, e in zip(regret, envelope)),
-            "cce_recompute_drift": drift, "welfare": asdict(rep),
+            "weights": weights.tolist(), **regret,
+            "regret_within_envelope": within,
+            "cce_recompute_drift": verify_cce(trace),  # keys evaluate in order: before welfare
+            "welfare": asdict(ccqe_welfare_ratio(trace, beta=1.0)),
             "series": [{"name": f"regret_p{i}",
                         "points": [[int(t) + 1, float(trace.regret[t, i])]
                                    for t in _thin(rounds)]}
@@ -351,19 +346,12 @@ def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
     grid = BidGrid(step, pair.top)
     spaces = [ExplicitActions(grid.actions_for(m, full_set(m))),
               ExplicitActions(BidGrid(step, pair.top, "single_item").actions_for(m))]
-    game = FiniteGame(vals, spaces, grid_step=step)
-    trace = run_no_regret(game, rounds, seed)
-    drift = verify_cce(trace)
-    rep = ccqe_welfare_ratio(trace, beta=None)
-    and_bids = trace.bids[:, 0, 0]
-    or_bids = trace.bids[:, 1, :].max(axis=1)
-    return {"m": m, "v": v, "rounds": rounds, "seed": seed,
-            "ks_and_vs_F": ks_distance(and_bids, pair.F),
-            "ks_or_vs_G": ks_distance(or_bids, pair.G),
-            "regret": [float(r) for r in trace.final_regret()],
-            "regret_envelope": [float(e) for e in trace.regret_envelope()],
-            "cce_recompute_drift": drift,
-            "welfare": asdict(rep),
+    trace, regret = _learn(vals, spaces, step, rounds, seed)
+    return {"m": m, "v": v, "rounds": rounds, "seed": seed, **regret,
+            "cce_recompute_drift": verify_cce(trace),
+            "welfare": asdict(ccqe_welfare_ratio(trace, beta=None)),
+            "ks_and_vs_F": ks_distance(trace.bids[:, 0, 0], pair.F),
+            "ks_or_vs_G": ks_distance(trace.bids[:, 1, :].max(axis=1), pair.G),
             "and_support_ok": cf.and_support_sum_check(
                 trace.bids[:, 0, :], vals[0].value_max()) is None}
 
@@ -374,15 +362,11 @@ def single_item_dynamics_report(values: tuple, rounds: int, seed: int,
     vals = [AdditiveValuation((float(x),)) for x in values]
     grid = BidGrid(grid_step, float(max(values)))
     spaces = [ExplicitActions(grid.actions_for(1)) for _ in values]
-    game = FiniteGame(vals, spaces, grid_step=grid_step)
-    trace = run_no_regret(game, rounds, seed)
+    trace, regret = _learn(vals, spaces, grid_step, rounds, seed)
     tail = trace.bids[-max(1, rounds // 10):]
-    rep = ccqe_welfare_ratio(trace, beta=1.0)
     return {"values": list(map(float, values)), "rounds": rounds, "seed": seed,
             "tail_mean_price": float(tail.max(axis=1).mean()),
-            "welfare": asdict(rep),
-            "regret": [float(r) for r in trace.final_regret()],
-            "regret_envelope": [float(e) for e in trace.regret_envelope()]}
+            "welfare": asdict(ccqe_welfare_ratio(trace, beta=1.0)), **regret}
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +387,29 @@ def exact_two_type_bne(bg: FiniteBayesianGame, acts: np.ndarray):
     """Lexicographically first pure Bayesian Nash equilibrium, by exhaustive
     scan over per-type pure strategies (the harness only verifies; this is
     the deliberate reference construction for it). Both players choose
-    among `acts`; every action pair is scored once under `bg.rule`."""
+    among `acts`; every action pair is scored once under `bg.rule`, and each
+    type weighs the rival's types by its conditional prior from `bg.prior`."""
     k = acts.shape[0]
     bids = np.stack(np.broadcast_arrays(acts[:, None], acts[None]), axis=2)  # (a0, a1, 2, m)
     play = rival_play(bids, bg.rule)
-    # u0[t, a0, a1] and u1[t, a1, a0]: type t's utility for its own action first
-    u0 = np.array([expected_utilities(v.as_table(), bids[:, :, 0], play, 0)
-                   for v in bg.type_vals[0]])
-    u1 = np.array([expected_utilities(v.as_table(), bids[:, :, 1], play, 1).T
-                   for v in bg.type_vals[1]])
-    for low1 in range(k):
-        for high1 in range(k):
-            eu0 = 0.5 * (u0[:, :, low1] + u0[:, :, high1])
-            best0 = eu0.max(axis=1)
-            for low0 in np.flatnonzero(eu0[0] >= best0[0] - 1e-12):
-                for high0 in np.flatnonzero(eu0[1] >= best0[1] - 1e-12):
-                    eu1 = 0.5 * (u1[:, :, low0] + u1[:, :, high0])
-                    if (eu1[0, low1] >= eu1[0].max() - 1e-12
-                            and eu1[1, high1] >= eu1[1].max() - 1e-12):
-                        s0 = np.zeros((2, k))
-                        s1 = np.zeros((2, k))
-                        s0[0, low0] = s0[1, high0] = 1.0
-                        s1[0, low1] = s1[1, high1] = 1.0
-                        return [s0, s1]
+    # u[i][t, a, b]: player i's type t's utility for its own action a against the rival's b
+    u = [np.array([expected_utilities(v.as_table(), bids[:, :, i], play, i)
+                   for v in bg.type_vals[i]]) for i in range(2)]
+    u[1] = u[1].transpose(0, 2, 1)
+    cond = []  # cond[i][t, r]: the chance of rival type r given own type t; none at no mass
+    for joint in (bg.prior, bg.prior.T):
+        marg = joint.sum(axis=1, keepdims=True)
+        cond.append(np.divide(joint, marg, out=np.zeros_like(joint), where=marg > PROB_TOL))
+
+    def best(i, rival):
+        """Per type of player i, its best actions against the rival's action per type."""
+        eu = sum(cond[i][:, r, None] * u[i][:, :, a] for r, a in enumerate(rival))
+        return [np.flatnonzero(e >= e.max() - 1e-12) for e in eu]
+
+    for s1 in itertools.product(range(k), repeat=len(bg.type_vals[1])):
+        for s0 in itertools.product(*best(0, s1)):
+            if all(a in b for a, b in zip(s1, best(1, s0))):
+                return [np.eye(k)[list(s0)], np.eye(k)[list(s1)]]
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -78,9 +79,24 @@ def test_two_type_bne_honours_the_tie_rule():
     """Under a rule that gives ties to player 1, the scan returns a profile
     with zero gaps under that rule (or none at all)."""
     bg, acts = two_type_bne_game(0.05)
-    bg.rule = PriorityRule(((1, 0),))
+    bg = replace(bg, rule=PriorityRule(((1, 0),)))
     strategies = exact_two_type_bne(bg, acts)
     assert strategies is None or max(g.max() for g in bayes_deviation_gap(bg, strategies)) == 0.0
+
+
+def test_two_type_bne_reads_the_prior():
+    """Under correlated priors the rival's types are not equally likely:
+    the scan weighs them by the conditional prior, so its profile has zero
+    gaps, also when a type has no mass (the last prior: player 1's high
+    type); the uniform prior keeps the profile it always gave."""
+    bg, acts = two_type_bne_game(0.05)
+    uniform = exact_two_type_bne(bg, acts)
+    assert [s.argmax(axis=1).tolist() for s in uniform] == [[7, 7], [0, 7]]
+    for prior in ([[0.4, 0.1], [0.1, 0.4]], [[0.1, 0.4], [0.4, 0.1]], [[0.5, 0.0], [0.5, 0.0]]):
+        correlated = replace(bg, prior=np.array(prior))
+        strategies = exact_two_type_bne(correlated, acts)
+        assert strategies is not None
+        assert [g.tolist() for g in bayes_deviation_gap(correlated, strategies)] == [[0.0] * 2] * 2
 
 
 def test_adversarial_strategies_flag_gap_precondition():
@@ -150,11 +166,9 @@ def test_game_input_checked_where_it_enters():
         FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts], rule)
     bg = FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts])
     k = acts.shape[0]
-    bg.rule = rule  # reassigned after construction: refused where it is used
-    for use in (bayes_deviation_gap, expected_welfare):
-        with pytest.raises(ValueError, match="^tie_rule:"):
-            use(bg, [pure((1, k), [0])] * 2)
-    bg.rule = PriorityRule()
+    for name, value in (("rule", rule), ("prior", np.array([[2.0]]))):
+        with pytest.raises(FrozenInstanceError):  # checked once: no field changes after
+            setattr(bg, name, value)
     bad = pure((1, k), [0])
     bad[0, 1] = np.nan
     for strategies in ([pure((1, k), [0]), bad], [pure((1, k), [0]), pure((2, k), [0, 0])]):

@@ -3,6 +3,7 @@ still exist: a refactor that moves one fails here, not only in the
 benchmark run (`python3 -m pytest perfbench`)."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
@@ -67,3 +68,17 @@ def test_no_module_reads_another_modules_private_name():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases and _private(node.attr)]
     assert not reads
+
+
+def test_checked_dataclasses_are_frozen():
+    """Every `sfpa` dataclass whose `__post_init__` checks or converts its
+    fields is frozen: a field reassigned after construction would skip it."""
+    package = pathlib.Path(sfpa.__file__).parent
+    thawed = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"sfpa.{path.stem}")
+        thawed += [name for name, obj in vars(module).items()
+                   if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                   and obj.__module__ == module.__name__ and "__post_init__" in vars(obj)
+                   and not obj.__dataclass_params__.frozen]
+    assert not thawed

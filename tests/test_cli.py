@@ -558,10 +558,11 @@ def test_single_minded_grid_too_large_names_k(monkeypatch, capsys):
         raise AssertionError("scored the grid before checking its size")
 
     monkeypatch.setattr(cf, "singleminded_utility", score)
-    for k in ("5", "1000000000"):
+    for k in ("4", "5", "1000000000"):  # 97^3 = 912,673 <= 2,000,000 < 97^4
         code, _, err = run_cli(["verify", "--game", "single_minded", "--k", k], capsys)
         message = precondition_message(code, err)
         assert message.startswith(f"k: the 97^{k}-point") and "2000000" in message
+        assert message.endswith("k <= 3 fits")
 
 
 def test_grid_steps_too_fine_refused_before_allocating(monkeypatch, capsys):
@@ -596,7 +597,7 @@ def test_cap_defaults_are_one_constant():
     from sfpa.valuations import MONEY_TOL
 
     for fn in (auction.optimal_welfare, auction.optimal_allocations,
-               equilibrium.walrasian_search, equilibrium.pure_nash_search):
+               equilibrium.walrasian_search):
         assert inspect.signature(fn).parameters["cap"].default == auction.CAP
     assert inspect.signature(auction.optimal_allocations).parameters["tol"].default == MONEY_TOL
     args = build_parser().parse_args(["walrasian", "--game", "andor"])
@@ -623,6 +624,15 @@ def test_bad_flags_name_their_field(capsys):
                         (["poa", "--sweep", "0", "--trials", "1000"], "sweep"),
                         (["poa", "--sweep", "-4", "--trials", "1000"], "sweep"),
                         (["dynamics", "--mode", "single-item", "--values", "1,y", *learn],
-                         "values")):
+                         "values"),
+                        (["poa", "--sweep", "", "--trials", "100"], "sweep"),
+                        (["pure-nash", "--game", "andor", "--m", "2", "--grid-step", "0.5",
+                          "--epsilon", "inf"], "epsilon: must be finite"),
+                        (["pure-nash", "--game", "andor", "--epsilon", "nan"],
+                         "epsilon: must be finite"),
+                        (["walrasian", "--game", "andor", "--tolerance", "inf"],
+                         "tolerance: must be finite"),
+                        (["walrasian", "--game", "andor", "--tolerance", "nan"],
+                         "tolerance: must be finite")):
         code, _, err = run_cli(args, capsys)
         assert precondition_message(code, err).startswith(field), args

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,9 +157,8 @@ def test_game_input_checked():
     game = single_item_game()
     with pytest.raises(ValueError, match="^tie_rule:"):
         FiniteGame(game.vals, game.spaces, rule)
-    game.rule = rule  # reassigned after construction: refused where it is used
-    with pytest.raises(ValueError, match="^tie_rule:"):
-        run_no_regret(game, 10, seed=1)
+    with pytest.raises(FrozenInstanceError):  # checked once: no field changes after
+        game.rule = rule
     vals = [AdditiveValuation((1.0, 0.5)), AdditiveValuation((0.5, 1.0))]
     two = ExplicitActions([[0.0, 0.0], [0.5, 0.5]])
     for short in (SeparableGrid([[0.0, 0.5]]), ExplicitActions([[0.0], [0.5]])):

@@ -221,7 +221,7 @@ def test_pure_nash_search_andor_both_bid_v():
 def test_pure_nash_cap():
     vals = single_item((1.0, 2.0))
     with pytest.raises(CapExceeded):
-        pure_nash_search(vals, BidGrid(0.0001, 2.0), cap=1000)
+        pure_nash_search(vals, BidGrid(0.0001, 2.0))  # 20001^2 profiles exceed CAP
 
 
 def test_pure_nash_profiles_counted_before_allocating(monkeypatch):
@@ -234,7 +234,7 @@ def test_pure_nash_profiles_counted_before_allocating(monkeypatch):
         raise AssertionError("allocated before the profile count was checked")
 
     monkeypatch.setattr(np, "zeros", zeros)
-    with pytest.raises(CapExceeded, match=f"^{(20 * 99001) ** 2} grid profiles exceed cap"):
+    with pytest.raises(CapExceeded, match=f"^grid_step: {(20 * 99001) ** 2} grid profiles exceed"):
         pure_nash_search(vals, grid)
     assert grid.count(20) == 20 * 99001
 

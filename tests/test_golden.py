@@ -23,7 +23,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -98,7 +98,7 @@ def limit_payload():
 
 def bayes_priority_payload():
     bg, acts = xp.two_type_bne_game(0.1)
-    bg.rule = PriorityRule(((1, 0),))
+    bg = replace(bg, rule=PriorityRule(((1, 0),)))
     k = acts.shape[0]
     start = [np.full((2, k), 1.0 / k), np.full((2, k), 1.0 / k)]
     strategies, fixed = best_response_strategies(bg, start, sweeps=5)
