@@ -16,7 +16,7 @@ import numpy as np
 
 from .sets import MAX_ITEMS, members
 from .valuations import (MONEY_TOL, SCHEMA, Valuation, check_probs, entries, fields, numbers,
-                         paid)
+                         paid, read_only)
 
 TIE_TOL = 1e-12  # bids this close count as tied
 MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
@@ -37,6 +37,10 @@ class PriorityRule:
 
     order: tuple | None = None
 
+    def __post_init__(self):
+        if self.order is not None:
+            object.__setattr__(self, "order", tuple(map(tuple, self.order)))
+
     def validate(self, n: int, m: int) -> None:
         if self.order is None:
             return
@@ -56,6 +60,7 @@ class RandomizedRule:
     mixture: tuple  # of (probability, PriorityRule)
 
     def __post_init__(self):
+        object.__setattr__(self, "mixture", tuple((p, rule) for p, rule in self.mixture))
         check_probs([p for p, _ in self.mixture], "tie_rule")
 
     def validate(self, n: int, m: int) -> None:
@@ -71,8 +76,7 @@ def rule_from_json(d, field: str = "tie_rule"):
     if kind == "index":
         return PriorityRule()
     if kind == "priority":
-        order = numbers(d["order"], f"{field}.order", 2, range(2 ** 63))
-        return PriorityRule(tuple(map(tuple, order)))
+        return PriorityRule(numbers(d["order"], f"{field}.order", 2, range(2 ** 63)))
     mixture = [(key, fields(b, key, SCHEMA["mixture entry"]))
                for key, b in entries(d["mixture"], f"{field}.mixture")]
     return RandomizedRule(tuple((float(numbers(b["prob"], f"{key}.prob", 0)),
@@ -100,10 +104,10 @@ class Allocation:
 
 
 def check_bids(bids, field: str = "bids") -> np.ndarray:
-    """`bids` as a float64 matrix of finite, nonnegative bid rows; a
-    ValueError names `field`."""
+    """`bids` as a read-only float64 copy, a matrix of finite, nonnegative
+    bid rows; a ValueError names `field`."""
     try:
-        b = np.asarray(bids, dtype=np.float64)
+        b = read_only(bids)
     except ValueError:  # ragged rows
         b = None
     if b is None or b.ndim != 2:
@@ -151,9 +155,7 @@ def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i
 @lru_cache(maxsize=256)  # (n, n - 1, m), once per rule: rival r of player i outranks i on item j
 def _outranks(dtype: np.dtype, shape: tuple, data: bytes) -> np.ndarray:
     ranks = np.frombuffer(data, dtype).reshape(shape).T
-    mask = ranks[_rivals(shape[1])] < ranks[:, None, :]
-    mask.flags.writeable = False  # one array serves every call with these ranks
-    return mask
+    return read_only(ranks[_rivals(shape[1])] < ranks[:, None, :], bool)  # serves every call
 
 
 def wins(rows: np.ndarray, beat: np.ndarray, ahead: np.ndarray) -> np.ndarray:
@@ -328,6 +330,9 @@ def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     exactly the best welfare among the completions, so every branch taken
     ends in at least one assignment."""
     n, m = len(vals), vals[0].m
+    for k, v in enumerate(vals):
+        if v.m != m:
+            raise ValueError(f"vals[{k}]: covers m={v.m} items, vals[0] has m={m}")
     if m > MAX_ITEMS:  # before 3^m is formed: a huge m would take minutes
         raise CapExceeded(f"m: the welfare DP covers at most {MAX_ITEMS} items, got m={m}")
     pairs = max(n - 2, 0) * 3 ** m + (1 << m)

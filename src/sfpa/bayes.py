@@ -25,28 +25,28 @@ from .valuations import (PROB_TOL, SCHEMA, check_probs, entries, fields, numbers
 @dataclass(frozen=True)
 class FiniteBayesianGame:
     """Per-player type lists (a valuation per type), a prior over type
-    profiles, and per-player finite action lists. Frozen: it is checked
-    once, when it is built."""
+    profiles, and per-player finite action lists. Frozen, and its prior and
+    actions are read-only copies: it is checked once, when it is built."""
 
-    type_vals: list          # type_vals[i][t] is a Valuation
+    type_vals: tuple         # type_vals[i][t] is a Valuation
     prior: np.ndarray        # shape (T_1, ..., T_n), sums to 1
-    actions: list            # actions[i] is a (K_i, m) bid matrix
+    actions: tuple           # actions[i] is a (K_i, m) bid matrix
     rule: PriorityRule = PriorityRule()
 
     def __post_init__(self):
+        object.__setattr__(self, "type_vals", tuple(map(tuple, self.type_vals)))
         if not self.type_vals:
             raise ValueError("types: need at least one player")
-        prior = np.asarray(self.prior, dtype=np.float64)
         shape = tuple(len(ts) for ts in self.type_vals)
-        if prior.shape != shape:
-            raise ValueError(f"prior: shape {prior.shape} != type counts {shape}")
-        object.__setattr__(self, "prior", check_probs(prior.ravel(), "prior").reshape(shape))
+        if np.shape(self.prior) != shape:
+            raise ValueError(f"prior: shape {np.shape(self.prior)} != type counts {shape}")
+        object.__setattr__(self, "prior", check_probs(np.ravel(self.prior), "prior").reshape(shape))
         for i, vs in enumerate(self.type_vals):
             if any(v.m != self.m for v in vs):
                 raise ValueError(f"types[{i}]: every type must cover m={self.m} items")
         if len(self.actions) != self.n:
             raise ValueError(f"actions: need one action list per player ({self.n})")
-        actions = [check_bids(a, f"actions[{i}]") for i, a in enumerate(self.actions)]
+        actions = tuple(check_bids(a, f"actions[{i}]") for i, a in enumerate(self.actions))
         object.__setattr__(self, "actions", actions)
         for i, a in enumerate(actions):
             if a.shape[1] != self.m:
@@ -74,13 +74,8 @@ class FiniteBayesianGame:
 
     def grid_step(self) -> float:
         """Largest spacing between adjacent per-item bid levels on offer."""
-        step = 0.0
-        for acts in self.actions:
-            for j in range(self.m):
-                pts = np.unique(acts[:, j])
-                if pts.size > 1:
-                    step = max(step, float(np.diff(pts).max()))
-        return step
+        return max(float(np.diff(np.unique(acts[:, j])).max(initial=0.0))
+                   for acts in self.actions for j in range(self.m))
 
 
 def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
@@ -89,10 +84,9 @@ def check_strategies(bg: FiniteBayesianGame, strategies: list) -> list:
         raise ValueError(f"strategies: need one per player ({bg.n}), got {len(strategies)}")
     out = []
     for i, s in enumerate(strategies):
-        s = np.asarray(s, dtype=np.float64)
         want = (len(bg.type_vals[i]), bg.actions[i].shape[0])
-        if s.shape != want:
-            raise ValueError(f"strategies[{i}]: shape {s.shape}, want {want}")
+        if np.shape(s) != want:
+            raise ValueError(f"strategies[{i}]: shape {np.shape(s)}, want {want}")
         out.append(check_probs(s, f"strategies[{i}]"))
     return out
 

@@ -11,16 +11,16 @@ Action families are products of factors, each a categorical choice among
 bid rows; a player's bid is the sum of its factors' chosen rows:
 
 - `ExplicitActions`: an explicit (K, m) list of bid vectors; one factor.
-- `SeparableGrid`: per-item bid levels, valid only for additive valuations,
-  whose utility splits across items. Joint multiplicative weights over the
-  level product then factorize exactly into one factor per item, so
-  K = prod(levels) costs nothing to learn over.
+- `SeparableGrid`: per-item bid levels, ragged. Several factors are valid
+  only for additive valuations, whose utility splits across items: joint
+  multiplicative weights over the level product then factorize exactly into
+  one factor per item, so K = prod(levels) costs nothing to learn over.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,85 +28,84 @@ from .auction import (CapExceeded, PriorityRule, bid_utilities, blocks, bundle_m
                       optimal_welfare, price_to_beat, priority_ranks, weighted_sum, wins)
 from .closedform import AtomicCDF, check_count
 from .rng import rng_for
-from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid
+from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid, read_only
 
 
-class ExplicitActions:
-    def __init__(self, vectors):
-        self.vectors = check_bids(vectors, "actions")
+@dataclass(frozen=True, eq=False)
+class _Factored:
+    """A product of factors, stored once when built: a tuple of read-only
+    (rows, support) pairs, one categorical choice among bid rows each."""
+
+    factors: tuple = field(init=False)
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return math.prod(len(rows) for rows, _ in self.factors)  # exact past int64
 
     def max_spend(self) -> float:
-        return float(self.vectors.sum(axis=1).max())
+        return float(np.array([rows.sum(axis=1).max() for rows, _ in self.factors]).sum())
 
-    def factors(self, m: int) -> list:
-        """One factor: the K bid vectors, bidding on every item."""
-        return [(self.vectors, np.ones(m, dtype=bool))]
+
+@dataclass(frozen=True, eq=False)
+class ExplicitActions(_Factored):
+    """One factor: the (K, m) bid vectors, bidding on every item."""
+
+    vectors: InitVar[np.ndarray]
+
+    def __post_init__(self, vectors):
+        rows = check_bids(vectors, "actions")
+        object.__setattr__(self, "factors", ((rows, read_only(np.ones(rows.shape[1]), bool)),))
 
     def unpack(self, block: np.ndarray) -> np.ndarray:
         """This family's (K,) view of a padded (factor, level) block."""
         return block[0, :self.count]
 
 
-class SeparableGrid:
-    """Per-item levels (ragged), padded to a rectangle with a validity mask."""
+@dataclass(frozen=True, eq=False)
+class SeparableGrid(_Factored):
+    """Per-item levels, ragged: one factor per item, its levels bidding on it alone."""
 
-    def __init__(self, levels: list):
-        arrs = [np.asarray(l, dtype=np.float64) for l in levels]
-        if any(a.ndim != 1 or a.size == 0 for a in arrs):
-            raise ValueError("each item needs a nonempty 1-d level array")
-        width = max(a.size for a in arrs)
-        self.levels = np.zeros((len(arrs), width))
-        self.valid = np.zeros((len(arrs), width), dtype=bool)
-        for j, a in enumerate(arrs):
-            self.levels[j, :a.size] = a
-            self.valid[j, :a.size] = True
-        check_bids(self.levels, "levels")
+    levels: tuple
 
-    @property
-    def count(self) -> int:
-        return math.prod(self.valid.sum(axis=1).tolist())  # exact past int64
-
-    def max_spend(self) -> float:
-        return float(np.where(self.valid, self.levels, 0.0).max(axis=1).sum())
-
-    def factors(self, m: int) -> list:
-        """One factor per item: that item's levels, bidding on it alone."""
-        eye = np.eye(m, dtype=bool)
-        return [(lv[ok, None] * eye[j], eye[j])
-                for j, (lv, ok) in enumerate(zip(self.levels, self.valid))]
+    def __post_init__(self):
+        arrs = [np.asarray(l, dtype=np.float64) for l in self.levels]
+        if not arrs or any(a.ndim != 1 or a.size == 0 for a in arrs):
+            raise ValueError("levels: each item needs a nonempty 1-d level array")
+        check_bids(np.concatenate(arrs)[:, None], "levels")  # before inf * 0 makes a NaN
+        eye = read_only(np.eye(len(arrs)), bool)  # row j: factor j's support
+        object.__setattr__(self, "factors", tuple((read_only(a[:, None] * eye[j]), eye[j])
+                                                  for j, a in enumerate(arrs)))
+        object.__setattr__(self, "levels", tuple(r[:, j] for j, (r, _) in enumerate(self.factors)))
 
     def unpack(self, block: np.ndarray) -> np.ndarray:
         """This family's (m, L) view of a padded (factor, level) block."""
-        return block[:, :self.levels.shape[1]]
+        return block[:, :max(map(len, self.levels))]
 
 
 @dataclass(frozen=True)
 class FiniteGame:
     """Finite bid game: per-player action family, valuations, deterministic
-    ties. Frozen: it is checked once, when it is built."""
+    ties. Frozen, its players in tuples: it is checked once, when it is built."""
 
-    vals: list
-    spaces: list
+    vals: tuple
+    spaces: tuple
     rule: PriorityRule = field(default_factory=PriorityRule)
     grid_step: float = 0.0  # action spacing, reported into slack accounting
     optimum: tuple = field(init=False, repr=False)  # (value, allocation), before any round
 
     def __post_init__(self):
+        object.__setattr__(self, "vals", tuple(self.vals))
+        object.__setattr__(self, "spaces", tuple(self.spaces))
         if not self.vals:
             raise ValueError("n must be >= 1: a game needs a player")
         n, m = len(self.vals), self.vals[0].m
         if len(self.spaces) != n:
             raise ValueError("one action space per player")
         priority_ranks(self.rule, n, m)  # a deterministic rule, valid for n and m
-        for i, sp in enumerate(self.spaces):
-            separable = isinstance(sp, SeparableGrid)
-            if separable and not isinstance(self.vals[i], AdditiveValuation):
-                raise ValueError("separable grids factorize only for additive valuations")
-            items = sp.levels.shape[0] if separable else sp.vectors.shape[1]
+        for i, (v, sp) in enumerate(zip(self.vals, self.spaces)):
+            if len(sp.factors) > 1 and not isinstance(v, AdditiveValuation):
+                raise ValueError(f"spaces[{i}]: several factors need an additive valuation")
+            items = sp.factors[0][0].shape[1]
             if items != m:
                 raise ValueError(f"spaces[{i}]: bids on {items} items, the game has {m}")
         try:
@@ -114,11 +113,13 @@ class FiniteGame:
         except CapExceeded as exc:  # learning has no cap knob: name the size instead
             reason = str(exc).split(";")[0].removeprefix("m: ")
             raise CapExceeded(f"m: {reason}; learn over fewer items") from None
+        if max(v.value_max() for v in self.vals) <= 0:
+            raise ValueError("values: normalization needs a player with positive full-bundle value")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearningTrace:
-    """Round-by-round record of a multiplicative-weights run."""
+    """Round-by-round record of a multiplicative-weights run; its arrays are read-only."""
 
     game: FiniteGame
     rounds: int
@@ -126,19 +127,13 @@ class LearningTrace:
     utilities: np.ndarray   # (T, n) realized money utilities
     welfare: np.ndarray     # (T,)
     regret: np.ndarray      # (T, n) running external regret, money units
-    cum_counterfactual: list  # per player, money units
+    cum_counterfactual: tuple  # per player, money units
     ln_k: np.ndarray        # (n,)
     payoff_range: np.ndarray  # (n,) money units
-
-    def final_regret(self) -> np.ndarray:
-        return self.regret[-1]
 
     def regret_envelope(self) -> np.ndarray:
         """2 sqrt(T ln K_i) * payoff range, the checked MW guarantee."""
         return 2.0 * np.sqrt(self.rounds * self.ln_k) * self.payoff_range
-
-    def empirical_welfare(self) -> float:
-        return float(self.welfare.mean())
 
 
 def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -160,22 +155,20 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     n, m = len(game.vals), game.vals[0].m
     ranks = priority_ranks(game.rule, n, m)
     vmax = max(v.value_max() for v in game.vals)
-    if vmax <= 0:
-        raise ValueError("normalization needs a player with positive full-bundle value")
     payoff_range = np.array([v.value_max() + sp.max_spend()
                              for v, sp in zip(game.vals, game.spaces)])
     ln_k = np.array([math.log(sp.count) for sp in game.spaces])
     # a one-action player's play is forced: any step keeps 0 * -inf out of it
     eta_base = np.where(ln_k > 0, np.sqrt(ln_k) / (payoff_range / vmax), 1.0)[:, None, None]
 
-    factors = [sp.factors(m) for sp in game.spaces]
+    factors = [sp.factors for sp in game.spaces]
     nf = np.array([len(fs) for fs in factors])
     F = int(nf.max())
     # per round: the bids, each factor's chosen gain, chosen value and best sum, the steps
     check_count(rounds, "rounds", 1, 8 * (n * m + 3 * n * F + n))
     # players with fewer factors get one-level, zero-bid, zero-gain fillers
     filler = (np.zeros((1, m)), np.zeros(m, dtype=bool))
-    flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + [filler] * (F - len(fs))]
+    flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + (filler,) * (F - len(fs))]
     W = max(len(r) for _, r, _ in flat)
     rows = np.concatenate([r for _, r, _ in flat])  # (N, m)
     support = np.concatenate([np.broadcast_to(s, r.shape) for _, r, s in flat])
@@ -222,9 +215,11 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
             top = np.maximum.reduce(cum, axis=2, out=tops[t])[:, :, None]
 
     util = gains.sum(axis=2)  # each round's orders: over factors; over players, then factors
-    cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
-    return LearningTrace(game, rounds, bids_out, util, values.sum(axis=1).sum(axis=1),
-                         tops.sum(axis=2) - np.cumsum(util, axis=0), cum_out, ln_k, payoff_range)
+    welfare, regret = values.sum(axis=1).sum(axis=1), tops.sum(axis=2) - np.cumsum(util, axis=0)
+    for a in (cum, bids_out, util, welfare, regret, ln_k, payoff_range):  # before any view
+        a.flags.writeable = False
+    cum_out = tuple(sp.unpack(cum[i]) for i, sp in enumerate(game.spaces))
+    return LearningTrace(game, rounds, bids_out, util, welfare, regret, cum_out, ln_k, payoff_range)
 
 
 def verify_cce(trace: LearningTrace) -> float:
@@ -244,9 +239,8 @@ def verify_cce(trace: LearningTrace) -> float:
     beats, aheads = price_to_beat(trace.bids, priority_ranks(game.rule, n, m))
     worst = 0.0
     for i, sp in enumerate(game.spaces):
-        factors = sp.factors(m)
-        sums = np.zeros((len(factors), max(len(rows) for rows, _ in factors)))
-        for f, (rows, support) in enumerate(factors):
+        sums = np.zeros((len(sp.factors), max(len(rows) for rows, _ in sp.factors)))
+        for f, (rows, support) in enumerate(sp.factors):
             items = np.flatnonzero(support)
             subsets = bit_matrix(items.size) @ (1 << items)
             table, own, k = game.vals[i].as_table()[subsets], rows[:, items], len(rows)
@@ -310,8 +304,8 @@ def ccqe_welfare_ratio(trace: LearningTrace, beta: float | None = None) -> CceWe
     game = trace.game
     n, m = len(game.vals), game.vals[0].m
     opt, _ = game.optimum
-    emp = trace.empirical_welfare()
-    reg = tuple(float(max(r, 0.0)) / trace.rounds for r in trace.final_regret())
+    emp = float(trace.welfare.mean())
+    reg = tuple(float(max(r, 0.0)) / trace.rounds for r in trace.regret[-1])
     general_slack = 2.0 * sum(reg) + 2.0 * n * m * game.grid_step
     bound_general = 4.0 * m * emp + general_slack
     if beta is not None and math.isfinite(beta):

@@ -320,11 +320,9 @@ class FiniteSupportStrategy:
     atoms: tuple  # of (probability, bid tuple)
 
     def __post_init__(self):
-        check_probs([p for p, _ in self.atoms], "atoms")
-        check_bids([b for _, b in self.atoms], "atoms")
-
-    def support_vectors(self) -> np.ndarray:
-        return np.array([b for _, b in self.atoms], dtype=np.float64)
+        probs = check_probs([p for p, _ in self.atoms], "atoms").tolist()
+        bids = check_bids([b for _, b in self.atoms], "atoms").tolist()
+        object.__setattr__(self, "atoms", tuple(zip(probs, map(tuple, bids))))
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,7 @@ def best_response_gap(vals: list[Valuation], strategies: list, player: int,
         if not isinstance(s, FiniteSupportStrategy):
             raise ValueError(f"strategies[{k}]: need a FiniteSupportStrategy, "
                              f"got {type(s).__name__}")
-        support.append(s.support_vectors())
+        support.append(np.array([b for _, b in s.atoms]))
         if support[k].shape[1] != m:
             raise ValueError(f"strategies[{k}]: bids on {support[k].shape[1]} items, "
                              f"the game has {m}")

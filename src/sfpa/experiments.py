@@ -301,7 +301,7 @@ def _learn(vals: list[Valuation], spaces: list, step: float, rounds: int, seed: 
     """Multiplicative weights on the game of `vals` over `spaces`: the trace,
     and its final regrets beside their envelope as payload entries."""
     trace = run_no_regret(FiniteGame(vals, spaces, grid_step=step), rounds, seed)
-    return trace, {"regret": [float(r) for r in trace.final_regret()],
+    return trace, {"regret": [float(r) for r in trace.regret[-1]],
                    "regret_envelope": [float(e) for e in trace.regret_envelope()]}
 
 

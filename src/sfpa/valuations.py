@@ -30,11 +30,18 @@ MONEY_TOL = 1e-9
 PROB_TOL = 1e-12  # how far a probability vector's sum may stray from 1
 
 
+def read_only(a, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of `a` as `dtype`: no caller's write reaches a checked array."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 def check_probs(probs, field: str) -> np.ndarray:
-    """`probs` as float64 probability vectors along the last axis: finite,
-    every entry >= 0, each vector summing to 1 within PROB_TOL. A ValueError
-    names `field`."""
-    p = np.asarray(probs, dtype=np.float64)
+    """`probs` as read-only float64 probability vectors along the last axis:
+    finite, every entry >= 0, each summing to 1 within PROB_TOL. A
+    ValueError names `field`."""
+    p = read_only(probs)
     if not np.isfinite(p).all() or (p < 0).any() or (abs(p.sum(axis=-1) - 1) > PROB_TOL).any():
         raise ValueError(f"{field}: probabilities must be finite, nonnegative and sum to 1")
     return p
@@ -84,10 +91,9 @@ class Valuation:
         if table is None:
             if self.m > MAX_ITEMS:
                 raise ValueError(f"dense table needs m <= {MAX_ITEMS}, got {self.m}")
-            table = self._table()
+            table = read_only(self._table())
             if not np.isfinite(table).all():  # a non-finite entry, or a sum past float range
                 raise ValueError(f"values must be finite, got {table[~np.isfinite(table)][0]}")
-            table.setflags(write=False)
             object.__setattr__(self, "_dense", table)
         return table
 

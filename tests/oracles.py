@@ -181,11 +181,11 @@ def run_no_regret_dense(game: FiniteGame, rounds: int, seed: int) -> LearningTra
     ln_k = np.array([math.log(sp.count) for sp in game.spaces])
     eta_base = np.where(ln_k > 0, np.sqrt(ln_k) / (payoff_range / vmax), 1.0)[:, None, None]
 
-    factors = [sp.factors(m) for sp in game.spaces]
+    factors = [sp.factors for sp in game.spaces]
     nf = np.array([len(fs) for fs in factors])
     F = int(nf.max())
     filler = (np.zeros((1, m)), np.zeros(m, dtype=bool))
-    flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + [filler] * (F - len(fs))]
+    flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + (filler,) * (F - len(fs))]
     W = max(len(r) for _, r, _ in flat)
     rows = np.concatenate([r for _, r, _ in flat])  # (N, m)
     support = np.concatenate([np.broadcast_to(s, r.shape) for _, r, s in flat])
@@ -226,6 +226,6 @@ def run_no_regret_dense(game: FiniteGame, rounds: int, seed: int) -> LearningTra
             top = cum.max(axis=2, out=tops[t])[:, :, None]
 
     util = gains.sum(axis=2)
-    cum_out = [sp.unpack(cum[i]) for i, sp in enumerate(game.spaces)]
+    cum_out = tuple(sp.unpack(cum[i]) for i, sp in enumerate(game.spaces))
     return LearningTrace(game, rounds, bids_out, util, values.sum(axis=1).sum(axis=1),
                          tops.sum(axis=2) - np.cumsum(util, axis=0), cum_out, ln_k, payoff_range)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa.auction import (TIE_TOL, CapExceeded, PriorityRule, RandomizedRule,
+from sfpa.auction import (CAP, TIE_TOL, CapExceeded, PriorityRule, RandomizedRule,
                           allocate, bid_utilities, optimal_allocations,
                           optimal_welfare, outcome, price_to_beat,
-                          priority_ranks, rule_from_json, wins)
+                          priority_ranks, rule_from_json, welfare_maximizers, wins)
+from sfpa.dynamics import ExplicitActions, FiniteGame
 from sfpa.equilibrium import walrasian_search
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation, bit_matrix,
@@ -291,6 +292,21 @@ def test_cap_enforced():
     vals = [AdditiveValuation(tuple([1.0] * 10))] * 6
     with pytest.raises(CapExceeded, match=r"= 237220 subset pairs exceed cap 1000"):
         optimal_welfare(vals, cap=1000)
+
+
+def test_mismatched_item_counts_refused_naming_the_field():
+    """Every welfare-DP entry refuses valuations over different item
+    counts, naming the first that differs, before numpy meets them."""
+    vals = [AdditiveValuation((1.0,)), AdditiveValuation((1.0, 2.0))]
+    message = r"^vals\[1\]: covers m=2 items, vals\[0\] has m=1$"
+    one_item = [ExplicitActions([[0.0], [0.5]])] * 2
+    for call in (lambda: optimal_welfare(vals), lambda: optimal_allocations(vals),
+                 lambda: walrasian_search(vals), lambda: welfare_maximizers(vals, CAP, 0.0),
+                 lambda: FiniteGame(vals, one_item)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=r"^vals\[2\]: covers m=1 items, vals\[0\] has m=2$"):
+        optimal_welfare([vals[1], vals[1], vals[0]])
 
 
 def test_outcome_with_branch_detail():

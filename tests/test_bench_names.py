@@ -6,8 +6,17 @@ import ast
 import dataclasses
 import importlib
 import pathlib
+import subprocess
+import sys
+
+import numpy as np
 
 import sfpa
+import sfpa.experiments as xp
+from sfpa.auction import rule_from_json
+from sfpa.bayes import bayesian_game_from_json
+from sfpa.dynamics import run_no_regret
+from sfpa.equilibrium import FiniteSupportStrategy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -70,9 +79,28 @@ def test_no_module_reads_another_modules_private_name():
     assert not reads
 
 
-def test_checked_dataclasses_are_frozen():
+def _writable_parts(obj, path: str) -> list:
+    """Paths to every list, dict, set, writable array or array on a
+    writable base reached from `obj` through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        base = obj.base if isinstance(obj.base, np.ndarray) else None
+        return [path] if obj.flags.writeable or (base is not None and base.flags.writeable) else []
+    if isinstance(obj, (list, dict, set)):
+        return [path]
+    if isinstance(obj, tuple):
+        return [p for k, x in enumerate(obj) for p in _writable_parts(x, f"{path}[{k}]")]
+    if dataclasses.is_dataclass(obj):
+        return [p for f in dataclasses.fields(obj)
+                for p in _writable_parts(getattr(obj, f.name), f"{path}.{f.name}")]
+    return []
+
+
+def test_checked_dataclasses_are_frozen(monkeypatch):
     """Every `sfpa` dataclass whose `__post_init__` checks or converts its
-    fields is frozen: a field reassigned after construction would skip it."""
+    fields is frozen: a field reassigned after construction would skip it.
+    Checked objects, built the way the builders and loaders build them,
+    hold no list, dict or writable array anywhere: an in-place write after
+    the check would skip it too."""
     package = pathlib.Path(sfpa.__file__).parent
     thawed = []
     for path in sorted(package.glob("*.py")):
@@ -82,3 +110,47 @@ def test_checked_dataclasses_are_frozen():
                    and obj.__module__ == module.__name__ and "__post_init__" in vars(obj)
                    and not obj.__dataclass_params__.frozen]
     assert not thawed
+
+    traces = []
+
+    def learn(game, rounds, seed):
+        traces.append(run_no_regret(game, rounds, seed))
+        return traces[-1]
+
+    monkeypatch.setattr(xp, "run_no_regret", learn)
+    xp.additive_dynamics_report(2, 2, 20, seed=1)
+    xp.andor_dynamics_report(2, 1.0, 20, seed=1, levels=5)
+    xp.single_item_dynamics_report((1.0, 2.0), 20, seed=1)
+    bayes_doc = {"types": [[{"kind": "additive", "weights": [1.0]}],
+                           [{"kind": "additive", "weights": [0.5]}]],
+                 "prior": [[1.0]], "actions": [[[0.0], [0.5]], [[0.0], [0.5]]],
+                 "strategies": [[[0.5, 0.5]], [[1.0, 0.0]]],
+                 "tie_rule": {"kind": "priority", "order": [[1, 0]]}}
+    rule = {"kind": "randomized", "mixture": [
+        {"prob": 0.5, "rule": {"kind": "index"}},
+        {"prob": 0.5, "rule": {"kind": "priority", "order": [[1, 0]]}}]}
+    built = {"traces": tuple(traces), "two_type_bne_game": xp.two_type_bne_game(0.05)[0],
+             "bayesian_game_from_json": bayesian_game_from_json(bayes_doc)[0],
+             "rule_from_json": rule_from_json(rule),
+             "FiniteSupportStrategy": FiniteSupportStrategy([(0.5, [0.0]), (0.5, [0.4])])}
+    assert len(traces) == 3
+    for name, obj in built.items():
+        assert not _writable_parts(obj, name)
+
+
+def test_a_failing_property_test_is_reported(tmp_path):
+    """Under the repo's warning filters, a failing @given test is reported
+    with its falsifying example and the session runs on: hypothesis's
+    failure report must not raise a warning that pytest turns into an
+    INTERNALERROR."""
+    (tmp_path / "pyproject.toml").write_text((ROOT / "pyproject.toml").read_text())
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n\n"
+        "def test_passes():\n    pass\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "test_two.py"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout and "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

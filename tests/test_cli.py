@@ -625,6 +625,8 @@ def test_bad_flags_name_their_field(capsys):
                         (["poa", "--sweep", "-4", "--trials", "1000"], "sweep"),
                         (["dynamics", "--mode", "single-item", "--values", "1,y", *learn],
                          "values"),
+                        (["dynamics", "--mode", "single-item", "--values", "0,0", *learn],
+                         "values: "),
                         (["poa", "--sweep", "", "--trials", "100"], "sweep"),
                         (["pure-nash", "--game", "andor", "--m", "2", "--grid-step", "0.5",
                           "--epsilon", "inf"], "epsilon: must be finite"),

@@ -110,7 +110,7 @@ def exact_gap_loop(vals, strategies, player, grid, rule):
             bids[opp_index[t]] = strategies[opp_index[t]].atoms[c][1]
         against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
         dev += prob * _expected_utilities(table, actions, against, player)
-        payoff = _expected_utilities(table, own.support_vectors(), against, player)
+        payoff = _expected_utilities(table, np.array([b for _, b in own.atoms]), against, player)
         base += prob * float(np.dot([p for p, _ in own.atoms], payoff))
     k = int(np.argmax(dev))
     return float(dev[k]) - base, base, tuple(actions[k])
