@@ -16,7 +16,7 @@ import numpy as np
 
 from .sets import MAX_ITEMS, members
 from .valuations import (MONEY_TOL, SCHEMA, Valuation, check_probs, entries, fields, numbers,
-                         paid, read_only)
+                         paid, read_only, value_tables)
 
 TIE_TOL = 1e-12  # bids this close count as tied
 MAXIMIZER_LIMIT = 65536  # welfare maximizers listed or tried before giving up
@@ -41,31 +41,20 @@ class PriorityRule:
         if self.order is not None:
             object.__setattr__(self, "order", tuple(map(tuple, self.order)))
 
-    def validate(self, n: int, m: int) -> None:
-        if self.order is None:
-            return
-        if len(self.order) != m:
-            raise ValueError(f"tie_rule: need one priority list per item ({m}), "
-                             f"got {len(self.order)}")
-        for perm in self.order:
-            if sorted(perm) != list(range(n)):
-                raise ValueError(f"tie_rule: item priority {perm} is not a permutation "
-                                 f"of 0..{n - 1}")
-
 
 @dataclass(frozen=True)
 class RandomizedRule:
-    """Mixture over deterministic rules; probabilities sum to 1 within PROB_TOL."""
+    """Mixture over index or priority rules; probabilities sum to 1 within PROB_TOL."""
 
     mixture: tuple  # of (probability, PriorityRule)
 
     def __post_init__(self):
         object.__setattr__(self, "mixture", tuple((p, rule) for p, rule in self.mixture))
         check_probs([p for p, _ in self.mixture], "tie_rule")
-
-    def validate(self, n: int, m: int) -> None:
-        for _, rule in self.mixture:
-            rule.validate(n, m)
+        for k, (_, rule) in enumerate(self.mixture):
+            if not isinstance(rule, PriorityRule):
+                raise ValueError(f"tie_rule.mixture[{k}].rule: need an index or priority rule, "
+                                 f"got {type(rule).__name__}")
 
 
 def rule_from_json(d, field: str = "tie_rule"):
@@ -127,13 +116,17 @@ def check_bids(bids, field: str = "bids") -> np.ndarray:
 
 
 def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
-    """(m, n) tie ranks: on item j the tied player of lowest rank wins. A
-    randomized rule has none; `rival_play` scores it branch by branch."""
+    """(m, n) tie ranks, from the one check of a tie rule: on item j the tied player
+    of lowest rank wins. A mixture has none; `rival_play` scores it branch by branch."""
     if not isinstance(rule, PriorityRule):
         raise ValueError(f"tie_rule: need an index or priority rule, got {type(rule).__name__}")
-    rule.validate(n, m)
     if rule.order is None:
         return np.tile(np.arange(n), (m, 1))
+    if len(rule.order) != m:
+        raise ValueError(f"tie_rule: need one priority list per item ({m}), got {len(rule.order)}")
+    for perm in rule.order:
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"tie_rule: item priority {perm} is not a permutation of 0..{n - 1}")
     return np.argsort(np.asarray(rule.order), axis=1)
 
 
@@ -149,7 +142,7 @@ def price_to_beat(bids: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.n
 
 @lru_cache(maxsize=None)
 def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i, in order
-    return np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    return read_only(np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]), np.intp)
 
 
 @lru_cache(maxsize=256)  # (n, n - 1, m), once per rule: rival r of player i outranks i on item j
@@ -242,11 +235,9 @@ def weighted_sum(total, weights: np.ndarray, values: np.ndarray):
 def allocate(bids, rule=PriorityRule()):
     """Allocation under the rule; a randomized rule yields [(prob, Allocation)]."""
     b = check_bids(bids)
-    n, m = b.shape
     if isinstance(rule, RandomizedRule):
-        rule.validate(n, m)
         return [(p, allocate(b, det)) for p, det in rule.mixture]
-    own = wins(b, *price_to_beat(b, priority_ranks(rule, n, m)))
+    own = wins(b, *price_to_beat(b, priority_ranks(rule, *b.shape)))
     return Allocation(tuple(own.argmax(axis=0).tolist()))
 
 
@@ -267,14 +258,12 @@ class Outcome:
 
 
 def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
+    tables = value_tables(vals)
     b = check_bids(bids)
     n, m = b.shape
-    if len(vals) != n:
-        raise ValueError(f"{len(vals)} valuations for {n} bid rows")
-    if any(v.m != m for v in vals):
-        raise ValueError("all valuations must cover the same m items")
+    if (n, m) != (len(vals), vals[0].m):
+        raise ValueError(f"bids: need one row of {vals[0].m} bids per valuation, got {n} x {m}")
     if isinstance(rule, RandomizedRule):
-        rule.validate(n, m)
         branches = tuple((p, outcome(vals, b, det)) for p, det in rule.mixture)
         probs = np.array([p for p, _ in branches])
         utils = probs @ np.array([o.utilities for _, o in branches])
@@ -285,8 +274,8 @@ def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
                        welfare, revenue, branches)
     own = wins(b, *price_to_beat(b, priority_ranks(rule, n, m)))  # (n, m): who won what
     alloc = Allocation(tuple(own.argmax(axis=0).tolist()))
-    values = [v.as_table()[s] for v, s in zip(vals, bundle_masks(own))]
-    utilities = np.array(values) - paid(own, b)  # as bid_utilities scores them
+    values = tables[np.arange(n), bundle_masks(own)]
+    utilities = values - paid(own, b)  # as bid_utilities scores them
     prices = b[alloc.winners, np.arange(m)].tolist()
     return Outcome(alloc, tuple(map(float, utilities)), tuple(prices), float(sum(values)),
                    float(sum(prices)))
@@ -301,7 +290,8 @@ def _subset_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = np.concatenate([s, s | 1 << j, s | 1 << j])
         sub = np.concatenate([sub, sub, sub | 1 << j])
     order = np.argsort(s, kind="stable")
-    return s[order] ^ sub[order], sub[order], np.flatnonzero(np.diff(s[order], prepend=-1))
+    pairs = s[order] ^ sub[order], sub[order], np.flatnonzero(np.diff(s[order], prepend=-1))
+    return tuple(read_only(a, np.intp) for a in pairs)
 
 
 def _welfare_dp(tables: np.ndarray) -> np.ndarray:
@@ -330,16 +320,13 @@ def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     exactly the best welfare among the completions, so every branch taken
     ends in at least one assignment."""
     n, m = len(vals), vals[0].m
-    for k, v in enumerate(vals):
-        if v.m != m:
-            raise ValueError(f"vals[{k}]: covers m={v.m} items, vals[0] has m={m}")
     if m > MAX_ITEMS:  # before 3^m is formed: a huge m would take minutes
         raise CapExceeded(f"m: the welfare DP covers at most {MAX_ITEMS} items, got m={m}")
     pairs = max(n - 2, 0) * 3 ** m + (1 << m)
     if pairs > cap:
         raise CapExceeded(f"welfare DP over {n} bidders, {m} items: (n-2)*3^m + 2^m = {pairs} "
                           f"subset pairs exceed cap {cap}; raise cap= (sfpa walrasian --cap)")
-    tables = np.stack([v.as_table() for v in vals])
+    tables = value_tables(vals)
     best = float(_welfare_dp(tables))
 
     def search(j: int, fixed: np.ndarray, prefix: tuple):

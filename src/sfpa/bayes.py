@@ -19,7 +19,7 @@ from .auction import (PriorityRule, bundle_masks, check_bids, expected_utilities
                       optimal_welfare, price_to_beat, priority_ranks, product_play, rival_play,
                       rule_from_json, weighted_sum, wins)
 from .valuations import (PROB_TOL, SCHEMA, check_probs, entries, fields, numbers,
-                         valuations_from_json)
+                         value_tables, valuations_from_json)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
     ranks = priority_ranks(bg.rule, bg.n, bg.m)
     total = 0.0
     for q, types in _type_profiles(bg):
-        tables = [bg.type_vals[i][t].as_table() for i, t in enumerate(types)]
+        tables = value_tables([bg.type_vals[i][t] for i, t in enumerate(types)])
         supports = {k: (strategies[k][t], bg.actions[k]) for k, t in enumerate(types)}
         for weights, bids in product_play(bg.n, bg.m, supports, bg.n * bg.m):
             bundles = bundle_masks(wins(bids, *price_to_beat(bids, ranks)))  # (B, n)

@@ -28,7 +28,7 @@ from .auction import (CapExceeded, PriorityRule, bid_utilities, blocks, bundle_m
                       optimal_welfare, price_to_beat, priority_ranks, weighted_sum, wins)
 from .closedform import AtomicCDF, check_count
 from .rng import rng_for
-from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid, read_only
+from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid, read_only, value_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +179,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     amount = np.where(live, np.take_along_axis(rows.T, item, axis=0), 0.0)
     at, bits = player * m + item, 1 << item  # each slot's place in an (n, m) profile, its bit
     table_at = player << m  # every player's 2^m value table, end to end
-    table = np.concatenate([v.as_table() for v in game.vals])
+    table = value_tables(game.vals).ravel()
     slot = np.concatenate([k * W + np.arange(len(r)) for k, (_, r, _) in enumerate(flat)])
     entry = np.full(n * F * W, -1)
     entry[slot] = np.arange(slot.size)  # (player, factor, level) -> entry

@@ -30,7 +30,7 @@ from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, check
                       expected_utilities, optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import LpError, feasible_point
 from .sets import full_set, members
-from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs, check_probs
+from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs, check_probs, value_tables
 
 GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
 MESH_CAP = 500_000  # price vectors the common-price scan may hold
@@ -46,15 +46,30 @@ class WalrasianEquilibrium:
         return {"prices": list(self.prices), "allocation": self.allocation.to_json(n)}
 
 
+def _own_bundles(alloc: Allocation, tables: np.ndarray) -> list[int]:
+    """Each player's bundle under `alloc`, refused unless it splits the m items among n."""
+    n, m = len(tables), tables.shape[1].bit_length() - 1
+    if len(alloc.winners) != m or not all(w in range(n) for w in alloc.winners):
+        raise ValueError(f"allocation: need {m} winners in 0..{n - 1}, got {alloc.winners}")
+    return alloc.bundles(n)
+
+
+def _item_prices(prices, m: int, tol: float) -> np.ndarray:
+    """`prices` as float64: m finite prices, none below -tol."""
+    p = np.asarray(prices, dtype=np.float64)
+    if p.shape != (m,) or not np.isfinite(p).all() or (p < -tol).any():
+        raise ValueError(f"prices: need {m} finite, nonnegative item prices, got {prices!r}")
+    return p
+
+
 def _demand_rows(vals: list[Valuation], alloc: Allocation) -> tuple[np.ndarray, np.ndarray]:
     """Demand constraints p(mine) - p(t) <= v(mine) - v(t) as (rows over the m
     prices, right-hand side): per player, bundles t ascending, own skipped."""
-    m = vals[0].m
-    bits = bit_matrix(m)
-    bundles = np.arange(1 << m)
+    tables = value_tables(vals)
+    bits = bit_matrix(vals[0].m)
+    bundles = np.arange(len(bits))
     rows, rhs = [], []
-    for i, v in enumerate(vals):
-        mine, t = alloc.bundle(i), v.as_table()
+    for t, mine in zip(tables, _own_bundles(alloc, tables)):
         others = bundles[bundles != mine]
         rows.append(np.subtract(bits[mine], bits[others], dtype=np.float64))  # uint8 would wrap
         rhs.append(t[mine] - t[others])
@@ -71,18 +86,15 @@ def demand(tables: np.ndarray, costs: np.ndarray) -> np.ndarray:
 
 def _held_utilities(tables: np.ndarray, costs: np.ndarray, alloc: Allocation) -> np.ndarray:
     """(n, ...) utility of each player's own bundle under `alloc`."""
-    return np.stack([t[alloc.bundle(i)] - costs[alloc.bundle(i)] for i, t in enumerate(tables)])
+    return np.stack([t[s] - costs[s] for t, s in zip(tables, _own_bundles(alloc, tables))])
 
 
 def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
                     tol: float = MONEY_TOL):
     """None if every player's bundle is demand-optimal, else a witness
     (player, strictly better bundle)."""
-    prices = np.asarray(we.prices, dtype=np.float64)
-    if (prices < -tol).any() or not np.isfinite(prices).all():
-        raise ValueError("prices must be finite and nonnegative")
-    tables = np.stack([v.as_table() for v in vals])
-    costs = bundle_costs(prices)
+    tables = value_tables(vals)
+    costs = bundle_costs(_item_prices(we.prices, vals[0].m, tol))
     held = _held_utilities(tables, costs, we.allocation)
     for i in np.flatnonzero(demand(tables, costs) > held + tol):
         return int(i), int(np.argmax(tables[i] - costs))
@@ -229,9 +241,9 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     if total > CAP:
         raise CapExceeded(f"grid_step: {total} grid profiles exceed {CAP}; coarsen sfpa "
                           "pure-nash --grid-step, lower --max or change --family")
+    tables = value_tables(vals)
     actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
     sizes = [a.shape[0] for a in actions]
-    tables = [v.as_table() for v in vals]
     pure = {i: (np.ones(len(a)), a) for i, a in enumerate(actions)}
     best = []  # player i's best deviation against each profile of its rivals
     for i in range(n):
@@ -272,6 +284,7 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
     than BALL_CAP profiles, as distinct from an exhaustive search that found
     nothing.
     """
+    tables = value_tables(vals)
     cand = check_bids(candidate, "candidate")
     n, m = len(vals), vals[0].m
     if cand.shape != (n, m):
@@ -279,7 +292,6 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
                          f"got {cand.shape[0]} x {cand.shape[1]}")
     if not all(0 < e < math.inf for e in eps_list):  # NaN fails it too
         raise ValueError(f"eps_list: values must be finite and > 0, got {eps_list!r}")
-    tables = [v.as_table() for v in vals]
     results = []
     for eps in eps_list:
         step = eps / m
@@ -362,6 +374,9 @@ def best_response_gap(vals: list[Valuation], strategies: list, player: int,
     enumeration: the rivals' atoms are scored as one weighted stack.
     `andor_gap` scores the closed-form AND-OR pair."""
     n, m = len(vals), vals[0].m
+    if type(player) is not int or player not in range(n):
+        raise ValueError(f"player: need an index in 0..{n - 1}, got {player!r}")
+    table = value_tables(vals)[player]
     if len(strategies) != n:
         raise ValueError(f"strategies: need one per player ({n}), got {len(strategies)}")
     probs, support = [], []
@@ -375,7 +390,6 @@ def best_response_gap(vals: list[Valuation], strategies: list, player: int,
                              f"the game has {m}")
         probs.append(np.array([p for p, _ in s.atoms]))
     actions = grid.actions_for(m)
-    table = vals[player].as_table()
     rivals = {k: (probs[k], support[k]) for k in range(n) if k != player}
     dev, base = np.zeros(actions.shape[0]), 0.0
     for weights, bids in product_play(n, m, rivals, actions.size):
@@ -409,6 +423,7 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     deviation utility is its best bundle's utility at p. So a profile's gain
     is the Walrasian demand gap at p. Returns profiles whose gain is <= eps.
     """
+    tables = value_tables(vals)
     n, m = len(vals), vals[0].m
     pts = grid.points()
     if pts.size ** m > MESH_CAP:
@@ -417,7 +432,6 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)
-    tables = np.stack([v.as_table() for v in vals])
     best = demand(tables, costs)  # the same for every assignment
     found = []
     for assign in itertools.product(range(n), repeat=m):
@@ -435,8 +449,8 @@ def common_price_gap(vals: list[Valuation], prices, alloc: Allocation) -> float:
     """Best deviation gain in the common-price profile (everyone bids
     `prices`, ties to the allocated winner, deviations over all real bids):
     the largest Walrasian demand gap at `prices`."""
-    tables = np.stack([v.as_table() for v in vals])
-    costs = bundle_costs(np.asarray(prices, dtype=np.float64))
+    tables = value_tables(vals)
+    costs = bundle_costs(_item_prices(prices, vals[0].m, MONEY_TOL))
     return float((demand(tables, costs) - _held_utilities(tables, costs, alloc)).max())
 
 
@@ -445,8 +459,8 @@ def walrasian_near(vals: list[Valuation], alloc: Allocation, prices,
     """Is some Walrasian equilibrium with this allocation within `slack`
     (per item, sup-norm) of the given prices? LP feasibility check."""
     m = vals[0].m
-    p0 = np.asarray(prices, dtype=np.float64)
     rows, rhs = _demand_rows(vals, alloc)
+    p0 = _item_prices(prices, m, MONEY_TOL)
     eye = np.eye(m)
     return feasible_point(np.vstack([rows, eye, -eye]),
                           np.concatenate([rhs, p0 + slack, -(p0 - slack)]), m) is not None

@@ -320,15 +320,20 @@ def valuation_from_json(d, field: str = "valuation") -> Valuation:
     return v
 
 
+def value_tables(vals: list[Valuation], field: str = "vals") -> np.ndarray:
+    """The read-only (n, 2^m) stack of the valuations' tables: the one check
+    that they share m items, naming `field[k]`, the first unlike `field[0]`."""
+    for k, v in enumerate(vals):
+        if v.m != vals[0].m:
+            raise ValueError(f"{field}[{k}]: covers m={v.m} items, {field}[0] has m={vals[0].m}")
+    return read_only([v.as_table() for v in vals])  # one (n, 2^m) copy
+
+
 def valuations_from_json(items: list, field: str) -> list[Valuation]:
-    """The nonempty list of valuation objects where they enter a game. A
-    ValueError naming `field[k]` refuses an entry that is malformed or
-    covers other than the first entry's m items."""
-    vals = []
-    for key, d in entries(items, field):
-        vals.append(valuation_from_json(d, key))
-        if vals[-1].m != vals[0].m:
-            raise ValueError(f"{key}: covers m={vals[-1].m} items, {field}[0] has m={vals[0].m}")
+    """The nonempty list of valuation objects where they enter a game. A ValueError
+    names `field[k]`, the first malformed entry, else the first `value_tables` refuses."""
+    vals = [valuation_from_json(d, key) for key, d in entries(items, field)]
+    value_tables(vals, field)
     return vals
 
 

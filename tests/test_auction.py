@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa.auction import (CAP, TIE_TOL, CapExceeded, PriorityRule, RandomizedRule,
+from sfpa.auction import (CAP, TIE_TOL, Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           allocate, bid_utilities, optimal_allocations,
                           optimal_welfare, outcome, price_to_beat,
                           priority_ranks, rule_from_json, welfare_maximizers, wins)
 from sfpa.dynamics import ExplicitActions, FiniteGame
-from sfpa.equilibrium import walrasian_search
+from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, WalrasianEquilibrium,
+                              best_response_gap, common_price_gap, common_price_scan,
+                              limit_equilibrium_check, pure_nash_search, walrasian_check,
+                              walrasian_near, walrasian_search)
 from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
                              SingleMindedValuation, TableValuation, bit_matrix,
                              bundle_costs, paid)
@@ -294,19 +297,62 @@ def test_cap_enforced():
         optimal_welfare(vals, cap=1000)
 
 
+_GRID = BidGrid(0.5, 1.0)
+_ITEM_0 = Allocation((0,))
+# Every full-information entry point, called on a market `vals` of one-item
+# valuations for two players; a structural test in test_bench_names.py holds
+# this table to every public function of sfpa.auction and sfpa.equilibrium
+# that takes `vals`.
+ITEM_COUNT_CALLS = {
+    optimal_welfare: lambda vals: optimal_welfare(vals),
+    optimal_allocations: lambda vals: optimal_allocations(vals),
+    welfare_maximizers: lambda vals: welfare_maximizers(vals, CAP, 0.0),
+    outcome: lambda vals: outcome(vals, [[1.0], [1.0]]),
+    walrasian_search: lambda vals: walrasian_search(vals),
+    walrasian_check: lambda vals: walrasian_check(vals, WalrasianEquilibrium(_ITEM_0, (0.5,))),
+    walrasian_near: lambda vals: walrasian_near(vals, _ITEM_0, [0.5], 0.1),
+    pure_nash_search: lambda vals: pure_nash_search(vals, _GRID),
+    limit_equilibrium_check: lambda vals: limit_equilibrium_check(vals, [[0.5], [0.5]]),
+    best_response_gap: lambda vals: best_response_gap(
+        vals, [FiniteSupportStrategy(((1.0, (0.0,)),))] * 2, 0, _GRID),
+    common_price_scan: lambda vals: common_price_scan(vals, _GRID, 0.0),
+    common_price_gap: lambda vals: common_price_gap(vals, [0.5], _ITEM_0),
+    FiniteGame: lambda vals: FiniteGame(vals, [ExplicitActions([[0.0], [0.5]])] * 2),
+}
+
+
 def test_mismatched_item_counts_refused_naming_the_field():
-    """Every welfare-DP entry refuses valuations over different item
-    counts, naming the first that differs, before numpy meets them."""
+    """Every full-information entry point (`ITEM_COUNT_CALLS`) reads its
+    value tables through `value_tables`: it refuses valuations over
+    different item counts, naming the first that differs, before numpy
+    meets them and before any answer is returned. Each call runs on a
+    market whose valuations agree, so the refusal is the item count's."""
     vals = [AdditiveValuation((1.0,)), AdditiveValuation((1.0, 2.0))]
     message = r"^vals\[1\]: covers m=2 items, vals\[0\] has m=1$"
-    one_item = [ExplicitActions([[0.0], [0.5]])] * 2
-    for call in (lambda: optimal_welfare(vals), lambda: optimal_allocations(vals),
-                 lambda: walrasian_search(vals), lambda: welfare_maximizers(vals, CAP, 0.0),
-                 lambda: FiniteGame(vals, one_item)):
+    for fn, call in ITEM_COUNT_CALLS.items():
+        call([vals[0], vals[0]])
         with pytest.raises(ValueError, match=message):
-            call()
+            call(vals)
+            pytest.fail(f"{fn.__name__} answered a mismatched market")
     with pytest.raises(ValueError, match=r"^vals\[2\]: covers m=1 items, vals\[0\] has m=2$"):
         optimal_welfare([vals[1], vals[1], vals[0]])
+
+
+def test_randomized_rule_holds_only_index_or_priority_rules():
+    """A mixture of mixtures is refused where it is built. A branch that
+    does not suit the game is refused by `priority_ranks` when it is
+    scored, with the same message from `allocate` and `outcome`."""
+    inner = RandomizedRule(((1.0, PriorityRule()),))
+    with pytest.raises(ValueError, match=r"^tie_rule\.mixture\[1\]\.rule: need an index or "
+                                         r"priority rule, got RandomizedRule$"):
+        RandomizedRule(((0.5, PriorityRule()), (0.5, inner)))
+    vals = [AdditiveValuation((1.0,)), AdditiveValuation((2.0,))]
+    two_lists = RandomizedRule(((0.5, PriorityRule()), (0.5, PriorityRule(((0, 1), (1, 0))))))
+    for call in (lambda: allocate([[1.0], [1.0]], two_lists),
+                 lambda: outcome(vals, [[1.0], [1.0]], two_lists)):
+        with pytest.raises(ValueError, match=r"^tie_rule: need one priority list per item "
+                                             r"\(1\), got 2$"):
+            call()
 
 
 def test_outcome_with_branch_detail():

@@ -5,6 +5,7 @@ benchmark run (`python3 -m pytest perfbench`)."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -13,10 +14,13 @@ import numpy as np
 
 import sfpa
 import sfpa.experiments as xp
-from sfpa.auction import rule_from_json
+from sfpa import auction, equilibrium
+from sfpa.auction import PriorityRule, priority_ranks, rule_from_json
 from sfpa.bayes import bayesian_game_from_json
 from sfpa.dynamics import run_no_regret
 from sfpa.equilibrium import FiniteSupportStrategy
+
+from test_auction import ITEM_COUNT_CALLS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -136,6 +140,41 @@ def test_checked_dataclasses_are_frozen(monkeypatch):
     assert len(traces) == 3
     for name, obj in built.items():
         assert not _writable_parts(obj, name)
+
+
+_RANKS = priority_ranks(PriorityRule(((1, 0, 2), (2, 0, 1))), 3, 2)
+CACHED_SAMPLES = {  # sample arguments of every lru_cache'd function of sfpa
+    "auction._rivals": (3,),
+    "auction._outranks": (_RANKS.dtype, _RANKS.shape, _RANKS.tobytes()),
+    "auction._subset_pairs": (3,),
+}
+
+
+def test_cached_arrays_are_read_only():
+    """Every `lru_cache`d function of `sfpa` returns its arrays read-only:
+    one in-place write to a cached array would reach every later call. A
+    cached function without an entry in `CACHED_SAMPLES` fails here."""
+    package = pathlib.Path(sfpa.__file__).parent
+    cached = {}
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"sfpa.{path.stem}")
+        cached.update({f"{path.stem}.{name}": fn for name, fn in vars(module).items()
+                       if hasattr(fn, "cache_info") and fn.__module__ == module.__name__})
+    assert cached.keys() == CACHED_SAMPLES.keys()
+    for name, fn in cached.items():
+        assert not _writable_parts(fn(*CACHED_SAMPLES[name]), name)
+
+
+def test_every_market_entry_point_checks_item_counts():
+    """Every public function of `sfpa.auction` and `sfpa.equilibrium` that
+    takes a market `vals` is in the call table of
+    `test_mismatched_item_counts_refused_naming_the_field`, so a new entry
+    point cannot skip the item-count check unseen."""
+    modules = (auction, equilibrium)
+    entry = {fn for module in modules for name, fn in vars(module).items()
+             if inspect.isfunction(fn) and fn.__module__ == module.__name__
+             and not name.startswith("_") and "vals" in inspect.signature(fn).parameters}
+    assert entry == {fn for fn in ITEM_COUNT_CALLS if fn.__module__ in [m.__name__ for m in modules]}
 
 
 def test_a_failing_property_test_is_reported(tmp_path):

@@ -435,6 +435,40 @@ def test_best_response_gap_refuses_misfit_strategies():
             best_response_gap(vals, strategies, 0, grid)
 
 
+_TWO_ITEMS = [AdditiveValuation((1.0, 1.0)), AdditiveValuation((0.5, 0.5))]
+_PURE_ZERO = FiniteSupportStrategy(((1.0, (0.0, 0.0)),))
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: best_response_gap(_TWO_ITEMS, [_PURE_ZERO] * 2, -1, BidGrid(0.5, 1.0)),
+     "player: need an index in 0..1, got -1"),
+    (lambda: best_response_gap(_TWO_ITEMS, [_PURE_ZERO] * 2, 5, BidGrid(0.5, 1.0)),
+     "player: need an index in 0..1, got 5"),
+    (lambda: best_response_gap(_TWO_ITEMS, [_PURE_ZERO] * 2, 1.0, BidGrid(0.5, 1.0)),
+     "player: need an index in 0..1, got 1.0"),
+    (lambda: common_price_gap(_TWO_ITEMS, [0.5, 0.5], Allocation((0, 7))),
+     "allocation: need 2 winners in 0..1, got (0, 7)"),
+    (lambda: walrasian_near(_TWO_ITEMS, Allocation((0,)), [0.5, 0.5], 0.1),
+     "allocation: need 2 winners in 0..1, got (0,)"),
+    (lambda: walrasian_check(_TWO_ITEMS, WalrasianEquilibrium(Allocation((0, 5)), (0.5, 0.5))),
+     "allocation: need 2 winners in 0..1, got (0, 5)"),
+    (lambda: walrasian_check(_TWO_ITEMS, WalrasianEquilibrium(Allocation((0, 1)), (0.5,))),
+     "prices: need 2 finite, nonnegative item prices, got (0.5,)"),
+    (lambda: common_price_gap(_TWO_ITEMS, [0.5, 0.5, 0.5], Allocation((0, 1))),
+     "prices: need 2 finite, nonnegative item prices, got [0.5, 0.5, 0.5]"),
+    (lambda: walrasian_near(_TWO_ITEMS, Allocation((0, 1)), [0.5], 0.1),
+     "prices: need 2 finite, nonnegative item prices, got [0.5]"),
+    (lambda: walrasian_near(_TWO_ITEMS, Allocation((0, 1)), [math.nan, 0.5], 0.1),
+     "prices: need 2 finite, nonnegative item prices, got [nan, 0.5]"),
+])
+def test_malformed_player_allocation_or_prices_refused_naming_the_field(call, field):
+    """A player outside 0..n-1, an allocation that is not m winners in
+    0..n-1 and a price vector that is not m finite prices are refused: each
+    used to score another player, fail inside numpy or answer silently."""
+    with pytest.raises(ValueError, match="^" + re.escape(field) + "$"):
+        call()
+
+
 def test_best_response_gap_randomized_rule():
     vals = single_item((2.0, 1.0))
     rule = RandomizedRule(((0.5, PriorityRule(((0, 1),))), (0.5, PriorityRule(((1, 0),)))))

@@ -135,6 +135,9 @@ def test_one_mutation_exits_2_naming_its_field(tmp_path_factory, data):
 @pytest.mark.parametrize("key, value, field", [
     ("prior", [[0.5]], "prior"),  # one type profile for 1 x 2 types
     ("actions", [[[-1.0, 0.0]], BAYES["actions"][1]], "actions[0]"),
+    ("tie_rule", {"kind": "randomized", "mixture": [{"prob": 1.0, "rule": {  # a nested mixture
+        "kind": "randomized", "mixture": [{"prob": 1.0, "rule": {"kind": "index"}}]}}]},
+     "tie_rule.mixture[0].rule"),
 ])
 def test_shape_mutation_exits_2_naming_its_field(tmp_path, key, value, field):
     path = tmp_path / "mutated.json"
