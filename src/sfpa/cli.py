@@ -20,7 +20,7 @@ from . import experiments as xp
 from .auction import CAP, CapExceeded, PriorityRule, rule_from_json
 from .bayes import bayes_deviation_gap, bayes_welfare_bounds, bayesian_game_from_json
 from .equilibrium import BidGrid, pure_nash_search, walrasian_search
-from .valuations import MONEY_TOL, Valuation
+from .valuations import Valuation
 
 EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -44,14 +44,16 @@ def _add_common(p: _Parser, seed: bool = False) -> None:
                    help="JSON settings file; overrides flags, which override defaults")
 
 
-def _add_builtin_game(p: _Parser, side: bool = False) -> None:
-    """Sizes of the builtin games (and the grid game's side length)."""
+def _add_builtin_game(p: _Parser, market: bool) -> None:
+    """Sizes of the builtin games: the grid game's side length for the
+    builtin markets, k and d of the closed-form single-minded family."""
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    if side:
+    if market:
         p.add_argument("--l", type=int, default=3, dest="side")
+    else:
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--d", type=int, default=2)
 
 
 def build_parser() -> _Parser:
@@ -61,21 +63,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="best-response gaps of a closed-form profile")
     p.add_argument("--game", required=True,
                    choices=("andor", "triangle", "single_minded"))
-    _add_builtin_game(p)
+    _add_builtin_game(p, market=False)
     p.add_argument("--grid-step", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=0)
     _add_common(p, seed=True)
 
     p = sub.add_parser("walrasian", help="search for a Walrasian equilibrium")
     p.add_argument("--game", required=True, help="builtin name or game JSON file")
-    _add_builtin_game(p, side=True)
+    _add_builtin_game(p, market=True)
     p.add_argument("--cap", type=int, default=CAP)
-    p.add_argument("--tolerance", type=float, default=MONEY_TOL)
     _add_common(p)
 
     p = sub.add_parser("pure-nash", help="grid search for epsilon-equilibria")
     p.add_argument("--game", required=True)
-    _add_builtin_game(p, side=True)
+    _add_builtin_game(p, market=True)
     p.add_argument("--grid-step", type=float, default=0.1)
     p.add_argument("--max", type=float, default=2.0, dest="upper")
     p.add_argument("--epsilon", type=float, default=0.0)
@@ -117,22 +118,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw bids from a closed-form strategy")
     p.add_argument("--strategy", required=True,
                    choices=("andor", "triangle", "single_minded"))
-    _add_builtin_game(p)
+    _add_builtin_game(p, market=False)
     p.add_argument("--count", type=int, default=1000)
     _add_common(p, seed=True)
     top.commands = sub.choices
     return top
 
 
-def _load_game(args) -> tuple[list[Valuation], PriorityRule, list | None]:
-    """Valuations, the game's own tie rule and, for builtins, the bundles."""
+def _load_game(args) -> tuple[list[Valuation], PriorityRule]:
+    """Valuations and the game's own tie rule (index for a builtin)."""
     if args.game.endswith(".json"):
         with open(args.game) as fh:
-            vals, rule = xp.game_from_json(json.load(fh))
-        return vals, rule, None
-    vals, bundles = xp.build_game(args.game, m=args.m, v=args.v, k=args.k, d=args.d,
-                                  side=args.side)
-    return vals, PriorityRule(), bundles
+            return xp.game_from_json(json.load(fh))
+    return xp.build_game(args.game, m=args.m, v=args.v, side=args.side), PriorityRule()
 
 
 def _apply_config(args, parser: _Parser) -> None:
@@ -176,21 +174,21 @@ def _run_command(args) -> dict:
         return xp.verify_report(args.game, args.m, args.v, args.k, args.d,
                                 args.grid_step, args.trials, args.seed)
     if cmd == "walrasian":
-        vals, _, _ = _load_game(args)
-        we = walrasian_search(vals, cap=args.cap, tol=args.tolerance)
+        vals, _ = _load_game(args)
+        we = walrasian_search(vals, cap=args.cap)
         out = {"exists": we is not None}
         if we is not None:
             out.update(we.to_json(len(vals)))
         return out
     if cmd == "pure-nash":
-        vals, rule, bundles = _load_game(args)
+        vals, rule = _load_game(args)
         if args.tie_rule != "index":
             with open(args.tie_rule) as fh:
                 rule = rule_from_json(json.load(fh))
         grid = BidGrid(args.grid_step, args.upper, args.family)
         if args.limit < 0:
             raise ValueError(f"limit must be >= 0, got {args.limit}")
-        eqs = pure_nash_search(vals, grid, rule, args.epsilon, bundles=bundles)
+        eqs = pure_nash_search(vals, grid, rule, args.epsilon)
         return {"count": len(eqs),
                 "equilibria": [{"bids": [list(r) for r in e.bids], "gap": e.gap}
                                for e in eqs[:args.limit]]}

@@ -54,10 +54,10 @@ def _own_bundles(alloc: Allocation, tables: np.ndarray) -> list[int]:
     return alloc.bundles(n)
 
 
-def _item_prices(prices, m: int, tol: float) -> np.ndarray:
-    """`prices` as float64: m finite prices, none below -tol."""
+def _item_prices(prices, m: int) -> np.ndarray:
+    """`prices` as float64: m finite prices, none below -MONEY_TOL."""
     p = np.asarray(prices, dtype=np.float64)
-    if p.shape != (m,) or not np.isfinite(p).all() or (p < -tol).any():
+    if p.shape != (m,) or not np.isfinite(p).all() or (p < -MONEY_TOL).any():
         raise ValueError(f"prices: need {m} finite, nonnegative item prices, got {prices!r}")
     return p
 
@@ -89,14 +89,13 @@ def _held_utilities(tables: np.ndarray, costs: np.ndarray, alloc: Allocation) ->
     return np.stack([t[s] - costs[s] for t, s in zip(tables, _own_bundles(alloc, tables))])
 
 
-def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium,
-                    tol: float = MONEY_TOL):
-    """None if every player's bundle is demand-optimal, else a witness
-    (player, strictly better bundle)."""
+def walrasian_check(vals: list[Valuation], we: WalrasianEquilibrium):
+    """None if every player's bundle is demand-optimal within MONEY_TOL, else
+    a witness (player, strictly better bundle)."""
     tables = value_tables(vals)
-    costs = bundle_costs(_item_prices(we.prices, vals[0].m, tol))
+    costs = bundle_costs(_item_prices(we.prices, vals[0].m))
     held = _held_utilities(tables, costs, we.allocation)
-    for i in np.flatnonzero(demand(tables, costs) > held + tol):
+    for i in np.flatnonzero(demand(tables, costs) > held + MONEY_TOL):
         return int(i), int(np.argmax(tables[i] - costs))
     return None
 
@@ -133,20 +132,17 @@ def _snap(p: float) -> float:
     return (q if abs(q - p) <= 1e-9 else float(p)) + 0.0
 
 
-def walrasian_search(vals: list[Valuation], cap: int = CAP,
-                     tol: float = MONEY_TOL) -> WalrasianEquilibrium | None:
+def walrasian_search(vals: list[Valuation], cap: int = CAP) -> WalrasianEquilibrium | None:
     """A Walrasian equilibrium on the first exact welfare maximizer
     (lexicographic order), or None. One price LP decides existence: if any
     maximizer has supporting prices, every maximizer does. The lemma needs
     an exact maximizer; one a hair below the optimum can have none."""
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance: must be finite and >= 0, got {tol!r}")
     _, alloc = optimal_welfare(vals, cap)
     prices = _support_prices(vals, alloc)
     if prices is None:
         return None
     we = WalrasianEquilibrium(alloc, tuple(_snap(p) for p in prices))
-    witness = walrasian_check(vals, we, tol)
+    witness = walrasian_check(vals, we)
     if witness is not None:
         raise RuntimeError(f"LP prices fail the demand check: {witness}")
     return we
@@ -159,13 +155,21 @@ def _fit_hint(cap: int, m: int, upper: float) -> str:
     return f"{fit} levels per item fit: grid_step >= {upper / max(fit - 1, 0.5)!r}"
 
 
+def bid_bundle(table: np.ndarray) -> int:
+    """The items a bidder with this (2^m,) value table bids on under
+    "uniform_on_bundle": those every bundle of top value holds, or all m items
+    if no item is in each of them (an OR or an all-zero bidder)."""
+    top = np.flatnonzero(table == table.max())
+    return int(np.bitwise_and.reduce(top)) or full_set(len(table).bit_length() - 1)
+
+
 @dataclass(frozen=True)
 class BidGrid:
     """Finite bid lattice {0, step, 2 step, ...} up to `upper`, with a family
     shaping per-player bid vectors:
 
     - "full": every combination of grid levels (K = L^m);
-    - "uniform_on_bundle": one level on the player's bundle, 0 elsewhere;
+    - "uniform_on_bundle": one level on the player's `bid_bundle`, 0 elsewhere;
     - "single_item": one level on one item, 0 elsewhere.
     """
 
@@ -229,7 +233,7 @@ class GridEquilibrium:
 
 
 def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
-                     eps: float = 0.0, bundles: list[int] | None = None) -> list[GridEquilibrium]:
+                     eps: float = 0.0) -> list[GridEquilibrium]:
     """All grid profiles where no player improves by more than eps with a
     grid deviation of its own family, in lexicographic order of the action
     indices; a player's deviations are scored once per profile of its rivals.
@@ -242,7 +246,7 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
         raise CapExceeded(f"grid_step: {total} grid profiles exceed {CAP}; coarsen sfpa "
                           "pure-nash --grid-step, lower --max or change --family")
     tables = value_tables(vals)
-    actions = [grid.actions_for(m, bundles[i] if bundles else None) for i in range(n)]
+    actions = [grid.actions_for(m, bid_bundle(t)) for t in tables]
     sizes = [a.shape[0] for a in actions]
     pure = {i: (np.ones(len(a)), a) for i, a in enumerate(actions)}
     best = []  # player i's best deviation against each profile of its rivals
@@ -389,7 +393,7 @@ def best_response_gap(vals: list[Valuation], strategies: list, player: int,
             raise ValueError(f"strategies[{k}]: bids on {support[k].shape[1]} items, "
                              f"the game has {m}")
         probs.append(np.array([p for p, _ in s.atoms]))
-    actions = grid.actions_for(m)
+    actions = grid.actions_for(m, bid_bundle(table))
     rivals = {k: (probs[k], support[k]) for k in range(n) if k != player}
     dev, base = np.zeros(actions.shape[0]), 0.0
     for weights, bids in product_play(n, m, rivals, actions.size):
@@ -450,7 +454,7 @@ def common_price_gap(vals: list[Valuation], prices, alloc: Allocation) -> float:
     `prices`, ties to the allocated winner, deviations over all real bids):
     the largest Walrasian demand gap at `prices`."""
     tables = value_tables(vals)
-    costs = bundle_costs(_item_prices(prices, vals[0].m, MONEY_TOL))
+    costs = bundle_costs(_item_prices(prices, vals[0].m))
     return float((demand(tables, costs) - _held_utilities(tables, costs, alloc)).max())
 
 
@@ -460,7 +464,7 @@ def walrasian_near(vals: list[Valuation], alloc: Allocation, prices,
     (per item, sup-norm) of the given prices? LP feasibility check."""
     m = vals[0].m
     rows, rhs = _demand_rows(vals, alloc)
-    p0 = _item_prices(prices, m, MONEY_TOL)
+    p0 = _item_prices(prices, m)
     eye = np.eye(m)
     return feasible_point(np.vstack([rows, eye, -eye]),
                           np.concatenate([rhs, p0 + slack, -(p0 - slack)]), m) is not None

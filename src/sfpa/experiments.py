@@ -24,7 +24,6 @@ from .equilibrium import (GRID_CAP, BidGrid, FiniteSupportStrategy, andor_gap,
                           best_response_gap, common_price_gap, common_price_scan,
                           walrasian_search)
 from .rng import rng_for
-from .sets import full_set
 from .valuations import (PROB_TOL, SCHEMA, AdditiveValuation, AndValuation, OrValuation,
                          SingleMindedValuation, TableValuation, Valuation, fields,
                          valuations_from_json)
@@ -37,29 +36,18 @@ def andor_game(m: int, v: float) -> list[Valuation]:
     return [AndValuation(m, 1.0), OrValuation(m, v)]
 
 
-def triangle_bundles() -> list[int]:
-    return [0b011, 0b110, 0b101]
+def triangle_game() -> list[Valuation]:
+    return [SingleMindedValuation(3, b, 1.0) for b in (0b011, 0b110, 0b101)]
 
 
-def triangle_game() -> tuple[list[Valuation], list[int]]:
-    bundles = triangle_bundles()
-    return [SingleMindedValuation(3, b, 1.0) for b in bundles], bundles
-
-
-def grid_bundles(side: int) -> list[int]:
-    rows = [sum(1 << (i * side + j) for j in range(side)) for i in range(side)]
-    cols = [sum(1 << (i * side + j) for i in range(side)) for j in range(side)]
-    return rows + cols
-
-
-def grid_game(side: int) -> tuple[list[Valuation], list[int]]:
+def grid_game(side: int) -> list[Valuation]:
     """side^2 items, `side` row bidders and `side` column bidders, value
     `side` each for their full line."""
     if side < 1:
         raise ValueError(f"side (--l) must be >= 1, got {side}")
-    bundles = grid_bundles(side)
-    m = side * side
-    return [SingleMindedValuation(m, b, float(side)) for b in bundles], bundles
+    rows = [sum(1 << (i * side + j) for j in range(side)) for i in range(side)]
+    cols = [sum(1 << (i * side + j) for i in range(side)) for j in range(side)]
+    return [SingleMindedValuation(side * side, b, float(side)) for b in rows + cols]
 
 
 def game_from_json(d) -> tuple[list[Valuation], PriorityRule]:
@@ -68,22 +56,14 @@ def game_from_json(d) -> tuple[list[Valuation], PriorityRule]:
             rule_from_json(d.get("tie_rule", {"kind": "index"})))
 
 
-def build_game(name: str, m: int = 2, v: float = 1.0, k: int = 2, d: int = 2,
-               side: int = 3):
-    """Named builtin games: returns (valuations, bundles-or-None)."""
+def build_game(name: str, m: int = 2, v: float = 1.0, side: int = 3) -> list[Valuation]:
+    """The valuations of a named builtin game."""
     if name == "andor":
-        return andor_game(m, v), None
+        return andor_game(m, v)
     if name == "triangle":
         return triangle_game()
     if name == "grid":
         return grid_game(side)
-    if name == "single_minded":
-        if (k, d) == (2, 2):
-            return triangle_game()
-        if d == 2 and k >= 1:
-            return grid_game(k)
-        raise ValueError(f"no builtin single-minded instance for k={k}, d={d}; "
-                         "supply a game file")
     raise ValueError(f"unknown builtin game {name!r}")
 
 
@@ -198,7 +178,7 @@ def grid_game_report(side: int, trials: int, seed: int) -> dict:
     """Walrasian equilibrium of the side x side grid game plus Monte Carlo
     satisfied-player count under the symmetric mixed equilibrium."""
     cf.check_count(trials)
-    vals, bundles = grid_game(side)
+    vals = grid_game(side)
     m = side * side
     we = walrasian_search(vals)
     opt, _ = optimal_welfare(vals)
@@ -337,14 +317,18 @@ def _thin(count: int):
 
 def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
                           levels: int = 41) -> dict:
-    """Learning in the AND-OR game over the structured families (uniform
-    bundle bids for AND, single-item bids for OR); reports KS distances of
-    the empirical marginals against the closed-form CDFs."""
+    """Learning in the AND-OR game: the AND bidder over the full grid of
+    levels^m bid vectors (known defect 2, ROADMAP item 4: the paper's AND
+    bidder bids one level on every item, `levels` vectors), the OR bidder over
+    single-item bids; reports KS distances of the empirical marginals
+    against the closed-form CDFs."""
     pair = cf.AndOrStrategyPair(m, v)
     vals = andor_game(m, v)
+    if levels ** min(m, 64) > GRID_CAP:  # dynamics has no grid flag: name the item count
+        raise CapExceeded(f"m: the AND bidder's full {levels}^{m} bid grid exceeds {GRID_CAP} "
+                          f"bid vectors; --m {int(math.log(GRID_CAP, levels))} fits")
     step = pair.top / (levels - 1)
-    grid = BidGrid(step, pair.top)
-    spaces = [ExplicitActions(grid.actions_for(m, full_set(m))),
+    spaces = [ExplicitActions(BidGrid(step, pair.top).actions_for(m)),
               ExplicitActions(BidGrid(step, pair.top, "single_item").actions_for(m))]
     trace, regret = _learn(vals, spaces, step, rounds, seed)
     return {"m": m, "v": v, "rounds": rounds, "seed": seed, **regret,

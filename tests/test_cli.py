@@ -38,6 +38,37 @@ def test_walrasian_single_item_file(tmp_path, capsys):
     assert res["exists"] and 1.0 - 1e-9 <= res["prices"][0] <= 2.0 + 1e-9
 
 
+def test_builtin_and_file_triangle_agree(tmp_path, capsys):
+    """A game file's bidders bid on the bundles their valuations give, as the
+    builtin game's do."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"valuations": [
+        {"kind": "single_minded", "m": 3, "items": items, "value": 1.0}
+        for items in ([0, 1], [1, 2], [0, 2])]}))
+    args = ["--family", "uniform_on_bundle", "--grid-step", "0.25", "--max", "1",
+            "--epsilon", "0.3"]
+    results = []
+    for game in ("triangle", str(path)):
+        code, out, _ = run_cli(["pure-nash", "--game", game, *args], capsys)
+        assert code == 0
+        results.append(body_of(out)["result"])
+    assert results[0] == results[1] and results[0]["count"] == 8
+
+
+def test_walrasian_has_one_tolerance(tmp_path, capsys):
+    code, _, err = run_cli(["walrasian", "--game", "andor", "--tolerance", "0"], capsys)
+    assert code == 1 and json.loads(err)["error"]["kind"] == "usage"
+    code, _, err = run_with_config(tmp_path, capsys, {"tolerance": 0},
+                                   ("walrasian", "--game", "andor"))
+    assert "'tolerance'" in precondition_message(code, err)
+    # exact ties that float rounding misses by about 1e-16 pass at MONEY_TOL
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"valuations": [{"kind": "additive", "weights": [0.3, 0.2, 1.0]},
+                                               {"kind": "additive", "weights": [0.5, 0.1, 0.6]}]}))
+    code, out, _ = run_cli(["walrasian", "--game", str(path)], capsys)
+    assert code == 0 and body_of(out)["result"]["prices"] == [0.3, 0.1, 0.6]
+
+
 def test_verify_andor(capsys):
     code, out, _ = run_cli(["verify", "--game", "andor", "--m", "2", "--v", "1.0",
                             "--grid-step", "0.001"], capsys)
@@ -406,13 +437,6 @@ def test_closedform_refusals_name_their_field(capsys):
         assert precondition_message(code, err).startswith(field), args
 
 
-def test_walrasian_tolerance_checked(capsys):
-    for tol in ("-1", "nan"):
-        code, _, err = run_cli(["walrasian", "--game", "andor", "--v", "0.4",
-                                "--tolerance", tol], capsys)
-        assert "tolerance" in precondition_message(code, err)
-
-
 def test_unread_flags_are_usage_errors(capsys):
     for args in (["verify", "--game", "andor", "--strategy", "x"],
                  ["poa", "--tolerance", "0.1"], ["dynamics", "--tie-rule", "index"],
@@ -429,8 +453,7 @@ def test_deterministic_commands_echo_no_seed(capsys):
     code, out, _ = run_cli(["walrasian", "--game", "triangle"], capsys)
     body = body_of(out)
     assert code == 0 and "seed" not in body
-    assert set(body["spec"]) == {"cap", "command", "d", "game", "k", "m", "side",
-                                 "tolerance", "v"}
+    assert set(body["spec"]) == {"cap", "command", "game", "m", "side", "v"}
 
 
 def run_with_config(tmp_path, capsys, settings, args=("poa", "--m", "4", "--trials", "1000")):
@@ -582,6 +605,16 @@ def test_grid_steps_too_fine_refused_before_allocating(monkeypatch, capsys):
         assert precondition_message(code, err).startswith("grid_step: "), args
 
 
+def test_andor_dynamics_refusal_names_m(capsys):
+    """The AND bidder's 41^m grid is refused naming --m, the one size flag of
+    `sfpa dynamics --mode andor`, before the power of a huge m is formed."""
+    for m in ("4", "100000000"):
+        code, _, err = run_cli(["dynamics", "--mode", "andor", "--m", m, "--rounds", "10"],
+                               capsys)
+        message = precondition_message(code, err)
+        assert message.startswith("m: ") and message.endswith("--m 3 fits")
+
+
 def test_poa_huge_m_names_m(capsys):
     """m is checked before the welfare DP's 3^m pair count is formed."""
     code, _, err = run_cli(["poa", "--m", "100000000", "--trials", "1000"], capsys)
@@ -601,7 +634,7 @@ def test_cap_defaults_are_one_constant():
         assert inspect.signature(fn).parameters["cap"].default == auction.CAP
     assert inspect.signature(auction.optimal_allocations).parameters["tol"].default == MONEY_TOL
     args = build_parser().parse_args(["walrasian", "--game", "andor"])
-    assert (args.cap, args.tolerance) == (auction.CAP, MONEY_TOL) == (11_000_000, 1e-9)
+    assert args.cap == auction.CAP == 11_000_000
 
 
 def test_bad_flags_name_their_field(capsys):
@@ -612,8 +645,7 @@ def test_bad_flags_name_their_field(capsys):
                         (["dynamics", "--mode", "additive", "--n", "0", *learn], "n must"),
                         (["walrasian", "--game", "grid", "--l", "0"], "side"),
                         (["pure-nash", "--game", "grid", "--l", "0"], "side"),
-                        (["walrasian", "--game", "single_minded", "--k", "0"],
-                         "no builtin single-minded instance for k=0"),
+                        (["dynamics", "--mode", "andor", "--m", "4", *learn], "m: "),
                         (["dynamics", "--mode", "single-item", "--values", "1,-2", *learn],
                          "weights"),
                         (["dynamics", "--mode", "additive", "--grid-step", "0", *learn],
@@ -631,10 +663,6 @@ def test_bad_flags_name_their_field(capsys):
                         (["pure-nash", "--game", "andor", "--m", "2", "--grid-step", "0.5",
                           "--epsilon", "inf"], "epsilon: must be finite"),
                         (["pure-nash", "--game", "andor", "--epsilon", "nan"],
-                         "epsilon: must be finite"),
-                        (["walrasian", "--game", "andor", "--tolerance", "inf"],
-                         "tolerance: must be finite"),
-                        (["walrasian", "--game", "andor", "--tolerance", "nan"],
-                         "tolerance: must be finite")):
+                         "epsilon: must be finite")):
         code, _, err = run_cli(args, capsys)
         assert precondition_message(code, err).startswith(field), args

@@ -14,7 +14,7 @@ from sfpa.closedform import (AndOrStrategyPair, andor_equilibrium_utilities,
                              andor_utility_and, andor_utility_or)
 from sfpa.equilibrium import (GRID_CAP, MESH_CAP, BidGrid, FiniteSupportStrategy,
                               WalrasianEquilibrium, _support_prices, andor_gap,
-                              best_response_gap, bundle_costs, common_price_gap,
+                              best_response_gap, bid_bundle, bundle_costs, common_price_gap,
                               common_price_scan, demand, limit_equilibrium_check,
                               pure_nash_search, walrasian_check, walrasian_near,
                               walrasian_search)
@@ -23,7 +23,8 @@ from sfpa.experiments import (andor_game, correspondence_case, grid_game,
 from sfpa.lp import feasible_point
 from sfpa.rng import rng_for
 from sfpa.sets import members
-from sfpa.valuations import AdditiveValuation, TableValuation, XosValuation, bit_matrix
+from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation, SingleMindedValuation,
+                             TableValuation, XosValuation, bit_matrix)
 
 from oracles import examples
 
@@ -61,11 +62,11 @@ def test_walrasian_search_single_item_near_tie(values):
     we = walrasian_search(vals)
     assert we is not None
     assert we.allocation.winners == (int(np.argmax(values)),)
-    assert walrasian_check(vals, we, tol=0.0) is None
+    assert exactly_walrasian(vals, we)
 
 
 def test_walrasian_search_triangle_none():
-    vals, _ = triangle_game()
+    vals = triangle_game()
     assert walrasian_search(vals) is None
 
 
@@ -105,7 +106,7 @@ def test_walrasian_search_solves_one_price_lp(monkeypatch):
         return feasible_point(*args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "feasible_point", counted)
-    vals, _ = triangle_game()
+    vals = triangle_game()
     assert walrasian_search(vals) is None
     assert len(calls) == 1
 
@@ -171,14 +172,8 @@ def test_canonical_prices_match_highs_on_their_face(monkeypatch):
             assert walrasian_check(vals, WalrasianEquilibrium(alloc, tuple(prices))) is None
 
 
-def test_walrasian_search_rejects_bad_tolerance():
-    for tol in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="tolerance"):
-            walrasian_search(single_item(), tol=tol)
-
-
 def test_snapped_prices():
-    vals, _ = grid_game(3)  # HiGHS returned 0.9999999998 and 1.0000000001 here
+    vals = grid_game(3)  # HiGHS returned 0.9999999998 and 1.0000000001 here
     assert walrasian_search(vals).prices == (1.0,) * 9
     rng = rng_for(20260809, "correspondence", 73)  # HiGHS gave -0.0 here
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -187,12 +182,23 @@ def test_snapped_prices():
 
 
 def test_walrasian_search_grid_side2_all_prices_one():
-    vals, _ = grid_game(2)
+    vals = grid_game(2)
     we = walrasian_search(vals)
     assert we is not None
     assert we.prices == (1.0,) * 4
     opt = sum(v.value(we.allocation.bundle(i)) for i, v in enumerate(vals))
     assert opt == 4.0
+
+
+def test_bid_bundle_reads_the_value_table():
+    """The items every top-value bundle holds, or all items when none is in
+    every one of them."""
+    for v, bundle in ((SingleMindedValuation(3, 0b101, 1.0), 0b101),
+                      (AndValuation(3, 1.0), 0b111), (OrValuation(3, 0.5), 0b111),
+                      (OrValuation(3, 0.5, 0b011), 0b111), (TableValuation(2, (0.0,) * 4), 0b11),
+                      (AdditiveValuation((0.5, 0.0, 0.2)), 0b101),
+                      (AdditiveValuation((0.5, 0.3, 0.2)), 0b111)):
+        assert bid_bundle(v.as_table()) == bundle, v
 
 
 def test_pure_nash_search_single_item():

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pathlib
 import re
+import shlex
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,6 +15,20 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    """Every `sfpa ...` line of the README's CLI block parses with the CLI's
+    own parser (nothing runs), so a removed flag cannot linger there."""
+    from sfpa.cli import build_parser
+
+    cli = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```", cli, re.M | re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("sfpa ")]
+    assert len(lines) >= 8
+    for words in lines:
+        build_parser().parse_args(words[1:])
 
 
 def test_readme_module_bullets_name_live_code():
