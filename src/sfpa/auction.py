@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sets import MAX_ITEMS, members
+from .sets import members
 from .valuations import (MONEY_TOL, SCHEMA, Valuation, check_probs, entries, fields, numbers,
                          paid, read_only, value_tables)
 
@@ -130,12 +130,13 @@ def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
     return np.argsort(np.asarray(rule.order), axis=1)
 
 
-def price_to_beat(bids: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def price_to_beat(bids: np.ndarray, rule: PriorityRule) -> tuple[np.ndarray, np.ndarray]:
     """(beat, ahead), each (..., n, m): every player's highest rival bid on
-    every item, and the highest bid of the rivals who outrank it there, -inf
-    where there are none. A player's own row does not enter its own pair."""
-    others = bids[..., _rivals(bids.shape[-2]), :]  # (..., n, n - 1, m): player i's rivals' bids
-    outranks = _outranks(ranks.dtype, ranks.shape, ranks.tobytes())
+    every item, and the highest bid of the rivals who outrank it there under
+    `rule`, -inf where there are none. A player's own row does not enter its own pair."""
+    n, m = bids.shape[-2:]
+    others = bids[..., _rivals(n), :]  # (..., n, n - 1, m): player i's rivals' bids
+    outranks = _outranks(rule, n, m)
     return (np.maximum.reduce(others, axis=-2, initial=-np.inf),
             np.maximum.reduce(np.where(outranks, others, -np.inf), axis=-2, initial=-np.inf))
 
@@ -146,9 +147,9 @@ def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i
 
 
 @lru_cache(maxsize=256)  # (n, n - 1, m), once per rule: rival r of player i outranks i on item j
-def _outranks(dtype: np.dtype, shape: tuple, data: bytes) -> np.ndarray:
-    ranks = np.frombuffer(data, dtype).reshape(shape).T
-    return read_only(ranks[_rivals(shape[1])] < ranks[:, None, :], bool)  # serves every call
+def _outranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
+    ranks = priority_ranks(rule, n, m).T
+    return read_only(ranks[_rivals(n)] < ranks[:, None, :], bool)  # serves every call
 
 
 def wins(rows: np.ndarray, beat: np.ndarray, ahead: np.ndarray) -> np.ndarray:
@@ -193,9 +194,8 @@ def blocks(total: int, width: int = 1):
 def rival_play(bids: np.ndarray, rule) -> list:
     """(probability, beat, ahead) of each deterministic branch of the tie
     rule, from `price_to_beat` over (..., n, m) profiles."""
-    n, m = bids.shape[-2:]
     branches = [(1.0, rule)] if isinstance(rule, PriorityRule) else rule.mixture
-    return [(prob, *price_to_beat(bids, priority_ranks(det, n, m))) for prob, det in branches]
+    return [(prob, *price_to_beat(bids, det)) for prob, det in branches]
 
 
 def expected_utilities(table: np.ndarray, rows: np.ndarray, play: list, player: int):
@@ -237,7 +237,7 @@ def allocate(bids, rule=PriorityRule()):
     b = check_bids(bids)
     if isinstance(rule, RandomizedRule):
         return [(p, allocate(b, det)) for p, det in rule.mixture]
-    own = wins(b, *price_to_beat(b, priority_ranks(rule, *b.shape)))
+    own = wins(b, *price_to_beat(b, rule))
     return Allocation(tuple(own.argmax(axis=0).tolist()))
 
 
@@ -272,7 +272,7 @@ def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
         revenue = float(probs @ [o.revenue for _, o in branches])
         return Outcome(None, tuple(map(float, utils)), tuple(map(float, prices)),
                        welfare, revenue, branches)
-    own = wins(b, *price_to_beat(b, priority_ranks(rule, n, m)))  # (n, m): who won what
+    own = wins(b, *price_to_beat(b, rule))  # (n, m): who won what
     alloc = Allocation(tuple(own.argmax(axis=0).tolist()))
     values = tables[np.arange(n), bundle_masks(own)]
     utilities = values - paid(own, b)  # as bid_utilities scores them
@@ -319,9 +319,7 @@ def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     the items still free reaches the optimum within tol. That DP value is
     exactly the best welfare among the completions, so every branch taken
     ends in at least one assignment."""
-    n, m = len(vals), vals[0].m
-    if m > MAX_ITEMS:  # before 3^m is formed: a huge m would take minutes
-        raise CapExceeded(f"m: the welfare DP covers at most {MAX_ITEMS} items, got m={m}")
+    n, m = len(vals), vals[0].m  # m <= MAX_ITEMS: every valuation checks it when it is built
     pairs = max(n - 2, 0) * 3 ** m + (1 << m)
     if pairs > cap:
         raise CapExceeded(f"welfare DP over {n} bidders, {m} items: (n-2)*3^m + 2^m = {pairs} "

@@ -175,13 +175,12 @@ def expected_welfare(bg: FiniteBayesianGame, strategies: list) -> float:
     """E over types and mixed actions of the realized social welfare, one
     stacked joint play per type profile."""
     strategies = check_strategies(bg, strategies)
-    ranks = priority_ranks(bg.rule, bg.n, bg.m)
     total = 0.0
     for q, types in _type_profiles(bg):
         tables = value_tables([bg.type_vals[i][t] for i, t in enumerate(types)])
         supports = {k: (strategies[k][t], bg.actions[k]) for k, t in enumerate(types)}
         for weights, bids in product_play(bg.n, bg.m, supports, bg.n * bg.m):
-            bundles = bundle_masks(wins(bids, *price_to_beat(bids, ranks)))  # (B, n)
+            bundles = bundle_masks(wins(bids, *price_to_beat(bids, bg.rule)))  # (B, n)
             welfare = sum(table[bundles[:, i]] for i, table in enumerate(tables))
             total = weighted_sum(total, q * weights, welfare)
     return float(total)

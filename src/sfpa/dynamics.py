@@ -111,8 +111,7 @@ class FiniteGame:
         try:
             object.__setattr__(self, "optimum", optimal_welfare(self.vals))
         except CapExceeded as exc:  # learning has no cap knob: name the size instead
-            reason = str(exc).split(";")[0].removeprefix("m: ")
-            raise CapExceeded(f"m: {reason}; learn over fewer items") from None
+            raise CapExceeded(f"m: {str(exc).split(';')[0]}; learn over fewer items") from None
         if max(v.value_max() for v in self.vals) <= 0:
             raise ValueError("values: normalization needs a player with positive full-bundle value")
 
@@ -153,7 +152,6 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     dead slots (`live` False) bidding 0: the loop scores each entry's
     support items against the full value table."""
     n, m = len(game.vals), game.vals[0].m
-    ranks = priority_ranks(game.rule, n, m)
     vmax = max(v.value_max() for v in game.vals)
     payoff_range = np.array([v.value_max() + sp.max_spend()
                              for v, sp in zip(game.vals, game.spaces)])
@@ -205,7 +203,7 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
             chosen = entry.take(base + _level_index(u_t, probs, last))  # (n, F) entries drawn
             np.add.reduce(rows.take(chosen, axis=0), axis=1, out=bids_out[t])
 
-            beat, ahead = price_to_beat(bids_out[t], ranks)
+            beat, ahead = price_to_beat(bids_out[t], game.rule)
             won = wins(amount, beat.take(at), ahead.take(at)) & live
             value = table.take(table_at | bundle_masks(won.T, bits.T))
             gain = value - paid(won.T, amount.T)
@@ -235,8 +233,7 @@ def verify_cce(trace: LearningTrace) -> float:
     they agree).
     """
     game = trace.game
-    n, m = len(game.vals), game.vals[0].m
-    beats, aheads = price_to_beat(trace.bids, priority_ranks(game.rule, n, m))
+    beats, aheads = price_to_beat(trace.bids, game.rule)
     worst = 0.0
     for i, sp in enumerate(game.spaces):
         sums = np.zeros((len(sp.factors), max(len(rows) for rows, _ in sp.factors)))
@@ -262,9 +259,8 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     expected equilibrium value e_i and utility u_i, expected payments r_i
     over the items the optimum hands to i, and expected item prices f_j."""
     game = trace.game
-    n, m = len(game.vals), game.vals[0].m
-    bids = trace.bids
-    own = wins(bids, *price_to_beat(bids, priority_ranks(game.rule, n, m)))  # (T, n, m)
+    n, bids = len(game.vals), trace.bids
+    own = wins(bids, *price_to_beat(bids, game.rule))  # (T, n, m)
     f_item = (own * bids).max(axis=1).mean(axis=0)  # each item's one winning bid
     u_exp = trace.utilities.mean(axis=0)
     e_exp = u_exp + paid(own, bids).mean(axis=0)

@@ -204,7 +204,7 @@ class BidGrid:
             return levels
         if self.family == "single_item":
             return m * levels
-        if levels ** m > GRID_CAP:
+        if levels ** min(m, 64) > GRID_CAP:  # 2^64 already exceeds it; a huge m skips the power
             raise CapExceeded(f"grid_step: full product grid {levels}^{m} exceeds {GRID_CAP} bid "
                               f"vectors; {_fit_hint(GRID_CAP, m, self.upper)} (sfpa pure-nash "
                               "--grid-step), or lower --max or change --family")
@@ -330,18 +330,6 @@ def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(
 
 
 @dataclass(frozen=True)
-class FiniteSupportStrategy:
-    """Finitely many bid vectors with probabilities summing to 1."""
-
-    atoms: tuple  # of (probability, bid tuple)
-
-    def __post_init__(self):
-        probs = check_probs([p for p, _ in self.atoms], "atoms").tolist()
-        bids = check_bids([b for _, b in self.atoms], "atoms").tolist()
-        object.__setattr__(self, "atoms", tuple(zip(probs, map(tuple, bids))))
-
-
-@dataclass(frozen=True)
 class BestResponseGap:
     gap: float
     method: str  # "analytic" | "exact"
@@ -355,6 +343,9 @@ def andor_gap(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestRespo
     if role not in ("and", "or"):
         raise ValueError(f"role: must be 'and' or 'or', got {role!r}")
     axis = grid.points()
+    if axis.size * pair.m * 40 > cf.MC_BYTE_LIMIT:  # about five (levels, m) float arrays
+        raise ValueError(f"m: {axis.size} grid levels x {pair.m} items of bid rows would pass "
+                         f"the {cf.MC_BYTE_LIMIT}-byte limit; lower --m or coarsen --grid-step")
     rows = np.zeros((axis.size, pair.m))
     and_base, or_base = cf.andor_equilibrium_utilities(pair)
     if role == "and":
@@ -374,33 +365,35 @@ def andor_gap(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestRespo
 def best_response_gap(vals: list[Valuation], strategies: list, player: int,
                       grid: BidGrid, rule=PriorityRule()) -> BestResponseGap:
     """Largest improvement available to `player` over its strategy by any
-    grid deviation, against the others' finite-support mixtures, by exact
-    enumeration: the rivals' atoms are scored as one weighted stack.
-    `andor_gap` scores the closed-form AND-OR pair."""
+    grid deviation, against the others' finite mixtures, by exact
+    enumeration: the rivals' bid rows are scored as one weighted stack.
+    strategies[k] is a (probabilities (K,), bid rows (K, m)) pair, the form
+    `product_play` takes. `andor_gap` scores the closed-form AND-OR pair."""
     n, m = len(vals), vals[0].m
     if type(player) is not int or player not in range(n):
         raise ValueError(f"player: need an index in 0..{n - 1}, got {player!r}")
     table = value_tables(vals)[player]
     if len(strategies) != n:
         raise ValueError(f"strategies: need one per player ({n}), got {len(strategies)}")
-    probs, support = [], []
+    mixed = []
     for k, s in enumerate(strategies):
-        if not isinstance(s, FiniteSupportStrategy):
-            raise ValueError(f"strategies[{k}]: need a FiniteSupportStrategy, "
+        field = f"strategies[{k}]"
+        if not isinstance(s, (tuple, list)) or len(s) != 2:
+            raise ValueError(f"{field}: need a (probabilities, bid rows) pair, "
                              f"got {type(s).__name__}")
-        support.append(np.array([b for _, b in s.atoms]))
-        if support[k].shape[1] != m:
-            raise ValueError(f"strategies[{k}]: bids on {support[k].shape[1]} items, "
-                             f"the game has {m}")
-        probs.append(np.array([p for p, _ in s.atoms]))
+        probs, rows = check_probs(s[0], field), check_bids(s[1], field)
+        if probs.ndim != 1 or rows.shape != (probs.size, m):
+            raise ValueError(f"{field}: need one row of {m} bids per probability, got "
+                             f"{rows.shape[0]} x {rows.shape[1]} for {probs.size}")
+        mixed.append((probs, rows))
     actions = grid.actions_for(m, bid_bundle(table))
-    rivals = {k: (probs[k], support[k]) for k in range(n) if k != player}
+    rivals = {k: mixed[k] for k in range(n) if k != player}
     dev, base = np.zeros(actions.shape[0]), 0.0
     for weights, bids in product_play(n, m, rivals, actions.size):
         play = rival_play(bids[:, None], rule)  # (S, 1) profiles: (S, K) utilities
         dev = weighted_sum(dev, weights, expected_utilities(table, actions, play, player))
-        payoff = expected_utilities(table, support[player], play, player)
-        base = weighted_sum(base, weights, np.vecdot(payoff, probs[player]))
+        payoff = expected_utilities(table, mixed[player][1], play, player)
+        base = weighted_sum(base, weights, np.vecdot(payoff, mixed[player][0]))
     k = int(np.argmax(dev))
     return BestResponseGap(float(dev[k] - base), "exact", float(base), tuple(actions[k]))
 
@@ -416,7 +409,7 @@ class CommonPriceEquilibrium:
     gap: float
 
 
-def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
+def common_price_scan(vals: list[Valuation], grid: BidGrid,
                       stop_at_first: bool = True) -> list[CommonPriceEquilibrium]:
     """Grid equilibria in the common-price family.
 
@@ -425,7 +418,8 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     favoring the assigned winner. Deviations are unrestricted real bids:
     any player wins item j at any price above p_j, and the sup of its
     deviation utility is its best bundle's utility at p. So a profile's gain
-    is the Walrasian demand gap at p. Returns profiles whose gain is <= eps.
+    is the Walrasian demand gap at p. Returns profiles whose gain is at most
+    TIE_TOL: the exact grid equilibria.
     """
     tables = value_tables(vals)
     n, m = len(vals), vals[0].m
@@ -441,7 +435,7 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid, eps: float,
     for assign in itertools.product(range(n), repeat=m):
         alloc = Allocation(assign)
         worst = (best - _held_utilities(tables, costs, alloc)).max(axis=0)
-        for k in np.flatnonzero(worst <= eps + TIE_TOL):
+        for k in np.flatnonzero(worst <= TIE_TOL):
             found.append(CommonPriceEquilibrium(tuple(float(p) for p in prices[:, k]), alloc,
                                                 float(worst[k])))
             if stop_at_first:

@@ -15,25 +15,25 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, closedform as cf
-from .auction import (CapExceeded, PriorityRule, blocks, expected_utilities, optimal_welfare,
+from .auction import (CAP, CapExceeded, PriorityRule, blocks, expected_utilities, optimal_welfare,
                       rival_play, rule_from_json)
 from .bayes import FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds
 from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_ratio,
                        ks_distance, run_no_regret, verify_cce)
-from .equilibrium import (GRID_CAP, BidGrid, FiniteSupportStrategy, andor_gap,
-                          best_response_gap, common_price_gap, common_price_scan,
-                          walrasian_search)
+from .equilibrium import (GRID_CAP, BidGrid, andor_gap, best_response_gap, common_price_gap,
+                          common_price_scan, walrasian_search)
 from .rng import rng_for
-from .valuations import (PROB_TOL, SCHEMA, AdditiveValuation, AndValuation, OrValuation,
-                         SingleMindedValuation, TableValuation, Valuation, fields,
-                         valuations_from_json)
+from .sets import MAX_ITEMS, full_set
+from .valuations import (PROB_TOL, SCHEMA, AdditiveValuation, OrValuation, SingleMindedValuation,
+                         TableValuation, Valuation, check_m, fields, valuations_from_json)
 
 
 # ---------------------------------------------------------------------------
 # Game builders
 
 def andor_game(m: int, v: float) -> list[Valuation]:
-    return [AndValuation(m, 1.0), OrValuation(m, v)]
+    check_m(m)  # before the AND bidder's full set is formed
+    return [SingleMindedValuation(m, full_set(m), 1.0), OrValuation(m, v)]
 
 
 def triangle_game() -> list[Valuation]:
@@ -43,8 +43,9 @@ def triangle_game() -> list[Valuation]:
 def grid_game(side: int) -> list[Valuation]:
     """side^2 items, `side` row bidders and `side` column bidders, value
     `side` each for their full line."""
-    if side < 1:
-        raise ValueError(f"side (--l) must be >= 1, got {side}")
+    if not 1 <= side * side <= MAX_ITEMS:
+        raise ValueError(f"side (--l): need 1 to {math.isqrt(MAX_ITEMS)}, the side^2 items "
+                         f"at most {MAX_ITEMS}, got {side}")
     rows = [sum(1 << (i * side + j) for j in range(side)) for i in range(side)]
     cols = [sum(1 << (i * side + j) for i in range(side)) for j in range(side)]
     return [SingleMindedValuation(side * side, b, float(side)) for b in rows + cols]
@@ -214,7 +215,7 @@ def _random_lattice_valuation(rng: np.random.Generator, m: int) -> Valuation:
         bundle = int(rng.integers(1, 1 << m))
         return SingleMindedValuation(m, bundle, float(rng.choice(_LATTICE)))
     if kind == "and":
-        return AndValuation(m, float(rng.choice(_LATTICE)))
+        return SingleMindedValuation(m, full_set(m), float(rng.choice(_LATTICE)))
     if kind == "or":
         items = int(rng.integers(1, 1 << m))
         return OrValuation(m, float(rng.choice(_LATTICE)), items)
@@ -244,7 +245,7 @@ def correspondence_case(vals: list[Valuation], we, grid_step: float = 0.05) -> d
         found = gap <= 2.0 * vals[0].m * grid_step + 1e-12
         return {"walrasian": True, "grid_equilibrium": found, "grid_gap": float(gap),
                 "prices_agree": bool(found), "agree": bool(found)}
-    scan = common_price_scan(vals, BidGrid(grid_step, 2.0), eps=0.0, stop_at_first=True)
+    scan = common_price_scan(vals, BidGrid(grid_step, 2.0), stop_at_first=True)
     return {"walrasian": False, "grid_equilibrium": bool(scan),
             "prices_agree": None, "agree": not scan}
 
@@ -289,6 +290,14 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
                              grid_step: float = 0.05) -> dict:
     """Multiplicative weights on a random additive-valuation game; regret
     envelope and the beta = 1 welfare bound with explicit slack."""
+    check_m(m)  # m and n before the (n, m) draw and the n action families
+    most = (CAP - 2) // 3 + 2  # bidders whose (n-2)*3^m + 2^m welfare-DP pairs fit at m = 1
+    if not 1 <= n <= most:
+        raise CapExceeded(f"n must be 1 to {most}, the welfare DP's cap of {CAP} subset pairs "
+                          f"on one item; got {n}")
+    if (n - 2) * 3 ** m + (1 << m) > CAP:  # n fits on one item: fewer items fit the cap
+        raise CapExceeded(f"m: the welfare DP over {n} bidders and {m} items exceeds its cap "
+                          f"of {CAP} subset pairs; learn over fewer items")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
     vals = [AdditiveValuation(tuple(map(float, w))) for w in weights]
@@ -323,10 +332,10 @@ def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
     single-item bids; reports KS distances of the empirical marginals
     against the closed-form CDFs."""
     pair = cf.AndOrStrategyPair(m, v)
-    vals = andor_game(m, v)
     if levels ** min(m, 64) > GRID_CAP:  # dynamics has no grid flag: name the item count
         raise CapExceeded(f"m: the AND bidder's full {levels}^{m} bid grid exceeds {GRID_CAP} "
                           f"bid vectors; --m {int(math.log(GRID_CAP, levels))} fits")
+    vals = andor_game(m, v)
     step = pair.top / (levels - 1)
     spaces = [ExplicitActions(BidGrid(step, pair.top).actions_for(m)),
               ExplicitActions(BidGrid(step, pair.top, "single_item").actions_for(m))]
@@ -408,7 +417,7 @@ def bayes_report(grid_step: float = 0.05) -> dict:
     zero = np.zeros((1, acts.shape[0]))
     zero[0, 0] = 1.0
     bayes_gaps = bayes_deviation_gap(bg0, [zero, zero])
-    fs = FiniteSupportStrategy(((1.0, (0.0,)),))
+    fs = (np.ones(1), np.zeros((1, 1)))  # bid 0 for sure
     full_gaps = [best_response_gap(vals, [fs, fs], i, grid).gap for i in range(2)]
     degenerate = {"bayes_gaps": [float(g[0]) for g in bayes_gaps],
                   "full_information_gaps": [float(g) for g in full_gaps],

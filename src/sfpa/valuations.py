@@ -85,12 +85,9 @@ class Valuation:
         return float(self.as_table()[-1])
 
     def as_table(self) -> np.ndarray:
-        """Dense value table indexed by bitmask (read-only, cached on the instance).
-        Capped at m <= MAX_ITEMS."""
+        """Dense value table indexed by bitmask (read-only, cached on the instance)."""
         table = getattr(self, "_dense", None)
         if table is None:
-            if self.m > MAX_ITEMS:
-                raise ValueError(f"dense table needs m <= {MAX_ITEMS}, got {self.m}")
             table = read_only(self._table())
             if not np.isfinite(table).all():  # a non-finite entry, or a sum past float range
                 raise ValueError(f"values must be finite, got {table[~np.isfinite(table)][0]}")
@@ -101,9 +98,11 @@ class Valuation:
         raise NotImplementedError
 
 
-def _check_m(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"need at least one item, got m={m}")
+def check_m(m: int) -> None:
+    """Refuse an item count outside 1..MAX_ITEMS, the one cap on m: every
+    valuation checks it when it is built, before any 2^m table or full set."""
+    if not 1 <= m <= MAX_ITEMS:
+        raise ValueError(f"m: need 1 to {MAX_ITEMS} items, got {m}")
 
 
 def _check_amounts(field: str, amounts) -> None:
@@ -119,9 +118,7 @@ class TableValuation(Valuation):
     table: tuple
 
     def __post_init__(self):
-        _check_m(self.m)
-        if self.m > MAX_ITEMS:
-            raise ValueError(f"table form capped at m <= {MAX_ITEMS}")
+        check_m(self.m)
         if len(self.table) != 1 << self.m:
             raise ValueError(f"table needs 2^{self.m} entries, got {len(self.table)}")
         object.__setattr__(self, "table", tuple(float(x) for x in self.table))
@@ -137,7 +134,7 @@ class AdditiveValuation(Valuation):
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        _check_m(self.m)
+        check_m(self.m)
         _check_amounts("weights", self.weights)
 
     @property
@@ -157,7 +154,7 @@ class SingleMindedValuation(Valuation):
     amount: float
 
     def __post_init__(self):
-        _check_m(self.m)
+        check_m(self.m)
         if not is_subset(self.bundle, full_set(self.m)) or self.bundle == 0:
             raise ValueError("bundle must be a nonempty subset of the universe")
         object.__setattr__(self, "amount", float(self.amount))
@@ -169,24 +166,6 @@ class SingleMindedValuation(Valuation):
 
 
 @dataclass(frozen=True)
-class AndValuation(Valuation):
-    """Worth `amount` for the full set only."""
-
-    m: int
-    amount: float
-
-    def __post_init__(self):
-        _check_m(self.m)
-        object.__setattr__(self, "amount", float(self.amount))
-        _check_amounts("value", (self.amount,))
-
-    def _table(self) -> np.ndarray:
-        table = np.zeros(1 << self.m)
-        table[-1] = self.amount
-        return table
-
-
-@dataclass(frozen=True)
 class OrValuation(Valuation):
     """Worth `amount` for any set meeting the designated items (default: all)."""
 
@@ -195,7 +174,7 @@ class OrValuation(Valuation):
     items: int = -1
 
     def __post_init__(self):
-        _check_m(self.m)
+        check_m(self.m)
         if self.items == -1:
             object.__setattr__(self, "items", full_set(self.m))
         if not is_subset(self.items, full_set(self.m)) or self.items == 0:
@@ -221,7 +200,7 @@ class XosValuation(Valuation):
             raise ValueError("clauses must share a length")
         _check_amounts("clauses", [w for c in cl for w in c])
         object.__setattr__(self, "clauses", cl)
-        _check_m(self.m)
+        check_m(self.m)
 
     @property
     def m(self) -> int:
@@ -306,7 +285,7 @@ def valuation_from_json(d, field: str = "valuation") -> Valuation:
         v = {"table": lambda: TableValuation(m, tuple(x["values"])),
              "additive": lambda: AdditiveValuation(tuple(x["weights"])),
              "single_minded": lambda: SingleMindedValuation(m, from_items(x["items"]), x["value"]),
-             "and": lambda: AndValuation(m, x["value"]),
+             "and": lambda: SingleMindedValuation(m, full_set(m), x["value"]),
              "or": lambda: OrValuation(m, x["value"], from_items(x.get("items", range(m)))),
              "xos": lambda: XosValuation(tuple(map(tuple, x["clauses"])))}[kind]()
         bad = check_valid(v)  # after as_table refuses non-finite values or m past the cap

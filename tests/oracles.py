@@ -12,14 +12,14 @@ import os
 import numpy as np
 
 from sfpa.auction import (TIE_TOL, Allocation, PriorityRule, blocks, bundle_masks, check_bids,
-                          price_to_beat, priority_ranks, wins)
+                          price_to_beat, wins)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, check_strategies
 from sfpa.closedform import (CDF_TOL, Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              WelfareEstimate)
 from sfpa.dynamics import FiniteGame, LearningTrace
 from sfpa.rng import rng_for
 from sfpa.sets import full_set, is_subset, members
-from sfpa.valuations import (MONEY_TOL, AdditiveValuation, AndValuation, BetaCertificate,
+from sfpa.valuations import (MONEY_TOL, AdditiveValuation, BetaCertificate,
                              OrValuation, SingleMindedValuation, TableValuation, Valuation,
                              XosValuation, bit_matrix, paid)
 
@@ -39,8 +39,6 @@ def value_formula(v: Valuation, s: int) -> float:
         return sum(v.weights[j] for j in members(s))
     if isinstance(v, SingleMindedValuation):
         return v.amount if is_subset(v.bundle, s) else 0.0
-    if isinstance(v, AndValuation):
-        return v.amount if s == full_set(v.m) else 0.0
     if isinstance(v, OrValuation):
         return v.amount if s & v.items else 0.0
     if isinstance(v, XosValuation):
@@ -174,7 +172,6 @@ def run_no_regret_dense(game: FiniteGame, rounds: int, seed: int) -> LearningTra
         raise ValueError("need at least one round")
     n, m = len(game.vals), game.vals[0].m
     rng = rng_for(seed, "no-regret")
-    ranks = priority_ranks(game.rule, n, m)
     vmax = max(v.value_max() for v in game.vals)
     payoff_range = np.array([v.value_max() + sp.max_spend()
                              for v, sp in zip(game.vals, game.spaces)])
@@ -216,7 +213,7 @@ def run_no_regret_dense(game: FiniteGame, rounds: int, seed: int) -> LearningTra
             chosen = entry.take(base + level)
             bids_out[t] = rows.take(chosen, axis=0).sum(axis=1)
 
-            beat, ahead = price_to_beat(bids_out[t], ranks)
+            beat, ahead = price_to_beat(bids_out[t], game.rule)
             won = wins(rows, beat.take(player, axis=0), ahead.take(player, axis=0)) & support
             value = table.take(table_at | bundle_masks(won))
             gain = value - paid(won, rows)

@@ -7,12 +7,12 @@ from sfpa.auction import (CAP, TIE_TOL, Allocation, CapExceeded, PriorityRule, R
                           optimal_welfare, outcome, price_to_beat,
                           priority_ranks, rule_from_json, welfare_maximizers, wins)
 from sfpa.dynamics import ExplicitActions, FiniteGame
-from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, WalrasianEquilibrium,
+from sfpa.equilibrium import (BidGrid, WalrasianEquilibrium,
                               best_response_gap, common_price_gap, common_price_scan,
                               limit_equilibrium_check, pure_nash_search, walrasian_check,
                               walrasian_near, walrasian_search)
-from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
-                             SingleMindedValuation, TableValuation, bit_matrix,
+from sfpa.experiments import andor_game
+from sfpa.valuations import (AdditiveValuation, SingleMindedValuation, TableValuation, bit_matrix,
                              bundle_costs, paid)
 
 from oracles import allocate_reference, examples, outcome_utilities
@@ -47,7 +47,7 @@ def test_outcome_single_item_overbid_by_cent():
 
 
 def test_outcome_all_zero_bids_to_priority_winner():
-    vals = [AndValuation(2, 1.0), OrValuation(2, 0.5)]
+    vals = andor_game(2, 0.5)
     o = outcome(vals, [[0.0, 0.0], [0.0, 0.0]])
     assert o.allocation.winners == (0, 0)
     assert o.utilities == (1.0, 0.0)
@@ -56,7 +56,7 @@ def test_outcome_all_zero_bids_to_priority_winner():
 
 def test_outcome_andor_hand_simulated():
     # OR outbids on item 0 only; AND keeps item 1 and eats its losing cost.
-    vals = [AndValuation(2, 1.0), OrValuation(2, 0.7)]
+    vals = andor_game(2, 0.7)
     o = outcome(vals, [[0.2, 0.2], [0.3, 0.0]])
     assert o.allocation.winners == (1, 0)
     assert o.utilities[0] == pytest.approx(-0.2)
@@ -118,7 +118,6 @@ def test_first_price_kernel_matches_reference(n, m, priority, additive, seed):
     rng = np.random.default_rng(seed)
     order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
     rule = PriorityRule(order) if priority else PriorityRule()
-    ranks = priority_ranks(rule, n, m)
 
     def draw(shape):
         coarse = (rng.choice([0.0, 0.25, 0.5, 1.0], shape)
@@ -129,7 +128,7 @@ def test_first_price_kernel_matches_reference(n, m, priority, additive, seed):
             else _monotone_table(rng, m) for _ in range(n)]
     profiles = draw((5, n, m))
     deviations = draw((6, m))
-    beat, ahead = price_to_beat(profiles, ranks)
+    beat, ahead = price_to_beat(profiles, rule)
     for p, bids in enumerate(profiles):
         assert allocate(bids, rule).winners == allocate_reference(bids, rule).winners
         assert outcome(vals, bids, rule).utilities == tuple(outcome_utilities(vals, bids, rule))
@@ -163,11 +162,12 @@ def test_price_to_beat_matches_player_loop(n, m, lead, priority, seed):
     by half of TIE_TOL, tie exactly and nearly."""
     rng = np.random.default_rng(seed)
     order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
-    ranks = priority_ranks(PriorityRule(order) if priority else PriorityRule(), n, m)
+    rule = PriorityRule(order) if priority else PriorityRule()
+    ranks = priority_ranks(rule, n, m)
     shape = tuple(int(k) for k in rng.integers(1, 4, lead)) + (n, m)
     coarse = rng.choice([0.0, 0.25, 0.5], shape) + rng.choice([0.0, 0.0, TIE_TOL / 2], shape)
     bids = np.where(rng.random(shape) < 0.8, coarse, rng.uniform(0, 1, shape))
-    beat, ahead = price_to_beat(bids, ranks)
+    beat, ahead = price_to_beat(bids, rule)
     assert beat.shape == ahead.shape == shape
     for at in np.ndindex(shape[:-2]):
         for i in range(n):
@@ -185,7 +185,7 @@ def test_near_tie_chain_has_one_winner_everywhere():
     bids = np.array([[1.0], [1.0 + 0.8e-12], [1.0 + 1.6e-12]])
     rule = PriorityRule(((0, 2, 1),))
     vals = [AdditiveValuation((2.0,))] * 3
-    beat, ahead = price_to_beat(bids, priority_ranks(rule, 3, 1))
+    beat, ahead = price_to_beat(bids, rule)
     assert allocate(bids, rule).winners == allocate_reference(bids, rule).winners == (2,)
     assert wins(bids, beat, ahead)[:, 0].tolist() == [False, False, True]
     utilities = outcome(vals, bids, rule).utilities
@@ -225,7 +225,7 @@ def _enumerated_optimum(vals, tol=1e-9, limit=65536):
 
 def test_optimal_welfare_examples():
     v = 1 / np.sqrt(2)
-    opt, alloc = optimal_welfare([AndValuation(2, 1.0), OrValuation(2, float(v))])
+    opt, alloc = optimal_welfare(andor_game(2, float(v)))
     assert opt == 1.0 and alloc.winners == (0, 0)
     tri = [SingleMindedValuation(3, b, 1.0) for b in (0b011, 0b110, 0b101)]
     opt_tri, _ = optimal_welfare(tri)
@@ -314,8 +314,8 @@ ITEM_COUNT_CALLS = {
     pure_nash_search: lambda vals: pure_nash_search(vals, _GRID),
     limit_equilibrium_check: lambda vals: limit_equilibrium_check(vals, [[0.5], [0.5]]),
     best_response_gap: lambda vals: best_response_gap(
-        vals, [FiniteSupportStrategy(((1.0, (0.0,)),))] * 2, 0, _GRID),
-    common_price_scan: lambda vals: common_price_scan(vals, _GRID, 0.0),
+        vals, [(np.ones(1), np.zeros((1, 1)))] * 2, 0, _GRID),
+    common_price_scan: lambda vals: common_price_scan(vals, _GRID),
     common_price_gap: lambda vals: common_price_gap(vals, [0.5], _ITEM_0),
     FiniteGame: lambda vals: FiniteGame(vals, [ExplicitActions([[0.0], [0.5]])] * 2),
 }

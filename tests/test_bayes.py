@@ -7,9 +7,9 @@ import pytest
 from sfpa.auction import PriorityRule, RandomizedRule
 from sfpa.bayes import (FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds,
                         bayesian_game_from_json, expected_welfare)
-from sfpa.equilibrium import BidGrid, FiniteSupportStrategy, best_response_gap
+from sfpa.equilibrium import BidGrid, best_response_gap
 from sfpa.experiments import bayes_report, exact_two_type_bne, two_type_bne_game
-from sfpa.valuations import AdditiveValuation, AndValuation, OrValuation
+from sfpa.valuations import AdditiveValuation, OrValuation, SingleMindedValuation
 
 from oracles import best_response_strategies
 
@@ -28,7 +28,7 @@ def test_degenerate_prior_reproduces_full_information_gaps():
     bg = FiniteBayesianGame([[vals[0]], [vals[1]]], np.array([[1.0]]), [acts, acts])
     strat = [pure((1, acts.shape[0]), [0]), pure((1, acts.shape[0]), [0])]
     gaps = bayes_deviation_gap(bg, strat)
-    fs = FiniteSupportStrategy(((1.0, (0.0,)),))
+    fs = (np.ones(1), np.zeros((1, 1)))
     for i in range(2):
         full = best_response_gap(vals, [fs, fs], i, grid)
         assert gaps[i][0] == full.gap  # exact equality, both exact enumerations
@@ -39,7 +39,7 @@ def test_two_or_values_vs_fixed_and():
     # no equilibrium claim is made
     grid = BidGrid(0.25, 1.0)
     acts2 = grid.actions_for(2)
-    types = [[AndValuation(2, 1.0)],
+    types = [[SingleMindedValuation(2, 0b11, 1.0)],
              [OrValuation(2, 0.5), OrValuation(2, 1.0)]]
     prior = np.array([[0.5, 0.5]])
     bg = FiniteBayesianGame(types, prior, [acts2, acts2])
@@ -130,7 +130,7 @@ def test_non_product_prior_skips_beta_check():
 def test_infinite_beta_skips():
     grid = BidGrid(0.5, 1.0)
     acts = grid.actions_for(2)
-    types = [[AndValuation(2, 1.0)], [OrValuation(2, 0.5)]]
+    types = [[SingleMindedValuation(2, 0b11, 1.0)], [OrValuation(2, 0.5)]]
     bg = FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts])
     k = acts.shape[0]
     strat = [pure((1, k), [0]), pure((1, k), [0])]
@@ -157,7 +157,7 @@ def test_prior_validation():
 
 
 def test_game_input_checked_where_it_enters():
-    types = [[AndValuation(2, 1.0)], [OrValuation(2, 0.5)]]
+    types = [[SingleMindedValuation(2, 0b11, 1.0)], [OrValuation(2, 0.5)]]
     acts = BidGrid(0.5, 1.0).actions_for(2)
     with pytest.raises(ValueError, match=r"^actions\[1\]: need 2 bids"):
         FiniteBayesianGame(types, np.array([[1.0]]), [acts, acts[:, :1]])

@@ -15,10 +15,9 @@ import numpy as np
 import sfpa
 import sfpa.experiments as xp
 from sfpa import auction, equilibrium
-from sfpa.auction import PriorityRule, priority_ranks, rule_from_json
+from sfpa.auction import PriorityRule, rule_from_json
 from sfpa.bayes import bayesian_game_from_json
 from sfpa.dynamics import run_no_regret
-from sfpa.equilibrium import FiniteSupportStrategy
 
 from test_auction import ITEM_COUNT_CALLS
 
@@ -135,17 +134,15 @@ def test_checked_dataclasses_are_frozen(monkeypatch):
         {"prob": 0.5, "rule": {"kind": "priority", "order": [[1, 0]]}}]}
     built = {"traces": tuple(traces), "two_type_bne_game": xp.two_type_bne_game(0.05)[0],
              "bayesian_game_from_json": bayesian_game_from_json(bayes_doc)[0],
-             "rule_from_json": rule_from_json(rule),
-             "FiniteSupportStrategy": FiniteSupportStrategy([(0.5, [0.0]), (0.5, [0.4])])}
+             "rule_from_json": rule_from_json(rule)}
     assert len(traces) == 3
     for name, obj in built.items():
         assert not _writable_parts(obj, name)
 
 
-_RANKS = priority_ranks(PriorityRule(((1, 0, 2), (2, 0, 1))), 3, 2)
 CACHED_SAMPLES = {  # sample arguments of every lru_cache'd function of sfpa
     "auction._rivals": (3,),
-    "auction._outranks": (_RANKS.dtype, _RANKS.shape, _RANKS.tobytes()),
+    "auction._outranks": (PriorityRule(((1, 0, 2), (2, 0, 1))), 3, 2),
     "auction._subset_pairs": (3,),
 }
 

@@ -1,5 +1,5 @@
 """Checked objects are read-only data: a write into a checked game,
-strategy, rule, action family or trace raises at the write, and a write
+rule, action family or trace raises at the write, and a write
 into the caller's own array after the check does not reach the object."""
 
 from dataclasses import FrozenInstanceError
@@ -10,7 +10,6 @@ import pytest
 from sfpa.auction import PriorityRule, RandomizedRule, allocate, check_bids
 from sfpa.bayes import expected_welfare
 from sfpa.dynamics import ExplicitActions, FiniteGame, SeparableGrid, run_no_regret
-from sfpa.equilibrium import BidGrid, FiniteSupportStrategy, best_response_gap
 from sfpa.experiments import exact_two_type_bne, two_type_bne_game
 from sfpa.valuations import AdditiveValuation, check_probs
 
@@ -61,15 +60,6 @@ def test_action_families_hold_read_only_copies():
         family.factors = ()
     with pytest.raises(FrozenInstanceError):
         grid.levels = ()
-
-
-def test_strategy_atoms_are_a_tuple():
-    s = FiniteSupportStrategy([(0.5, [0.0]), (0.5, [0.4])])
-    assert s.atoms == ((0.5, (0.0,)), (0.5, (0.4,)))
-    with pytest.raises(TypeError):
-        s.atoms[0] = (1.5, (0.0,))
-    vals = [AdditiveValuation((1.0,)), AdditiveValuation((2.0,))]
-    assert best_response_gap(vals, [s, s], 1, BidGrid(0.1, 1.0)).gap == pytest.approx(1.1)
 
 
 def test_tie_rules_are_tuples():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -663,6 +665,29 @@ def test_bad_flags_name_their_field(capsys):
                         (["pure-nash", "--game", "andor", "--m", "2", "--grid-step", "0.5",
                           "--epsilon", "inf"], "epsilon: must be finite"),
                         (["pure-nash", "--game", "andor", "--epsilon", "nan"],
-                         "epsilon: must be finite")):
+                         "epsilon: must be finite"),
+                        (["pure-nash", "--game", "andor", "--m", "30", "--grid-step", "1",
+                          "--max", "0.5"], "m: need 1 to 20 items, got 30"),
+                        (["walrasian", "--game", "andor", "--m", "21"], "m: need 1 to 20 items"),
+                        (["pure-nash", "--game", "grid", "--l", "5"], "side (--l): need 1 to 4"),
+                        (["walrasian", "--game", "grid", "--l", "5"], "side (--l): need 1 to 4")):
         code, _, err = run_cli(args, capsys)
         assert precondition_message(code, err).startswith(field), args
+    # Sizes that hung or allocated gigabytes before they were checked run in a
+    # fresh process, under a 3 GiB address-space cap and a timeout.
+    capped = {"env": {**os.environ, "OPENBLAS_NUM_THREADS": "1"}, "preexec_fn": lambda:
+              resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))}
+    for args, field in ((["pure-nash", "--game", "andor", "--m", str(10 ** 18)], "m: need 1"),
+                        (["pure-nash", "--game", "andor", "--m", "100000000"], "m: need 1"),
+                        (["verify", "--game", "andor", "--m", "100000000"], "m: 1001 grid levels"),
+                        (["verify", "--game", "andor", "--m", "2000", "--grid-step", "0.00001"],
+                         "m: 100001 grid levels"),
+                        (["dynamics", "--mode", "additive", "--n", str(10 ** 12), *learn],
+                         "n must be 1 to "),
+                        (["dynamics", "--mode", "additive", "--m", "1000000000", *learn],
+                         "m: need 1 to 20"),
+                        (["dynamics", "--mode", "additive", "--n", "1000000", "--m", "20",
+                          *learn], "m: the welfare DP over 1000000 bidders")):
+        proc = subprocess.run([sys.executable, "-m", "sfpa.cli", *args], capture_output=True,
+                              text=True, timeout=30, **capped)
+        assert precondition_message(proc.returncode, proc.stderr).startswith(field), args

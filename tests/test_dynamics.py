@@ -13,8 +13,8 @@ from sfpa.experiments import (additive_dynamics_report, andor_dynamics_report,
                               andor_game, single_item_dynamics_report)
 from sfpa.auction import PriorityRule, RandomizedRule, outcome
 from sfpa.rng import rng_for
-from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
-                             TableValuation)
+from sfpa.sets import full_set
+from sfpa.valuations import AdditiveValuation, OrValuation, SingleMindedValuation, TableValuation
 
 from oracles import examples, run_no_regret_dense, triangle_cdf
 
@@ -167,17 +167,14 @@ def test_game_input_checked():
 
 
 def test_separable_grid_requires_additive():
-    from sfpa.valuations import AndValuation
     with pytest.raises(ValueError):
-        FiniteGame([AndValuation(2, 1.0)], [SeparableGrid([[0.0], [0.0]])])
+        FiniteGame([SingleMindedValuation(2, 0b11, 1.0)], [SeparableGrid([[0.0], [0.0]])])
 
 
 def test_mixed_action_spaces():
     # additive bidder on a separable grid against an AND bidder on uniform
     # bundle bids: separable and explicit factors in one game
-    from sfpa.valuations import AndValuation
-    from sfpa.sets import full_set
-    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    vals = [AdditiveValuation((0.4, 0.4)), SingleMindedValuation(2, 0b11, 1.0)]
     sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2, full_set(2)))
     game = FiniteGame(vals, [sep, uni], grid_step=0.1)
@@ -190,7 +187,7 @@ def test_mixed_action_spaces():
 
 @pytest.mark.parametrize("family", ["separable", "explicit", "mixed"])
 def test_verify_cce_catches_a_corrupted_sum(family):
-    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    vals = [AdditiveValuation((0.4, 0.4)), SingleMindedValuation(2, 0b11, 1.0)]
     sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2))
     spaces = {"separable": [sep, sep], "explicit": [uni, uni], "mixed": [sep, uni]}[family]
@@ -210,7 +207,7 @@ def test_verify_cce_catches_a_corrupted_sum(family):
 def test_uniform_blocks_leave_the_trace_unchanged(monkeypatch, family, block):
     """Uniforms drawn `BLOCK // draws` rounds at a time, split unevenly over
     70 rounds, give the bits of one block for the whole run."""
-    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    vals = [AdditiveValuation((0.4, 0.4)), SingleMindedValuation(2, 0b11, 1.0)]
     sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2))
     game = FiniteGame(vals, {"explicit": [uni, uni], "mixed": [sep, uni]}[family], grid_step=0.1)
@@ -284,7 +281,9 @@ def _random_player(rng, m, kind=None, step=0.25):
         table[-1] += 0.1  # a positive full-bundle value, as normalization needs
         val = TableValuation(m, tuple(table))
     elif kind in (1, 2):
-        val = (AndValuation, OrValuation)[kind - 1](m, 0.1 * rng.integers(3, 13))
+        amount = 0.1 * rng.integers(3, 13)  # an AND bidder is single-minded on every item
+        val = (SingleMindedValuation(m, full_set(m), amount) if kind == 1
+               else OrValuation(m, amount))
     return val, ExplicitActions(step * rng.integers(0, 5, (rng.integers(1, 6), m)))
 
 

@@ -12,18 +12,17 @@ from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, optimal_welfare, outcome)
 from sfpa.closedform import (AndOrStrategyPair, andor_equilibrium_utilities,
                              andor_utility_and, andor_utility_or)
-from sfpa.equilibrium import (GRID_CAP, MESH_CAP, BidGrid, FiniteSupportStrategy,
-                              WalrasianEquilibrium, _support_prices, andor_gap,
-                              best_response_gap, bid_bundle, bundle_costs, common_price_gap,
-                              common_price_scan, demand, limit_equilibrium_check,
-                              pure_nash_search, walrasian_check, walrasian_near,
-                              walrasian_search)
+from sfpa.equilibrium import (GRID_CAP, MESH_CAP, BidGrid, WalrasianEquilibrium,
+                              _support_prices, andor_gap, best_response_gap, bid_bundle,
+                              bundle_costs, common_price_gap, common_price_scan, demand,
+                              limit_equilibrium_check, pure_nash_search, walrasian_check,
+                              walrasian_near, walrasian_search)
 from sfpa.experiments import (andor_game, correspondence_case, grid_game,
                               triangle_game, _random_lattice_valuation)
 from sfpa.lp import feasible_point
 from sfpa.rng import rng_for
 from sfpa.sets import members
-from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation, SingleMindedValuation,
+from sfpa.valuations import (AdditiveValuation, OrValuation, SingleMindedValuation,
                              TableValuation, XosValuation, bit_matrix)
 
 from oracles import examples
@@ -194,7 +193,7 @@ def test_bid_bundle_reads_the_value_table():
     """The items every top-value bundle holds, or all items when none is in
     every one of them."""
     for v, bundle in ((SingleMindedValuation(3, 0b101, 1.0), 0b101),
-                      (AndValuation(3, 1.0), 0b111), (OrValuation(3, 0.5), 0b111),
+                      (SingleMindedValuation(3, 0b111, 1.0), 0b111), (OrValuation(3, 0.5), 0b111),
                       (OrValuation(3, 0.5, 0b011), 0b111), (TableValuation(2, (0.0,) * 4), 0b11),
                       (AdditiveValuation((0.5, 0.0, 0.2)), 0b101),
                       (AdditiveValuation((0.5, 0.3, 0.2)), 0b111)):
@@ -246,12 +245,13 @@ def test_pure_nash_profiles_counted_before_allocating(monkeypatch):
 
 
 def test_finite_support_refuses_bad_bids():
+    vals, grid, zero = single_item(), BidGrid(0.5, 1.0), ([1.0], [[0.0]])
     for bad in (np.nan, np.inf, -0.3):
-        with pytest.raises(ValueError, match="^atoms: must be finite and nonnegative"):
-            FiniteSupportStrategy(((0.5, (0.0,)), (0.5, (bad,))))
+        with pytest.raises(ValueError, match=r"^strategies\[1\]: must be finite and nonnegative"):
+            best_response_gap(vals, [zero, ([0.5, 0.5], [[0.0], [bad]])], 0, grid)
     # ragged rows raised numpy's "inhomogeneous shape" error, naming no field
-    with pytest.raises(ValueError, match="^atoms: must be a matrix of bid rows"):
-        FiniteSupportStrategy(((0.5, (0.0,)), (0.5, (0.0, 0.0))))
+    with pytest.raises(ValueError, match=r"^strategies\[1\]: must be a matrix of bid rows"):
+        best_response_gap(vals, [zero, ([0.5, 0.5], [[0.0], [0.0, 0.0]])], 0, grid)
 
 
 def _step_that_fits(exc) -> float:
@@ -276,12 +276,12 @@ def test_common_price_mesh_cap_names_the_largest_level_count():
     for m, n in ((2, 2), (3, 1), (19, 1)):
         vals = [AdditiveValuation((0.5,) * m)] * n
         with pytest.raises(CapExceeded, match="^grid_step: ") as info:
-            common_price_scan(vals, BidGrid(0.001, 2.0), eps=0.0)
+            common_price_scan(vals, BidGrid(0.001, 2.0))
         fit = int(re.search(r"; (\d+) levels per item fit", str(info.value)).group(1))
         assert fit ** m <= MESH_CAP < (fit + 1) ** m
         grid = BidGrid(_step_that_fits(info.value), 2.0)
         assert grid.points().size == fit
-        common_price_scan(vals, grid, eps=0.0)  # no longer refused
+        common_price_scan(vals, grid)  # no longer refused
 
 
 def test_full_grid_cap_names_the_largest_level_count():
@@ -326,8 +326,8 @@ def test_grid_search_input_checked():
         with pytest.raises(ValueError, match="^grid max"):
             BidGrid(0.1, upper)
     for probs in ((float("nan"), 1.0), (1.5, -0.5)):
-        with pytest.raises(ValueError, match="nonnegative"):
-            FiniteSupportStrategy(tuple((p, (0.0,)) for p in probs))
+        with pytest.raises(ValueError, match=r"^strategies\[0\]: probabilities must be finite"):
+            best_response_gap(single_item(), [(probs, [[0.0], [0.0]])] * 2, 1, BidGrid(0.5, 1.0))
     with pytest.raises(ValueError, match="nonnegative"):
         RandomizedRule(((float("nan"), PriorityRule()), (1.0, PriorityRule())))
 
@@ -405,7 +405,7 @@ def test_andor_analytic_gap_matches_full_grid():
 
 def test_best_response_gap_trivial_finite_support():
     vals = [AdditiveValuation((1.0,)), AdditiveValuation((1.0,))]
-    zero = FiniteSupportStrategy(((1.0, (0.0,)),))
+    zero = (np.ones(1), np.zeros((1, 1)))
     res = best_response_gap(vals, [zero, zero], 1, BidGrid(0.1, 1.0))
     assert res.method == "exact"
     assert res.gap == pytest.approx(1.0 - 0.1)
@@ -413,15 +413,15 @@ def test_best_response_gap_trivial_finite_support():
 
 def test_best_response_gap_monotone_in_grid():
     vals = [AdditiveValuation((1.0,)), AdditiveValuation((1.0,))]
-    zero = FiniteSupportStrategy(((1.0, (0.0,)),))
+    zero = (np.ones(1), np.zeros((1, 1)))
     gaps = [best_response_gap(vals, [zero, zero], 1, BidGrid(s, 1.0)).gap
             for s in (0.2, 0.1, 0.05)]
     assert gaps[0] <= gaps[1] <= gaps[2]  # refining the grid cannot shrink the gap
 
 
 class _Sampled:
-    """A strategy that is not a FiniteSupportStrategy, as one known only
-    through a sampler would be."""
+    """A strategy that is not a (probabilities, bid rows) pair, as one known
+    only through a sampler would be."""
 
     def __init__(self, strategy):
         self.strategy = strategy
@@ -430,19 +430,24 @@ class _Sampled:
 def test_best_response_gap_refuses_misfit_strategies():
     # two-item bids in a one-item game failed inside numpy, naming no field
     vals, grid = single_item(), BidGrid(0.5, 1.0)
-    wide, one = FiniteSupportStrategy(((1.0, (0.0, 0.0)),)), FiniteSupportStrategy(((1.0, (0.0,)),))
-    sampled = "need a FiniteSupportStrategy, got _Sampled"
-    for strategies, field in (([wide, wide], "strategies[0]: bids on 2 items"),
-                              ([one, wide], "strategies[1]: bids on 2 items"),
-                              ([_Sampled(one), wide], f"strategies[0]: {sampled}"),
-                              ([one, _Sampled(one)], f"strategies[1]: {sampled}"),
+    wide, one = (np.ones(1), np.zeros((1, 2))), (np.ones(1), np.zeros((1, 1)))
+    sampled, rows = "need a (probabilities, bid rows) pair, got", "need one row of 1 bids per"
+    for strategies, field in (([wide, wide], f"strategies[0]: {rows} probability, got 1 x 2"),
+                              ([one, wide], f"strategies[1]: {rows} probability, got 1 x 2"),
+                              ([one, ([0.5, 0.5], [[0.0]])], f"strategies[1]: {rows}"),
+                              ([one, ([[1.0]], [[0.0]])], f"strategies[1]: {rows}"),
+                              ([_Sampled(one), wide], f"strategies[0]: {sampled} _Sampled"),
+                              ([one, _Sampled(one)], f"strategies[1]: {sampled} _Sampled"),
+                              ([one, (*one, 1.0)], f"strategies[1]: {sampled} tuple"),
+                              ([one, np.zeros((2, 1))], f"strategies[1]: {sampled} ndarray"),
                               ([one], "strategies: "), ([one] * 3, "strategies: ")):
         with pytest.raises(ValueError, match="^" + re.escape(field)):
             best_response_gap(vals, strategies, 0, grid)
 
 
+
 _TWO_ITEMS = [AdditiveValuation((1.0, 1.0)), AdditiveValuation((0.5, 0.5))]
-_PURE_ZERO = FiniteSupportStrategy(((1.0, (0.0, 0.0)),))
+_PURE_ZERO = (np.ones(1), np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("call, field", [
@@ -478,7 +483,7 @@ def test_malformed_player_allocation_or_prices_refused_naming_the_field(call, fi
 def test_best_response_gap_randomized_rule():
     vals = single_item((2.0, 1.0))
     rule = RandomizedRule(((0.5, PriorityRule(((0, 1),))), (0.5, PriorityRule(((1, 0),)))))
-    half = FiniteSupportStrategy(((1.0, (0.5,)),))
+    half = ([1.0], [[0.5]])
     grid = BidGrid(0.25, 1.0)
     expected = {float(x): outcome(vals, [[x], [0.5]], rule).utilities[0] for x in grid.points()}
     base = expected[0.5]  # the tie at 0.5 is won half the time
@@ -491,7 +496,7 @@ def test_best_response_gap_randomized_rule():
 def test_common_price_scan_matches_gap():
     vals = andor_game(2, 0.4)
     grid = BidGrid(0.1, 1.0)
-    found = common_price_scan(vals, grid, eps=0.0, stop_at_first=False)
+    found = common_price_scan(vals, grid, stop_at_first=False)
     assert found
     for eq in found:
         gap = common_price_gap(vals, eq.prices, eq.allocation)
@@ -504,7 +509,7 @@ def test_common_price_scan_matches_gap():
 def test_common_price_scan_hits_are_walrasian(seed, n, m):
     rng = rng_for(seed, "scan-oracle")
     vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
-    for eq in common_price_scan(vals, BidGrid(0.25, 2.0), eps=0.0, stop_at_first=False):
+    for eq in common_price_scan(vals, BidGrid(0.25, 2.0), stop_at_first=False):
         we = WalrasianEquilibrium(eq.allocation, eq.prices)
         assert walrasian_check(vals, we) is None
         assert walrasian_near(vals, eq.allocation, eq.prices, 1e-9)
@@ -551,7 +556,7 @@ def test_discrete_game_equilibrium_without_walrasian():
     prices, alloc = (0.1, 0.55, 0.95), Allocation((2, 1, 1))
     assert common_price_gap(vals, prices, alloc) == pytest.approx(0.15, abs=1e-12)
     assert abs(_step_priced_gap(vals, prices, alloc, 0.05)) <= 1e-12
-    assert common_price_scan(vals, BidGrid(0.05, 2.0), eps=0.0) == []
+    assert common_price_scan(vals, BidGrid(0.05, 2.0)) == []
 
 
 def test_bidgrid_families():

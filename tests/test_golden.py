@@ -33,10 +33,10 @@ from sfpa.auction import PriorityRule
 from sfpa.bayes import bayes_deviation_gap, bayes_welfare_bounds
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, run_no_regret, verify_cce)
-from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, best_response_gap,
+from sfpa.equilibrium import (BidGrid, best_response_gap,
                               limit_equilibrium_check, pure_nash_search)
 from sfpa.sets import full_set
-from sfpa.valuations import AdditiveValuation, AndValuation
+from sfpa.valuations import AdditiveValuation, SingleMindedValuation
 
 from oracles import best_response_strategies
 
@@ -44,7 +44,7 @@ SEED = 20260809
 
 
 def mixed_game_payload():
-    vals = [AdditiveValuation((0.4, 0.4)), AndValuation(2, 1.0)]
+    vals = [AdditiveValuation((0.4, 0.4)), SingleMindedValuation(2, full_set(2), 1.0)]
     sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2, full_set(2)))
     trace = run_no_regret(FiniteGame(vals, [sep, uni], grid_step=0.1), 2000, SEED)
@@ -77,8 +77,7 @@ def pure_nash_payload():
 def best_response_payload():
     vals = xp.andor_game(2, 1.0)
     exact = best_response_gap(
-        vals, [FiniteSupportStrategy(((0.5, (0.0, 0.0)), (0.5, (0.3, 0.3)))),
-               FiniteSupportStrategy(((0.25, (0.2, 0.0)), (0.75, (0.0, 0.4))))],
+        vals, [([0.5, 0.5], [[0.0, 0.0], [0.3, 0.3]]), ([0.25, 0.75], [[0.2, 0.0], [0.0, 0.4]])],
         1, BidGrid(0.1, 0.6), PriorityRule(((1, 0), (0, 1))))
     return {"exact": asdict(exact)}
 

@@ -19,19 +19,18 @@ from hypothesis import given, settings, strategies as st
 
 from sfpa import auction, equilibrium
 from sfpa.auction import (BLOCK, PriorityRule, RandomizedRule, bid_utilities,
-                          expected_utilities, price_to_beat, priority_ranks, product_play,
+                          expected_utilities, price_to_beat, product_play,
                           rival_play, weighted_sum)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, expected_welfare
-from sfpa.equilibrium import (BidGrid, FiniteSupportStrategy, best_response_gap, bundle_costs,
-                              demand, limit_equilibrium_check, pure_nash_search)
+from sfpa.equilibrium import (BidGrid, best_response_gap, bundle_costs, demand,
+                              limit_equilibrium_check, pure_nash_search)
 from sfpa.valuations import TableValuation
 
 from oracles import allocate_reference, examples
 
 
-def _ranked_rules(rule, n, m):
-    rules = [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
-    return [(prob, priority_ranks(det, n, m)) for prob, det in rules]
+def _branches(rule):
+    return [(1.0, rule)] if isinstance(rule, PriorityRule) else list(rule.mixture)
 
 
 def _expected_utilities(table, rows, against, player):
@@ -42,12 +41,12 @@ def _expected_utilities(table, rows, against, player):
 def pure_nash_loop(vals, grid, rule, eps):
     n, m = len(vals), vals[0].m
     actions = [grid.actions_for(m) for _ in range(n)]
-    ranked = _ranked_rules(rule, n, m)
+    branches = _branches(rule)
     tables = [v.as_table() for v in vals]
     found = []
     for combo in itertools.product(*(range(a.shape[0]) for a in actions)):
         bids = np.stack([actions[i][combo[i]] for i in range(n)])
-        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+        against = [(prob, *price_to_beat(bids, det)) for prob, det in branches]
         worst = 0.0
         for i in range(n):
             dev = _expected_utilities(tables[i], actions[i], against, i)
@@ -71,11 +70,11 @@ def limit_loop(vals, candidate, rule, eps_list, cap):
         if (2 * m + 1) ** (n * m) > cap:
             results.append((eps, "inconclusive", None))
             continue
-        ranked = _ranked_rules(rule, n, m)
+        branches = _branches(rule)
         hit = None
         for combo in itertools.product(range(2 * m + 1), repeat=n * m):
             bids = np.maximum(cand + offsets[list(combo)].reshape(n, m), 0.0)
-            against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+            against = [(prob, *price_to_beat(bids, det)) for prob, det in branches]
             top_rival = against[0][1]
             ok = True
             for i in range(n):
@@ -96,7 +95,7 @@ def limit_loop(vals, candidate, rule, eps_list, cap):
 
 def exact_gap_loop(vals, strategies, player, grid, rule):
     n, m = len(vals), vals[0].m
-    ranked = _ranked_rules(rule, n, m)
+    branches = _branches(rule)
     opp_index = [k for k in range(n) if k != player]
     actions = grid.actions_for(m)
     table = vals[player].as_table()
@@ -104,14 +103,14 @@ def exact_gap_loop(vals, strategies, player, grid, rule):
     base = 0.0
     own = strategies[player]
     bids = np.zeros((n, m))
-    for combo in itertools.product(*(range(len(strategies[k].atoms)) for k in opp_index)):
-        prob = math.prod(strategies[opp_index[t]].atoms[c][0] for t, c in enumerate(combo))
+    for combo in itertools.product(*(range(len(strategies[k][0])) for k in opp_index)):
+        prob = math.prod(strategies[opp_index[t]][0][c] for t, c in enumerate(combo))
         for t, c in enumerate(combo):
-            bids[opp_index[t]] = strategies[opp_index[t]].atoms[c][1]
-        against = [(prob, *price_to_beat(bids, ranks)) for prob, ranks in ranked]
+            bids[opp_index[t]] = strategies[opp_index[t]][1][c]
+        against = [(prob, *price_to_beat(bids, det)) for prob, det in branches]
         dev += prob * _expected_utilities(table, actions, against, player)
-        payoff = _expected_utilities(table, np.array([b for _, b in own.atoms]), against, player)
-        base += prob * float(np.dot([p for p, _ in own.atoms], payoff))
+        payoff = _expected_utilities(table, own[1], against, player)
+        base += prob * float(np.dot(own[0], payoff))
     k = int(np.argmax(dev))
     return float(dev[k]) - base, base, tuple(actions[k])
 
@@ -127,7 +126,6 @@ def _joint_play_loop(bg, strategies, types):
 
 
 def conditional_utilities_loop(bg, strategies):
-    ranks = priority_ranks(bg.rule, bg.n, bg.m)
     for i in range(bg.n):
         opp = [k for k in range(bg.n) if k != i]
         marg = bg.type_marginal(i)
@@ -142,7 +140,7 @@ def conditional_utilities_loop(bg, strategies):
                 if q <= 1e-12:
                     continue
                 for prob, bids in _joint_play_loop(bg, strategies, dict(zip(opp, opp_types))):
-                    beat, ahead = price_to_beat(bids, ranks)
+                    beat, ahead = price_to_beat(bids, bg.rule)
                     eu += q * prob * bid_utilities(table, bg.actions[i], beat[i], ahead[i])
             yield i, t, eu
 
@@ -185,13 +183,14 @@ def random_rule(rng, n, m, randomized):
 
 
 def random_mixture(rng, m, step):
-    """1-3 atoms on a coarse grid; probabilities sum to 1 and may be 0."""
+    """1-3 bid rows on a coarse grid, as a (probabilities, rows) pair;
+    probabilities sum to 1 and may be 0."""
     k = int(rng.integers(1, 4))
     probs = rng.choice([0.0, 1.0, 2.0, 3.0], k)
     probs[0] += 1.0
     probs = probs / probs.sum()
     bids = step * rng.integers(0, 4, (k, m))
-    return FiniteSupportStrategy(tuple((float(p), tuple(b.tolist())) for p, b in zip(probs, bids)))
+    return probs, bids
 
 
 small_games = st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))

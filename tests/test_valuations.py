@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa.sets import members, subsets
-from sfpa.valuations import (AdditiveValuation, AndValuation, OrValuation,
-                             SingleMindedValuation, TableValuation, XosValuation,
-                             beta_of, bit_matrix, check_valid, numbers,
-                             valuation_from_json, xos_supporting_clause)
+from sfpa.sets import MAX_ITEMS, full_set, members, subsets
+from sfpa.valuations import (AdditiveValuation, OrValuation, SingleMindedValuation,
+                             TableValuation, XosValuation, beta_of, bit_matrix, check_valid,
+                             numbers, valuation_from_json, xos_supporting_clause)
 
 from oracles import examples, value_formula, verify_beta_certificate
 
@@ -23,7 +22,7 @@ def brute_force_monotone(v):
 
 
 def test_and_or_values():
-    av = AndValuation(2, 1.0)
+    av = SingleMindedValuation(2, full_set(2), 1.0)
     assert av.value(0b11) == 1.0
     assert av.value(0b01) == 0.0
     ov = OrValuation(2, 0.7)
@@ -67,7 +66,7 @@ def test_monotone_closure_tables_are_valid(m, seed):
 @pytest.mark.parametrize("v", [
     AdditiveValuation((0.5, 1.5, 0.0)),
     SingleMindedValuation(3, 0b101, 2.0),
-    AndValuation(3, 1.0),
+    SingleMindedValuation(3, full_set(3), 1.0),
     OrValuation(3, 0.8, 0b011),
     XosValuation(((1.0, 0.0, 0.5), (0.0, 1.2, 0.2))),
 ])
@@ -92,7 +91,9 @@ def valuations(draw):
     amount, items = float(rng.uniform(0, 2)), int(rng.integers(1, 1 << m))
     if kind == "single_minded":
         return SingleMindedValuation(m, items, amount)
-    return AndValuation(m, amount) if kind == "and" else OrValuation(m, amount, items)
+    if kind == "and":
+        return SingleMindedValuation(m, full_set(m), amount)
+    return OrValuation(m, amount, items)
 
 
 @given(valuations())
@@ -140,7 +141,7 @@ def test_xos_clause_lp_single_minded_and_and():
     sm = SingleMindedValuation(3, 0b111, 1.0)
     a = xos_supporting_clause(sm, 0b111)
     assert a.sum() == pytest.approx(0.0, abs=1e-9)
-    av = AndValuation(2, 1.0)
+    av = SingleMindedValuation(2, full_set(2), 1.0)
     a2 = xos_supporting_clause(av, 0b11)
     assert a2.sum() == pytest.approx(0.0, abs=1e-9)
     # k = 1 is the only single-minded case where the bundle value survives
@@ -171,7 +172,7 @@ def coverage_valuation(m, sets, weights):
 def test_beta_values():
     assert beta_of(AdditiveValuation((0.5, 0.25))).beta == 1.0
     assert beta_of(OrValuation(3, 0.7)).beta == pytest.approx(1.0, abs=1e-9)
-    assert math.isinf(beta_of(AndValuation(2, 1.0)).beta)
+    assert math.isinf(beta_of(SingleMindedValuation(2, full_set(2), 1.0)).beta)
     assert math.isinf(beta_of(SingleMindedValuation(3, 0b011, 1.0)).beta)
     assert beta_of(TableValuation(2, (0.0, 0.0, 0.0, 0.0))).beta == 1.0
 
@@ -200,7 +201,7 @@ def test_json_roundtrip():
         ({"kind": "additive", "m": 2, "weights": [0.5, 1.5]}, AdditiveValuation((0.5, 1.5))),
         ({"kind": "single_minded", "m": 3, "items": [0, 2], "value": 2.0},
          SingleMindedValuation(3, 0b101, 2.0)),
-        ({"kind": "and", "m": 2, "value": 1.0}, AndValuation(2, 1.0)),
+        ({"kind": "and", "m": 2, "value": 1.0}, SingleMindedValuation(2, full_set(2), 1.0)),
         ({"kind": "or", "m": 3, "value": 0.8, "items": [0, 1]}, OrValuation(3, 0.8, 0b011)),
         ({"kind": "or", "m": 2, "value": 0.8}, OrValuation(2, 0.8)),
         ({"kind": "xos", "m": 2, "clauses": [[1.0, 0.0], [0.4, 0.5]]},
@@ -242,8 +243,7 @@ def test_caps_and_validation():
     with pytest.raises(ValueError):
         XosValuation(((1.0, -0.5),))
     for bad in (math.nan, math.inf, -1.0):  # NaN fails every comparison
-        for field, build in (("value", lambda x: AndValuation(2, x)),
-                             ("value", lambda x: OrValuation(2, x)),
+        for field, build in (("value", lambda x: OrValuation(2, x)),
                              ("value", lambda x: SingleMindedValuation(2, 0b11, x)),
                              ("weights", lambda x: AdditiveValuation((1.0, x))),
                              ("clauses", lambda x: XosValuation(((1.0, 0.0), (0.0, x))))):
@@ -253,6 +253,19 @@ def test_caps_and_validation():
         with pytest.raises(ValueError, match="^values must be finite"):
             TableValuation(1, (0.0, bad))
     with pytest.raises(ValueError):
-        beta_of(AndValuation(13, 1.0))
-    with pytest.raises(ValueError):
-        AndValuation(25, 1.0).as_table()
+        beta_of(SingleMindedValuation(13, full_set(13), 1.0))
+
+
+def test_item_count_checked_when_a_valuation_is_built():
+    """Every class refuses m outside 1..MAX_ITEMS, naming m, before it forms a
+    full set or a 2^m table: a huge m is refused at once."""
+    message = f"^m: need 1 to {MAX_ITEMS} items, got "
+    for m in (0, MAX_ITEMS + 1, 10 ** 18):
+        for build in (lambda: SingleMindedValuation(m, 1, 1.0), lambda: OrValuation(m, 1.0),
+                      lambda: TableValuation(m, (0.0, 1.0))):
+            with pytest.raises(ValueError, match=message + str(m)):
+                build()
+    for build in (lambda: AdditiveValuation(()), lambda: XosValuation(((),))):
+        with pytest.raises(ValueError, match=message + "0"):
+            build()
+    assert SingleMindedValuation(MAX_ITEMS, 1, 1.0).as_table().size == 1 << MAX_ITEMS
