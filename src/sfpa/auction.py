@@ -111,8 +111,8 @@ def check_bids(bids, field: str = "bids") -> np.ndarray:
 # to its highest bidder, a tie within TIE_TOL to the best priority rank, at
 # the winning bid". Bid arrays are (..., n, m) profiles or (..., m) rows;
 # leading axes batch trials or rounds. On a realized profile `wins` marks
-# one winner per item, the mask `allocate` and `outcome` read, and
-# `valuations.paid` adds the winning bids in item order.
+# one winner per item, and `valuations.paid` adds the winning bids in item
+# order.
 
 
 def priority_ranks(rule: PriorityRule, n: int, m: int) -> np.ndarray:
@@ -230,55 +230,6 @@ def weighted_sum(total, weights: np.ndarray, values: np.ndarray):
     terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
     start = np.reshape(total, (1,) + values.shape[1:])
     return np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
-
-
-def allocate(bids, rule=PriorityRule()):
-    """Allocation under the rule; a randomized rule yields [(prob, Allocation)]."""
-    b = check_bids(bids)
-    if isinstance(rule, RandomizedRule):
-        return [(p, allocate(b, det)) for p, det in rule.mixture]
-    own = wins(b, *price_to_beat(b, rule))
-    return Allocation(tuple(own.argmax(axis=0).tolist()))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Utilities u_i = v_i(S_i) - sum of i's winning bids; welfare = sum v_i(S_i).
-
-    For a randomized rule, `allocation` is None and the top-level numbers are
-    probability-weighted expectations over `branches`.
-    """
-
-    allocation: Allocation | None
-    utilities: tuple
-    item_prices: tuple
-    welfare: float
-    revenue: float
-    branches: tuple = ()
-
-
-def outcome(vals: list[Valuation], bids, rule=PriorityRule()) -> Outcome:
-    tables = value_tables(vals)
-    b = check_bids(bids)
-    n, m = b.shape
-    if (n, m) != (len(vals), vals[0].m):
-        raise ValueError(f"bids: need one row of {vals[0].m} bids per valuation, got {n} x {m}")
-    if isinstance(rule, RandomizedRule):
-        branches = tuple((p, outcome(vals, b, det)) for p, det in rule.mixture)
-        probs = np.array([p for p, _ in branches])
-        utils = probs @ np.array([o.utilities for _, o in branches])
-        prices = probs @ np.array([o.item_prices for _, o in branches])
-        welfare = float(probs @ [o.welfare for _, o in branches])
-        revenue = float(probs @ [o.revenue for _, o in branches])
-        return Outcome(None, tuple(map(float, utils)), tuple(map(float, prices)),
-                       welfare, revenue, branches)
-    own = wins(b, *price_to_beat(b, rule))  # (n, m): who won what
-    alloc = Allocation(tuple(own.argmax(axis=0).tolist()))
-    values = tables[np.arange(n), bundle_masks(own)]
-    utilities = values - paid(own, b)  # as bid_utilities scores them
-    prices = b[alloc.winners, np.arange(m)].tolist()
-    return Outcome(alloc, tuple(map(float, utilities)), tuple(prices), float(sum(values)),
-                   float(sum(prices)))
 
 
 @lru_cache(maxsize=None)

@@ -197,9 +197,6 @@ class AndOrStrategyPair:
     def G(self) -> AtomicCDF:
         return or_bid_cdf(self.m)
 
-    def in_cube(self, bids) -> bool:
-        return bool(np.max(bids) <= self.top + CDF_TOL)
-
     def sample_and_bids(self, rng, size: int) -> np.ndarray:
         """Common bid placed on every item."""
         return self.F.sample(rng, size)
@@ -220,8 +217,8 @@ def andor_utility_and(pair: AndOrStrategyPair, bids):
     Wins item j unless the OR player picked j and outbid it (zero-bid ties
     go to AND), so the utility is one term per item,
     sum_j [G_lt(x_j)(1 - x_j) - x_j (m - 1)] / m. Identically 0 on the cube
-    [0, 1/m]^m (`pair.in_cube`); bids above 1/m are evaluated literally and
-    are strictly worse than their clamped counterparts. One row gives a float.
+    [0, 1/m]^m; bids above 1/m are evaluated literally and are strictly
+    worse than their clamped counterparts. One row gives a float.
     """
     x = np.asarray(bids, dtype=np.float64)
     if x.shape[-1:] != (pair.m,):

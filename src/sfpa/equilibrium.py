@@ -34,7 +34,6 @@ from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs, check_pr
 
 GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
 MESH_CAP = 500_000  # price vectors the common-price scan may hold
-BALL_CAP = 200_000  # profiles the limit check's grid ball may hold before it is inconclusive
 
 
 @dataclass(frozen=True)
@@ -267,62 +266,6 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
         found += [GridEquilibrium(tuple(map(tuple, bids[k].tolist())), float(worst[k]))
                   for k in np.flatnonzero(worst <= eps + TIE_TOL)]
     return found
-
-
-@dataclass(frozen=True)
-class LimitCheckResult:
-    eps: float
-    status: str  # "ok" | "failure" | "inconclusive"
-    witness: tuple | None = None
-
-
-def limit_equilibrium_check(vals: list[Valuation], candidate, rule=PriorityRule(),
-                            eps_list=(0.1, 0.01)) -> list[LimitCheckResult]:
-    """Is the candidate a limit of eps-equilibria?
-
-    For each eps, scans the grid ball of radius eps (step eps/m) around the
-    candidate, in lexicographic blocks, for the first profile no player can
-    improve by more than eps against. Deviations range over the continuum: a
-    player's best is its demand at prices max(beat, 0), approachable (or
-    attained under a favoring tie). "inconclusive" reports a ball of more
-    than BALL_CAP profiles, as distinct from an exhaustive search that found
-    nothing.
-    """
-    tables = value_tables(vals)
-    cand = check_bids(candidate, "candidate")
-    n, m = len(vals), vals[0].m
-    if cand.shape != (n, m):
-        raise ValueError(f"candidate: need one row of {m} bids per player, {n} x {m}, "
-                         f"got {cand.shape[0]} x {cand.shape[1]}")
-    if not all(0 < e < math.inf for e in eps_list):  # NaN fails it too
-        raise ValueError(f"eps_list: values must be finite and > 0, got {eps_list!r}")
-    results = []
-    for eps in eps_list:
-        step = eps / m
-        offsets = step * np.arange(-m, m + 1)
-        total = (2 * m + 1) ** (n * m)
-        if total > BALL_CAP:
-            results.append(LimitCheckResult(eps, "inconclusive"))
-            continue
-        ball = np.stack(np.meshgrid(*[offsets] * m, indexing="ij"), axis=-1).reshape(-1, m)
-        near = {i: (np.ones(len(ball)), np.maximum(row + ball, 0.0)) for i, row in enumerate(cand)}
-        hit = None
-        for _, bids in product_play(n, m, near, n * m):
-            play = rival_play(bids, rule)
-            top_rival = play[0][1]  # the highest rival bid does not depend on the rule
-            ok = np.ones(len(bids), dtype=bool)
-            for i in range(n):
-                cur = expected_utilities(tables[i], bids[:, i], play, i)
-                best = demand(tables[i], bundle_costs(np.maximum(top_rival[:, i], 0.0).T))
-                ok &= ~(best > cur + eps + TIE_TOL)
-            if ok.any():
-                hit = bids[np.argmax(ok)]
-                break
-        if hit is None:
-            results.append(LimitCheckResult(eps, "failure"))
-        else:
-            results.append(LimitCheckResult(eps, "ok", tuple(map(tuple, hit.tolist()))))
-    return results
 
 
 # ---------------------------------------------------------------------------

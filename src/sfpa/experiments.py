@@ -138,9 +138,9 @@ def poa_report(m: int, v: float, trials: int, seed: int) -> dict:
     """Welfare of the AND-OR closed-form equilibrium vs the optimum, with
     the construction-specific bounds evaluated alongside."""
     pair = cf.AndOrStrategyPair(m, v)
-    est = cf.andor_equilibrium_welfare(pair, trials, seed)
-    vals = andor_game(m, v)
+    vals = andor_game(m, v)  # checks m before any trial is drawn
     opt, _ = optimal_welfare(vals)
+    est = cf.andor_equilibrium_welfare(pair, trials, seed)
     support_witness = cf.and_support_sum_check(np.full(m, pair.F.hi), vals[0].value_max())
     welfare_bound_poa = 2.0 / math.sqrt(m)
     welfare_bound_pos = 3.0 * math.sqrt(math.log2(m) / m)
@@ -327,10 +327,11 @@ def _thin(count: int):
 def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
                           levels: int = 41) -> dict:
     """Learning in the AND-OR game: the AND bidder over the full grid of
-    levels^m bid vectors (known defect 2, ROADMAP item 4: the paper's AND
-    bidder bids one level on every item, `levels` vectors), the OR bidder over
-    single-item bids; reports KS distances of the empirical marginals
-    against the closed-form CDFs."""
+    levels^m bid vectors (known defect 2, the ROADMAP item "AND-OR learning
+    over its documented families": the paper's AND bidder bids one level on
+    every item, `levels` vectors), the OR bidder over single-item bids;
+    reports KS distances of the empirical marginals against the closed-form
+    CDFs."""
     pair = cf.AndOrStrategyPair(m, v)
     if levels ** min(m, 64) > GRID_CAP:  # dynamics has no grid flag: name the item count
         raise CapExceeded(f"m: the AND bidder's full {levels}^{m} bid grid exceeds {GRID_CAP} "

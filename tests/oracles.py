@@ -11,8 +11,8 @@ import os
 
 import numpy as np
 
-from sfpa.auction import (TIE_TOL, Allocation, PriorityRule, blocks, bundle_masks, check_bids,
-                          price_to_beat, wins)
+from sfpa.auction import (TIE_TOL, Allocation, PriorityRule, RandomizedRule, blocks, bundle_masks,
+                          check_bids, price_to_beat, wins)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, check_strategies
 from sfpa.closedform import (CDF_TOL, Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymmetric,
                              WelfareEstimate)
@@ -59,13 +59,20 @@ def allocate_reference(bids, rule: PriorityRule = PriorityRule()) -> Allocation:
     return Allocation(tuple(winners))
 
 
-def outcome_utilities(vals: list, bids, rule: PriorityRule = PriorityRule()) -> list:
+def outcome_utilities(vals: list, bids, rule=PriorityRule()) -> tuple[list, float]:
     """Each player's value of its won bundle, by `value_formula`, minus its
-    winning bids summed in item order."""
+    winning bids summed in item order, and the welfare, the values summed in
+    player order. A randomized rule weights each branch's numbers by its
+    probability, adding the branches in order."""
     b = check_bids(bids)
+    if isinstance(rule, RandomizedRule):
+        branches = [(p, outcome_utilities(vals, b, det)) for p, det in rule.mixture]
+        return ([sum(p * u[i] for p, (u, _) in branches) for i in range(len(vals))],
+                sum(p * w for p, (_, w) in branches))
     alloc = allocate_reference(b, rule)
-    return [value_formula(v, alloc.bundle(i)) - sum(b[i, j] for j in members(alloc.bundle(i)))
-            for i, v in enumerate(vals)]
+    values = [value_formula(v, alloc.bundle(i)) for i, v in enumerate(vals)]
+    return ([x - sum(b[i, j] for j in members(alloc.bundle(i))) for i, x in enumerate(values)],
+            sum(values))
 
 
 def validate_symmetric_instance(bundles: list[int], m: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from sfpa.auction import PriorityRule, RandomizedRule, allocate, check_bids
+from sfpa.auction import PriorityRule, RandomizedRule, check_bids, rival_play
 from sfpa.bayes import expected_welfare
 from sfpa.dynamics import ExplicitActions, FiniteGame, SeparableGrid, run_no_regret
 from sfpa.experiments import exact_two_type_bne, two_type_bne_game
@@ -69,7 +69,7 @@ def test_tie_rules_are_tuples():
         r.mixture[0] = (5.0, PriorityRule())
     with pytest.raises(TypeError):
         r.mixture[1][1].order[0] = (0, 1)
-    assert [p for p, _ in allocate([[1.0], [1.0]], r)] == [0.5, 0.5]
+    assert [p for p, _, _ in rival_play(np.ones((2, 1)), r)] == [0.5, 0.5]
 
 
 def test_game_and_trace_are_read_only():

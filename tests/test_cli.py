@@ -617,11 +617,21 @@ def test_andor_dynamics_refusal_names_m(capsys):
         assert message.startswith("m: ") and message.endswith("--m 3 fits")
 
 
-def test_poa_huge_m_names_m(capsys):
-    """m is checked before the welfare DP's 3^m pair count is formed."""
-    code, _, err = run_cli(["poa", "--m", "100000000", "--trials", "1000"], capsys)
-    message = precondition_message(code, err)
-    assert message.startswith("m: ") and "--cap" not in message
+def test_poa_huge_m_names_m(monkeypatch, capsys):
+    """m is checked before the welfare DP's 3^m pair count is formed, and
+    before the Monte Carlo draws a trial."""
+    import sfpa.closedform as cf
+    import sfpa.experiments as xp
+
+    def draw(*args, **kwargs):
+        raise AssertionError("drew trials before m was checked")
+
+    for module in (cf, xp):
+        monkeypatch.setattr(module, "rng_for", draw)
+    for m in ("21", "100000000"):
+        code, _, err = run_cli(["poa", "--m", m, "--trials", "20000"], capsys)
+        message = precondition_message(code, err)
+        assert message.startswith("m: ") and "--cap" not in message
 
 
 def test_cap_defaults_are_one_constant():

@@ -98,16 +98,14 @@ def test_andor_utility_and_zero_on_cube():
             rng = rng_for(7, "cube", m)
             for _ in range(20):
                 x = rng.uniform(0, pair.top, m)
-                assert pair.in_cube(x)
                 assert andor_utility_and(pair, x) == pytest.approx(0.0, abs=1e-12)
     assert andor_utility_and(AndOrStrategyPair(2, 1.0), [0.3, 0.1]) == \
         pytest.approx(0.0, abs=1e-12)
     assert andor_utility_and(AndOrStrategyPair(2, 1.0), [0.0, 0.0]) == 0.0
 
 
-def test_andor_utility_and_above_cube_flagged_and_dominated():
+def test_andor_utility_and_above_cube_dominated():
     pair = AndOrStrategyPair(2, 1.0)
-    assert not pair.in_cube([0.6, 0.3])
     assert andor_utility_and(pair, [0.6, 0.3]) < andor_utility_and(pair, [0.5, 0.3])
 
 

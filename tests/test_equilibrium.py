@@ -9,14 +9,13 @@ from scipy.optimize import linprog
 
 from sfpa import equilibrium, experiments as xp
 from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
-                          optimal_allocations, optimal_welfare, outcome)
+                          optimal_allocations, optimal_welfare)
 from sfpa.closedform import (AndOrStrategyPair, andor_equilibrium_utilities,
                              andor_utility_and, andor_utility_or)
 from sfpa.equilibrium import (GRID_CAP, MESH_CAP, BidGrid, WalrasianEquilibrium,
                               _support_prices, andor_gap, best_response_gap, bid_bundle,
                               bundle_costs, common_price_gap, common_price_scan, demand,
-                              limit_equilibrium_check, pure_nash_search, walrasian_check,
-                              walrasian_near, walrasian_search)
+                              pure_nash_search, walrasian_check, walrasian_near, walrasian_search)
 from sfpa.experiments import (andor_game, correspondence_case, grid_game,
                               triangle_game, _random_lattice_valuation)
 from sfpa.lp import feasible_point
@@ -25,7 +24,7 @@ from sfpa.sets import members
 from sfpa.valuations import (AdditiveValuation, OrValuation, SingleMindedValuation,
                              TableValuation, XosValuation, bit_matrix)
 
-from oracles import examples
+from oracles import examples, outcome_utilities
 
 
 def single_item(values=(1.0, 2.0)):
@@ -75,6 +74,15 @@ def test_walrasian_search_andor_threshold(v, exists):
     assert (we is not None) == exists
     if we is not None:
         assert walrasian_check(andor_game(2, v), we) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (certified, scale-free answers): "
+                   "the LP and demand-check tolerances are absolute, so values far below "
+                   "them pass any prices")
+def test_walrasian_search_andor_none_at_tiny_scale():
+    # v = 1 for both bidders, as at c = 1 (no equilibrium), scaled by c
+    c = 2.0 ** -40
+    assert walrasian_search([SingleMindedValuation(2, 0b11, c), OrValuation(2, c)]) is None
 
 
 def test_walrasian_search_survives_infeasible_canonical_lp():
@@ -332,48 +340,6 @@ def test_grid_search_input_checked():
         RandomizedRule(((float("nan"), PriorityRule()), (1.0, PriorityRule())))
 
 
-def test_limit_equilibrium_examples():
-    vals = single_item()
-    ok = limit_equilibrium_check(vals, [[1.0], [1.0]], PriorityRule(),
-                                 eps_list=(0.1, 0.01))
-    assert all(r.status == "ok" for r in ok)
-    bad = limit_equilibrium_check(vals, [[0.0], [0.0]], PriorityRule(),
-                                  eps_list=(0.1, 0.01))
-    assert all(r.status == "failure" for r in bad)
-
-
-def test_limit_equilibrium_refuses_nan():
-    vals = single_item()
-    with pytest.raises(ValueError, match="^eps_list: "):
-        limit_equilibrium_check(vals, [[1.0], [1.0]], eps_list=(float("nan"),))
-    with pytest.raises(ValueError, match="^candidate: "):
-        limit_equilibrium_check(vals, [[float("nan")], [1.0]])
-
-
-def test_limit_equilibrium_refuses_a_misshapen_candidate():
-    # one row used to return "failure" without scoring player 1; two columns
-    # or three rows failed with a bare IndexError
-    for cand in ([[1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0], [1.0], [1.0]]):
-        with pytest.raises(ValueError, match="^candidate: need one row of 1 bids per player"):
-            limit_equilibrium_check(single_item(), cand, eps_list=(0.1,))
-
-
-def test_limit_equilibrium_walrasian_candidate():
-    # all players bid the Walrasian prices; winners can lift by eps
-    vals = single_item()
-    we = walrasian_search(vals)
-    cand = np.tile(we.prices, (2, 1))
-    for rule in (PriorityRule(), PriorityRule(((1, 0),))):
-        res = limit_equilibrium_check(vals, cand, rule, eps_list=(0.1, 0.01))
-        assert all(r.status == "ok" for r in res)
-
-
-def test_limit_equilibrium_inconclusive_on_large_ball():
-    vals = [AdditiveValuation(tuple(np.full(3, 1.0))) for _ in range(3)]
-    res = limit_equilibrium_check(vals, np.zeros((3, 3)), eps_list=(0.1,))  # 7^9 > BALL_CAP
-    assert res[0].status == "inconclusive"
-
-
 def test_andor_gap_closes_at_the_equilibrium():
     for m in (2, 3):
         for v in (1.0 / m, 1.0):
@@ -485,7 +451,8 @@ def test_best_response_gap_randomized_rule():
     rule = RandomizedRule(((0.5, PriorityRule(((0, 1),))), (0.5, PriorityRule(((1, 0),)))))
     half = ([1.0], [[0.5]])
     grid = BidGrid(0.25, 1.0)
-    expected = {float(x): outcome(vals, [[x], [0.5]], rule).utilities[0] for x in grid.points()}
+    expected = {float(x): outcome_utilities(vals, [[x], [0.5]], rule)[0][0]
+                for x in grid.points()}
     base = expected[0.5]  # the tie at 0.5 is won half the time
     res = best_response_gap(vals, [half, half], 0, grid, rule)
     assert res.method == "exact" and res.best_deviation == (0.75,)

@@ -1,7 +1,7 @@
 """Golden digests: SHA-256 of canonical payloads from every consumer of the
 first-price kernel, the bundle costs and the demand-constraint LP rows
-(learning, grid Nash search, best-response gaps, limits of equilibria, the
-Walrasian/common-price correspondence and the Bayesian harness), and from
+(learning, grid Nash search, best-response gaps, the Walrasian/common-price
+correspondence and the Bayesian harness), and from
 the closed-form Monte Carlo: the AND-OR utility cross-checks of
 `verify_andor`, the equilibrium welfare and CDF series of `poa_report`, and
 the symmetric-equilibrium draws of `grid_game_report`.
@@ -33,8 +33,7 @@ from sfpa.auction import PriorityRule
 from sfpa.bayes import bayes_deviation_gap, bayes_welfare_bounds
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, run_no_regret, verify_cce)
-from sfpa.equilibrium import (BidGrid, best_response_gap,
-                              limit_equilibrium_check, pure_nash_search)
+from sfpa.equilibrium import BidGrid, best_response_gap, pure_nash_search
 from sfpa.sets import full_set
 from sfpa.valuations import AdditiveValuation, SingleMindedValuation
 
@@ -82,19 +81,6 @@ def best_response_payload():
     return {"exact": asdict(exact)}
 
 
-def limit_payload():
-    vals = [AdditiveValuation((1.0,)), AdditiveValuation((2.0,))]
-    out = []
-    for rule in (PriorityRule(), PriorityRule(((1, 0),))):
-        for cand in ([[1.0], [1.0]], [[0.0], [0.0]]):
-            res = limit_equilibrium_check(vals, cand, rule, eps_list=(0.1, 0.01))
-            out.append([[r.eps, r.status, r.witness] for r in res])
-    andor = limit_equilibrium_check(xp.andor_game(2, 0.4), [[0.4, 0.4], [0.4, 0.4]],
-                                    PriorityRule(((1, 0), (1, 0))), eps_list=(0.2,))
-    out.append([[r.eps, r.status, r.witness] for r in andor])
-    return out
-
-
 def bayes_priority_payload():
     bg, acts = xp.two_type_bne_game(0.1)
     bg = replace(bg, rule=PriorityRule(((1, 0),)))
@@ -120,7 +106,6 @@ PAYLOADS = {
     "bayes_priority": bayes_priority_payload,
     "pure_nash": pure_nash_payload,
     "best_response": best_response_payload,
-    "limit_check": limit_payload,
 }
 
 GOLDEN = {
@@ -133,7 +118,6 @@ GOLDEN = {
     "best_response": "8394414e46529105670e1082e6ae735b0c08d1f42f943b0339eabaea3dd5e94f",
     "correspondence": "366394dd705d3d088f6d1d01491cff8d028f96c5415b2ef13059cc8644d1b139",
     "grid_game_report": "94d84d1394a9bb013fa3750f4d84fc7efff378f36fe3a402a68c34c3bc6bd755",
-    "limit_check": "81e2f2e63ea9242c2e46b459d7901ac5eb51d31cfbbeabdc90b9b4d27a6add28",
     "mixed_game": "effb80c2df40863c469f39e25d0795fb10547628ca65f6aef9103e8ca7027fd7",
     "poa_report": "e37b96bc7a74bd298d147c09db03219f0a531de2cfc1d1383dad3b973fdd34af",
     "pure_nash": "2557b48fe09f883a5666f601cb5cb920e4daa393b651185b53bad74a05fc544d",

@@ -1,7 +1,7 @@
 """The rival-play kernel against the scalar loops it replaced.
 
-`pure_nash_search`, `limit_equilibrium_check`, the exact best-response gap
-and the Bayesian conditional utilities score blocks of profiles through
+`pure_nash_search`, the exact best-response gap and the Bayesian
+conditional utilities score blocks of profiles through
 `auction.rival_play` / `expected_utilities`. The reference loops below are
 the per-profile versions they replaced: one `price_to_beat` per profile
 (the welfare loop allocates by the scalar `allocate_reference`), visited
@@ -14,16 +14,14 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfpa import auction, equilibrium
+from sfpa import auction
 from sfpa.auction import (BLOCK, PriorityRule, RandomizedRule, bid_utilities,
                           expected_utilities, price_to_beat, product_play,
                           rival_play, weighted_sum)
 from sfpa.bayes import FiniteBayesianGame, _conditional_utilities, expected_welfare
-from sfpa.equilibrium import (BidGrid, best_response_gap, bundle_costs, demand,
-                              limit_equilibrium_check, pure_nash_search)
+from sfpa.equilibrium import BidGrid, best_response_gap, pure_nash_search
 from sfpa.valuations import TableValuation
 
 from oracles import allocate_reference, examples
@@ -57,40 +55,6 @@ def pure_nash_loop(vals, grid, rule, eps):
         if worst <= eps + 1e-12:
             found.append((tuple(tuple(float(x) for x in row) for row in bids), worst))
     return found
-
-
-def limit_loop(vals, candidate, rule, eps_list, cap):
-    cand = np.asarray(candidate, dtype=np.float64)
-    n, m = cand.shape
-    tables = [v.as_table() for v in vals]
-    results = []
-    for eps in eps_list:
-        step = eps / m
-        offsets = step * np.arange(-m, m + 1)
-        if (2 * m + 1) ** (n * m) > cap:
-            results.append((eps, "inconclusive", None))
-            continue
-        branches = _branches(rule)
-        hit = None
-        for combo in itertools.product(range(2 * m + 1), repeat=n * m):
-            bids = np.maximum(cand + offsets[list(combo)].reshape(n, m), 0.0)
-            against = [(prob, *price_to_beat(bids, det)) for prob, det in branches]
-            top_rival = against[0][1]
-            ok = True
-            for i in range(n):
-                cur = float(_expected_utilities(tables[i], bids[i], against, i))
-                sup = float(demand(tables[i], bundle_costs(np.maximum(top_rival[i], 0.0))))
-                if sup > cur + eps + 1e-12:
-                    ok = False
-                    break
-            if ok:
-                hit = bids
-                break
-        if hit is None:
-            results.append((eps, "failure", None))
-        else:
-            results.append((eps, "ok", tuple(tuple(float(x) for x in r) for r in hit)))
-    return results
 
 
 def exact_gap_loop(vals, strategies, player, grid, rule):
@@ -219,23 +183,6 @@ def test_pure_nash_search_matches_profile_loop(game, randomized, eps, grid, bloc
     with block_size(block):
         got = [(e.bids, bits(e.gap)) for e in pure_nash_search(vals, grid, rule, eps)]
     assert got == [(b, bits(g)) for b, g in pure_nash_loop(vals, grid, rule, eps)]
-
-
-@settings(max_examples=examples(60), deadline=None)
-@given(game=small_games, randomized=st.booleans(),
-       eps_list=st.sampled_from([(0.1,), (0.25, 0.05), (0.3,)]), block=block_entries)
-def test_limit_check_matches_ball_loop(game, randomized, eps_list, block):
-    n, m, seed = game
-    rng = np.random.default_rng(seed)
-    vals = [random_table(rng, m) for _ in range(n)]
-    rule = random_rule(rng, n, m, randomized)
-    cand = 0.25 * rng.integers(0, 6, (n, m))
-    cap = 700  # the n = 3, m = 2 ball (5^6 profiles) reports inconclusive on both sides
-    with block_size(block), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equilibrium, "BALL_CAP", cap)
-        got = [(r.eps, r.status, r.witness)
-               for r in limit_equilibrium_check(vals, cand, rule, eps_list)]
-    assert got == limit_loop(vals, cand, rule, eps_list, cap)
 
 
 @settings(max_examples=examples(80), deadline=None)
