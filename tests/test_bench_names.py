@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import sfpa
 import sfpa.experiments as xp
@@ -270,3 +271,32 @@ def test_every_public_name_is_reached():
                for module, name in reads}
     unreached = sorted(name for name, obj in defined.items() if id(obj) not in reached)
     assert unreached == sorted(UNREACHED)
+
+
+READ_CASES = {
+    "from_import": ("from sfpa.auction import wins\nwins(1)\n", None,
+                    {("auction", "wins")}),
+    "relative_import_alias": ("from .auction import wins as w\nw()\n", "closedform",
+                              {("auction", "wins")}),
+    "module_aliases": ("from sfpa import auction as a\nimport sfpa.equilibrium as eq\n"
+                       "a.wins\neq.demand\n", None,
+                       {("auction", "wins"), ("equilibrium", "demand")}),
+    "local_variable": ("def score():\n    outcome = 1\n    return outcome\n", "closedform",
+                       set()),
+    "own_recursion": ("def f(n):\n    return f(n - 1)\n", "lp", set()),
+    "sibling_definition": ("def f():\n    pass\n\n\ndef g():\n    return f()\n", "lp",
+                           {("lp", "f")}),
+    "outside_package": ("import numpy as np\nfrom math import inf\nnp.sum\ninf\n", None, set()),
+}
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_reads_counts_only_package_names(case, tmp_path):
+    """The reachability guard's reader on small sources: imported and
+    aliased `sfpa` names count, a local variable that shares a public
+    name, a definition's read of itself and names from outside `sfpa` do
+    not."""
+    source, home, expected = READ_CASES[case]
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert _reads(path, home) == expected

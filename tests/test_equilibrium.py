@@ -471,6 +471,62 @@ def test_common_price_scan_matches_gap():
         assert walrasian_near(vals, eq.allocation, eq.prices, grid.step + 1e-9)
 
 
+WALRASIAN_GAMES = {
+    "single_item": single_item(),
+    "andor": andor_game(2, 0.4),
+    "additive": [AdditiveValuation((0.7, 0.1)), AdditiveValuation((0.1, 0.3))],
+}
+
+
+def _pure(bids):
+    """Each player's pure strategy as a one-row finite mixture."""
+    return [(np.ones(1), np.asarray(row, dtype=np.float64)[None]) for row in bids]
+
+
+def _favor_winners(alloc: Allocation, n: int) -> PriorityRule:
+    return PriorityRule(tuple((w, *(k for k in range(n) if k != w)) for w in alloc.winners))
+
+
+@pytest.mark.parametrize("game", WALRASIAN_GAMES)
+def test_lifted_walrasian_bids_are_eps_equilibria(game):
+    """The paper's Walrasian-to-Nash direction through grid deviations:
+    everyone bids the Walrasian prices, and each winner lifts its own items
+    by eps/m. Whatever the tie rule, no player gains more than eps, since
+    any bundle it could take costs at least its Walrasian price."""
+    vals = WALRASIAN_GAMES[game]
+    n, m = len(vals), vals[0].m
+    we = walrasian_search(vals)
+    assert we is not None
+    grid = BidGrid(0.01, 1.0)
+    for eps in (0.1, 0.01):
+        bids = np.tile(np.asarray(we.prices, dtype=np.float64), (n, 1))
+        for j, w in enumerate(we.allocation.winners):
+            bids[w, j] += eps / m
+        for rule in (PriorityRule(), PriorityRule(tuple(tuple(range(n))[::-1] for _ in range(m)))):
+            gaps = [best_response_gap(vals, _pure(bids), i, grid, rule).gap for i in range(n)]
+            assert max(gaps) <= eps + 1e-9, (eps, rule, gaps)
+
+
+@pytest.mark.parametrize("game", WALRASIAN_GAMES)
+def test_best_response_gap_meets_common_price_gap(game):
+    """Two scorers of one common-price profile (everyone bids p, ties to the
+    allocated winner): the grid's best deviation gains no more than the
+    sup over real bids, and at most one grid step per item less. Checked at
+    the Walrasian prices, where both gaps close, and at half of them."""
+    vals = WALRASIAN_GAMES[game]
+    n, m = len(vals), vals[0].m
+    we = walrasian_search(vals)
+    step = 0.01
+    grid = BidGrid(step, 1.0)
+    rule = _favor_winners(we.allocation, n)
+    for scale in (1.0, 0.5):
+        prices = scale * np.asarray(we.prices, dtype=np.float64)
+        exact = common_price_gap(vals, prices, we.allocation)
+        gaps = [best_response_gap(vals, _pure([prices] * n), i, grid, rule).gap for i in range(n)]
+        assert exact - m * step - 1e-9 <= max(gaps) <= exact + 1e-9, (scale, exact, gaps)
+    assert common_price_gap(vals, we.prices, we.allocation) <= 1e-12
+
+
 @settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 3))
 def test_common_price_scan_hits_are_walrasian(seed, n, m):
