@@ -27,6 +27,25 @@ class CapExceeded(ValueError):
     """Raised when an enumeration or the welfare DP would exceed its size cap."""
 
 
+def check_size(field: str, value: int, cost, cap: int, unit: str, fits=None) -> None:
+    """Refuse `value` of `field`, before anything of its size is built, if cost(value)
+    (nondecreasing in the value) passes `cap` units. The refusal names the largest
+    value that fits, by bisection over 1..value, worded by `fits` ("field <= v")."""
+    if cost(value) <= cap:
+        return
+    lo, hi = 0, value  # cost(hi) passes cap; cost(lo) does not, unless lo is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cost(mid) <= cap else (lo, mid)
+    advice = (fits or (lambda v: f"{field} <= {v}"))(lo) if lo else f"no {field}"
+    raise CapExceeded(f"{field}: past the cap of {cap} {unit}; {advice} fits")
+
+
+def dp_pairs(n: int, m: int) -> int:
+    """Subset pairs the welfare DP over n bidders and m items walks."""
+    return max(n - 2, 0) * 3 ** m + (1 << m)
+
+
 @dataclass(frozen=True)
 class PriorityRule:
     """Deterministic tie-breaking by a per-item priority permutation.
@@ -271,10 +290,10 @@ def welfare_maximizers(vals: list[Valuation], cap: int, tol: float):
     exactly the best welfare among the completions, so every branch taken
     ends in at least one assignment."""
     n, m = len(vals), vals[0].m  # m <= MAX_ITEMS: every valuation checks it when it is built
-    pairs = max(n - 2, 0) * 3 ** m + (1 << m)
+    pairs = dp_pairs(n, m)
     if pairs > cap:
-        raise CapExceeded(f"welfare DP over {n} bidders, {m} items: (n-2)*3^m + 2^m = {pairs} "
-                          f"subset pairs exceed cap {cap}; raise cap= (sfpa walrasian --cap)")
+        raise CapExceeded(f"cap: welfare DP over {n} bidders, {m} items: (n-2)*3^m + 2^m = "
+                          f"{pairs} subset pairs exceed cap {cap}; cap >= {pairs} fits")
     tables = value_tables(vals)
     best = float(_welfare_dp(tables))
 

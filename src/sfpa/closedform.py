@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .auction import blocks
+from .auction import blocks, check_size
 from .rng import rng_for
 from .valuations import MONEY_TOL
 
@@ -71,9 +71,7 @@ def check_count(count, field: str = "trials", least: int = 2, per_unit: int = 40
     most two per-trial arrays (the per-trial values and the OR items)."""
     if not isinstance(count, (int, np.integer)) or count < least:
         raise ValueError(f"{field}: must be an integer >= {least}, got {count!r}")
-    if count * per_unit > MC_BYTE_LIMIT:
-        raise ValueError(f"{field}: {count} would take about {count * per_unit} bytes, over "
-                         f"the {MC_BYTE_LIMIT}-byte limit; use at most {MC_BYTE_LIMIT // per_unit}")
+    check_size(field, int(count), lambda c: c * per_unit, MC_BYTE_LIMIT, "bytes")
 
 
 @dataclass(frozen=True)

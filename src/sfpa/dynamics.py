@@ -24,8 +24,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .auction import (CapExceeded, PriorityRule, bid_utilities, blocks, bundle_masks, check_bids,
-                      optimal_welfare, price_to_beat, priority_ranks, weighted_sum, wins)
+from .auction import (CAP, PriorityRule, bid_utilities, blocks, bundle_masks, check_bids,
+                      check_size, dp_pairs, optimal_welfare, price_to_beat, priority_ranks,
+                      weighted_sum, wins)
 from .closedform import AtomicCDF, check_count
 from .rng import rng_for
 from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid, read_only, value_tables
@@ -108,10 +109,8 @@ class FiniteGame:
             items = sp.factors[0][0].shape[1]
             if items != m:
                 raise ValueError(f"spaces[{i}]: bids on {items} items, the game has {m}")
-        try:
-            object.__setattr__(self, "optimum", optimal_welfare(self.vals))
-        except CapExceeded as exc:  # learning has no cap knob: name the size instead
-            raise CapExceeded(f"m: {str(exc).split(';')[0]}; learn over fewer items") from None
+        check_size("m", m, lambda k: dp_pairs(n, k), CAP, "welfare-DP subset pairs")
+        object.__setattr__(self, "optimum", optimal_welfare(self.vals))
         if max(v.value_max() for v in self.vals) <= 0:
             raise ValueError("values: normalization needs a player with positive full-bundle value")
 

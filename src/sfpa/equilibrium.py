@@ -26,14 +26,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform as cf
-from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, check_bids,
+from .auction import (CAP, Allocation, CapExceeded, PriorityRule, TIE_TOL, check_bids, check_size,
                       expected_utilities, optimal_welfare, product_play, rival_play, weighted_sum)
 from .lp import LpError, feasible_point
 from .sets import full_set, members
 from .valuations import MONEY_TOL, Valuation, bit_matrix, bundle_costs, check_probs, value_tables
 
-GRID_CAP = 2_000_000  # bid vectors a full product grid, or bid levels a grid axis, may hold
-MESH_CAP = 500_000  # price vectors the common-price scan may hold
+GRID_CAP = 2_000_000  # bid vectors one player's grid, or bid levels a grid axis, may hold
 
 
 @dataclass(frozen=True)
@@ -147,13 +146,6 @@ def walrasian_search(vals: list[Valuation], cap: int = CAP) -> WalrasianEquilibr
     return we
 
 
-def _fit_hint(cap: int, m: int, upper: float) -> str:
-    """The most levels per item whose m-th power fits cap, and the grid step
-    up to `upper` that gives them; a single level needs a step past the top."""
-    fit = int(cap ** (1 / m) + 1e-9)
-    return f"{fit} levels per item fit: grid_step >= {upper / max(fit - 1, 0.5)!r}"
-
-
 def bid_bundle(table: np.ndarray) -> int:
     """The items a bidder with this (2^m,) value table bids on under
     "uniform_on_bundle": those every bundle of top value holds, or all m items
@@ -189,29 +181,30 @@ class BidGrid:
         span = self.upper / self.step + 1e-9
         if span >= GRID_CAP:  # also an infinite span
             raise CapExceeded(f"grid_step: {self.step!r} up to {self.upper!r} is over {GRID_CAP} "
-                              f"levels; grid_step >= {self.upper / (GRID_CAP - 1)!r} fits")
+                              f"levels; {self.finest(GRID_CAP)} fits")
         return math.floor(span) + 1
 
     def points(self) -> np.ndarray:
         return self.step * np.arange(self.levels())
 
-    def count(self, m: int) -> int:
-        """K, the number of one player's bid vectors over m items: L^m, L or
-        m L by family; a full grid past GRID_CAP is refused."""
-        levels = self.levels()
+    def count(self, m: int, levels: int | None = None) -> int:
+        """K, the number of one player's bid vectors over m items at `levels`
+        levels per item (this grid's, by default): L^m, L or m L by family.
+        The power stops at m = 64, past every cap, so a huge m costs nothing."""
+        levels = self.levels() if levels is None else levels
         if self.family == "uniform_on_bundle":
             return levels
-        if self.family == "single_item":
-            return m * levels
-        if levels ** min(m, 64) > GRID_CAP:  # 2^64 already exceeds it; a huge m skips the power
-            raise CapExceeded(f"grid_step: full product grid {levels}^{m} exceeds {GRID_CAP} bid "
-                              f"vectors; {_fit_hint(GRID_CAP, m, self.upper)} (sfpa pure-nash "
-                              "--grid-step), or lower --max or change --family")
-        return levels ** m
+        return m * levels if self.family == "single_item" else levels ** min(m, 64)
+
+    def finest(self, levels: int) -> str:
+        """The finest step up to `upper` that gives at most `levels` levels, as a
+        refusal names it: just past upper / levels, as `levels` forgives 1e-9."""
+        return f"grid_step >= {self.upper / (levels - 2e-9)!r}"
 
     def actions_for(self, m: int, bundle: int | None = None) -> np.ndarray:
-        """(K, m) matrix of allowed bid vectors for one player."""
-        self.count(m)  # refuses a full grid past GRID_CAP before building it
+        """(K, m) matrix of allowed bid vectors for one player, K past GRID_CAP refused."""
+        check_size("grid_step", self.levels(), lambda levels: self.count(m, levels), GRID_CAP,
+                   "bid vectors", self.finest)
         pts = self.points()
         if self.family == "uniform_on_bundle":
             out = np.zeros((pts.size, m))
@@ -240,10 +233,8 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     if not 0 <= eps < math.inf:
         raise ValueError(f"epsilon: must be finite and >= 0, got {eps!r}")
     n, m = len(vals), vals[0].m
-    total = grid.count(m) ** n  # counted before any action matrix is built
-    if total > CAP:
-        raise CapExceeded(f"grid_step: {total} grid profiles exceed {CAP}; coarsen sfpa "
-                          "pure-nash --grid-step, lower --max or change --family")
+    check_size("grid_step", grid.levels(), lambda levels: grid.count(m, levels) ** n, CAP,
+               "grid profiles", grid.finest)
     tables = value_tables(vals)
     actions = [grid.actions_for(m, bid_bundle(t)) for t in tables]
     sizes = [a.shape[0] for a in actions]
@@ -285,12 +276,10 @@ def andor_gap(pair: cf.AndOrStrategyPair, role: str, grid: BidGrid) -> BestRespo
     equilibrium over the grid's bid vectors, from its exact utility."""
     if role not in ("and", "or"):
         raise ValueError(f"role: must be 'and' or 'or', got {role!r}")
-    axis = grid.points()
-    if axis.size * pair.m * 40 > cf.MC_BYTE_LIMIT:  # about five (levels, m) float arrays
-        raise ValueError(f"m: {axis.size} grid levels x {pair.m} items of bid rows would pass "
-                         f"the {cf.MC_BYTE_LIMIT}-byte limit; lower --m or coarsen --grid-step")
-    rows = np.zeros((axis.size, pair.m))
+    levels = grid.levels()  # 40 bytes a level and item: about five (levels, m) float arrays
+    check_size("m", pair.m, lambda m: levels * m * 40, cf.MC_BYTE_LIMIT, "bytes")
     and_base, or_base = cf.andor_equilibrium_utilities(pair)
+    axis, rows = grid.points(), np.zeros((levels, pair.m))
     if role == "and":
         # The AND utility is one identical term per item, so the maximum over
         # the full product grid lies on the diagonal.
@@ -366,10 +355,10 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid,
     """
     tables = value_tables(vals)
     n, m = len(vals), vals[0].m
+    # demand's (n, 2^m, L^m) bundle utilities at every mesh price vector
+    check_size("grid_step", grid.levels(), lambda levels: (n << m) * levels ** m, CAP,
+               "bundle utilities", grid.finest)
     pts = grid.points()
-    if pts.size ** m > MESH_CAP:
-        raise CapExceeded(f"grid_step: price mesh {pts.size}^{m} exceeds {MESH_CAP}; "
-                          f"{_fit_hint(MESH_CAP, m, grid.upper)}")
     mesh = np.meshgrid(*([pts] * m), indexing="ij")
     prices = np.stack([g.ravel() for g in mesh])  # (m, L^m)
     costs = bundle_costs(prices)

@@ -15,8 +15,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, closedform as cf
-from .auction import (CAP, CapExceeded, PriorityRule, blocks, expected_utilities, optimal_welfare,
-                      rival_play, rule_from_json)
+from .auction import (CAP, PriorityRule, blocks, check_size, dp_pairs, expected_utilities,
+                      optimal_welfare, rival_play, rule_from_json)
 from .bayes import FiniteBayesianGame, bayes_deviation_gap, bayes_welfare_bounds
 from .dynamics import (ExplicitActions, FiniteGame, SeparableGrid, ccqe_welfare_ratio,
                        ks_distance, run_no_regret, verify_cce)
@@ -117,9 +117,7 @@ def verify_single_minded(k: int, d: int) -> dict:
     deviation utility on a 97^k grid."""
     sm = cf.SingleMindedSymmetric(k, d)
     points = 97
-    if points ** min(k, 64) > GRID_CAP:  # 2^64 already exceeds it; a huge k skips the power
-        raise CapExceeded(f"k: the {points}^{k}-point bid grid exceeds {GRID_CAP} bid vectors; "
-                          f"k <= {int(math.log(GRID_CAP, points))} fits")
+    check_size("k", k, BidGrid(1.0, points - 1).count, GRID_CAP, "bid vectors")  # 97 levels
     axis = np.linspace(0.0, sm.top, points)
     util = cf.singleminded_utility(sm, np.ix_(*[axis] * k))
     diag = util[tuple(np.arange(points) for _ in range(k))]
@@ -291,13 +289,10 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
     """Multiplicative weights on a random additive-valuation game; regret
     envelope and the beta = 1 welfare bound with explicit slack."""
     check_m(m)  # m and n before the (n, m) draw and the n action families
-    most = (CAP - 2) // 3 + 2  # bidders whose (n-2)*3^m + 2^m welfare-DP pairs fit at m = 1
-    if not 1 <= n <= most:
-        raise CapExceeded(f"n must be 1 to {most}, the welfare DP's cap of {CAP} subset pairs "
-                          f"on one item; got {n}")
-    if (n - 2) * 3 ** m + (1 << m) > CAP:  # n fits on one item: fewer items fit the cap
-        raise CapExceeded(f"m: the welfare DP over {n} bidders and {m} items exceeds its cap "
-                          f"of {CAP} subset pairs; learn over fewer items")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    check_size("n", n, lambda k: dp_pairs(k, 1), CAP, "welfare-DP subset pairs")
+    check_size("m", m, lambda k: dp_pairs(n, k), CAP, "welfare-DP subset pairs")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
     vals = [AdditiveValuation(tuple(map(float, w))) for w in weights]
@@ -331,11 +326,10 @@ def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
     over its documented families": the paper's AND bidder bids one level on
     every item, `levels` vectors), the OR bidder over single-item bids;
     reports KS distances of the empirical marginals against the closed-form
-    CDFs."""
+    CDFs. A grid past GRID_CAP vectors is refused naming m, the one size
+    flag of `sfpa dynamics --mode andor`, and the largest m that fits."""
     pair = cf.AndOrStrategyPair(m, v)
-    if levels ** min(m, 64) > GRID_CAP:  # dynamics has no grid flag: name the item count
-        raise CapExceeded(f"m: the AND bidder's full {levels}^{m} bid grid exceeds {GRID_CAP} "
-                          f"bid vectors; --m {int(math.log(GRID_CAP, levels))} fits")
+    check_size("m", m, BidGrid(1.0, levels - 1).count, GRID_CAP, "bid vectors")
     vals = andor_game(m, v)
     step = pair.top / (levels - 1)
     spaces = [ExplicitActions(BidGrid(step, pair.top).actions_for(m)),

@@ -18,7 +18,7 @@ from sfpa.closedform import (CDF_TOL, Z99, AndOrStrategyPair, AtomicCDF, SingleM
                              WelfareEstimate)
 from sfpa.dynamics import FiniteGame, LearningTrace
 from sfpa.rng import rng_for
-from sfpa.sets import full_set, is_subset, members
+from sfpa.sets import is_subset, members
 from sfpa.valuations import (MONEY_TOL, AdditiveValuation, BetaCertificate,
                              OrValuation, SingleMindedValuation, TableValuation, Valuation,
                              XosValuation, bit_matrix, paid)

@@ -1,4 +1,3 @@
-import json
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np

@@ -177,6 +177,45 @@ def test_every_market_entry_point_checks_item_counts():
     assert entry == {fn for fn in ITEM_COUNT_CALLS if fn.__module__ in [m.__name__ for m in modules]}
 
 
+# Where a size refusal may be raised: the one size check, the level count of
+# a grid (its span can be infinite, so no cost function of it can be formed),
+# the welfare DP, whose refusal names its `cap` argument and the pair count
+# needed, and the maximizer limit (until the ROADMAP item on sfpa.obs).
+CAP_RAISERS = {"auction.check_size", "equilibrium.BidGrid.levels",
+               "auction.welfare_maximizers", "auction.optimal_allocations"}
+# Module-level *CAP names: the two size caps, and the CLI's exit code of a refusal.
+CAP_NAMES = {"auction.CAP", "equilibrium.GRID_CAP", "cli.EXIT_CAP"}
+
+
+def test_size_refusals_go_through_one_check():
+    """`raise CapExceeded` appears only in CAP_RAISERS, and no module defines
+    a *CAP constant beside CAP_NAMES: a new limit is priced by
+    `auction.check_size`, which solves for the value that fits, and does not
+    bring back an inversion of its own."""
+    package = pathlib.Path(sfpa.__file__).parent
+    raisers, caps = set(), set()
+
+    def visit(node, name):  # name: the innermost function or class around node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceeded":
+                    raisers.add(name)
+            defines = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{name}.{child.name}" if defines else name)
+
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, path.stem)
+        caps |= {f"{path.stem}.{target.id}" for stmt in tree.body
+                 if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                 for node in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                 for target in ast.walk(node)
+                 if isinstance(target, ast.Name) and target.id.endswith("CAP")}
+    assert raisers == CAP_RAISERS
+    assert caps == CAP_NAMES
+
+
 def test_a_failing_property_test_is_reported(tmp_path):
     """Under the repo's warning filters, a failing @given test is reported
     with its falsifying example and the session runs on: hypothesis's

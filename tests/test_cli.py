@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 
 import numpy as np
 
-from sfpa.cli import main
+from sfpa import auction, closedform as cf, dynamics, equilibrium, experiments as xp
+from sfpa.cli import build_parser, main
+from sfpa.valuations import AdditiveValuation
 from sfpa.experiments import dumps_canonical, emit_plot_data
 
 
@@ -101,15 +104,17 @@ def test_cap_exit_code(capsys):
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "precondition"
     message = json.loads(err)["error"]["message"]
-    assert message.startswith("grid_step: full product grid 20001^2") and "--grid-step" in message
-    assert "1414 levels per item fit: grid_step >= " in message
+    # 20001^4 profiles; 57^4 <= 11,000,000 < 58^4: a step just past 2/57 gives 57 levels
+    assert message == ("grid_step: past the cap of 11000000 grid profiles; "
+                       f"grid_step >= {2.0 / (57 - 2e-9)!r} fits")
 
 
 def test_welfare_cap_names_its_knob(capsys):
     code, _, err = run_cli(["walrasian", "--game", "grid", "--l", "3", "--cap", "1000"], capsys)
     assert code == 2
     message = json.loads(err)["error"]["message"]
-    assert "79244 subset pairs" in message and "--cap" in message
+    assert message.startswith("cap: ") and "79244 subset pairs" in message
+    assert message.endswith("cap >= 79244 fits")
 
 
 def test_missing_file_exit_code(capsys):
@@ -573,7 +578,7 @@ def test_oversized_counts_refused_before_drawing(monkeypatch, capsys):
                         (["verify", "--game", "andor", "--trials", huge], "trials")):
         code, _, err = run_cli(args, capsys)
         message = precondition_message(code, err)
-        assert message.startswith(f"{field}: {huge} would take") and "limit" in message
+        assert message.startswith(f"{field}: past the cap of 2147483648 bytes; {field} <= ")
 
 
 def test_single_minded_grid_too_large_names_k(monkeypatch, capsys):
@@ -586,8 +591,7 @@ def test_single_minded_grid_too_large_names_k(monkeypatch, capsys):
     for k in ("4", "5", "1000000000"):  # 97^3 = 912,673 <= 2,000,000 < 97^4
         code, _, err = run_cli(["verify", "--game", "single_minded", "--k", k], capsys)
         message = precondition_message(code, err)
-        assert message.startswith(f"k: the 97^{k}-point") and "2000000" in message
-        assert message.endswith("k <= 3 fits")
+        assert message == "k: past the cap of 2000000 bid vectors; k <= 3 fits"
 
 
 def test_grid_steps_too_fine_refused_before_allocating(monkeypatch, capsys):
@@ -614,7 +618,7 @@ def test_andor_dynamics_refusal_names_m(capsys):
         code, _, err = run_cli(["dynamics", "--mode", "andor", "--m", m, "--rounds", "10"],
                                capsys)
         message = precondition_message(code, err)
-        assert message.startswith("m: ") and message.endswith("--m 3 fits")
+        assert message.startswith("m: ") and message.endswith("; m <= 3 fits")
 
 
 def test_poa_huge_m_names_m(monkeypatch, capsys):
@@ -689,15 +693,99 @@ def test_bad_flags_name_their_field(capsys):
               resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))}
     for args, field in ((["pure-nash", "--game", "andor", "--m", str(10 ** 18)], "m: need 1"),
                         (["pure-nash", "--game", "andor", "--m", "100000000"], "m: need 1"),
-                        (["verify", "--game", "andor", "--m", "100000000"], "m: 1001 grid levels"),
+                        (["verify", "--game", "andor", "--m", "100000000"],
+                         "m: past the cap of 2147483648 bytes; m <= 53633 fits"),
                         (["verify", "--game", "andor", "--m", "2000", "--grid-step", "0.00001"],
-                         "m: 100001 grid levels"),
+                         "m: past the cap of 2147483648 bytes; m <= 536 fits"),
                         (["dynamics", "--mode", "additive", "--n", str(10 ** 12), *learn],
-                         "n must be 1 to "),
+                         "n: past the cap of 11000000 welfare-DP subset pairs; n <= 3666668"),
                         (["dynamics", "--mode", "additive", "--m", "1000000000", *learn],
                          "m: need 1 to 20"),
                         (["dynamics", "--mode", "additive", "--n", "1000000", "--m", "20",
-                          *learn], "m: the welfare DP over 1000000 bidders")):
+                          *learn], "m: past the cap of 11000000 welfare-DP subset pairs; m <= 2")):
         proc = subprocess.run([sys.executable, "-m", "sfpa.cli", *args], capture_output=True,
                               text=True, timeout=30, **capped)
         assert precondition_message(proc.returncode, proc.stderr).startswith(field), args
+
+
+class PastTheCheck(Exception):
+    """Raised by the call a command makes right after its size check passes."""
+
+
+def _cli(*argv):
+    """A size-refusal row's runner: the command with `value` for its "{}"; the
+    refusal's message (exit 2, a CapExceeded), or None once past the check."""
+    def run(value, capsys):
+        code, _, err = run_cli([value if a == "{}" else a for a in argv], capsys)
+        error = json.loads(err)["error"]
+        if error["type"] == "PastTheCheck":
+            return None
+        assert code == 2 and error["type"] == "CapExceeded", error
+        return error["message"]
+    return run
+
+
+def _finite_game(value, capsys):
+    """The runner of a FiniteGame of three additive bidders over `value` items."""
+    m = int(value)
+    try:
+        dynamics.FiniteGame([AdditiveValuation((1.0,) * m)] * 3,
+                            [dynamics.ExplicitActions(np.zeros((1, m)))] * 3)
+    except auction.CapExceeded as exc:
+        return str(exc)
+    except PastTheCheck:
+        return None
+
+
+HUGE = "1000000000000"
+# (command, runner, a refused value, its field, the call right after the check)
+SIZE_REFUSALS = [
+    ("pure-nash", _cli("pure-nash", "--game", "andor", "--grid-step", "{}"), "0.002",
+     "grid_step", (equilibrium, "value_tables")),
+    ("walrasian", _cli("walrasian", "--game", "grid", "--l", "4", "--cap", "{}"), "11000000",
+     "cap", (auction, "value_tables")),
+    ("verify", _cli("verify", "--game", "andor", "--m", "{}"), "100000000",
+     "m", (cf, "andor_equilibrium_utilities")),
+    ("dynamics", _cli("dynamics", "--n", "3", "--m", "{}", "--rounds", "10"), "15",
+     "m", (xp, "rng_for")),
+    ("dynamics", _finite_game, "17", "m", (dynamics, "optimal_welfare")),
+    ("dynamics", _cli("dynamics", "--n", "{}", "--m", "1", "--rounds", "10"), "10000000",
+     "n", (xp, "rng_for")),
+    ("verify", _cli("verify", "--game", "single_minded", "--k", "{}"), "5",
+     "k", (cf, "singleminded_utility")),
+    ("dynamics", _cli("dynamics", "--mode", "andor", "--m", "{}", "--rounds", "10"), "4",
+     "m", (xp, "andor_game")),
+    ("poa", _cli("poa", "--trials", "{}"), HUGE, "trials", (cf, "rng_for")),
+    ("verify", _cli("verify", "--game", "andor", "--trials", "{}"), HUGE,
+     "trials", (xp, "rng_for")),
+    ("sample", _cli("sample", "--strategy", "andor", "--count", "{}"), HUGE,
+     "count", (xp, "rng_for")),
+    ("sample", _cli("sample", "--strategy", "triangle", "--count", "{}"), HUGE,
+     "count", (xp, "rng_for")),
+    ("dynamics", _cli("dynamics", "--rounds", "{}"), HUGE, "rounds", (dynamics, "value_tables")),
+    ("dynamics", _cli("dynamics", "--grid-step", "{}", "--rounds", "10"), "1e-9",
+     "grid_step", (np, "arange")),
+]
+
+
+def test_size_refusals_name_a_flag_and_a_tight_value(monkeypatch, capsys):
+    """Every size refusal ends "<field> <= v fits" or "<field> >= v fits",
+    where --<field> is a flag of the command. The named value gets past the
+    check (the call right after it is patched to stop there), and one step
+    past it is refused again: v + 1 for "<=", v - 1 for a cap ">=", and 0.99 v
+    for a grid step. The FiniteGame row is the library's: learning has no
+    cap flag, so its welfare DP refusal names `sfpa dynamics --m`."""
+    def stop(*args, **kwargs):
+        raise PastTheCheck
+
+    for command, run, value, field, (module, name) in SIZE_REFUSALS:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, stop)
+            message = run(value, capsys)
+            named, op, fit = re.search(r"; (\w+) ([<>]=) (\S+) fits$", message).groups()
+            flags = build_parser().commands[command]._option_string_actions
+            assert named == field and f"--{field.replace('_', '-')}" in flags, message
+            assert run(fit, capsys) is None, (command, field, fit)
+            past = (repr(0.99 * float(fit)) if field == "grid_step"
+                    else str(int(fit) + (1 if op == "<=" else -1)))
+            assert run(past, capsys) is not None, (command, field, past)

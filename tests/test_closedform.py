@@ -387,7 +387,8 @@ def test_distributions_built_once_per_object():
 def test_check_count_refuses_at_the_byte_limit():
     most = cf.MC_BYTE_LIMIT // 40
     cf.check_count(most)
-    with pytest.raises(ValueError, match=f"^trials: {most + 1} would take"):
+    with pytest.raises(auction.CapExceeded, match=f"^trials: past the cap of {cf.MC_BYTE_LIMIT} "
+                                                  f"bytes; trials <= {most} fits$"):
         cf.check_count(most + 1)
     with pytest.raises(ValueError, match="^count: must be an integer >= 0"):
         cf.check_count(-1, "count", 0, 160)

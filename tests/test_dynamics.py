@@ -9,8 +9,7 @@ from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, ks_distance, run_no_regret,
                            verify_cce)
 from sfpa.equilibrium import BidGrid, pure_nash_search
-from sfpa.experiments import (additive_dynamics_report, andor_dynamics_report,
-                              andor_game, single_item_dynamics_report)
+from sfpa.experiments import additive_dynamics_report, andor_dynamics_report
 from sfpa.auction import PriorityRule, RandomizedRule
 from sfpa.rng import rng_for
 from sfpa.sets import full_set
@@ -42,8 +41,8 @@ def test_rounds_over_the_byte_limit_refused_before_allocating(monkeypatch):
         raise AssertionError("allocated before the size was checked")
 
     monkeypatch.setattr(np, "empty", empty)
-    with pytest.raises(ValueError, match="^rounds: 26843546 would take about 2147483680 "
-                                         "bytes.*use at most 26843545$"):
+    with pytest.raises(auction.CapExceeded, match="^rounds: past the cap of 2147483648 bytes; "
+                                                  "rounds <= 26843545 fits$"):
         run_no_regret(game, 2 ** 31 // 80 + 1, seed=1)
     with pytest.raises(AssertionError, match="allocated"):
         run_no_regret(game, 2 ** 31 // 80, seed=1)

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from sfpa import equilibrium, experiments as xp
-from sfpa.auction import (Allocation, CapExceeded, PriorityRule, RandomizedRule,
+from sfpa.auction import (CAP, Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           optimal_allocations, optimal_welfare)
 from sfpa.closedform import (AndOrStrategyPair, andor_equilibrium_utilities,
                              andor_utility_and, andor_utility_or)
-from sfpa.equilibrium import (GRID_CAP, MESH_CAP, BidGrid, WalrasianEquilibrium,
+from sfpa.equilibrium import (GRID_CAP, BidGrid, WalrasianEquilibrium,
                               _support_prices, andor_gap, best_response_gap, bid_bundle,
                               bundle_costs, common_price_gap, common_price_scan, demand,
                               pure_nash_search, walrasian_check, walrasian_near, walrasian_search)
@@ -247,9 +247,11 @@ def test_pure_nash_profiles_counted_before_allocating(monkeypatch):
         raise AssertionError("allocated before the profile count was checked")
 
     monkeypatch.setattr(np, "zeros", zeros)
-    with pytest.raises(CapExceeded, match=f"^grid_step: {(20 * 99001) ** 2} grid profiles exceed"):
-        pure_nash_search(vals, grid)
+    with pytest.raises(CapExceeded, match="^grid_step: past the cap of 11000000 grid profiles; "
+                                          r"grid_step >= \S+ fits$") as info:
+        pure_nash_search(vals, grid)  # (20 * 99001)^2 profiles
     assert grid.count(20) == 20 * 99001
+    assert BidGrid(_step_that_fits(info.value), 1.0).levels() == 165  # (20 * 165)^2 <= CAP
 
 
 def test_finite_support_refuses_bad_bids():
@@ -278,38 +280,49 @@ def test_bid_level_cap_names_the_finest_step():
             BidGrid(0.99 * fits, upper).points()
 
 
-def test_common_price_mesh_cap_names_the_largest_level_count():
-    """The refusal names the most price levels per item that fit and the
-    step that gives them; at m = 19 only one level fits."""
-    for m, n in ((2, 2), (3, 1), (19, 1)):
+class PastTheCheck(Exception):
+    pass
+
+
+def test_common_price_scan_priced_by_its_utilities(monkeypatch):
+    """The scan prices demand's (n, 2^m, L^m) bundle utilities against CAP
+    before it builds the (2^m, L^m) bundle-cost table (bundle_costs is
+    patched to stop it there). At m = 16 with two levels per item a count
+    of the L^m price vectors alone let through a table of 32 GiB. The
+    refusal names the finest step that fits: its level count L is the
+    largest that fits, and a step 1% finer is refused again."""
+    def costs(*args):
+        raise PastTheCheck
+
+    monkeypatch.setattr(equilibrium, "bundle_costs", costs)
+    for m, n, step, upper in ((16, 2, 1.0, 1.0), (2, 2, 0.001, 2.0), (3, 1, 0.001, 2.0),
+                              (19, 1, 0.001, 2.0)):
         vals = [AdditiveValuation((0.5,) * m)] * n
-        with pytest.raises(CapExceeded, match="^grid_step: ") as info:
-            common_price_scan(vals, BidGrid(0.001, 2.0))
-        fit = int(re.search(r"; (\d+) levels per item fit", str(info.value)).group(1))
-        assert fit ** m <= MESH_CAP < (fit + 1) ** m
-        grid = BidGrid(_step_that_fits(info.value), 2.0)
-        assert grid.points().size == fit
-        common_price_scan(vals, grid)  # no longer refused
+        with pytest.raises(CapExceeded, match="^grid_step: past the cap of 11000000 ") as info:
+            common_price_scan(vals, BidGrid(step, upper))
+        fits = _step_that_fits(info.value)
+        fit = BidGrid(fits, upper).levels()
+        assert (n << m) * fit ** m <= CAP < (n << m) * (fit + 1) ** m
+        with pytest.raises(PastTheCheck):
+            common_price_scan(vals, BidGrid(fits, upper))
+        with pytest.raises(CapExceeded):
+            common_price_scan(vals, BidGrid(0.99 * fits, upper))
 
 
 def test_full_grid_cap_names_the_largest_level_count():
     """The full product grid's refusal names the most bid levels per item
     that fit and the step that gives them; at m = 21 only one level fits."""
     for m in (2, 3, 9, 21):
-        with pytest.raises(CapExceeded, match="^grid_step: ") as info:
+        with pytest.raises(CapExceeded, match="^grid_step: past the cap of 2000000 ") as info:
             BidGrid(0.001, 2.0).actions_for(m)
-        fit = int(re.search(r"; (\d+) levels per item fit", str(info.value)).group(1))
+        fit = BidGrid(_step_that_fits(info.value), 2.0).levels()
         assert fit ** m <= GRID_CAP < (fit + 1) ** m
-        assert BidGrid(_step_that_fits(info.value), 2.0).points().size == fit
 
 
 def test_learning_level_cap_names_the_finest_step(monkeypatch):
     """additive_dynamics_report refuses a step before building its levels
     and names the finest one that fits; np.arange is patched to stop the
     run right after the check, before any level is allocated."""
-    class PastTheCheck(Exception):
-        pass
-
     def arange(*args, **kwargs):
         raise PastTheCheck
 
