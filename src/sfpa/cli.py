@@ -188,10 +188,10 @@ def _run_command(args) -> dict:
         grid = BidGrid(args.grid_step, args.upper, args.family)
         if args.limit < 0:
             raise ValueError(f"limit must be >= 0, got {args.limit}")
-        eqs = pure_nash_search(vals, grid, rule, args.epsilon)
-        return {"count": len(eqs),
-                "equilibria": [{"bids": [list(r) for r in e.bids], "gap": e.gap}
-                               for e in eqs[:args.limit]]}
+        bids, gaps = pure_nash_search(vals, grid, rule, args.epsilon)
+        return {"count": len(gaps),
+                "equilibria": [{"bids": b, "gap": g} for b, g in
+                               zip(bids[:args.limit].tolist(), gaps[:args.limit].tolist())]}
     if cmd == "poa":
         if args.sweep is not None:
             ms = _number_list("sweep", args.sweep, int)

@@ -219,20 +219,30 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     return LearningTrace(game, rounds, bids_out, util, welfare, regret, cum_out, ln_k, payoff_range)
 
 
+def _trace_prices(trace: LearningTrace) -> np.ndarray:
+    """(beat, ahead) of every round, each (rounds, n, m), from `price_to_beat` a
+    `blocks` slice of rounds at a time: no (rounds, n, n - 1, m) gather is held."""
+    n, m = trace.bids.shape[1:]
+    out = np.empty((2,) + trace.bids.shape)
+    for s in blocks(trace.rounds, n * n * m):
+        out[:, s] = price_to_beat(trace.bids[s], trace.game.rule)
+    return out
+
+
 def verify_cce(trace: LearningTrace) -> float:
     """Recompute counterfactual sums from the stored bids and confirm the
     empirical play distribution is a (max_i regret_i / T)-approximate CCE.
 
     Every factor of every family takes one path: its rows are scored on its
-    own items, against the value restricted to them, by `bid_utilities`, a
-    block of rounds at a time, and the rounds are added in order.
+    own items, against the value restricted to them, by `bid_utilities`; the
+    rounds are added in order, priced and scored a block of rounds at a time.
     `run_no_regret` instead scores each entry's support items against the
     full value table, so the two agree only if the factorization is right.
     Returns the largest discrepancy over the finite stored sums (0.0 when
     they agree).
     """
     game = trace.game
-    beats, aheads = price_to_beat(trace.bids, game.rule)
+    beats, aheads = _trace_prices(trace)
     worst = 0.0
     for i, sp in enumerate(game.spaces):
         sums = np.zeros((len(sp.factors), max(len(rows) for rows, _ in sp.factors)))
@@ -259,7 +269,7 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     over the items the optimum hands to i, and expected item prices f_j."""
     game = trace.game
     n, bids = len(game.vals), trace.bids
-    own = wins(bids, *price_to_beat(bids, game.rule))  # (T, n, m)
+    own = wins(bids, *_trace_prices(trace))  # (T, n, m)
     f_item = (own * bids).max(axis=1).mean(axis=0)  # each item's one winning bid
     u_exp = trace.utilities.mean(axis=0)
     e_exp = u_exp + paid(own, bids).mean(axis=0)

@@ -218,18 +218,15 @@ class BidGrid:
         return np.stack(np.meshgrid(*[pts] * m, indexing="ij"), axis=-1).reshape(-1, m)
 
 
-@dataclass(frozen=True)
-class GridEquilibrium:
-    bids: tuple  # (n, m) nested tuples
-    gap: float
-
-
 def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
-                     eps: float = 0.0) -> list[GridEquilibrium]:
+                     eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """All grid profiles where no player improves by more than eps with a
     grid deviation of its own family, in lexicographic order of the action
-    indices; a player's deviations are scored once per profile of its rivals.
-    More than CAP profiles are refused before any is built."""
+    indices, as bids (E, n, m) and gaps (E,). One pass scores each player's
+    actions against every profile of its rivals, who alone set its prices;
+    the best one's utility less each entry folds into one gap array over all
+    profiles. More than CAP profiles are refused before any is built; the
+    search holds about two float64 arrays of that many entries."""
     if not 0 <= eps < math.inf:
         raise ValueError(f"epsilon: must be finite and >= 0, got {eps!r}")
     n, m = len(vals), vals[0].m
@@ -239,24 +236,18 @@ def pure_nash_search(vals: list[Valuation], grid: BidGrid, rule=PriorityRule(),
     actions = [grid.actions_for(m, bid_bundle(t)) for t in tables]
     sizes = [a.shape[0] for a in actions]
     pure = {i: (np.ones(len(a)), a) for i, a in enumerate(actions)}
-    best = []  # player i's best deviation against each profile of its rivals
+    worst = np.zeros(sizes)
     for i in range(n):
-        rivals = product_play(n, m, {k: pure[k] for k in pure if k != i}, sizes[i] * m)
-        top = [expected_utilities(tables[i], actions[i][:, None], rival_play(bids, rule), i)
-               .max(axis=0) for _, bids in rivals]
-        best.append(np.concatenate(top).reshape([1 if k == i else s for k, s in enumerate(sizes)]))
-    found, start = [], 0
-    for _, bids in product_play(n, m, pure, n * m):
-        index = np.unravel_index(np.arange(start, start + len(bids)), sizes)
-        start += len(bids)
-        play = rival_play(bids, rule)
-        worst = np.zeros(len(bids))
-        for i in range(n):
-            dev = best[i][index[:i] + (0,) + index[i + 1:]]
-            worst = np.maximum(worst, dev - expected_utilities(tables[i], bids[:, i], play, i))
-        found += [GridEquilibrium(tuple(map(tuple, bids[k].tolist())), float(worst[k]))
-                  for k in np.flatnonzero(worst <= eps + TIE_TOL)]
-    return found
+        util, start = np.empty((sizes[i], worst.size // sizes[i])), 0  # (own action, rivals)
+        for _, bids in product_play(n, m, {k: pure[k] for k in pure if k != i}, sizes[i] * m):
+            util[:, start:start + len(bids)] = expected_utilities(
+                tables[i], actions[i][:, None], rival_play(bids, rule), i)
+            start += len(bids)
+        gain = np.subtract(util.max(axis=0), util, out=util)
+        np.maximum(worst, np.moveaxis(gain.reshape([sizes[i]] + sizes[:i] + sizes[i + 1:]),
+                                      0, i), out=worst)
+    hits = np.nonzero(worst <= eps + TIE_TOL)
+    return np.stack([a[k] for a, k in zip(actions, hits)], axis=1), worst[hits]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +332,7 @@ class CommonPriceEquilibrium:
     gap: float
 
 
-def common_price_scan(vals: list[Valuation], grid: BidGrid,
-                      stop_at_first: bool = True) -> list[CommonPriceEquilibrium]:
+def common_price_scan(vals: list[Valuation], grid: BidGrid) -> list[CommonPriceEquilibrium]:
     """Grid equilibria in the common-price family.
 
     A profile is one shared price vector p on the grid (all players bid p
@@ -350,8 +340,8 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid,
     favoring the assigned winner. Deviations are unrestricted real bids:
     any player wins item j at any price above p_j, and the sup of its
     deviation utility is its best bundle's utility at p. So a profile's gain
-    is the Walrasian demand gap at p. Returns profiles whose gain is at most
-    TIE_TOL: the exact grid equilibria.
+    is the Walrasian demand gap at p. Returns every profile whose gain is at
+    most TIE_TOL, the exact grid equilibria, assignments in lexicographic order.
     """
     tables = value_tables(vals)
     n, m = len(vals), vals[0].m
@@ -367,11 +357,8 @@ def common_price_scan(vals: list[Valuation], grid: BidGrid,
     for assign in itertools.product(range(n), repeat=m):
         alloc = Allocation(assign)
         worst = (best - _held_utilities(tables, costs, alloc)).max(axis=0)
-        for k in np.flatnonzero(worst <= TIE_TOL):
-            found.append(CommonPriceEquilibrium(tuple(float(p) for p in prices[:, k]), alloc,
-                                                float(worst[k])))
-            if stop_at_first:
-                return found
+        found += [CommonPriceEquilibrium(tuple(float(p) for p in prices[:, k]), alloc,
+                                         float(worst[k])) for k in np.flatnonzero(worst <= TIE_TOL)]
     return found
 
 

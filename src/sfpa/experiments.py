@@ -243,7 +243,7 @@ def correspondence_case(vals: list[Valuation], we, grid_step: float = 0.05) -> d
         found = gap <= 2.0 * vals[0].m * grid_step + 1e-12
         return {"walrasian": True, "grid_equilibrium": found, "grid_gap": float(gap),
                 "prices_agree": bool(found), "agree": bool(found)}
-    scan = common_price_scan(vals, BidGrid(grid_step, 2.0), stop_at_first=True)
+    scan = common_price_scan(vals, BidGrid(grid_step, 2.0))
     return {"walrasian": False, "grid_equilibrium": bool(scan),
             "prices_agree": None, "agree": not scan}
 
@@ -291,7 +291,8 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
     check_m(m)  # m and n before the (n, m) draw and the n action families
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_size("n", n, lambda k: dp_pairs(k, 1), CAP, "welfare-DP subset pairs")
+    # price_to_beat gathers an (n, n - 1, m) rival block every round
+    check_size("n", n, lambda k: k * (k - 1) * m, CAP, "rival bids a round")
     check_size("m", m, lambda k: dp_pairs(n, k), CAP, "welfare-DP subset pairs")
     rng = rng_for(seed, "dynamics-weights")
     weights = 0.05 * rng.integers(4, 21, size=(n, m))  # in [0.2, 1.0]
@@ -347,6 +348,7 @@ def andor_dynamics_report(m: int, v: float, rounds: int, seed: int,
 def single_item_dynamics_report(values: tuple, rounds: int, seed: int,
                                 grid_step: float = 0.1) -> dict:
     """One-item sanity game: play concentrates near the Walrasian price."""
+    check_size("values", len(values), lambda k: k * (k - 1), CAP, "rival bids a round")
     vals = [AdditiveValuation((float(x),)) for x in values]
     grid = BidGrid(grid_step, float(max(values)))
     spaces = [ExplicitActions(grid.actions_for(1)) for _ in values]

@@ -4,10 +4,12 @@ of the symmetric single-minded instances, the triangle's bid distribution,
 the whole-array forms of the blocked Monte Carlo loops, the exhaustive
 check of an XOS certificate, best-response iteration for building
 Bayesian equilibria to verify, and the dense (entry, item) learning round.
-`examples` sizes the property tests."""
+`examples` sizes the property tests; `peak_traced` measures a call's
+live-data peak."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -28,6 +30,18 @@ def examples(n: int) -> int:
     """A property test's example count: n, or 10 n under SFPA_DEEP=1, the
     deeper run to make by hand before a merge."""
     return 10 * n if os.environ.get("SFPA_DEEP") == "1" else n
+
+
+def peak_traced(call) -> int:
+    """The peak of bytes traced by `tracemalloc` while call() runs, its result
+    included: numpy reports its buffers to `tracemalloc`, so this is the
+    call's live-data peak, unlike the process's resident set."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def value_formula(v: Valuation, s: int) -> float:

@@ -698,14 +698,23 @@ def test_bad_flags_name_their_field(capsys):
                         (["verify", "--game", "andor", "--m", "2000", "--grid-step", "0.00001"],
                          "m: past the cap of 2147483648 bytes; m <= 536 fits"),
                         (["dynamics", "--mode", "additive", "--n", str(10 ** 12), *learn],
-                         "n: past the cap of 11000000 welfare-DP subset pairs; n <= 3666668"),
+                         "n: past the cap of 11000000 rival bids a round; n <= 1915 fits"),
                         (["dynamics", "--mode", "additive", "--m", "1000000000", *learn],
                          "m: need 1 to 20"),
                         (["dynamics", "--mode", "additive", "--n", "1000000", "--m", "20",
-                          *learn], "m: past the cap of 11000000 welfare-DP subset pairs; m <= 2")):
+                          *learn], "n: past the cap of 11000000 rival bids a round; n <= 742 fits"),
+                        (["dynamics", "--n", "100000", "--m", "1", "--rounds", "1"],
+                         "n: past the cap of 11000000 rival bids a round; n <= 3317 fits"),
+                        (["dynamics", "--mode", "single-item", "--values", _ones(20000), *learn],
+                         "values: past the cap of 11000000 rival bids a round; values <= 3317")):
         proc = subprocess.run([sys.executable, "-m", "sfpa.cli", *args], capture_output=True,
                               text=True, timeout=30, **capped)
         assert precondition_message(proc.returncode, proc.stderr).startswith(field), args
+
+
+def _ones(count) -> str:
+    """A `--values` list of `count` bidders who each value the item at 1."""
+    return ",".join(["1"] * int(count))
 
 
 class PastTheCheck(Exception):
@@ -723,6 +732,12 @@ def _cli(*argv):
         assert code == 2 and error["type"] == "CapExceeded", error
         return error["message"]
     return run
+
+
+def _values(count, capsys):
+    """The runner of `sfpa dynamics --mode single-item` over `count` bidders."""
+    return _cli("dynamics", "--mode", "single-item", "--values", "{}", "--rounds", "10")(
+        _ones(count), capsys)
 
 
 def _finite_game(value, capsys):
@@ -751,6 +766,7 @@ SIZE_REFUSALS = [
     ("dynamics", _finite_game, "17", "m", (dynamics, "optimal_welfare")),
     ("dynamics", _cli("dynamics", "--n", "{}", "--m", "1", "--rounds", "10"), "10000000",
      "n", (xp, "rng_for")),
+    ("dynamics", _values, "20000", "values", (xp, "AdditiveValuation")),
     ("verify", _cli("verify", "--game", "single_minded", "--k", "{}"), "5",
      "k", (cf, "singleminded_utility")),
     ("dynamics", _cli("dynamics", "--mode", "andor", "--m", "{}", "--rounds", "10"), "4",

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from sfpa.closedform import (Z99, AndOrStrategyPair, AtomicCDF, SingleMindedSymm
                              singleminded_utility, triangle_utility)
 from sfpa.rng import rng_for
 
-from oracles import (andor_welfare, examples, grid_satisfied, triangle_cdf,
+from oracles import (andor_welfare, examples, grid_satisfied, peak_traced, triangle_cdf,
                      validate_symmetric_instance)
 
 
@@ -327,15 +326,8 @@ def test_grid_game_blocks_match_whole_array(monkeypatch, block):
 
 def _peak_bytes_per_trial(run, small=200_000, large=600_000):
     """Growth of the tracemalloc peak of run(trials) per extra trial."""
-    peaks = []
-    for trials in (small, large):
-        tracemalloc.start()
-        try:
-            run(trials)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return (peaks[1] - peaks[0]) / (large - small)
+    small_peak, large_peak = (peak_traced(lambda: run(trials)) for trials in (small, large))
+    return (large_peak - small_peak) / (large - small)
 
 
 def test_blocked_monte_carlo_memory_per_trial():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sfpa import auction, dynamics
 from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
                            ccqe_welfare_ratio, ks_distance, run_no_regret,
-                           verify_cce)
+                           trace_decomposition, verify_cce)
 from sfpa.equilibrium import BidGrid, pure_nash_search
 from sfpa.experiments import additive_dynamics_report, andor_dynamics_report
 from sfpa.auction import PriorityRule, RandomizedRule
@@ -15,7 +15,7 @@ from sfpa.rng import rng_for
 from sfpa.sets import full_set
 from sfpa.valuations import AdditiveValuation, OrValuation, SingleMindedValuation, TableValuation
 
-from oracles import examples, outcome_utilities, run_no_regret_dense, triangle_cdf
+from oracles import examples, outcome_utilities, peak_traced, run_no_regret_dense, triangle_cdf
 
 
 def single_item_game(values=(1.0, 2.0), step=0.1):
@@ -80,8 +80,8 @@ def test_regret_envelope_explicit():
 def test_single_item_converges_to_walrasian_price():
     # independent oracle: the grid game's exact equilibria sit at price ~1
     vals = [AdditiveValuation((1.0,)), AdditiveValuation((2.0,))]
-    eqs = pure_nash_search(vals, BidGrid(0.1, 2.0), PriorityRule(((1, 0),)), eps=0.0)
-    prices = {max(b[0][0], b[1][0]) for b in (e.bids for e in eqs)}
+    bids, _ = pure_nash_search(vals, BidGrid(0.1, 2.0), PriorityRule(((1, 0),)), eps=0.0)
+    prices = {max(b[0][0], b[1][0]) for b in bids.tolist()}
     trace = run_no_regret(single_item_game(), 20_000, seed=11)
     tail = trace.bids[-2000:].max(axis=1).mean()
     assert min(abs(tail - p) for p in prices) <= 0.15
@@ -205,17 +205,32 @@ def test_verify_cce_catches_a_corrupted_sum(family):
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_uniform_blocks_leave_the_trace_unchanged(monkeypatch, family, block):
     """Uniforms drawn `BLOCK // draws` rounds at a time, split unevenly over
-    70 rounds, give the bits of one block for the whole run."""
+    70 rounds, give the bits of one block for the whole run, and so do the
+    trace readers' prices to beat, gathered a block of rounds at a time."""
     vals = [AdditiveValuation((0.4, 0.4)), SingleMindedValuation(2, 0b11, 1.0)]
     sep = SeparableGrid([np.arange(0, 0.4 + 1e-12, 0.1)] * 2)
     uni = ExplicitActions(BidGrid(0.1, 0.5, "uniform_on_bundle").actions_for(2))
     game = FiniteGame(vals, {"explicit": [uni, uni], "mixed": [sep, uni]}[family], grid_step=0.1)
     ref = run_no_regret(game, 70, seed=5)
+    read = verify_cce(ref), trace_decomposition(ref)
     monkeypatch.setattr(auction, "BLOCK", block)
     got = run_no_regret(game, 70, seed=5)
+    assert (verify_cce(got), trace_decomposition(got)) == read
     for a, b in zip((ref.bids, ref.utilities, ref.welfare, ref.regret, *ref.cum_counterfactual),
                     (got.bids, got.utilities, got.welfare, got.regret, *got.cum_counterfactual)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_trace_readers_hold_prices_not_rival_blocks():
+    """`verify_cce` and `trace_decomposition` gather each player's rivals a
+    block of rounds at a time: 100 one-item bidders over 2,000 rounds keep
+    (rounds, n, m) prices to beat, 1.5 MiB each, and never the 151 MiB
+    (rounds, n, n - 1, m) gather of the whole trace."""
+    vals = [AdditiveValuation((1.0 + k / 100,)) for k in range(100)]
+    game = FiniteGame(vals, [ExplicitActions([[0.0], [0.5], [1.0]])] * 100, grid_step=0.5)
+    trace = run_no_regret(game, 2000, seed=3)
+    assert peak_traced(lambda: verify_cce(trace)) < 32 << 20
+    assert peak_traced(lambda: trace_decomposition(trace)) < 32 << 20
 
 
 def test_welfare_report_fields():

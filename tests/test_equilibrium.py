@@ -24,7 +24,7 @@ from sfpa.sets import members
 from sfpa.valuations import (AdditiveValuation, OrValuation, SingleMindedValuation,
                              TableValuation, XosValuation, bit_matrix)
 
-from oracles import examples, outcome_utilities
+from oracles import examples, outcome_utilities, peak_traced
 
 
 def single_item(values=(1.0, 2.0)):
@@ -212,12 +212,11 @@ def test_pure_nash_search_single_item():
     vals = single_item()
     grid = BidGrid(0.1, 2.0)
     favor_bob = PriorityRule(((1, 0),))
-    eqs = pure_nash_search(vals, grid, favor_bob, eps=0.0)
-    assert ((1.0,), (1.0,)) in [e.bids for e in eqs]
+    bids, _ = pure_nash_search(vals, grid, favor_bob, eps=0.0)
+    assert [[1.0], [1.0]] in bids.tolist()
     favor_alice = PriorityRule(((0, 1),))
-    eqs1 = pure_nash_search(vals, grid, favor_alice, eps=0.0)
-    bids = [e.bids for e in eqs1]
-    assert ((1.0,), (1.0,)) not in bids  # Bob undercut by the tie rule
+    bids = pure_nash_search(vals, grid, favor_alice, eps=0.0)[0].tolist()
+    assert [[1.0], [1.0]] not in bids  # Bob undercut by the tie rule
     near = [b for b in bids
             if abs(b[0][0] - 1.0) <= 0.1 + 1e-12 and abs(b[1][0] - 1.0) <= 0.1 + 1e-12]
     assert near  # grid still finds equilibria within one step of (1, 1)
@@ -226,9 +225,19 @@ def test_pure_nash_search_single_item():
 def test_pure_nash_search_andor_both_bid_v():
     vals = andor_game(2, 0.4)
     grid = BidGrid(0.1, 1.0)
-    eqs = pure_nash_search(vals, grid, PriorityRule(), eps=0.0)
+    bids, _ = pure_nash_search(vals, grid, PriorityRule(), eps=0.0)
     target = ((0.4, 0.4), (0.4, 0.4))
-    assert any(np.allclose(e.bids, target, atol=1e-12) for e in eqs)
+    assert any(np.allclose(b, target, atol=1e-12) for b in bids)
+
+
+def test_pure_nash_search_memory_is_its_arrays():
+    """At eps = 10 every one of the 676^2 profiles is a hit. The search holds
+    about two float64 arrays of its profile count, and returns the hits as
+    (bids, gaps) arrays: 11 MiB in all here, not one object a hit."""
+    vals, grid = andor_game(2, 1.0), BidGrid(0.04, 1.0)
+    bids, gaps = pure_nash_search(vals, grid, eps=10.0)
+    assert bids.shape == (676 ** 2, 2, 2) and gaps.shape == (676 ** 2,)
+    assert peak_traced(lambda: pure_nash_search(vals, grid, eps=10.0)) < 64 << 20
 
 
 def test_pure_nash_cap():
@@ -476,7 +485,7 @@ def test_best_response_gap_randomized_rule():
 def test_common_price_scan_matches_gap():
     vals = andor_game(2, 0.4)
     grid = BidGrid(0.1, 1.0)
-    found = common_price_scan(vals, grid, stop_at_first=False)
+    found = common_price_scan(vals, grid)
     assert found
     for eq in found:
         gap = common_price_gap(vals, eq.prices, eq.allocation)
@@ -545,7 +554,7 @@ def test_best_response_gap_meets_common_price_gap(game):
 def test_common_price_scan_hits_are_walrasian(seed, n, m):
     rng = rng_for(seed, "scan-oracle")
     vals = [_random_lattice_valuation(rng, m) for _ in range(n)]
-    for eq in common_price_scan(vals, BidGrid(0.25, 2.0), stop_at_first=False):
+    for eq in common_price_scan(vals, BidGrid(0.25, 2.0)):
         we = WalrasianEquilibrium(eq.allocation, eq.prices)
         assert walrasian_check(vals, we) is None
         assert walrasian_near(vals, eq.allocation, eq.prices, 1e-9)

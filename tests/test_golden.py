@@ -68,8 +68,8 @@ def pure_nash_payload():
     out = {}
     for name, rule, step in (("index", PriorityRule(), 0.1),
                              ("priority", PriorityRule(((1, 0), (0, 1))), 0.2)):
-        eqs = pure_nash_search(xp.andor_game(2, 0.4), BidGrid(step, 1.0), rule)
-        out[name] = [{"bids": e.bids, "gap": e.gap} for e in eqs]
+        bids, gaps = pure_nash_search(xp.andor_game(2, 0.4), BidGrid(step, 1.0), rule)
+        out[name] = [{"bids": b, "gap": g} for b, g in zip(bids.tolist(), gaps.tolist())]
     return out
 
 

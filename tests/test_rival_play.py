@@ -181,7 +181,8 @@ def test_pure_nash_search_matches_profile_loop(game, randomized, eps, grid, bloc
     rule = random_rule(rng, n, m, randomized)
     grid = BidGrid(*grid)
     with block_size(block):
-        got = [(e.bids, bits(e.gap)) for e in pure_nash_search(vals, grid, rule, eps)]
+        bids, gaps = pure_nash_search(vals, grid, rule, eps)
+    got = [(tuple(map(tuple, b)), bits(g)) for b, g in zip(bids.tolist(), gaps.tolist())]
     assert got == [(b, bits(g)) for b, g in pure_nash_loop(vals, grid, rule, eps)]
 
 
