@@ -160,6 +160,24 @@ def price_to_beat(bids: np.ndarray, rule: PriorityRule) -> tuple[np.ndarray, np.
             np.maximum.reduce(np.where(outranks, others, -np.inf), axis=-2, initial=-np.inf))
 
 
+def rival_cells(rule: PriorityRule, n: int, m: int) -> np.ndarray:
+    """(max(n - 1, 1), 2, n m + 1) flat gathers of `price_to_beat`, rival axis
+    first: column i m + j of [:, 0] lists where player i's rivals' bids on
+    item j sit in a flat (n m) profile, and of [:, 1] those of the rivals
+    who outrank it there under `rule`. They point into the profile extended
+    by a -inf cell (n m: a rival not ahead, or none at all) and a +inf cell
+    (n m + 1), at which the last column, a dead slot, points throughout: no
+    bid wins against it. A gather's max along axis 0 is every (beat, ahead)."""
+    cells = np.full((max(n - 1, 1), 2, n * m + 1), n * m)
+    cells[:, :, -1] = n * m + 1
+    beat, ahead = cells[:n - 1, :, :-1].reshape(n - 1, 2, n, m).swapaxes(0, 1)  # views
+    beat[...] = (_rivals(n).T * m)[:, :, None]
+    beat += np.arange(m)
+    np.copyto(ahead, beat, where=_outranks(rule, n, m).transpose(1, 0, 2))
+    cells.flags.writeable = False
+    return cells
+
+
 @lru_cache(maxsize=None)
 def _rivals(n: int) -> np.ndarray:  # (n, n - 1): row i lists every player but i, in order
     return read_only(np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]), np.intp)

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .auction import (CAP, PriorityRule, bid_utilities, blocks, bundle_masks, check_bids,
                       check_size, dp_pairs, optimal_welfare, price_to_beat, priority_ranks,
-                      weighted_sum, wins)
+                      rival_cells, weighted_sum, wins)
 from .closedform import AtomicCDF, check_count
 from .rng import rng_for
 from .valuations import AdditiveValuation, bit_matrix, bundle_costs, paid, read_only, value_tables
@@ -133,6 +134,18 @@ class LearningTrace:
         """2 sqrt(T ln K_i) * payoff range, the checked MW guarantee."""
         return 2.0 * np.sqrt(self.rounds * self.ln_k) * self.payoff_range
 
+    @cached_property
+    def prices(self) -> np.ndarray:
+        """(beat, ahead) of every round, each (rounds, n, m), read-only: priced
+        once per trace for all its readers, by `price_to_beat` a `blocks`
+        slice of rounds at a time, so no (rounds, n, n - 1, m) gather is held."""
+        n, m = self.bids.shape[1:]
+        out = np.empty((2,) + self.bids.shape)
+        for s in blocks(self.rounds, n * n * m):
+            out[:, s] = price_to_beat(self.bids[s], self.game.rule)
+        out.flags.writeable = False
+        return out
+
 
 def _level_index(u: np.ndarray, probs: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Categorical draw along the last axis of `probs` from pre-drawn uniforms
@@ -148,8 +161,12 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     scored on the real levels only, entry e being one level of a factor of
     player[e], with bid row rows[e]. Scoring is slot-major: slot s of entry
     e bids amount[s, e] on item[s, e], its support items ascending, then
-    dead slots (`live` False) bidding 0: the loop scores each entry's
-    support items against the full value table."""
+    dead slots bidding 0 against +inf, which they never beat. An outcome
+    table, built once and priced against CAP cells before it is, holds each
+    entry's gain and value for every subset of its S slots won (bit s for
+    slot s), scored on the full value table: a round reads every slot's
+    (beat, ahead) through `auction.rival_cells`, decides the wins with
+    `wins` and takes each entry's gain at the index of its won slots."""
     n, m = len(game.vals), game.vals[0].m
     vmax = max(v.value_max() for v in game.vals)
     payoff_range = np.array([v.value_max() + sp.max_spend()
@@ -166,17 +183,31 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     # players with fewer factors get one-level, zero-bid, zero-gain fillers
     filler = (np.zeros((1, m)), np.zeros(m, dtype=bool))
     flat = [(i, r, s) for i, fs in enumerate(factors) for r, s in fs + (filler,) * (F - len(fs))]
+    # S = the largest support: 1 for separable grids, m once a player has explicit actions
+    S = max(int(s.sum()) for _, _, s in flat)
+    check_size("spaces", sum(len(r) for _, r, _ in flat), lambda k: k << S, CAP,
+               f"outcome-table cells ({1 << S} a bid row)", lambda k: f"{k} bid rows in all")
     W = max(len(r) for _, r, _ in flat)
     rows = np.concatenate([r for _, r, _ in flat])  # (N, m)
     support = np.concatenate([np.broadcast_to(s, r.shape) for _, r, s in flat])
     player = np.concatenate([np.full(len(r), i) for i, r, _ in flat])
-    # S = the largest support: 1 for separable grids, m once a player has explicit actions
-    item = np.argsort(~support, axis=1, kind="stable")[:, :support.sum(axis=1).max()].T.copy()
+    item = np.argsort(~support, axis=1, kind="stable")[:, :S].T.copy()
     live = np.take_along_axis(support.T, item, axis=0)  # (S, N): support items ascending first
     amount = np.where(live, np.take_along_axis(rows.T, item, axis=0), 0.0)
-    at, bits = player * m + item, 1 << item  # each slot's place in an (n, m) profile, its bit
-    table_at = player << m  # every player's 2^m value table, end to end
-    table = value_tables(game.vals).ravel()
+    # (2, S, N): each slot's column of rival_cells, for beat then ahead; a dead slot's is last
+    at = np.where(live, player * m + item, n * m) + (n * m + 1) * np.arange(2)[:, None, None]
+    cells = rival_cells(game.rule, n, m).reshape(max(n - 1, 1), -1)
+    profile = np.array([0.0] * (n * m) + [-np.inf, np.inf])  # a round's bids, then the two cells
+    # the outcome table: entry e's gain and value with won slots k at e * 2^S + k
+    table, table_at = value_tables(game.vals).ravel(), player << m
+    won_k = bit_matrix(S).astype(bool)  # (2^S, S): row k's won slots
+    gain_of, value_of = np.empty((2, len(rows), 1 << S))
+    for b in blocks(len(rows), won_k.size):
+        value_of[b] = table.take(table_at[b, None] | bundle_masks(won_k, 1 << item.T[b, None]))
+        gain_of[b] = value_of[b] - paid(won_k, amount.T[b, None])
+    gain_of, value_of = gain_of.ravel(), value_of.ravel()
+    offs, weight = np.arange(len(rows)) << S, (1 << np.arange(S))[:, None]
+
     slot = np.concatenate([k * W + np.arange(len(r)) for k, (_, r, _) in enumerate(flat)])
     entry = np.full(n * F * W, -1)
     entry[slot] = np.arange(slot.size)  # (player, factor, level) -> entry
@@ -202,13 +233,14 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
             chosen = entry.take(base + _level_index(u_t, probs, last))  # (n, F) entries drawn
             np.add.reduce(rows.take(chosen, axis=0), axis=1, out=bids_out[t])
 
-            beat, ahead = price_to_beat(bids_out[t], game.rule)
-            won = wins(amount, beat.take(at), ahead.take(at)) & live
-            value = table.take(table_at | bundle_masks(won.T, bits.T))
-            gain = value - paid(won.T, amount.T)
+            profile[:-2] = bids_out[t].reshape(-1)
+            # [], not take, which holds a second (n - 1, 2 (n m + 1)) gather at large n
+            beat, ahead = np.maximum.reduce(profile[cells], axis=0).take(at)
+            cell = np.add.reduce(wins(amount, beat, ahead) * weight, axis=0) + offs
+            gain = gain_of.take(cell)
             cum_flat[slot] += gain
             gain.take(chosen, out=gains[t], mode="clip")  # in range: "clip" skips a copy
-            value.take(chosen, out=values[t], mode="clip")
+            value_of.take(cell.take(chosen), out=values[t], mode="clip")
             top = np.maximum.reduce(cum, axis=2, out=tops[t])[:, :, None]
 
     util = gains.sum(axis=2)  # each round's orders: over factors; over players, then factors
@@ -219,30 +251,21 @@ def run_no_regret(game: FiniteGame, rounds: int, seed: int) -> LearningTrace:
     return LearningTrace(game, rounds, bids_out, util, welfare, regret, cum_out, ln_k, payoff_range)
 
 
-def _trace_prices(trace: LearningTrace) -> np.ndarray:
-    """(beat, ahead) of every round, each (rounds, n, m), from `price_to_beat` a
-    `blocks` slice of rounds at a time: no (rounds, n, n - 1, m) gather is held."""
-    n, m = trace.bids.shape[1:]
-    out = np.empty((2,) + trace.bids.shape)
-    for s in blocks(trace.rounds, n * n * m):
-        out[:, s] = price_to_beat(trace.bids[s], trace.game.rule)
-    return out
-
-
 def verify_cce(trace: LearningTrace) -> float:
     """Recompute counterfactual sums from the stored bids and confirm the
     empirical play distribution is a (max_i regret_i / T)-approximate CCE.
 
     Every factor of every family takes one path: its rows are scored on its
-    own items, against the value restricted to them, by `bid_utilities`; the
-    rounds are added in order, priced and scored a block of rounds at a time.
-    `run_no_regret` instead scores each entry's support items against the
-    full value table, so the two agree only if the factorization is right.
+    own items, against the value restricted to them, by `bid_utilities`,
+    against the trace's `prices`; the rounds are added in order, scored a
+    block of rounds at a time. `run_no_regret` instead reads each entry's
+    gain from its outcome table, scored on the full value table, so the two
+    agree only if the factorization is right.
     Returns the largest discrepancy over the finite stored sums (0.0 when
     they agree).
     """
     game = trace.game
-    beats, aheads = _trace_prices(trace)
+    beats, aheads = trace.prices
     worst = 0.0
     for i, sp in enumerate(game.spaces):
         sums = np.zeros((len(sp.factors), max(len(rows) for rows, _ in sp.factors)))
@@ -269,7 +292,7 @@ def trace_decomposition(trace: LearningTrace) -> dict:
     over the items the optimum hands to i, and expected item prices f_j."""
     game = trace.game
     n, bids = len(game.vals), trace.bids
-    own = wins(bids, *_trace_prices(trace))  # (T, n, m)
+    own = wins(bids, *trace.prices)  # (T, n, m)
     f_item = (own * bids).max(axis=1).mean(axis=0)  # each item's one winning bid
     u_exp = trace.utilities.mean(axis=0)
     e_exp = u_exp + paid(own, bids).mean(axis=0)

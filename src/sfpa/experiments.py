@@ -291,7 +291,7 @@ def additive_dynamics_report(n: int, m: int, rounds: int, seed: int,
     check_m(m)  # m and n before the (n, m) draw and the n action families
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # price_to_beat gathers an (n, n - 1, m) rival block every round
+    # each round gathers all n (n - 1) m rival bids, for beat and again for ahead
     check_size("n", n, lambda k: k * (k - 1) * m, CAP, "rival bids a round")
     check_size("m", m, lambda k: dp_pairs(n, k), CAP, "welfare-DP subset pairs")
     rng = rng_for(seed, "dynamics-weights")

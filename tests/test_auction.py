@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sfpa.auction import (CAP, TIE_TOL, Allocation, CapExceeded, PriorityRule, RandomizedRule,
                           bid_utilities, bundle_masks, check_bids, expected_utilities,
                           optimal_allocations, optimal_welfare, price_to_beat, priority_ranks,
-                          rival_play, rule_from_json, welfare_maximizers, wins)
+                          rival_cells, rival_play, rule_from_json, welfare_maximizers, wins)
 from sfpa.dynamics import ExplicitActions, FiniteGame
 from sfpa.equilibrium import (BidGrid, WalrasianEquilibrium,
                               best_response_gap, common_price_gap, common_price_scan,
@@ -175,7 +175,8 @@ def test_price_to_beat_matches_player_loop(n, m, lead, priority, seed):
     """The rival gather against a per-player scalar loop over 0-2 leading
     axes: beat is the highest other bid, and ahead the highest bid of a
     rival of better rank (-inf if none). Bids on a coarse grid, some nudged
-    by half of TIE_TOL, tie exactly and nearly."""
+    by half of TIE_TOL, tie exactly and nearly. `rival_cells` gathers the
+    same pairs from each flat profile, and +inf at its dead column."""
     rng = np.random.default_rng(seed)
     order = tuple(tuple(int(i) for i in rng.permutation(n)) for _ in range(m))
     rule = PriorityRule(order) if priority else PriorityRule()
@@ -185,7 +186,10 @@ def test_price_to_beat_matches_player_loop(n, m, lead, priority, seed):
     bids = np.where(rng.random(shape) < 0.8, coarse, rng.uniform(0, 1, shape))
     beat, ahead = price_to_beat(bids, rule)
     assert beat.shape == ahead.shape == shape
+    cells = rival_cells(rule, n, m)
     for at in np.ndindex(shape[:-2]):
+        gathered = np.concatenate([bids[at].ravel(), [-np.inf, np.inf]])[cells].max(axis=0)
+        assert gathered.tolist() == [[*beat[at].ravel(), np.inf], [*ahead[at].ravel(), np.inf]]
         for i in range(n):
             rivals = [k for k in range(n) if k != i]
             for j in range(m):

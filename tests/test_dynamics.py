@@ -11,6 +11,7 @@ from sfpa.dynamics import (ExplicitActions, FiniteGame, SeparableGrid,
 from sfpa.equilibrium import BidGrid, pure_nash_search
 from sfpa.experiments import additive_dynamics_report, andor_dynamics_report
 from sfpa.auction import PriorityRule, RandomizedRule
+from sfpa.cli import main
 from sfpa.rng import rng_for
 from sfpa.sets import full_set
 from sfpa.valuations import AdditiveValuation, OrValuation, SingleMindedValuation, TableValuation
@@ -46,6 +47,28 @@ def test_rounds_over_the_byte_limit_refused_before_allocating(monkeypatch):
         run_no_regret(game, 2 ** 31 // 80 + 1, seed=1)
     with pytest.raises(AssertionError, match="allocated"):
         run_no_regret(game, 2 ** 31 // 80, seed=1)
+
+
+def test_outcome_table_over_the_cap_refused_before_building(monkeypatch, capsys):
+    """The outcome table holds 2^S cells a bid row, S the largest support:
+    one bidder on 16 items with 168 explicit bid vectors needs 168 * 65536 >
+    CAP cells, and is refused naming the 167 rows that fit, before any value
+    table is read; 167 rows get past the check. The largest table a command
+    builds, `dynamics --mode andor --m 3` (69,044 rows, S = 3), runs."""
+    vals = [AdditiveValuation((0.1,) * 16)]
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before the size was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "value_tables", built)
+        with pytest.raises(auction.CapExceeded, match=r"^spaces: past the cap of 11000000 "
+                           r"outcome-table cells \(65536 a bid row\); 167 bid rows in all fits$"):
+            run_no_regret(FiniteGame(vals, [ExplicitActions(np.zeros((168, 16)))]), 1, seed=0)
+        with pytest.raises(AssertionError, match="built before"):
+            run_no_regret(FiniteGame(vals, [ExplicitActions(np.zeros((167, 16)))]), 1, seed=0)
+    assert main(["dynamics", "--mode", "andor", "--m", "3", "--rounds", "2"]) == 0
+    assert '"and_support_ok": true' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.3])
@@ -231,6 +254,42 @@ def test_trace_readers_hold_prices_not_rival_blocks():
     trace = run_no_regret(game, 2000, seed=3)
     assert peak_traced(lambda: verify_cce(trace)) < 32 << 20
     assert peak_traced(lambda: trace_decomposition(trace)) < 32 << 20
+
+
+def test_a_report_prices_each_round_once(monkeypatch):
+    """A learning report walks its rounds through `price_to_beat` once, for
+    the trace's shared `prices`: the round itself gathers rivals through
+    `rival_cells`, and `verify_cce` and `trace_decomposition` read the same
+    pricing."""
+    walked = []
+
+    def counted(bids, rule):
+        walked.append(len(bids))
+        return auction.price_to_beat(bids, rule)
+
+    monkeypatch.setattr(dynamics, "price_to_beat", counted)
+    additive_dynamics_report(2, 2, 300, seed=9)
+    assert sum(walked) == 300
+    walked.clear()
+    andor_dynamics_report(2, 1.0, 40, seed=1, levels=5)
+    assert sum(walked) == 40
+
+
+def test_dead_slots_never_win():
+    """A separable player's entries bid on one item each; the rival's
+    explicit actions make S = 2, so each entry pads a dead slot on the other
+    item. The rival bids 0 everywhere and the rule favours the separable
+    player, so a dead slot bidding 0 faces beat 0 with no one ahead, which
+    `wins` counts as a win: only the +inf cell keeps it out. The trace is
+    the dense oracle's, byte for byte."""
+    assert auction.wins(np.zeros(1), np.zeros(1), np.full(1, -np.inf)).all()
+    vals = [AdditiveValuation((0.3, 0.2)), AdditiveValuation((0.6, 0.8))]
+    spaces = [ExplicitActions([[0.0, 0.0]]), SeparableGrid([[0.0, 0.1, 0.2], [0.0, 0.1]])]
+    game = FiniteGame(vals, spaces, PriorityRule(((1, 0), (1, 0))))
+    got, ref = run_no_regret(game, 50, seed=2), run_no_regret_dense(game, 50, seed=2)
+    for a, b in zip((got.bids, got.utilities, got.welfare, got.regret, *got.cum_counterfactual),
+                    (ref.bids, ref.utilities, ref.welfare, ref.regret, *ref.cum_counterfactual)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_welfare_report_fields():
